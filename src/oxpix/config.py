@@ -231,16 +231,8 @@ def _build_setup(values: dict, provenance: dict) -> RunSetup:
             pixel = replace(pixel, vs_level=pxv["vs_level"])
 
         swv = values["sweep"]
-        sov = values["solver"]
-        solver = SolverOptions(
-            rel_tol=sov.get("rel_tol", 1e-6),
-            abs_tol_v=sov.get("abs_tol_v", 1e-9),
-            abs_tol_gap=sov.get("abs_tol_gap", 1e-6),
-            max_step=sov.get("max_step", 1e-8),
-            min_step=sov.get("min_step", 1e-12),
-            max_trace_points=sov.get("max_trace_points", 400_000),
-            reset_noise=sov.get("reset_noise", False),
-            noise_seed=sov.get("noise_seed", 0))
+        # [solver] keys are SolverOptions field names; it owns the defaults.
+        solver = SolverOptions(**values["solver"])
 
         wv = values["window"]
         base_window = ReadableWindow()

@@ -2,14 +2,33 @@
 
 State vector is (VPD [V], gap [nm]).  An embedded Dormand-Prince 5(4)
 pair supplies the local error estimate; rejected steps are shrunk down to
-``min_step`` before raising a stiffness diagnostic.  The schedule is cut
-at phase boundaries (reset release, full-well time, end) so no step
-straddles a discontinuity of the right-hand side.
+``min_step`` before raising a stiffness diagnostic.  The pair is
+first-same-as-last (FSAL): its seventh stage is evaluated at the end point
+of the step, so it gives the recorded branch current and seeds the first
+stage of the next step, and a step costs six right-hand-side evaluations.
+
+The error estimate is only honest where the right-hand side is smooth, so
+no step straddles a kink:
+
+- the schedule is cut at phase boundaries (reset release, gate-waveform
+  switch times, full-well time, end);
+- a step that crosses the VPD floor is shrunk onto it;
+- a step that crosses the selector's saturation/triode knee, where the
+  branch current turns from flat to steep within about a millivolt, is
+  shrunk onto it by the same secant rule on the margin ``vds - vov`` of
+  the internal-node solve, and the next step restarts small.
+
+The branch current may change by at most 15 % per step, which keeps the
+recorded trace dense enough for its trapezoidal charge integral; the next
+step is sized from the share of that allowance the last one used.  The
+default step cap of 100 ns equals ``abrupt_window``, so the abrupt-fall
+window always still holds the previous sample.
 
 Discrete happenings are recorded as events: filament switching transitions
-(threshold crossings of the gap across fractions of its span), abrupt VPD
-falls (a drop of half the available swing inside a sliding window), full
-well saturation and the ground clamp.
+(threshold crossings of the gap across fractions of its span, stamped at the
+crossing time interpolated between samples), abrupt VPD falls (a drop of
+half the available swing inside a sliding window), full well saturation and
+the ground clamp.
 """
 
 from __future__ import annotations
@@ -17,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,6 +61,9 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
+# Step size the stepper restarts from after crossing the selector knee.
+_KNEE_RESTART = 1e-9  # s
+
 
 class EventKind(enum.Enum):
     SET_TO_RESET = "SetToReset"
@@ -64,7 +86,7 @@ class SolverOptions:
     rel_tol: float = 1e-6
     abs_tol_v: float = 1e-9        # V
     abs_tol_gap: float = 1e-6      # nm
-    max_step: float = 1e-8         # s
+    max_step: float = 1e-7         # s; equals abrupt_window
     min_step: float = 1e-12        # s
     max_trace_points: int = 400_000
     # Event thresholds; fractions of the gap span / available swing.
@@ -82,6 +104,21 @@ class SolverOptions:
         for name in ("rel_tol", "abs_tol_v", "abs_tol_gap"):
             if getattr(self, name) <= 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
+        if self.max_trace_points < 1:
+            raise InvalidInputError("max_trace_points must be >= 1")
+
+
+@dataclass
+class SolverStats:
+    """Work done by one transient: accepted steps, rejected attempts by
+    cause, and right-hand-side evaluations."""
+
+    accepted: int = 0
+    rejected_error: int = 0     # error test failed or a stage overflowed
+    rejected_floor: int = 0     # shrunk onto the VPD floor
+    rejected_knee: int = 0      # shrunk onto the selector knee
+    rejected_current: int = 0   # branch current changed by more than 15 %
+    rhs_evals: int = 0
 
 
 @dataclass
@@ -97,6 +134,7 @@ class TransientTrace:
     i_exp: float = 0.0
     trst: float = 0.0
     vstart: float = 0.0
+    stats: SolverStats = field(default_factory=SolverStats)
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -113,7 +151,7 @@ class EventDetector:
             p = config.oxram
             self._span = p.gap_max - p.gap_min
             self._gmin = p.gap_min
-        self._first = True
+        self._prev: Optional[tuple[float, float]] = None  # (t, gap fraction)
         self._min_frac = math.inf
         self._max_frac = -math.inf
         self._crossed_hi = False
@@ -125,13 +163,19 @@ class EventDetector:
     def _frac(self, gap: float) -> float:
         return (gap - self._gmin) / self._span
 
+    def _crossing_time(self, t: float, frac: float, level: float) -> float:
+        """Time the gap fraction passed ``level``, interpolated linearly
+        between the previous sample and this one."""
+        t0, f0 = self._prev
+        return t0 + (t - t0) * (level - f0) / (frac - f0)
+
     def update(self, t: float, vpd: float, gap: float) -> None:
         opt = self.options
         if self._hybrid:
             frac = self._frac(gap)
-            if self._first:
+            if self._prev is None:
                 # The initial state is a starting point, not a crossing.
-                self._first = False
+                self._prev = (t, frac)
                 self._min_frac = self._max_frac = frac
                 self._window.append((t, vpd))
                 return
@@ -145,12 +189,17 @@ class EventDetector:
                     kind = EventKind.SET_TO_RESET
                 else:
                     kind = EventKind.SOFT_TO_HARD_RESET
-                self.events.append(Event(kind, t, f"gap={gap:.4f}nm"))
+                self.events.append(Event(
+                    kind, self._crossing_time(t, frac, opt.gap_hi_frac),
+                    f"gap={gap:.4f}nm"))
             if frac <= opt.gap_lo_frac and not self._crossed_lo and prev_min > opt.gap_lo_frac:
                 if prev_max > opt.gap_hi_frac:
                     self._crossed_lo = True
-                    self.events.append(
-                        Event(EventKind.RESET_TO_SET, t, f"gap={gap:.4f}nm"))
+                    self.events.append(Event(
+                        EventKind.RESET_TO_SET,
+                        self._crossing_time(t, frac, opt.gap_lo_frac),
+                        f"gap={gap:.4f}nm"))
+            self._prev = (t, frac)
         # Abrupt-fall check over a sliding time window.
         if not self._abrupt_seen:
             w = self._window
@@ -208,11 +257,33 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     boundaries = sorted(boundaries)
 
     detector = EventDetector(config, opt, v0)
+    stats = SolverStats()
+    hybrid = config.is_hybrid()
+    vth = config.selector.vth
+    photo_active = True
+    op_hint = [None]
+
+    def rhs(tq: float, vq: float, gq: float) -> tuple[float, float, float]:
+        stats.rhs_evals += 1
+        return assemble_derivative(vq, gq, tq, config, stimulus, photo_active,
+                                   op_hint)
+
+    def knee_margin(tq: float) -> float:
+        # Selector vds - vov at the last internal-node solve: >= 0 in
+        # saturation, < 0 in triode.  The vs terms cancel.
+        if not hybrid:
+            return 1.0
+        return op_hint[0] - config.vg_waveform.level_at(tq) + vth
+
+    # First stage of the next step: (dv, dg, i) at (t, v, g) and the knee
+    # margin there.  Refreshed at every phase boundary, otherwise taken
+    # from the last stage of the accepted step (FSAL).
+    k1 = rhs(0.0, v0, gap0)
+    m1 = knee_margin(0.0)
     ts = [0.0]
     vs = [v0]
     gs = [gap0]
-    _, _, i0 = assemble_derivative(v0, gap0, 0.0, config, stimulus, True, [None])
-    cur = [i0]
+    cur = [k1[2]]
     detector.update(0.0, v0, gap0)
 
     t = 0.0
@@ -221,17 +292,10 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     h = opt.max_step
     est_err_v = 0.0
     floored = False
-    photo_active = True
-    i_prev = i0
     # Clamp tolerance: relative to the reset level; below this the node is
     # dead and the integration error estimate is pure cancellation noise.
+    # The knee landing uses the same tolerance on the selector margin.
     floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(v0))
-
-    op_hint = [None]
-
-    def rhs(tq: float, vq: float, gq: float) -> tuple[float, float, float]:
-        return assemble_derivative(vq, gq, tq, config, stimulus, photo_active,
-                                   op_hint)
 
     for boundary in boundaries:
         if floored:
@@ -244,29 +308,29 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                 break
             remaining = boundary - t
             h = min(max(h, opt.min_step), remaining, opt.max_step)
-            accepted = False
             attempts = 0
-            while not accepted:
+            while True:
                 attempts += 1
                 if attempts > 120:
                     raise SolverError(
                         "required step underflow: stiffness at "
                         f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
                                                "h": h})
-                k = []
+                k = [k1]
                 try:
-                    for i in range(7):
+                    for i in range(1, 7):
                         tv = min(t + _C[i] * h, t_inside)
                         va = v
                         ga = g
                         for j, aij in enumerate(_A[i]):
                             va += h * aij * k[j][0]
                             ga += h * aij * k[j][1]
-                        dv, dg, _ = rhs(tv, va, _clip_gap(ga, config))
-                        k.append((dv, dg))
+                        k.append(rhs(tv, va, _clip_gap(ga, config)))
                 except (OverflowError, ValueError):
+                    stats.rejected_error += 1
                     h *= 0.25
                     continue
+                m7 = knee_margin(tv)
                 v_new = v
                 g_new = g
                 err_v = 0.0
@@ -285,7 +349,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                 # A step that runs the gap into one of its bounds lands there
                 # exactly via the clip; the gap error estimate is then
                 # polluted by the clamp kink and is ignored.
-                hits_bound = config.is_hybrid() and (
+                hits_bound = hybrid and (
                     g_new <= config.oxram.gap_min or g_new >= config.oxram.gap_max)
                 if hits_bound:
                     err = abs(err_v) / tol_v
@@ -298,6 +362,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                             "required step underflow: stiffness at "
                             f"t={t:.6e}s", detail={"t": t, "vpd": v,
                                                    "gap": g, "h": h})
+                    stats.rejected_error += 1
                     h = max(h * max(0.2, 0.9 * err ** -0.2), opt.min_step)
                     continue
                 # Floor crossing: shrink onto vpd = floor and redo the step
@@ -305,24 +370,39 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                 if (t + h > pd.trst and v_new < opt.vpd_floor - floor_tol
                         and v > opt.vpd_floor + floor_tol
                         and h > 2.0 * opt.min_step):
+                    stats.rejected_floor += 1
                     shrink = (v - opt.vpd_floor) / (v - v_new)
+                    h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
+                    continue
+                # Knee crossing: the same secant landing on the selector
+                # margin, so no step straddles the kink in the branch current.
+                knee = (m1 >= 0.0) != (m7 >= 0.0)
+                if knee and abs(m7) > floor_tol and h > 2.0 * opt.min_step:
+                    stats.rejected_knee += 1
+                    shrink = m1 / (m1 - m7)
                     h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
                     continue
                 # Current-change limiting keeps the recorded trace dense
                 # enough that its trapezoidal charge integral converges.
-                _, _, i_end = rhs(min(t + h, t_inside), max(v_new, opt.vpd_floor),
-                                  _clip_gap(g_new, config))
-                i_scale = max(abs(i_end), abs(i_prev))
-                if (i_scale > 1e-12 and h > 4.0 * opt.min_step
-                        and abs(i_end - i_prev) > 0.15 * i_scale):
-                    h *= 0.5
+                # ``load`` is the share of the 15 % allowance this step used.
+                i_end = k[6][2]
+                i_scale = max(abs(i_end), abs(k1[2]))
+                load = 0.0
+                if i_scale > 1e-12 and h > 4.0 * opt.min_step:
+                    load = abs(i_end - k1[2]) / (0.15 * i_scale)
+                if load > 1.0:
+                    stats.rejected_current += 1
+                    h = max(h * 0.9 / load, opt.min_step)
                     continue
-                accepted = True
+                break
 
+            stats.accepted += 1
             t += h
             v = max(v_new, opt.vpd_floor) if t > pd.trst else v_new
             g = _clip_gap(g_new, config)
             est_err_v += abs(err_v)
+            k1 = k[6]
+            m1 = m7
 
             if t > pd.trst and v <= opt.vpd_floor + floor_tol and not floored:
                 v = opt.vpd_floor
@@ -335,13 +415,16 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
             vs.append(v)
             gs.append(g)
             cur.append(i_end)
-            i_prev = i_end
             detector.update(t, v, g)
 
-            if err > 0.0:
-                h = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
-            else:
-                h = min(h * 5.0, opt.max_step)
+            h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
+                else h * 5.0
+            if load > 0.6:
+                # Predict the current change as linear in h.
+                h_next = min(h_next, h * 0.9 / load)
+            if knee:
+                h_next = min(h_next, _KNEE_RESTART)
+            h = h_next
 
         if floored:
             break
@@ -352,16 +435,16 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
             detector.events.append(Event(
                 EventKind.FWC_SATURATION, t,
                 f"well full after {q_fwc / ELEMENTARY_CHARGE:.0f} e-"))
-        # The drive may step at a boundary; refresh the current reference so
-        # the change limiter does not fight a legitimate discontinuity, and
-        # record the post-boundary branch current one ulp later so the
-        # trapezoidal trace integral sees both sides of the jump.
-        _, _, i_prev = rhs(t, v, g)
+        # The drive may step at a boundary, so the next step starts from a
+        # fresh first stage.  Its branch current is recorded one ulp later,
+        # so the trapezoidal trace integral sees both sides of the jump.
         if t < t_end:
+            k1 = rhs(t, v, g)
+            m1 = knee_margin(t)
             ts.append(math.nextafter(t, math.inf))
             vs.append(v)
             gs.append(g)
-            cur.append(i_prev)
+            cur.append(k1[2])
 
     if floored and ts[-1] < t_end:
         ts.append(t_end)
@@ -374,7 +457,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         t=np.asarray(ts), vpd=np.asarray(vs), i_ox=np.asarray(cur),
         gap=np.asarray(gs), events=events, final_vpd=v, final_gap=g,
         est_error_v=est_err_v, i_exp=stimulus.i_exp, trst=pd.trst,
-        vstart=v0)
+        vstart=v0, stats=stats)
     if len(ts) > opt.max_trace_points:
         trace = _downsample(trace, opt.max_trace_points)
     return trace
@@ -392,11 +475,8 @@ def _downsample(trace: TransientTrace, max_points: int) -> TransientTrace:
         for j in (idx - 1, idx, idx + 1):
             if 0 <= j < n:
                 keep[j] = True
-    return TransientTrace(
-        t=trace.t[keep], vpd=trace.vpd[keep], i_ox=trace.i_ox[keep],
-        gap=trace.gap[keep], events=trace.events, final_vpd=trace.final_vpd,
-        final_gap=trace.final_gap, est_error_v=trace.est_error_v,
-        i_exp=trace.i_exp, trst=trace.trst, vstart=trace.vstart)
+    return replace(trace, t=trace.t[keep], vpd=trace.vpd[keep],
+                   i_ox=trace.i_ox[keep], gap=trace.gap[keep])
 
 
 def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:

@@ -93,6 +93,17 @@ def test_cli_validation_error_exits_one(tmp_path):
     assert code == 1
 
 
+def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[solver]\nmax_trace_points = 0\n")
+    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_trace_points" in err
+    assert "Traceback" not in err
+
+
 def test_cli_sweep_writes_table(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ni_min = 1pA\ni_max = 10pA\n"

@@ -5,6 +5,7 @@ import pytest
 from oxpix.config import dump_config, parse_config, parse_quantity
 from oxpix.errors import ConfigError
 from oxpix.pixel import Topology
+from oxpix.solver import SolverOptions
 
 
 def test_empty_config_gives_documented_defaults():
@@ -136,3 +137,9 @@ topology = case_i
 c_pox = 2fF
 """)
     assert setup.pixel.oxram.c_pox == pytest.approx(2e-15)
+
+
+def test_solver_defaults_come_from_solver_options():
+    text = dump_config(parse_config(""))
+    assert "max_step = 1e-07" in text.splitlines()
+    assert parse_config(text).solver == SolverOptions()

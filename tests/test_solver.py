@@ -1,12 +1,14 @@
 """Transient solver tests: oracles, events, conservation, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 from oxpix.defaults import default_config
 from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
 from oxpix.errors import SolverError
-from oxpix.pixel import GateWaveform, Stimulus, Topology
+from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
 from oxpix.solver import (
     EventKind,
     SolverOptions,
@@ -209,3 +211,77 @@ def test_long_exposure_with_selector_disconnected():
     opts = SolverOptions(max_step=1e-6)
     trace = integrate(cfg, Stimulus(1e-12), opts)
     assert trace.final_vpd == pytest.approx(1.42 - 0.2, abs=1e-3)
+
+
+def radau_final_vpd(cfg, i_exp: float) -> float:
+    """Final VPD from scipy's Radau on the same right-hand side, one phase
+    at a time, with the gap clipped to its bounds as the stepper does."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    stimulus = Stimulus(i_exp)
+    p = cfg.oxram
+    hint = [None]
+    y = [cfg.pd.vrst, cfg.oxram_init.gap_x]
+    for t0, t1 in ((0.0, cfg.pd.trst), (cfg.pd.trst, cfg.t_end)):
+        t_last = math.nextafter(t1, 0.0)
+
+        def f(t, yy, t_last=t_last):
+            gap = min(max(yy[1], p.gap_min), p.gap_max)
+            dv, dg, _ = assemble_derivative(yy[0], gap, min(t, t_last), cfg,
+                                            stimulus, True, hint)
+            return [dv, dg]
+
+        sol = solve_ivp(f, (t0, t1), y, method="Radau", rtol=1e-10,
+                        atol=[1e-13, 1e-10])
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+    return float(y[0])
+
+
+@pytest.mark.parametrize("topo,i_exp,max_step", [
+    (Topology.HYBRID_CASE_I, 1e-12, None),
+    (Topology.HYBRID_CASE_I, 1e-10, None),
+    (Topology.HYBRID_CASE_II, 1e-12, None),
+    (Topology.HYBRID_CASE_I, 1e-12, 1e-6),
+])
+def test_final_vpd_matches_radau_oracle(calibrated, topo, i_exp, max_step):
+    # Case (i) crosses the selector knee late in the exposure; a step over
+    # that kink leaves the final VPD ~6.5e-7 V off.
+    cfg = default_config(topo, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opts = SolverOptions() if max_step is None else SolverOptions(max_step=max_step)
+    trace = integrate(cfg, Stimulus(i_exp), opts)
+    assert trace.final_vpd == pytest.approx(radau_final_vpd(cfg, i_exp),
+                                            abs=2e-8)
+
+
+@pytest.mark.parametrize("topo,kind", [
+    (Topology.HYBRID_CASE_I, EventKind.SOFT_TO_HARD_RESET),
+    (Topology.HYBRID_CASE_III, EventKind.RESET_TO_SET),
+])
+def test_switching_event_time_independent_of_step_cap(calibrated, topo, kind):
+    cfg = default_config(topo, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    coarse = integrate(cfg, Stimulus(1e-12), SolverOptions())
+    fine = integrate(cfg, Stimulus(1e-12), SolverOptions(max_step=1e-9))
+    (a,) = coarse.events_of(kind)
+    (b,) = fine.events_of(kind)
+    assert abs(a.t_event - b.t_event) <= 2e-9
+
+
+def test_stats_six_rhs_evaluations_per_step():
+    cfg = default_config(Topology.BARE_3T)
+    trace = integrate(cfg, Stimulus(1e-9), SolverOptions())
+    stats = trace.stats
+    assert stats.accepted > 0
+    # Plus one evaluation at t = 0 and one after the reset release.
+    assert stats.rhs_evals <= 6 * stats.accepted + 2
+    thinned = integrate(cfg, Stimulus(1e-9), SolverOptions(max_trace_points=16))
+    assert len(thinned.t) < len(trace.t)
+    assert thinned.stats == stats
+
+
+def test_stats_current_limiter_rarely_rejects(calibrated):
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    stats = integrate(cfg, Stimulus(1e-12), SolverOptions()).stats
+    assert stats.rejected_current < 0.1 * stats.accepted
