@@ -40,6 +40,8 @@ ANCHOR_R_RESET = "r_reset"
 ANCHOR_T_RESET = "t_reset"
 ANCHOR_I_RESET = "i_reset_peak"
 
+R_SET_DEFAULT = 1.25e6   # ohm, reference SET read resistance
+
 # Fitted degrees of freedom, all strictly positive, searched in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",
                "rupture_rate_r0", "rupture_field_v1", "kprime")
@@ -66,7 +68,7 @@ class Anchor:
 @dataclass(frozen=True)
 class CalibrationAnchors:
     anchors: tuple[Anchor, ...] = (
-        Anchor(ANCHOR_R_SET, 1.25e6, 0.20),
+        Anchor(ANCHOR_R_SET, R_SET_DEFAULT, 0.20),
         Anchor(ANCHOR_R_RESET, 60e9, 0.20),
         Anchor(ANCHOR_T_RESET, 510e-9, 0.10),
         Anchor(ANCHOR_I_RESET, 11e-6, 0.20),
@@ -89,18 +91,21 @@ class CalibrationResult:
     detail: str = ""
 
 
-def predict_anchor(quantity: str, oxram: OxRamParams,
-                   selector: MosfetParams) -> float:
-    """Model value of one reference quantity for a candidate parameter set."""
+def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
+                   target: float = R_SET_DEFAULT) -> float:
+    """Model value of one reference quantity for a candidate parameter set.
+
+    ``target`` is the anchor's own value; only the SET read-back uses it.
+    """
     if quantity == ANCHOR_R_SET:
         # Read-back of the target SET level; unreachable targets report the
         # nearest reachable bound so the residual stays finite.
         try:
-            state = state_from_resistance(1.25e6, VREAD, oxram)
+            state = state_from_resistance(target, VREAD, oxram)
         except OutOfRangeError:
             state = OxRamState(oxram.gap_min)
             lo = read_resistance(state, VREAD, oxram)
-            if lo > 1.25e6:
+            if lo > target:
                 return lo
             return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
         return read_resistance(state, VREAD, oxram)
@@ -133,7 +138,7 @@ def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
         ox, sel = _apply(vector, oxram, selector)
         total = 0.0
         for a in anchors.anchors:
-            model = predict_anchor(a.quantity, ox, sel)
+            model = predict_anchor(a.quantity, ox, sel, a.value)
             if not math.isfinite(model):
                 return math.inf
             total += ((model - a.value) / (a.tolerance * a.value)) ** 2
@@ -211,7 +216,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     residuals = {}
     converged = True
     for a in anchors.anchors:
-        model = predict_anchor(a.quantity, ox_fit, sel_fit)
+        model = predict_anchor(a.quantity, ox_fit, sel_fit, a.value)
         rel = (model - a.value) / a.value
         residuals[a.quantity] = rel
         if abs(rel) > a.tolerance:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from .calibration import CalibrationResult, calibrate
 from .config import RunSetup, parse_config, parse_quantity
@@ -47,10 +48,19 @@ def _load_setup(path: str | None) -> RunSetup:
     return parse_config(path, is_path=True)
 
 
-def _anchor_hash(setup: RunSetup) -> str:
-    blob = json.dumps(
-        [[a.quantity, a.value, a.tolerance] for a in setup.anchors.anchors]
-        + [setup.cal_seed, setup.cal_restarts], sort_keys=True)
+def _fit_inputs(setup: RunSetup) -> dict:
+    """Keyword arguments of ``calibrate`` for this setup."""
+    return {"anchors": setup.anchors,
+            "initial_oxram": setup.pixel.oxram or OxRamParams(),
+            "initial_selector": setup.pixel.selector,
+            "seed": setup.cal_seed, "restarts": setup.cal_restarts}
+
+
+def _fit_key(inputs: dict) -> str:
+    """Digest of every input of one fit: the cache key."""
+    blob = json.dumps({name: dataclasses.asdict(value)
+                       if dataclasses.is_dataclass(value) else value
+                       for name, value in inputs.items()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -72,22 +82,42 @@ def _result_payload(result: CalibrationResult) -> dict:
     }
 
 
-def _calibrate_cached(setup: RunSetup, out_path: str,
-                      recalibrate: bool) -> tuple[OxRamParams, MosfetParams, dict]:
-    digest = _anchor_hash(setup)
-    cache = _cache_path(out_path, digest)
-    if not recalibrate and os.path.exists(cache):
-        with open(cache, "r", encoding="utf-8") as fh:
+def _write_json(payload: dict, path: str) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then move it
+    into place, so a reader never sees a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oxpix-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_cache(path: str) -> tuple[OxRamParams, MosfetParams, dict] | None:
+    """Cached fit, or None when the file is missing or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return (OxRamParams(**payload["oxram"]),
-                MosfetParams(**payload["selector"]), payload["residuals"])
-    result = calibrate(setup.anchors,
-                       initial_oxram=setup.pixel.oxram or OxRamParams(),
-                       initial_selector=setup.pixel.selector,
-                       seed=setup.cal_seed, restarts=setup.cal_restarts)
-    with open(cache, "w", encoding="utf-8") as fh:
-        json.dump(_result_payload(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+                MosfetParams(**payload["selector"]),
+                dict(payload["residuals"]))
+    except (OSError, ValueError, KeyError, TypeError, InvalidInputError):
+        return None
+
+
+def _calibrate_cached(setup: RunSetup, out_path: str,
+                      recalibrate: bool) -> tuple[OxRamParams, MosfetParams, dict]:
+    inputs = _fit_inputs(setup)
+    cache = _cache_path(out_path, _fit_key(inputs))
+    cached = None if recalibrate else _read_cache(cache)
+    if cached is not None:
+        return cached
+    result = calibrate(**inputs)
+    _write_json(_result_payload(result), cache)
     return result.oxram, result.selector, result.residuals
 
 
@@ -141,14 +171,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     setup = _load_setup(args.config)
-    seed = setup.cal_seed if args.seed is None else args.seed
-    result = calibrate(setup.anchors,
-                       initial_oxram=setup.pixel.oxram or OxRamParams(),
-                       initial_selector=setup.pixel.selector,
-                       seed=seed, restarts=setup.cal_restarts)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(_result_payload(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    inputs = _fit_inputs(setup)
+    if args.seed is not None:
+        inputs["seed"] = args.seed
+    result = calibrate(**inputs)
+    _write_json(_result_payload(result), args.out)
     status = "converged" if result.converged else "NOT converged"
     print(f"calibration {status}; residuals: " + ", ".join(
         f"{q} {r * 100:+.2f}%" for q, r in result.residuals.items()))

@@ -199,15 +199,33 @@ def _cosh_clip(x: float) -> float:
     return math.cosh(ax)
 
 
-def device_current_and_slope(gap_x: float, v: float,
-                             p: OxRamParams) -> tuple[float, float]:
-    """Unvalidated hot-path evaluation of I(V) and dI/dV at fixed gap."""
+def device_factors(gap_x: float, p: OxRamParams) -> tuple[float, float, float]:
+    """Gap-only factors of the device current at fixed gap: the filament
+    prefactor ``k_cf`` [A], the oxide prefactor ``k_ox`` [A] and the oxide
+    field coefficient ``s = d * gap_x / gap_max`` [1/V].
+
+    They hold through a whole internal-node solve, so the solve computes
+    them once and hands them to the kernels below.
+    """
     k_cf = p.i0_cf * _safe_exp(-p.cf_decay_a * (p.oxide_thickness_L - gap_x))
     k_ox = p.i0_ox * _safe_exp(-p.ox_decay_c * gap_x)
-    s = p.ox_field_d * gap_x / p.gap_max
-    i = k_cf * _safe_sinh(p.cf_field_b * v) + k_ox * _safe_sinh(s * v)
-    di = k_cf * p.cf_field_b * _cosh_clip(p.cf_field_b * v) \
-        + k_ox * s * _cosh_clip(s * v)
+    return k_cf, k_ox, p.ox_field_d * gap_x / p.gap_max
+
+
+def device_current_factored(factors: tuple[float, float, float], v: float,
+                            p: OxRamParams) -> float:
+    """Unvalidated hot-path I(V) from ``device_factors``."""
+    k_cf, k_ox, s = factors
+    return k_cf * _safe_sinh(p.cf_field_b * v) + k_ox * _safe_sinh(s * v)
+
+
+def device_current_and_slope(factors: tuple[float, float, float], v: float,
+                             p: OxRamParams) -> tuple[float, float]:
+    """Unvalidated hot-path I(V) and dI/dV from ``device_factors``."""
+    k_cf, k_ox, s = factors
+    b = p.cf_field_b
+    i = k_cf * _safe_sinh(b * v) + k_ox * _safe_sinh(s * v)
+    di = k_cf * b * _cosh_clip(b * v) + k_ox * s * _cosh_clip(s * v)
     return i, di
 
 

@@ -11,6 +11,7 @@ already carries the switching signature.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +21,8 @@ from typing import Optional
 from .errors import InvalidInputError, OxpixError
 from .pixel import PixelConfig, Stimulus
 from .solver import EventKind, SolverOptions, integrate
+
+_log = logging.getLogger("oxpix")
 
 DEFAULT_MAX_SWING = 0.85       # V, readout operating range
 # Absolute detection floor: sized so the bare pixel's window spans the
@@ -128,12 +131,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _worker_count() -> int:
     raw = os.environ.get("HPS_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if not raw.strip():
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        _log.warning("HPS_THREADS=%r is not a positive integer; running "
+                     "with 1 worker", raw)
+        return 1
+    return workers
 
 
 def point_readable(row: SweepRow, window: ReadableWindow,

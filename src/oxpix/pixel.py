@@ -21,6 +21,8 @@ from .devices import (
     OxRamState,
     PhotodiodeParams,
     device_current_and_slope,
+    device_current_factored,
+    device_factors,
     gap_velocity,
     selector_current_and_slope,
     state_from_resistance,
@@ -147,44 +149,61 @@ class PixelConfig:
 
 def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
                          oxram: OxRamParams, selector: MosfetParams,
-                         hint: Optional[float] = None) -> tuple[float, float]:
+                         hint: Optional[list] = None) -> tuple[float, float]:
     """Operating point of the series OxRAM + selector branch.
 
     Returns ``(i_branch, v_device)`` with current positive from the PD node
     to Vs.  The device current falls and the selector current rises with the
     internal node voltage, so the KCL mismatch is monotone on [vs, vpd];
     a bracketed Newton iteration converges to 1e-12 relative in current.
-    ``hint`` warm-starts the iteration (previous step's node voltage).
+    The gap-only device factors are computed once per solve, and the
+    bracket probe at ``v_m = vs`` needs only the sign of the device current.
+
+    ``hint`` is the caller's op-hint record, a list updated in place after
+    every solve: ``[v_m, vpd, dv_m/dvpd, newton_evals]``.  The next solve
+    starts from the predicted node voltage ``v_m + (vpd' - vpd) * dv_m/dvpd``
+    (an Euler predictor in vpd; Newton is the corrector), falling back to
+    the bracket midpoint when the prediction leaves the bracket.  The
+    sensitivity ``dv_m/dvpd = g_dev / (g_dev + g_sel)`` follows from
+    differentiating the KCL balance at the converged point; it is 0 after a
+    solve with no branch current, where the node sits at vpd.
+    ``newton_evals`` counts device-kernel evaluations over all solves.
+    ``[None]`` is an empty record; without one the solve starts cold.
     """
-    if vpd <= vs:
-        return 0.0, 0.0
     vov = vg - vs - selector.vth
-    if vov <= 0.0:
-        # Selector off: the whole drop sits across it, none across the device.
+    # No forward drop, or the selector is off: no branch current, and none
+    # of the drop sits across the device.
+    if vpd <= vs or vov <= 0.0:
+        _record(hint, vpd, vpd, 0.0, 0)
         return 0.0, 0.0
 
     gap = min(max(state.gap_x, oxram.gap_min), oxram.gap_max)
-
-    def mismatch(v_m: float) -> tuple[float, float, float, float]:
-        i_dev, di_dev = device_current_and_slope(gap, vpd - v_m, oxram)
-        i_sel, di_sel = selector_current_and_slope(vov, v_m - vs, selector)
-        return i_dev - i_sel, di_dev + di_sel, i_dev, i_sel
-
+    factors = device_factors(gap, oxram)
     lo, hi = vs, vpd
-    f_lo, _, _, _ = mismatch(lo)
-    if f_lo <= 0.0:
+    if device_current_factored(factors, vpd - lo, oxram) <= 0.0:
         # Device passes nothing even with the full drop.
+        _record(hint, vpd, vpd, 0.0, 0)
         return 0.0, 0.0
 
-    v_m = hint if hint is not None and lo < hint < hi else 0.5 * (lo + hi)
-    for _ in range(300):
-        f, slope_sum, i_dev, i_sel = mismatch(v_m)
+    v_m = 0.5 * (lo + hi)
+    if hint is not None and hint[0] is not None:
+        v_pred = hint[0] + (vpd - hint[1]) * hint[2]
+        if lo < v_pred < hi:
+            v_m = v_pred
+    for n in range(1, 301):
+        i_dev, di_dev = device_current_and_slope(factors, vpd - v_m, oxram)
+        i_sel, di_sel = selector_current_and_slope(vov, v_m - vs, selector)
+        f = i_dev - i_sel
+        slope_sum = di_dev + di_sel
         scale = max(abs(i_dev), abs(i_sel), 1e-300)
         # Converged when the KCL mismatch is at tolerance, or the bracket has
         # collapsed to the voltage resolution of double precision (steep
         # device curves can pin the crossing within a few ulp).
         if abs(f) <= _OP_POINT_REL_TOL * scale \
                 or (hi - lo) <= 4e-16 * max(1.0, abs(vpd)):
+            if hint is not None:
+                sens = di_dev / slope_sum if slope_sum > 0.0 else 0.0
+                _record(hint, v_m, vpd, sens, n)
             return 0.5 * (i_dev + i_sel), vpd - v_m
         if f > 0.0:
             lo = v_m
@@ -201,6 +220,13 @@ def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
         detail={"vpd": vpd, "vg": vg, "bracket": (lo, hi)})
 
 
+def _record(hint: Optional[list], v_m: float, vpd: float, sens: float,
+            evals: int) -> None:
+    """Store one solve in the op-hint record; ``[None]`` grows to full size."""
+    if hint is not None:
+        hint[:] = (v_m, vpd, sens, evals + (hint[3] if len(hint) > 3 else 0))
+
+
 def assemble_derivative(vpd: float, oxram_gap: float, t: float,
                         config: PixelConfig, stimulus: Stimulus,
                         photo_active: bool = True,
@@ -210,8 +236,9 @@ def assemble_derivative(vpd: float, oxram_gap: float, t: float,
     During the reset phase (t < trst) the node is pinned at vrst and the
     voltage derivative is zero while the gap still evolves.  ``photo_active``
     is cleared by the scheduler once the well is full.  VPD at or below
-    ground gives a zero derivative (floor clamp).  ``op_hint`` is an optional
-    one-element warm-start cache for the internal-node solve.
+    ground gives a zero derivative (floor clamp).  ``op_hint`` is the optional
+    op-hint record of the internal-node solve (see ``solve_branch_current``);
+    ``op_hint[0]`` holds the node voltage of the last solve.
     """
     pd = config.pd
     pinned = t < pd.trst
@@ -225,12 +252,9 @@ def assemble_derivative(vpd: float, oxram_gap: float, t: float,
         state = OxRamState(oxram_gap, config.oxram_init.orientation)
         state = state.clamped(config.oxram)
         vg = config.vg_waveform.level_at(t)
-        hint = op_hint[0] if op_hint else None
         i_ox, v_dev = solve_branch_current(
             vpd, vg, config.vs_level, state, config.oxram, config.selector,
-            hint=hint)
-        if op_hint is not None:
-            op_hint[0] = vpd - v_dev
+            hint=op_hint)
         dgap = gap_velocity(state, v_dev, config.oxram)  # nm/s; gap in nm, t in s
 
     if pinned:

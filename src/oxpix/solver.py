@@ -29,11 +29,26 @@ Discrete happenings are recorded as events: filament switching transitions
 crossing time interpolated between samples), abrupt VPD falls (a drop of
 half the available swing inside a sliding window), full well saturation and
 the ground clamp.
+
+The reset phase is shared.  Up to the reset release the node is pinned and
+no evaluation sees the stimulus, so every exposure of one configuration
+steps through the same reset phase.  It is integrated once, up to but not
+including the boundary refresh at ``trst``, and kept in a one-entry memo
+keyed by the frozen ``(PixelConfig, SolverOptions)`` pair; the options
+belong to the key because they shape every step and, through
+``reset_noise``/``noise_seed``, the start voltage.  One entry suffices: a
+sweep runs one configuration at a time, and its dark point fills the entry
+before any pool worker forks.  Every transient continues from a copy of the
+entry, and its stats include the reset-phase work, so a trace is the same
+whether the entry was cold or warm.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import enum
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -111,7 +126,8 @@ class SolverOptions:
 @dataclass
 class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
-    cause, and right-hand-side evaluations."""
+    cause, right-hand-side and Newton evaluations, and the step-size range.
+    The shared reset phase counts in every transient that starts from it."""
 
     accepted: int = 0
     rejected_error: int = 0     # error test failed or a stage overflowed
@@ -119,6 +135,9 @@ class SolverStats:
     rejected_knee: int = 0      # shrunk onto the selector knee
     rejected_current: int = 0   # branch current changed by more than 15 %
     rhs_evals: int = 0
+    newton_evals: int = 0       # device-kernel evaluations of the KCL solves
+    h_min: float = math.inf     # smallest accepted step [s]
+    h_max: float = 0.0          # largest accepted step [s]
 
 
 @dataclass
@@ -159,6 +178,12 @@ class EventDetector:
         self._abrupt_seen = False
         self._window: deque[tuple[float, float]] = deque()
         self._drop_ref = options.abrupt_frac * (vstart - options.vpd_floor)
+
+    def copy(self) -> "EventDetector":
+        other = copy.copy(self)
+        other.events = list(self.events)
+        other._window = deque(self._window)
+        return other
 
     def _frac(self, gap: float) -> float:
         return (gap - self._gmin) / self._span
@@ -221,90 +246,156 @@ def _clip_gap(gap: float, config: PixelConfig) -> float:
     return min(max(gap, p.gap_min), p.gap_max)
 
 
-def integrate(config: PixelConfig, stimulus: Stimulus,
-              options: Optional[SolverOptions] = None) -> TransientTrace:
-    """Simulate one exposure: reset phase then integration phase.
-
-    The trace covers [0, trst + texp].  Raises SolverError on step
-    underflow (stiffness) or a non-finite state (divergence).
-    """
-    opt = options or SolverOptions()
-    pd = config.pd
-
-    v0 = pd.vrst
-    if opt.reset_noise:
-        rng = np.random.default_rng(opt.noise_seed)
-        v0 += float(rng.normal(0.0, pd.reset_noise_sigma))
-
-    gap0 = config.oxram_init.gap_x if config.is_hybrid() else 0.0
-    t_end = pd.trst + pd.texp
-
-    # Phase boundaries the stepper must land on exactly: reset release,
-    # gate-waveform switch times, full-well time, end of exposure.
-    boundaries = {pd.trst, t_end}
-    q_fwc = pd.fwc_electrons * ELEMENTARY_CHARGE
-    t_fwc = None
-    if stimulus.i_exp > 0.0:
-        t_candidate = pd.trst + q_fwc / stimulus.i_exp
-        if t_candidate < t_end:
-            t_fwc = t_candidate
-            boundaries.add(t_fwc)
+def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
+    """Phase boundaries the stepper must land on exactly: reset release,
+    gate-waveform switch times, full-well time, end of exposure."""
+    t_end = config.t_end
+    boundaries = {config.pd.trst, t_end}
+    if t_fwc is not None:
+        boundaries.add(t_fwc)
     if config.is_hybrid():
         for t0, t1, _ in config.vg_waveform.segments:
             for edge in (t0, t1):
                 if 0.0 < edge < t_end:
                     boundaries.add(edge)
-    boundaries = sorted(boundaries)
+    return sorted(boundaries)
 
-    detector = EventDetector(config, opt, v0)
-    stats = SolverStats()
-    hybrid = config.is_hybrid()
-    vth = config.selector.vth
-    photo_active = True
-    op_hint = [None]
 
-    def rhs(tq: float, vq: float, gq: float) -> tuple[float, float, float]:
-        stats.rhs_evals += 1
-        return assemble_derivative(vq, gq, tq, config, stimulus, photo_active,
-                                   op_hint)
+@dataclass(frozen=True)
+class _ResetPhase:
+    """Integration state at the reset release, before the first evaluation
+    that sees the stimulus.  Shared by every exposure of one (config,
+    options) pair and never mutated: ``_Run`` copies it."""
 
-    def knee_margin(tq: float) -> float:
+    v0: float
+    t: float
+    v: float
+    g: float
+    h: float
+    est_err_v: float
+    floored: bool
+    stats: SolverStats
+    detector: EventDetector
+    ts: tuple[float, ...]
+    vs: tuple[float, ...]
+    gs: tuple[float, ...]
+    cur: tuple[float, ...]
+    op_hint: tuple
+
+
+class _Run:
+    """One transient in progress: the last accepted point, the next step
+    size, the first stage of the next step, the samples so far, the event
+    detector, the op-hint record of the internal-node solve and the stats."""
+
+    def __init__(self, config: PixelConfig, opt: SolverOptions,
+                 stimulus: Stimulus, t_fwc: Optional[float],
+                 start: _ResetPhase):
+        self.config = config
+        self.opt = opt
+        self.stimulus = stimulus
+        self.t_fwc = t_fwc
+        self.photo_active = True
+        self.v0 = start.v0
+        self.t = start.t
+        self.v = start.v
+        self.g = start.g
+        self.h = start.h
+        self.est_err_v = start.est_err_v
+        self.floored = start.floored
+        self.stats = replace(start.stats)
+        self.detector = start.detector.copy()
+        self.ts = list(start.ts)
+        self.vs = list(start.vs)
+        self.gs = list(start.gs)
+        self.cur = list(start.cur)
+        self.op_hint = list(start.op_hint)
+        self.k1 = (0.0, 0.0, 0.0)
+        self.m1 = 0.0
+        # Clamp tolerance: relative to the reset level; below this the node
+        # is dead and the integration error estimate is pure cancellation
+        # noise.  The knee landing uses the same tolerance on the selector
+        # margin.
+        self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
+
+    def freeze(self) -> _ResetPhase:
+        return _ResetPhase(
+            v0=self.v0, t=self.t, v=self.v, g=self.g, h=self.h,
+            est_err_v=self.est_err_v, floored=self.floored,
+            stats=replace(self.stats), detector=self.detector.copy(),
+            ts=tuple(self.ts), vs=tuple(self.vs), gs=tuple(self.gs),
+            cur=tuple(self.cur), op_hint=tuple(self.op_hint))
+
+    def _rhs(self):
+        stats = self.stats
+        config = self.config
+        stimulus = self.stimulus
+        photo_active = self.photo_active
+        op_hint = self.op_hint
+
+        def rhs(tq: float, vq: float, gq: float) -> tuple[float, float, float]:
+            stats.rhs_evals += 1
+            return assemble_derivative(vq, gq, tq, config, stimulus,
+                                       photo_active, op_hint)
+        return rhs
+
+    def _knee_margin(self, tq: float) -> float:
         # Selector vds - vov at the last internal-node solve: >= 0 in
         # saturation, < 0 in triode.  The vs terms cancel.
-        if not hybrid:
+        if not self.config.is_hybrid():
             return 1.0
-        return op_hint[0] - config.vg_waveform.level_at(tq) + vth
+        return self.op_hint[0] - self.config.vg_waveform.level_at(tq) \
+            + self.config.selector.vth
 
-    # First stage of the next step: (dv, dg, i) at (t, v, g) and the knee
-    # margin there.  Refreshed at every phase boundary, otherwise taken
-    # from the last stage of the accepted step (FSAL).
-    k1 = rhs(0.0, v0, gap0)
-    m1 = knee_margin(0.0)
-    ts = [0.0]
-    vs = [v0]
-    gs = [gap0]
-    cur = [k1[2]]
-    detector.update(0.0, v0, gap0)
+    def _sample(self, t: float, v: float, g: float, i: float) -> None:
+        self.ts.append(t)
+        self.vs.append(v)
+        self.gs.append(g)
+        self.cur.append(i)
 
-    t = 0.0
-    v = v0
-    g = gap0
-    h = opt.max_step
-    est_err_v = 0.0
-    floored = False
-    # Clamp tolerance: relative to the reset level; below this the node is
-    # dead and the integration error estimate is pure cancellation noise.
-    # The knee landing uses the same tolerance on the selector margin.
-    floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(v0))
+    def begin(self) -> None:
+        """First stage and first sample at t = 0."""
+        self.k1 = self._rhs()(0.0, self.v, self.g)
+        self.m1 = self._knee_margin(0.0)
+        self._sample(0.0, self.v, self.g, self.k1[2])
+        self.detector.update(0.0, self.v, self.g)
 
-    for boundary in boundaries:
-        if floored:
-            break
+    def enter(self, t: float) -> None:
+        """Start the schedule segment at boundary ``t``.
+
+        The drive may step at a boundary, so the next step starts from a
+        fresh first stage.  Its branch current is recorded one ulp later, so
+        the trapezoidal trace integral sees both sides of the jump.
+        """
+        self.t = t
+        if self.t_fwc is not None and self.photo_active and math.isclose(
+                t, self.t_fwc, rel_tol=0.0, abs_tol=1e-18):
+            self.photo_active = False
+            self.detector.events.append(Event(
+                EventKind.FWC_SATURATION, t,
+                f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
+        self.k1 = self._rhs()(t, self.v, self.g)
+        self.m1 = self._knee_margin(t)
+        self._sample(math.nextafter(t, math.inf), self.v, self.g, self.k1[2])
+
+    def step_to(self, boundary: float) -> None:
+        """Take accepted steps until ``boundary`` or the VPD floor."""
+        config = self.config
+        opt = self.opt
+        trst = config.pd.trst
+        hybrid = config.is_hybrid()
+        stats = self.stats
+        detector = self.detector
+        rhs = self._rhs()
+        knee_margin = self._knee_margin
+        floor_tol = self.floor_tol
+        t, v, g, h = self.t, self.v, self.g, self.h
+        k1, m1 = self.k1, self.m1
         # Right-hand sides are discontinuous across segment boundaries;
         # stages must sample strictly inside the running segment.
         t_inside = math.nextafter(boundary, 0.0)
         while t < boundary - 1e-18 * max(1.0, boundary):
-            if floored:
+            if self.floored:
                 break
             remaining = boundary - t
             h = min(max(h, opt.min_step), remaining, opt.max_step)
@@ -367,7 +458,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                     continue
                 # Floor crossing: shrink onto vpd = floor and redo the step
                 # so the landing point keeps full integration accuracy.
-                if (t + h > pd.trst and v_new < opt.vpd_floor - floor_tol
+                if (t + h > trst and v_new < opt.vpd_floor - floor_tol
                         and v > opt.vpd_floor + floor_tol
                         and h > 2.0 * opt.min_step):
                     stats.rejected_floor += 1
@@ -397,24 +488,23 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
                 break
 
             stats.accepted += 1
+            stats.h_min = min(stats.h_min, h)
+            stats.h_max = max(stats.h_max, h)
             t += h
-            v = max(v_new, opt.vpd_floor) if t > pd.trst else v_new
+            v = max(v_new, opt.vpd_floor) if t > trst else v_new
             g = _clip_gap(g_new, config)
-            est_err_v += abs(err_v)
+            self.est_err_v += abs(err_v)
             k1 = k[6]
             m1 = m7
 
-            if t > pd.trst and v <= opt.vpd_floor + floor_tol and not floored:
+            if t > trst and v <= opt.vpd_floor + floor_tol:
                 v = opt.vpd_floor
-                floored = True
+                self.floored = True
                 detector.events.append(Event(
                     EventKind.VPD_FLOOR_CLAMP, t, f"vpd clamped at {v:.3f}V"))
                 i_end = 0.0
 
-            ts.append(t)
-            vs.append(v)
-            gs.append(g)
-            cur.append(i_end)
+            self._sample(t, v, g, i_end)
             detector.update(t, v, g)
 
             h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
@@ -425,39 +515,77 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
             if knee:
                 h_next = min(h_next, _KNEE_RESTART)
             h = h_next
+        self.t, self.v, self.g, self.h = t, v, g, h
+        self.k1, self.m1 = k1, m1
 
-        if floored:
-            break
-        t = boundary
-        if t_fwc is not None and math.isclose(boundary, t_fwc, rel_tol=0.0,
-                                              abs_tol=1e-18) and photo_active:
-            photo_active = False
-            detector.events.append(Event(
-                EventKind.FWC_SATURATION, t,
-                f"well full after {q_fwc / ELEMENTARY_CHARGE:.0f} e-"))
-        # The drive may step at a boundary, so the next step starts from a
-        # fresh first stage.  Its branch current is recorded one ulp later,
-        # so the trapezoidal trace integral sees both sides of the jump.
-        if t < t_end:
-            k1 = rhs(t, v, g)
-            m1 = knee_margin(t)
-            ts.append(math.nextafter(t, math.inf))
-            vs.append(v)
-            gs.append(g)
-            cur.append(k1[2])
+    def run(self, boundaries: list[float], first: int, stop: int) -> None:
+        """Segments ``first`` .. ``stop - 1`` of the schedule; segment ``k``
+        ends at ``boundaries[k]`` and starts at the boundary before it."""
+        for k in range(first, stop):
+            if self.floored:
+                break
+            if k > 0:
+                self.enter(boundaries[k - 1])
+            self.step_to(boundaries[k])
 
-    if floored and ts[-1] < t_end:
-        ts.append(t_end)
-        vs.append(v)
-        gs.append(g)
-        cur.append(0.0)
 
-    events = sorted(detector.events, key=lambda e: e.t_event)
+@functools.lru_cache(maxsize=1)
+def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _ResetPhase:
+    """Integrate every schedule segment that ends at or before the reset
+    release.  The node is pinned there, so nothing depends on the stimulus;
+    the boundary refresh at ``trst``, the first evaluation that sees it,
+    belongs to the exposure phase."""
+    v0 = config.pd.vrst
+    if opt.reset_noise:
+        rng = np.random.default_rng(opt.noise_seed)
+        v0 += float(rng.normal(0.0, config.pd.reset_noise_sigma))
+    gap0 = config.oxram_init.gap_x if config.is_hybrid() else 0.0
+    empty = _ResetPhase(
+        v0=v0, t=0.0, v=v0, g=gap0, h=opt.max_step, est_err_v=0.0,
+        floored=False, stats=SolverStats(),
+        detector=EventDetector(config, opt, v0), ts=(), vs=(), gs=(), cur=(),
+        op_hint=(None, 0.0, 0.0, 0))
+    run = _Run(config, opt, Stimulus(0.0), None, empty)
+    run.begin()
+    boundaries = _schedule(config, None)
+    run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
+    return run.freeze()
+
+
+def integrate(config: PixelConfig, stimulus: Stimulus,
+              options: Optional[SolverOptions] = None) -> TransientTrace:
+    """Simulate one exposure: reset phase then integration phase.
+
+    The trace covers [0, trst + texp].  Raises SolverError on step
+    underflow (stiffness) or a non-finite state (divergence).
+    """
+    opt = options or SolverOptions()
+    pd = config.pd
+    t_end = pd.trst + pd.texp
+
+    t_fwc = None
+    if stimulus.i_exp > 0.0:
+        t_candidate = pd.trst + pd.fwc_electrons * ELEMENTARY_CHARGE / stimulus.i_exp
+        if t_candidate < t_end:
+            t_fwc = t_candidate
+    boundaries = _schedule(config, t_fwc)
+
+    run = _Run(config, opt, stimulus, t_fwc, _reset_phase(config, opt))
+    run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
+            len(boundaries))
+
+    ts, vs, gs, cur = run.ts, run.vs, run.gs, run.cur
+    if run.floored and ts[-1] < t_end:
+        run._sample(t_end, run.v, run.g, 0.0)
+
+    stats = run.stats
+    stats.newton_evals = run.op_hint[3]
+    events = sorted(run.detector.events, key=lambda e: e.t_event)
     trace = TransientTrace(
         t=np.asarray(ts), vpd=np.asarray(vs), i_ox=np.asarray(cur),
-        gap=np.asarray(gs), events=events, final_vpd=v, final_gap=g,
-        est_error_v=est_err_v, i_exp=stimulus.i_exp, trst=pd.trst,
-        vstart=v0, stats=stats)
+        gap=np.asarray(gs), events=events, final_vpd=run.v, final_gap=run.g,
+        est_error_v=run.est_err_v, i_exp=stimulus.i_exp, trst=pd.trst,
+        vstart=run.v0, stats=stats)
     if len(ts) > opt.max_trace_points:
         trace = _downsample(trace, opt.max_trace_points)
     return trace

@@ -73,3 +73,11 @@ def test_empty_anchor_list_rejected():
 def test_unknown_anchor_quantity_rejected():
     with pytest.raises(CalibrationError):
         predict_anchor("bogus", OxRamParams(), MosfetParams())
+
+
+def test_r_set_anchor_uses_its_own_target():
+    anchors = CalibrationAnchors(
+        (Anchor(ANCHOR_R_SET, 2e6, 0.20),) + CalibrationAnchors().anchors[1:])
+    result = calibrate(anchors, seed=0, restarts=1)
+    assert result.converged
+    assert abs(result.residuals[ANCHOR_R_SET]) <= 0.01

@@ -149,3 +149,32 @@ def test_cli_calibrate_writes_params(tmp_path):
     assert payload["converged"] is True
     assert set(payload["residuals"]) == {"r_set", "r_reset", "t_reset",
                                          "i_reset_peak"}
+
+
+# A two-point sweep and one calibration restart keep these reports fast.
+SMALL_REPORT = ("[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
+                "[calibration]\nrestarts = 1\n")
+
+
+def test_cli_cache_key_covers_initial_constants(tmp_path):
+    out = tmp_path / "report.json"
+    for name, extra in (("a.cfg", ""), ("b.cfg", "[selector]\nkprime = 2e-4\n")):
+        cfg = tmp_path / name
+        cfg.write_text(SMALL_REPORT + extra)
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list(tmp_path.glob(".oxpix-calib-*.json"))) == 2
+
+
+def test_cli_truncated_cache_is_a_miss(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_REPORT)
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    (cache,) = tmp_path.glob(".oxpix-calib-*.json")
+    cache.write_bytes(cache.read_bytes()[:100])
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(cache.read_text())["converged"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([cache.name, "report.json", "run.cfg"])

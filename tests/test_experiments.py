@@ -1,5 +1,7 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
+import logging
+
 import pytest
 
 from oxpix.defaults import default_config
@@ -9,6 +11,7 @@ from oxpix.experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
+    _worker_count,
     gain_factor,
     gain_factor_curve,
     operating_dr,
@@ -187,3 +190,12 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     parallel = run_sweep(spec)
     assert [(r.i_exp, r.final_vpd) for r in serial.rows] == \
         [(r.i_exp, r.final_vpd) for r in parallel.rows]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_worker_count_is_logged(monkeypatch, caplog, raw):
+    monkeypatch.setenv("HPS_THREADS", raw)
+    with caplog.at_level(logging.WARNING, logger="oxpix"):
+        assert _worker_count() == 1
+    assert f"HPS_THREADS={raw!r}" in caplog.text
+    assert "1 worker" in caplog.text

@@ -192,3 +192,25 @@ def test_config_validation():
         PixelConfig(topology=Topology.HYBRID_CASE_III, oxram=p,
                     oxram_init=OxRamState(5.0, Orientation.BE_AT_PD),
                     vg_waveform=GateWaveform(((0.0, 10e-6, 1.0),)))
+
+
+@pytest.mark.parametrize("vg,regime", [(0.52, "saturation"), (3.3, "triode")])
+def test_kcl_predicted_start_matches_cold_solve(vg, regime):
+    p = OxRamParams()
+    m = MosfetParams()
+    state = state_from_resistance(1.25e6, 0.1, p)
+    record = [None]
+    solve_branch_current(1.40, vg, 0.0, state, p, m, hint=record)
+    assert len(record) == 4 and record[1] == 1.40 and 0.0 <= record[2] <= 1.0
+    evals = record[3]
+    for vpd in (1.4001, 1.39, 1.2):
+        i_pred, v_pred = solve_branch_current(vpd, vg, 0.0, state, p, m,
+                                              hint=record)
+        i_cold, v_cold = solve_branch_current(vpd, vg, 0.0, state, p, m)
+        assert abs(i_pred - i_cold) <= 1e-12 * abs(i_cold)
+        v_m = vpd - v_cold
+        assert (v_m >= vg - m.vth) == (regime == "saturation")
+        assert record[0] == pytest.approx(vpd - v_pred, abs=1e-15)
+        assert record[1] == vpd
+        assert record[3] > evals
+        evals = record[3]

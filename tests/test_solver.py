@@ -8,6 +8,7 @@ import pytest
 from oxpix.defaults import default_config
 from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
 from oxpix.errors import SolverError
+from oxpix import solver
 from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
 from oxpix.solver import (
     EventKind,
@@ -285,3 +286,70 @@ def test_stats_current_limiter_rarely_rejects(calibrated):
                          selector=calibrated.selector)
     stats = integrate(cfg, Stimulus(1e-12), SolverOptions()).stats
     assert stats.rejected_current < 0.1 * stats.accepted
+
+
+def _same_trace(a, b):
+    assert np.array_equal(a.t, b.t)
+    assert np.array_equal(a.vpd, b.vpd)
+    assert np.array_equal(a.gap, b.gap)
+    assert np.array_equal(a.i_ox, b.i_ox)
+    assert a.events == b.events
+    assert a.est_error_v == b.est_error_v
+    assert a.stats == b.stats
+    assert (a.final_vpd, a.final_gap, a.vstart) == \
+        (b.final_vpd, b.final_gap, b.vstart)
+
+
+@pytest.mark.parametrize("topo,i_exp,noise", [
+    (Topology.HYBRID_CASE_I, 0.0, False),
+    (Topology.HYBRID_CASE_I, 1e-9, False),
+    (Topology.HYBRID_CASE_III, 0.0, False),
+    (Topology.HYBRID_CASE_III, 1e-9, False),
+    (Topology.HYBRID_CASE_I, 1e-9, True),
+])
+def test_shared_reset_phase_cold_equals_warm(calibrated, topo, i_exp, noise):
+    cfg = default_config(topo, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opts = SolverOptions(reset_noise=noise, noise_seed=5)
+    solver._reset_phase.cache_clear()
+    cold = integrate(cfg, Stimulus(i_exp), opts)
+    # As in a sweep: another exposure fills the entry this one starts from.
+    solver._reset_phase.cache_clear()
+    integrate(cfg, Stimulus(3e-12), opts)
+    warm = integrate(cfg, Stimulus(i_exp), opts)
+    info = solver._reset_phase.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _same_trace(cold, warm)
+    assert warm.stats.rhs_evals > 0
+    # Callers own their trace: mutating one must not reach the shared phase.
+    warm.stats.accepted += 1000
+    warm.events.clear()
+    _same_trace(cold, integrate(cfg, Stimulus(i_exp), opts))
+
+
+def test_shared_reset_phase_keyed_by_config_and_options(calibrated):
+    cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    other_init = default_config(Topology.HYBRID_CASE_I,
+                                oxram=calibrated.oxram,
+                                selector=calibrated.selector,
+                                init_resistance=5e6)
+    for config, opts, misses in ((cfg, SolverOptions(), 0),
+                                 (other_init, SolverOptions(), 1),
+                                 (cfg, SolverOptions(rel_tol=1e-7), 1)):
+        solver._reset_phase.cache_clear()
+        integrate(cfg, Stimulus(1e-12), SolverOptions())
+        integrate(config, Stimulus(2e-12), opts)
+        assert solver._reset_phase.cache_info().misses == 1 + misses
+
+
+def test_stats_count_newton_evaluations_and_step_range(calibrated):
+    cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    stats = integrate(cfg, Stimulus(1e-12), SolverOptions()).stats
+    assert 0 < stats.newton_evals <= 2.5 * stats.rhs_evals
+    assert 0.0 < stats.h_min <= stats.h_max <= SolverOptions().max_step
+    bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
+                     SolverOptions()).stats
+    assert bare.newton_evals == 0
+    assert bare.h_min <= bare.h_max
