@@ -14,24 +14,28 @@ seeded restarts.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .devices import (
+    VREAD,
     MosfetParams,
     Orientation,
     OxRamParams,
     OxRamState,
+    _read_back,
     read_resistance,
-    state_from_resistance,
 )
-from .errors import CalibrationError, OutOfRangeError
+from .errors import CalibrationError
 from .pixel import solve_branch_current
 
-VREAD = 0.1            # V
+_log = logging.getLogger("oxpix")
+
 V_RESET_DRIVE = 1.42   # V, constant rupture drive of the reference transient
 VG_PROGRAM_ANCHOR = 0.915  # V, selector gate during the programming transient
 
@@ -89,6 +93,7 @@ class CalibrationResult:
     restarts: int
     seed: int
     detail: str = ""
+    evaluations: int = 0               # distinct objective evaluations
 
 
 def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
@@ -100,15 +105,10 @@ def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
     if quantity == ANCHOR_R_SET:
         # Read-back of the target SET level; unreachable targets report the
         # nearest reachable bound so the residual stays finite.
-        try:
-            state = state_from_resistance(target, VREAD, oxram)
-        except OutOfRangeError:
-            state = OxRamState(oxram.gap_min)
-            lo = read_resistance(state, VREAD, oxram)
-            if lo > target:
-                return lo
-            return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
-        return read_resistance(state, VREAD, oxram)
+        gap, r, r_lo, r_hi = _read_back(target, VREAD, oxram, 1e-3)
+        if gap is not None:
+            return r
+        return r_lo if r_lo > target else r_hi
     if quantity == ANCHOR_R_RESET:
         return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
     if quantity == ANCHOR_T_RESET:
@@ -129,7 +129,8 @@ def _apply(vector: np.ndarray, oxram: OxRamParams,
            selector: MosfetParams) -> tuple[OxRamParams, MosfetParams]:
     values = {name: float(math.exp(v)) for name, v in zip(_FIT_FIELDS, vector)}
     kprime = values.pop("kprime")
-    return replace(oxram, **values), replace(selector, kprime=kprime)
+    return (OxRamParams(**{**vars(oxram), **values}),
+            MosfetParams(**{**vars(selector), "kprime": kprime}))
 
 
 def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
@@ -149,9 +150,29 @@ def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
 
 def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     fun, step0: float = 0.08, shrink: float = 0.5,
-                    tol: float = 1e-6, max_iter: int = 400) -> tuple[np.ndarray, float]:
+                    tol: float = 1e-6, max_iter: int = 400
+                    ) -> tuple[np.ndarray, float, int, int]:
+    """Best point and value, the number of distinct points evaluated, and
+    the number of revisits answered from the memo.
+
+    ``fun`` is fixed for the whole search, so a point's bytes are a complete
+    key; a move back along a coordinate revisits the point it left.
+    """
+    memo: dict[bytes, float] = {}
+    hits = 0
+
+    def value(v: np.ndarray) -> float:
+        nonlocal hits
+        key = v.tobytes()
+        f = memo.get(key)
+        if f is None:
+            f = memo[key] = fun(v)
+        else:
+            hits += 1
+        return f
+
     x = np.clip(x0, lo, hi)
-    f = fun(x)
+    f = value(x)
     step = step0
     n = len(x)
     for _ in range(max_iter):
@@ -162,7 +183,7 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 trial[j] = min(max(trial[j] + sign * step, lo[j]), hi[j])
                 if trial[j] == x[j]:
                     continue
-                ft = fun(trial)
+                ft = value(trial)
                 if ft < f:
                     x, f = trial, ft
                     improved = True
@@ -170,7 +191,7 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             step *= shrink
             if step < tol:
                 break
-    return x, f
+    return x, f, len(memo), hits
 
 
 def calibrate(anchors: Optional[CalibrationAnchors] = None,
@@ -183,6 +204,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     perturb it log-uniformly inside the search box.  Ties resolve to the
     lowest restart index, so results are bit-stable for a given seed.
     """
+    t0 = time.perf_counter()
     anchors = anchors or CalibrationAnchors()
     oxram = initial_oxram or OxRamParams()
     selector = initial_selector or MosfetParams()
@@ -199,12 +221,16 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     best_x = None
     best_f = math.inf
     any_finite = False
-    for r in range(max(1, restarts)):
+    evaluations = hits = 0
+    restarts = max(1, restarts)
+    for r in range(restarts):
         if r == 0:
             start = x0.copy()
         else:
             start = x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width
-        x, f = _pattern_search(start, lo, hi, fun)
+        x, f, n_eval, n_hit = _pattern_search(start, lo, hi, fun)
+        evaluations += n_eval
+        hits += n_hit
         if math.isfinite(f):
             any_finite = True
         if f < best_f:
@@ -224,7 +250,9 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     detail = ""
     if len(anchors.anchors) < 2:
         detail = "under-determined: single anchor leaves the fit unconstrained"
+    _log.info("calibrate: %d restarts, %d evaluations, %d memo hits, %.3f s",
+              restarts, evaluations, hits, time.perf_counter() - t0)
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,
-        converged=converged, objective=best_f, restarts=max(1, restarts),
-        seed=seed, detail=detail)
+        converged=converged, objective=best_f, restarts=restarts,
+        seed=seed, detail=detail, evaluations=evaluations)

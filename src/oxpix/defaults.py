@@ -12,17 +12,22 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .devices import MosfetParams, OxRamParams, OxRamState, PhotodiodeParams
+from .devices import (
+    VREAD,
+    MosfetParams,
+    OxRamParams,
+    OxRamState,
+    PhotodiodeParams,
+    state_from_resistance,
+)
 from .pixel import (
     GateWaveform,
     PixelConfig,
     Topology,
     orientation_for,
 )
-from .devices import state_from_resistance
 
 VG_PROGRAM = 3.3          # V, gate rail during the reset window
-VREAD = 0.1               # V, resistance read voltage
 
 # Exposure-phase selector current ceilings [A].  Sized so a ceiling-limited
 # drain over the full exposure stays inside the readable swing: the case (i)

@@ -254,6 +254,11 @@ def gap_velocity(state: OxRamState, v_device: float, params: OxRamParams) -> flo
     return -params.growth_rate_g0 * _safe_sinh(v / params.growth_field_v0)
 
 
+# Resistance read voltage [V] of every read-back: pre-programming targets,
+# default configurations and the calibration anchors.
+VREAD = 0.1
+
+
 def read_resistance(state: OxRamState, vread: float, params: OxRamParams) -> float:
     """Quasi-static resistance V/I at the read voltage [ohm]."""
     if vread == 0.0:
@@ -261,6 +266,49 @@ def read_resistance(state: OxRamState, vread: float, params: OxRamParams) -> flo
     vgap = vread * gap_drop_fraction(state, params)
     i = oxram_current(state, vread, vgap, params)
     return vread / i
+
+
+def _read_back(r_target: float, vread: float, p: OxRamParams,
+               rel_tol: float) -> tuple[float | None, float, float, float]:
+    """Bisection on gap_x for the read resistance ``r_target``.
+
+    Validates ``r_target`` and ``vread``, then returns ``(gap, R(gap),
+    R(gap_min), R(gap_max))``; ``gap`` is None when the target lies outside
+    ``[R(gap_min), R(gap_max)]``.  ``R`` evaluates the expression of
+    ``read_resistance`` in the same order, with the gap-independent factors
+    computed once, so every value here equals a ``read_resistance`` call.
+    """
+    if not (math.isfinite(r_target) and r_target > 0.0):
+        raise InvalidInputError(f"r_target must be finite and > 0, got {r_target}")
+    if vread == 0.0:
+        raise InvalidInputError("vread must be non-zero")
+    if not math.isfinite(vread):
+        raise InvalidInputError(f"non-finite voltage: vread={vread}")
+    k_cf, a, length = p.i0_cf, p.cf_decay_a, p.oxide_thickness_L
+    i0_ox, c, d, gap_max = p.i0_ox, p.ox_decay_c, p.ox_field_d, p.gap_max
+    s_cf = _safe_sinh(p.cf_field_b * vread)
+
+    def resistance(gap: float) -> float:
+        i_cf = k_cf * _safe_exp(-a * (length - gap)) * s_cf
+        i_ox = i0_ox * _safe_exp(-c * gap) \
+            * _safe_sinh(d * (vread * (gap / gap_max)))
+        return vread / (i_cf + i_ox)
+
+    lo, hi = p.gap_min, gap_max
+    r_lo, r_hi = resistance(lo), resistance(hi)
+    if not (r_lo <= r_target <= r_hi):
+        return None, math.nan, r_lo, r_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r_mid = resistance(mid)
+        if r_mid < r_target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(r_mid - r_target) <= rel_tol * r_target:
+            return mid, r_mid, r_lo, r_hi
+    mid = 0.5 * (lo + hi)
+    return mid, resistance(mid), r_lo, r_hi
 
 
 def state_from_resistance(r_target: float, vread: float, params: OxRamParams,
@@ -272,25 +320,12 @@ def state_from_resistance(r_target: float, vread: float, params: OxRamParams,
     [R(gap_min), R(gap_max)] brackets uniquely.  Matches within 0.1 %
     relative by default (contract allows 1 %).
     """
-    if not (math.isfinite(r_target) and r_target > 0.0):
-        raise InvalidInputError(f"r_target must be finite and > 0, got {r_target}")
-    lo, hi = params.gap_min, params.gap_max
-    r_lo = read_resistance(OxRamState(lo, orientation), vread, params)
-    r_hi = read_resistance(OxRamState(hi, orientation), vread, params)
-    if not (r_lo <= r_target <= r_hi):
+    gap, _, r_lo, r_hi = _read_back(r_target, vread, params, rel_tol)
+    if gap is None:
         raise OutOfRangeError(
             f"target {r_target:.6g} ohm at vread={vread:.3g} V is outside the "
             f"reachable range [{r_lo:.6g}, {r_hi:.6g}] ohm")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = read_resistance(OxRamState(mid, orientation), vread, params)
-        if r_mid < r_target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(r_mid - r_target) <= rel_tol * r_target:
-            return OxRamState(mid, orientation)
-    return OxRamState(0.5 * (lo + hi), orientation)
+    return OxRamState(gap, orientation)
 
 
 def selector_current(vgs: float, vds: float, params: MosfetParams) -> float:

@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from .errors import InvalidInputError, OxpixError
@@ -58,12 +59,16 @@ class SweepSpec:
     i_max: float = 10e-9
     points_per_decade: int = 12
     options: SolverOptions = field(default_factory=SolverOptions)
+    # Worker processes; None reads ``HPS_THREADS`` when the sweep runs.
+    workers: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.i_min < self.i_max):
             raise InvalidInputError("need 0 < i_min < i_max")
         if self.points_per_decade < 1:
             raise InvalidInputError("points_per_decade must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise InvalidInputError("workers must be >= 1")
 
     def currents(self) -> list[float]:
         n_dec = math.log10(self.i_max / self.i_min)
@@ -104,29 +109,27 @@ def _run_point(config: PixelConfig, i_exp: float,
         events=tuple(e.kind.value for e in trace.events))
 
 
-def _worker(args) -> SweepRow:
-    return _run_point(*args)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """One transient per log-spaced exposure point plus a dark reference.
 
     Rows come back sorted ascending in exposure regardless of execution
     order; per-point solver failures are recorded on the row and do not
-    abort the sweep.  ``HPS_THREADS`` caps worker processes (1 = serial).
+    abort the sweep.  ``spec.workers``, or ``HPS_THREADS`` when it is None,
+    caps worker processes (1 = serial).
     """
+    config, options = spec.config, spec.options
     currents = spec.currents()
-    dark = _run_point(spec.config, 0.0, spec.options)
-    jobs = [(spec.config, i, spec.options) for i in currents]
-    workers = _worker_count()
+    dark = _run_point(config, 0.0, options)
+    workers = spec.workers if spec.workers is not None else _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, jobs))
+            rows = list(pool.map(_run_point, repeat(config), currents,
+                                 repeat(options)))
     else:
-        rows = [_run_point(*j) for j in jobs]
+        rows = [_run_point(config, i, options) for i in currents]
     rows.sort(key=lambda r: r.i_exp)
     return SweepResult(rows=rows, dark_final_vpd=dark.final_vpd,
-                       dark_swing=dark.swing, vrst=spec.config.pd.vrst)
+                       dark_swing=dark.swing, vrst=config.pd.vrst)
 
 
 def _worker_count() -> int:
@@ -262,6 +265,7 @@ def table1_report(oxram, selector, window: Optional[ReadableWindow] = None,
 
     window = window or ReadableWindow()
     options = options or SolverOptions()
+    workers = _worker_count()
     order = [("baseline", Topology.BARE_3T), ("case_i", Topology.HYBRID_CASE_I),
              ("case_ii", Topology.HYBRID_CASE_II),
              ("case_iii", Topology.HYBRID_CASE_III)]
@@ -271,7 +275,7 @@ def table1_report(oxram, selector, window: Optional[ReadableWindow] = None,
         cfg = default_config(topo, oxram=oxram, selector=selector)
         sweep = run_sweep(SweepSpec(config=cfg, i_min=i_min, i_max=i_max,
                                     points_per_decade=points_per_decade,
-                                    options=options))
+                                    options=options, workers=workers))
         rep = summarize_sweep(label, sweep, window, baseline_dr)
         if label == "baseline":
             baseline_dr = rep.operating_dr_db

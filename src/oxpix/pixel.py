@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .devices import (
+    VREAD,
     MosfetParams,
     Orientation,
     OxRamParams,
@@ -267,7 +268,7 @@ def assemble_derivative(vpd: float, oxram_gap: float, t: float,
 
 
 def preprogram(config: PixelConfig, target_resistance: float,
-               vread: float = 0.1) -> PixelConfig:
+               vread: float = VREAD) -> PixelConfig:
     """Return a config whose OxRAM is initialized to the target resistance."""
     if not config.is_hybrid():
         raise UnsupportedOperationError("bare 3T pixel has no OxRAM to program")

@@ -1,7 +1,9 @@
 """Calibration tests: anchor fitting, round-trip recovery, determinism."""
 
 import dataclasses
+import logging
 
+import numpy as np
 import pytest
 
 from oxpix.calibration import (
@@ -9,13 +11,22 @@ from oxpix.calibration import (
     ANCHOR_R_RESET,
     ANCHOR_R_SET,
     ANCHOR_T_RESET,
+    VREAD,
     Anchor,
     CalibrationAnchors,
+    _pattern_search,
     calibrate,
     predict_anchor,
 )
-from oxpix.devices import MosfetParams, OxRamParams
-from oxpix.errors import CalibrationError
+from oxpix import calibration
+from oxpix.devices import (
+    MosfetParams,
+    OxRamParams,
+    OxRamState,
+    read_resistance,
+    state_from_resistance,
+)
+from oxpix.errors import CalibrationError, OutOfRangeError
 
 
 def test_default_anchors_converge(calibrated):
@@ -81,3 +92,92 @@ def test_r_set_anchor_uses_its_own_target():
     result = calibrate(anchors, seed=0, restarts=1)
     assert result.converged
     assert abs(result.residuals[ANCHOR_R_SET]) <= 0.01
+
+
+def _r_set_by_composition(target, p):
+    """SET read-back as a bisection followed by a second read."""
+    try:
+        state = state_from_resistance(target, VREAD, p)
+    except OutOfRangeError:
+        lo = read_resistance(OxRamState(p.gap_min), VREAD, p)
+        if lo > target:
+            return lo
+        return read_resistance(OxRamState(p.gap_max), VREAD, p)
+    return read_resistance(state, VREAD, p)
+
+
+def test_read_back_predictors_are_exact():
+    sel = MosfetParams()
+    base = OxRamParams()
+    for p in (base, dataclasses.replace(base, i0_ox=base.i0_ox * 1.8),
+              dataclasses.replace(base, i0_cf=base.i0_cf * 0.7,
+                                  ox_decay_c=base.ox_decay_c * 1.02),
+              dataclasses.replace(base, cf_field_b=base.cf_field_b * 1.03)):
+        r_min = read_resistance(OxRamState(p.gap_min), VREAD, p)
+        r_max = read_resistance(OxRamState(p.gap_max), VREAD, p)
+        for target in (0.5 * r_min, r_min, 1.25e6, 5e6, 1e9, r_max,
+                       2.0 * r_max):
+            assert predict_anchor(ANCHOR_R_SET, p, sel, target) == \
+                _r_set_by_composition(target, p)
+        assert predict_anchor(ANCHOR_R_RESET, p, sel) == r_max
+
+
+def _objective_at(result, anchors):
+    total = 0.0
+    for a in anchors.anchors:
+        model = predict_anchor(a.quantity, result.oxram, result.selector,
+                               a.value)
+        total += ((model - a.value) / (a.tolerance * a.value)) ** 2
+    return total
+
+
+def test_fit_is_unaffected_by_earlier_fits():
+    # Fits from the same initial constants search the same points, so a
+    # memo shared between fits would hand one fit the other's values.
+    default = CalibrationAnchors()
+    other = CalibrationAnchors((Anchor(ANCHOR_R_SET, 2e6, 0.20),)
+                               + default.anchors[1:])
+    a1 = calibrate(seed=4, restarts=2)
+    b = calibrate(other, seed=4, restarts=2)
+    c = calibrate(initial_oxram=OxRamParams(i0_ox=1.2e-2),
+                  initial_selector=MosfetParams(kprime=1.1e-4), seed=4,
+                  restarts=2)
+    a2 = calibrate(seed=4, restarts=2)
+    assert (a2.oxram, a2.selector, a2.residuals, a2.objective) == \
+        (a1.oxram, a1.selector, a1.residuals, a1.objective)
+    for fit, anchors in ((a1, default), (b, other), (c, default)):
+        assert fit.objective == _objective_at(fit, anchors)
+
+
+def test_pattern_search_evaluates_each_point_once():
+    seen = {}
+
+    def fun(v):
+        key = v.tobytes()
+        assert key not in seen
+        seen[key] = float(np.sum((v - np.array([0.3, -0.2, 0.05])) ** 2))
+        return seen[key]
+
+    lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+    x, f, evaluations, hits = _pattern_search(np.zeros(3), lo, hi, fun)
+    assert evaluations == len(seen)
+    assert hits > 0
+    assert f == min(seen.values())
+    assert seen[x.tobytes()] == f
+
+
+def test_fit_reports_its_evaluations(monkeypatch, caplog):
+    calls = []
+    objective = calibration._objective
+
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(calibration, "_objective", counted)
+    with caplog.at_level(logging.INFO, logger="oxpix"):
+        result = calibrate(seed=5, restarts=2)
+    assert result.evaluations == len(calls) > 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
+    assert len(lines) == 1
+    assert f"2 restarts, {len(calls)} evaluations" in lines[0]

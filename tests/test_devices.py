@@ -137,6 +137,43 @@ def test_gap_round_trip_identity(params):
         assert state.gap_x == pytest.approx(gap, abs=0.02)
 
 
+def _bisect_with_read_resistance(r_target, vread, p, rel_tol=1e-3):
+    lo, hi = p.gap_min, p.gap_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r_mid = read_resistance(OxRamState(mid), vread, p)
+        if r_mid < r_target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(r_mid - r_target) <= rel_tol * r_target:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 0.0])
+def test_state_from_resistance_equals_plain_bisection(params, rel_tol):
+    # rel_tol = 0 runs the bisection to its iteration limit.
+    for p in (params, OxRamParams(i0_ox=params.i0_ox * 1.8),
+              OxRamParams(ox_decay_c=2.1, cf_field_b=41.0, i0_cf=5e-31)):
+        r_min = read_resistance(OxRamState(p.gap_min), 0.1, p)
+        r_max = read_resistance(OxRamState(p.gap_max), 0.1, p)
+        for k in (0.0, 0.1, 0.37, 0.8, 1.0):
+            target = r_min * (r_max / r_min) ** k
+            state = state_from_resistance(target, 0.1, p, rel_tol=rel_tol)
+            assert state.gap_x == _bisect_with_read_resistance(
+                target, 0.1, p, rel_tol)
+
+
+def test_state_from_resistance_rejects_bad_inputs(params):
+    for vread in (0.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            state_from_resistance(1.25e6, vread, params)
+    for target in (float("nan"), -1.25e6):
+        with pytest.raises(InvalidInputError):
+            state_from_resistance(target, 0.1, params)
+
+
 def test_selector_off_below_threshold():
     m = MosfetParams()
     for vds in (0.0, 0.3, 1.0):

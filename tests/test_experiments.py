@@ -18,6 +18,7 @@ from oxpix.experiments import (
     readable_window_bounds,
     run_sweep,
     summarize_sweep,
+    table1_report,
 )
 from oxpix.pixel import Topology
 from oxpix.solver import SolverOptions
@@ -179,6 +180,8 @@ def test_sweep_spec_validation():
         SweepSpec(config=cfg, i_min=1e-9, i_max=1e-12)
     with pytest.raises(InvalidInputError):
         SweepSpec(config=cfg, points_per_decade=0)
+    with pytest.raises(InvalidInputError):
+        SweepSpec(config=cfg, workers=0)
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
@@ -199,3 +202,14 @@ def test_bad_worker_count_is_logged(monkeypatch, caplog, raw):
         assert _worker_count() == 1
     assert f"HPS_THREADS={raw!r}" in caplog.text
     assert "1 worker" in caplog.text
+
+
+def test_bad_worker_count_is_logged_once_per_report(monkeypatch, caplog,
+                                                    calibrated):
+    monkeypatch.setenv("HPS_THREADS", "abc")
+    with caplog.at_level(logging.WARNING, logger="oxpix"):
+        reports = table1_report(calibrated.oxram, calibrated.selector,
+                                i_min=1e-12, i_max=1e-11, points_per_decade=1)
+    assert all(len(rep.rows) == 2 for rep in reports.values())
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
