@@ -289,6 +289,11 @@ def dump_config(setup: RunSetup) -> str:
     lines.append("")
     lines.append("[pixel]")
     lines.append(f"topology = {pix.topology.value}")
+    # The initial state is written as the resistance it was read back from,
+    # so re-parsing reruns the same bisection.
+    init_resistance = setup.raw.get("pixel", {}).get("init_resistance")
+    if init_resistance is not None:
+        lines.append(f"init_resistance = {init_resistance!r}")
     lines.append(f"vs_level = {pix.vs_level!r}")
     if pix.is_hybrid():
         segs = pix.vg_waveform.segments

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInputError, OutOfRangeError
 
@@ -35,13 +35,15 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 # Largest sinh/exp argument evaluated directly; above this the model is
 # already unphysical and we clamp to keep the optimizer's trial points finite.
 _EXP_ARG_MAX = 600.0
+# |sinh| and cosh at the clip.
+_SINH_CLIP = 0.5 * math.exp(_EXP_ARG_MAX)
 
 
 def _safe_sinh(x: float) -> float:
     if x > _EXP_ARG_MAX:
-        return 0.5 * math.exp(_EXP_ARG_MAX)
+        return _SINH_CLIP
     if x < -_EXP_ARG_MAX:
-        return -0.5 * math.exp(_EXP_ARG_MAX)
+        return -_SINH_CLIP
     return math.sinh(x)
 
 
@@ -102,12 +104,6 @@ class OxRamState:
 
     gap_x: float
     orientation: Orientation = Orientation.BE_AT_PD
-
-    def clamped(self, params: OxRamParams) -> "OxRamState":
-        g = min(max(self.gap_x, params.gap_min), params.gap_max)
-        if g == self.gap_x:
-            return self
-        return replace(self, gap_x=g)
 
 
 @dataclass(frozen=True)
@@ -195,34 +191,18 @@ def device_current(state: OxRamState, v_device: float, params: OxRamParams) -> f
 def _cosh_clip(x: float) -> float:
     ax = abs(x)
     if ax > _EXP_ARG_MAX:
-        return 0.5 * math.exp(_EXP_ARG_MAX)
+        return _SINH_CLIP
     return math.cosh(ax)
 
 
-def device_factors(gap_x: float, p: OxRamParams) -> tuple[float, float, float]:
-    """Gap-only factors of the device current at fixed gap: the filament
-    prefactor ``k_cf`` [A], the oxide prefactor ``k_ox`` [A] and the oxide
-    field coefficient ``s = d * gap_x / gap_max`` [1/V].
-
-    They hold through a whole internal-node solve, so the solve computes
-    them once and hands them to the kernels below.
-    """
+def device_current_and_slope(gap_x: float, v: float,
+                             p: OxRamParams) -> tuple[float, float]:
+    """Unvalidated I(V) and dI/dV at fixed gap: the device law as the
+    segment kernel of ``pixel`` evaluates it, with the gap-only factors
+    ``k_cf``, ``k_ox`` and ``s = d * gap_x / gap_max`` taken first."""
     k_cf = p.i0_cf * _safe_exp(-p.cf_decay_a * (p.oxide_thickness_L - gap_x))
     k_ox = p.i0_ox * _safe_exp(-p.ox_decay_c * gap_x)
-    return k_cf, k_ox, p.ox_field_d * gap_x / p.gap_max
-
-
-def device_current_factored(factors: tuple[float, float, float], v: float,
-                            p: OxRamParams) -> float:
-    """Unvalidated hot-path I(V) from ``device_factors``."""
-    k_cf, k_ox, s = factors
-    return k_cf * _safe_sinh(p.cf_field_b * v) + k_ox * _safe_sinh(s * v)
-
-
-def device_current_and_slope(factors: tuple[float, float, float], v: float,
-                             p: OxRamParams) -> tuple[float, float]:
-    """Unvalidated hot-path I(V) and dI/dV from ``device_factors``."""
-    k_cf, k_ox, s = factors
+    s = p.ox_field_d * gap_x / p.gap_max
     b = p.cf_field_b
     i = k_cf * _safe_sinh(b * v) + k_ox * _safe_sinh(s * v)
     di = k_cf * b * _cosh_clip(b * v) + k_ox * s * _cosh_clip(s * v)
@@ -345,17 +325,3 @@ def selector_current(vgs: float, vds: float, params: MosfetParams) -> float:
         i = 0.5 * params.kprime * vov * vov
     return i * (1.0 + params.lam * vds)
 
-
-def selector_current_and_slope(vov: float, vds: float,
-                               p: MosfetParams) -> tuple[float, float]:
-    """Unvalidated hot-path I(vds) and dI/dvds at fixed overdrive, vds >= 0."""
-    if vov <= 0.0 or vds <= 0.0:
-        return 0.0, 0.0
-    mod = 1.0 + p.lam * vds
-    if vds < vov:
-        base = p.kprime * (vov * vds - 0.5 * vds * vds)
-        dbase = p.kprime * (vov - vds)
-    else:
-        base = 0.5 * p.kprime * vov * vov
-        dbase = 0.0
-    return base * mod, dbase * mod + base * p.lam

@@ -7,6 +7,14 @@ first-same-as-last (FSAL): its seventh stage is evaluated at the end point
 of the step, so it gives the recorded branch current and seeds the first
 stage of the next step, and a step costs six right-hand-side evaluations.
 
+The right-hand side of a schedule segment is one closure,
+``pixel.segment_kernel``, built when the segment is entered: between two
+boundaries of the schedule below nothing but the state changes, so every
+stage of every step in the segment calls the same kernel with ``(VPD,
+gap)`` alone.  The six stages and the fifth-order and error sums are written
+out over the tableau.  The kernel clamps the gap itself, so stage inputs go
+in unclipped; an accepted state is clipped to the gap bounds.
+
 The error estimate is only honest where the right-hand side is smooth, so
 no step straddles a kink:
 
@@ -58,10 +66,11 @@ import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError
-from .pixel import PixelConfig, Stimulus, assemble_derivative
+# ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
+# up by this module's name.
+from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
 
 # Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -75,6 +84,11 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# The same coefficients one name each, for the written-out stages.
+((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+ (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76)) = _A[1:]
+B1, B2, B3, B4, B5, B6, B7 = _B5
+E1, E2, E3, E4, E5, E6, E7 = _E
 
 # Step size the stepper restarts from after crossing the selector knee.
 _KNEE_RESTART = 1e-9  # s
@@ -126,7 +140,8 @@ class SolverOptions:
 @dataclass
 class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
-    cause, right-hand-side and Newton evaluations, and the step-size range.
+    cause, right-hand-side evaluations, internal-node solves and their Newton
+    evaluations, and the step-size range.
     The shared reset phase counts in every transient that starts from it."""
 
     accepted: int = 0
@@ -135,6 +150,7 @@ class SolverStats:
     rejected_knee: int = 0      # shrunk onto the selector knee
     rejected_current: int = 0   # branch current changed by more than 15 %
     rhs_evals: int = 0
+    kcl_solves: int = 0         # internal-node solves (hybrid pixels)
     newton_evals: int = 0       # device-kernel evaluations of the KCL solves
     h_min: float = math.inf     # smallest accepted step [s]
     h_max: float = 0.0          # largest accepted step [s]
@@ -239,13 +255,6 @@ class EventDetector:
                     f"fell {vmax - vpd:.3f}V within {opt.abrupt_window * 1e9:.0f}ns"))
 
 
-def _clip_gap(gap: float, config: PixelConfig) -> float:
-    if not config.is_hybrid():
-        return gap
-    p = config.oxram
-    return min(max(gap, p.gap_min), p.gap_max)
-
-
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     """Phase boundaries the stepper must land on exactly: reset release,
     gate-waveform switch times, full-well time, end of exposure."""
@@ -286,7 +295,8 @@ class _ResetPhase:
 class _Run:
     """One transient in progress: the last accepted point, the next step
     size, the first stage of the next step, the samples so far, the event
-    detector, the op-hint record of the internal-node solve and the stats."""
+    detector, the op-hint record of the internal-node solve, the right-hand
+    side of the running schedule segment and the stats."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions,
                  stimulus: Stimulus, t_fwc: Optional[float],
@@ -312,6 +322,8 @@ class _Run:
         self.op_hint = list(start.op_hint)
         self.k1 = (0.0, 0.0, 0.0)
         self.m1 = 0.0
+        self.kernel = None
+        self.vg = 0.0
         # Clamp tolerance: relative to the reset level; below this the node
         # is dead and the integration error estimate is pure cancellation
         # noise.  The knee landing uses the same tolerance on the selector
@@ -326,26 +338,24 @@ class _Run:
             ts=tuple(self.ts), vs=tuple(self.vs), gs=tuple(self.gs),
             cur=tuple(self.cur), op_hint=tuple(self.op_hint))
 
-    def _rhs(self):
-        stats = self.stats
+    def _segment(self, t: float) -> None:
+        """Bind the right-hand side of the schedule segment starting at
+        ``t`` and evaluate the segment's first stage."""
         config = self.config
-        stimulus = self.stimulus
-        photo_active = self.photo_active
-        op_hint = self.op_hint
+        self.kernel = segment_kernel(config, self.stimulus, t,
+                                     self.photo_active, self.op_hint)
+        if config.is_hybrid():
+            self.vg = config.vg_waveform.level_at(t)
+        self.stats.rhs_evals += 1
+        self.k1 = self.kernel(self.v, self.g)
+        self.m1 = self._knee_margin()
 
-        def rhs(tq: float, vq: float, gq: float) -> tuple[float, float, float]:
-            stats.rhs_evals += 1
-            return assemble_derivative(vq, gq, tq, config, stimulus,
-                                       photo_active, op_hint)
-        return rhs
-
-    def _knee_margin(self, tq: float) -> float:
+    def _knee_margin(self) -> float:
         # Selector vds - vov at the last internal-node solve: >= 0 in
         # saturation, < 0 in triode.  The vs terms cancel.
         if not self.config.is_hybrid():
             return 1.0
-        return self.op_hint[0] - self.config.vg_waveform.level_at(tq) \
-            + self.config.selector.vth
+        return self.op_hint[0] - self.vg + self.config.selector.vth
 
     def _sample(self, t: float, v: float, g: float, i: float) -> None:
         self.ts.append(t)
@@ -355,8 +365,7 @@ class _Run:
 
     def begin(self) -> None:
         """First stage and first sample at t = 0."""
-        self.k1 = self._rhs()(0.0, self.v, self.g)
-        self.m1 = self._knee_margin(0.0)
+        self._segment(0.0)
         self._sample(0.0, self.v, self.g, self.k1[2])
         self.detector.update(0.0, self.v, self.g)
 
@@ -374,26 +383,30 @@ class _Run:
             self.detector.events.append(Event(
                 EventKind.FWC_SATURATION, t,
                 f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
-        self.k1 = self._rhs()(t, self.v, self.g)
-        self.m1 = self._knee_margin(t)
+        self._segment(t)
         self._sample(math.nextafter(t, math.inf), self.v, self.g, self.k1[2])
 
     def step_to(self, boundary: float) -> None:
-        """Take accepted steps until ``boundary`` or the VPD floor."""
+        """Take accepted steps until ``boundary`` or the VPD floor.
+
+        Every stage of a step lies inside the running schedule segment, so
+        they all evaluate the segment's kernel.  The stages and the
+        fifth-order and error sums are written out over the tableau, in the
+        order of a left-to-right sum of ``h * a_ij * k_j`` terms.
+        """
         config = self.config
         opt = self.opt
         trst = config.pd.trst
         hybrid = config.is_hybrid()
+        if hybrid:
+            gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
         stats = self.stats
         detector = self.detector
-        rhs = self._rhs()
+        rhs = self.kernel
         knee_margin = self._knee_margin
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
-        k1, m1 = self.k1, self.m1
-        # Right-hand sides are discontinuous across segment boundaries;
-        # stages must sample strictly inside the running segment.
-        t_inside = math.nextafter(boundary, 0.0)
+        (k1v, k1g, k1i), m1 = self.k1, self.m1
         while t < boundary - 1e-18 * max(1.0, boundary):
             if self.floored:
                 break
@@ -407,30 +420,51 @@ class _Run:
                         "required step underflow: stiffness at "
                         f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
                                                "h": h})
-                k = [k1]
+                # ``stage`` names the stage in evaluation, so an attempt that
+                # fails counts the right-hand sides it evaluated.
+                stage = 2
                 try:
-                    for i in range(1, 7):
-                        tv = min(t + _C[i] * h, t_inside)
-                        va = v
-                        ga = g
-                        for j, aij in enumerate(_A[i]):
-                            va += h * aij * k[j][0]
-                            ga += h * aij * k[j][1]
-                        k.append(rhs(tv, va, _clip_gap(ga, config)))
+                    k2v, k2g, _ = rhs(v + h * A21 * k1v, g + h * A21 * k1g)
+                    stage = 3
+                    k3v, k3g, _ = rhs(v + h * A31 * k1v + h * A32 * k2v,
+                                      g + h * A31 * k1g + h * A32 * k2g)
+                    stage = 4
+                    k4v, k4g, _ = rhs(
+                        v + h * A41 * k1v + h * A42 * k2v + h * A43 * k3v,
+                        g + h * A41 * k1g + h * A42 * k2g + h * A43 * k3g)
+                    stage = 5
+                    k5v, k5g, _ = rhs(
+                        v + h * A51 * k1v + h * A52 * k2v + h * A53 * k3v
+                        + h * A54 * k4v,
+                        g + h * A51 * k1g + h * A52 * k2g + h * A53 * k3g
+                        + h * A54 * k4g)
+                    stage = 6
+                    k6v, k6g, _ = rhs(
+                        v + h * A61 * k1v + h * A62 * k2v + h * A63 * k3v
+                        + h * A64 * k4v + h * A65 * k5v,
+                        g + h * A61 * k1g + h * A62 * k2g + h * A63 * k3g
+                        + h * A64 * k4g + h * A65 * k5g)
+                    stage = 7
+                    k7v, k7g, k7i = rhs(
+                        v + h * A71 * k1v + h * A72 * k2v + h * A73 * k3v
+                        + h * A74 * k4v + h * A75 * k5v + h * A76 * k6v,
+                        g + h * A71 * k1g + h * A72 * k2g + h * A73 * k3g
+                        + h * A74 * k4g + h * A75 * k5g + h * A76 * k6g)
                 except (OverflowError, ValueError):
+                    stats.rhs_evals += stage - 1
                     stats.rejected_error += 1
                     h *= 0.25
                     continue
-                m7 = knee_margin(tv)
-                v_new = v
-                g_new = g
-                err_v = 0.0
-                err_g = 0.0
-                for i in range(7):
-                    v_new += h * _B5[i] * k[i][0]
-                    g_new += h * _B5[i] * k[i][1]
-                    err_v += h * _E[i] * k[i][0]
-                    err_g += h * _E[i] * k[i][1]
+                stats.rhs_evals += 6
+                m7 = knee_margin()
+                v_new = v + h * B1 * k1v + h * B2 * k2v + h * B3 * k3v \
+                    + h * B4 * k4v + h * B5 * k5v + h * B6 * k6v + h * B7 * k7v
+                g_new = g + h * B1 * k1g + h * B2 * k2g + h * B3 * k3g \
+                    + h * B4 * k4g + h * B5 * k5g + h * B6 * k6g + h * B7 * k7g
+                err_v = h * E1 * k1v + h * E2 * k2v + h * E3 * k3v \
+                    + h * E4 * k4v + h * E5 * k5v + h * E6 * k6v + h * E7 * k7v
+                err_g = h * E1 * k1g + h * E2 * k2g + h * E3 * k3g \
+                    + h * E4 * k4g + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
                 if not (math.isfinite(v_new) and math.isfinite(g_new)):
                     raise SolverError(
                         f"non-finite state at t={t:.6e}s",
@@ -440,8 +474,7 @@ class _Run:
                 # A step that runs the gap into one of its bounds lands there
                 # exactly via the clip; the gap error estimate is then
                 # polluted by the clamp kink and is ignored.
-                hits_bound = hybrid and (
-                    g_new <= config.oxram.gap_min or g_new >= config.oxram.gap_max)
+                hits_bound = hybrid and (g_new <= gap_min or g_new >= gap_max)
                 if hits_bound:
                     err = abs(err_v) / tol_v
                 else:
@@ -476,11 +509,11 @@ class _Run:
                 # Current-change limiting keeps the recorded trace dense
                 # enough that its trapezoidal charge integral converges.
                 # ``load`` is the share of the 15 % allowance this step used.
-                i_end = k[6][2]
-                i_scale = max(abs(i_end), abs(k1[2]))
+                i_end = k7i
+                i_scale = max(abs(i_end), abs(k1i))
                 load = 0.0
                 if i_scale > 1e-12 and h > 4.0 * opt.min_step:
-                    load = abs(i_end - k1[2]) / (0.15 * i_scale)
+                    load = abs(i_end - k1i) / (0.15 * i_scale)
                 if load > 1.0:
                     stats.rejected_current += 1
                     h = max(h * 0.9 / load, opt.min_step)
@@ -492,9 +525,9 @@ class _Run:
             stats.h_max = max(stats.h_max, h)
             t += h
             v = max(v_new, opt.vpd_floor) if t > trst else v_new
-            g = _clip_gap(g_new, config)
+            g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
             self.est_err_v += abs(err_v)
-            k1 = k[6]
+            k1v, k1g, k1i = k7v, k7g, k7i
             m1 = m7
 
             if t > trst and v <= opt.vpd_floor + floor_tol:
@@ -516,7 +549,7 @@ class _Run:
                 h_next = min(h_next, _KNEE_RESTART)
             h = h_next
         self.t, self.v, self.g, self.h = t, v, g, h
-        self.k1, self.m1 = k1, m1
+        self.k1, self.m1 = (k1v, k1g, k1i), m1
 
     def run(self, boundaries: list[float], first: int, stop: int) -> None:
         """Segments ``first`` .. ``stop - 1`` of the schedule; segment ``k``
@@ -544,7 +577,7 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _ResetPhase:
         v0=v0, t=0.0, v=v0, g=gap0, h=opt.max_step, est_err_v=0.0,
         floored=False, stats=SolverStats(),
         detector=EventDetector(config, opt, v0), ts=(), vs=(), gs=(), cur=(),
-        op_hint=(None, 0.0, 0.0, 0))
+        op_hint=(None, 0.0, 0.0, 0, 0))
     run = _Run(config, opt, Stimulus(0.0), None, empty)
     run.begin()
     boundaries = _schedule(config, None)
@@ -580,6 +613,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
 
     stats = run.stats
     stats.newton_evals = run.op_hint[3]
+    stats.kcl_solves = run.op_hint[4]
     events = sorted(run.detector.events, key=lambda e: e.t_event)
     trace = TransientTrace(
         t=np.asarray(ts), vpd=np.asarray(vs), i_ox=np.asarray(cur),

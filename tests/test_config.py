@@ -85,10 +85,13 @@ def test_suffixes_are_case_sensitive():
 
 
 def test_round_trip_is_value_identical():
-    text = """
+    # 1.25 MOhm is the case (i) default; 2 MOhm is not, so its initial gap
+    # only survives the round trip if the dump keeps the resistance.
+    for init_resistance in ("1.25Mohm", "2Mohm"):
+        text = f"""
 [pixel]
 topology = case_i
-init_resistance = 1.25Mohm
+init_resistance = {init_resistance}
 [photodiode]
 texp = 9.5us
 [sweep]
@@ -99,14 +102,22 @@ rel_tol = 2e-6
 [window]
 max_swing = 0.85V
 """
-    first = parse_config(text)
-    second = parse_config(dump_config(first))
-    assert second.pixel == first.pixel
-    assert second.solver == first.solver
-    assert second.window == first.window
-    assert second.anchors == first.anchors
-    assert (second.sweep_i_min, second.sweep_i_max, second.points_per_decade) \
-        == (first.sweep_i_min, first.sweep_i_max, first.points_per_decade)
+        first = parse_config(text)
+        second = parse_config(dump_config(first))
+        assert second.pixel == first.pixel
+        assert second.solver == first.solver
+        assert second.window == first.window
+        assert second.anchors == first.anchors
+        assert (second.sweep_i_min, second.sweep_i_max,
+                second.points_per_decade) \
+            == (first.sweep_i_min, first.sweep_i_max, first.points_per_decade)
+
+
+def test_dumped_default_config_is_unchanged():
+    # An empty config gives no init_resistance, so the dump writes none.
+    assert "init_resistance" not in dump_config(parse_config(""))
+    assert "init_resistance" not in dump_config(
+        parse_config("[pixel]\ntopology = case_i\n"))
 
 
 def test_gate_waveform_keys():

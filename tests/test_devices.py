@@ -9,6 +9,8 @@ from oxpix.devices import (
     OxRamParams,
     OxRamState,
     PhotodiodeParams,
+    device_current,
+    device_current_and_slope,
     gap_velocity,
     oxram_current,
     read_resistance,
@@ -228,3 +230,16 @@ def test_params_invariants_rejected():
 def test_full_well_swing():
     pd = PhotodiodeParams()
     assert pd.full_well_swing == pytest.approx(62_500 * 1.602176634e-19 / 1e-14)
+
+
+@pytest.mark.parametrize("gap", [0.6, 4.0, 9.4])
+def test_device_current_and_slope_is_the_device_law(params, gap):
+    # The same current as the validated model, and its slope.
+    for v in (0.05, 0.4, 1.2):
+        i, di = device_current_and_slope(gap, v, params)
+        assert i == pytest.approx(
+            device_current(OxRamState(gap), v, params), rel=1e-13)
+        dv = 1e-7 * v
+        fd = (device_current(OxRamState(gap), v + dv, params)
+              - device_current(OxRamState(gap), v - dv, params)) / (2 * dv)
+        assert di == pytest.approx(fd, rel=1e-6)

@@ -8,7 +8,7 @@ import pytest
 from oxpix.defaults import default_config
 from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
 from oxpix.errors import SolverError
-from oxpix import solver
+from oxpix import pixel, solver
 from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
 from oxpix.solver import (
     EventKind,
@@ -353,3 +353,33 @@ def test_stats_count_newton_evaluations_and_step_range(calibrated):
                      SolverOptions()).stats
     assert bare.newton_evals == 0
     assert bare.h_min <= bare.h_max
+
+
+def test_stats_count_kcl_solves(monkeypatch):
+    # Every hybrid right-hand side solves the internal node, except past the
+    # reset release with VPD at or below ground (the floor clamp).
+    floor_calls = []
+
+    def counting_kernel(config, stimulus, t, photo_active, op_hint):
+        kernel = pixel.segment_kernel(config, stimulus, t, photo_active,
+                                      op_hint)
+
+        def counted(vpd, gap):
+            if t >= config.pd.trst and vpd <= 0.0:
+                floor_calls.append(vpd)
+            return kernel(vpd, gap)
+        return counted
+
+    monkeypatch.setattr(solver, "segment_kernel", counting_kernel)
+    lit = integrate(default_config(Topology.HYBRID_CASE_I), Stimulus(1e-12),
+                    SolverOptions())
+    assert not floor_calls
+    assert lit.stats.kcl_solves == lit.stats.rhs_evals
+    collapse = integrate(default_config(Topology.HYBRID_CASE_III),
+                         Stimulus(1e-8), SolverOptions())
+    assert collapse.events_of(EventKind.VPD_FLOOR_CLAMP) and floor_calls
+    assert collapse.stats.kcl_solves \
+        == collapse.stats.rhs_evals - len(floor_calls)
+    bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
+                     SolverOptions())
+    assert bare.stats.kcl_solves == 0
