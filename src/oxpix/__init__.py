@@ -29,6 +29,7 @@ from .errors import (
     SolverError,
     UnsupportedOperationError,
 )
+from .events import Event, EventKind
 from .experiments import (
     DrReport,
     ReadableWindow,
@@ -53,8 +54,6 @@ from .pixel import (
     preprogram,
 )
 from .solver import (
-    Event,
-    EventKind,
     SolverOptions,
     TransientTrace,
     charge_balance_error,

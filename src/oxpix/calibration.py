@@ -31,7 +31,7 @@ from .devices import (
     _read_back,
     read_resistance,
 )
-from .errors import CalibrationError
+from .errors import CalibrationError, InvalidInputError
 from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
@@ -203,7 +203,12 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     Restart 0 starts from the initial guess itself; the remaining restarts
     perturb it log-uniformly inside the search box.  Ties resolve to the
     lowest restart index, so results are bit-stable for a given seed.
+    Raises InvalidInputError for a negative seed or fewer than one restart.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if restarts < 1:
+        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     t0 = time.perf_counter()
     anchors = anchors or CalibrationAnchors()
     oxram = initial_oxram or OxRamParams()
@@ -222,7 +227,6 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     best_f = math.inf
     any_finite = False
     evaluations = hits = 0
-    restarts = max(1, restarts)
     for r in range(restarts):
         if r == 0:
             start = x0.copy()

@@ -66,9 +66,12 @@ _SCHEMA = {
                     "seed", "restarts"},
 }
 
-_INT_KEYS = {"points_per_decade", "max_trace_points", "noise_seed", "seed",
-             "restarts"}
+# Integer keys and their smallest allowed value.
+_INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0,
+             "seed": 0, "restarts": 1}
 _BOOL_KEYS = {"reset_noise"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
 _STR_KEYS = {"topology"}
 
 
@@ -93,6 +96,18 @@ def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
             f"line {line_no}: unknown unit suffix {suffix!r} in "
             f"{key} = {text!r}")
     return value * _SUFFIX[suffix]
+
+
+def _parse_int(text: str, key: str, line_no: int) -> int:
+    """Parse an integer key: an integral number at or above its minimum."""
+    value = parse_quantity(text, key, line_no)
+    if not value.is_integer():
+        raise ConfigError(
+            f"line {line_no}: {key} = {text!r} is not an integer")
+    if value < _INT_KEYS[key]:
+        raise ConfigError(
+            f"line {line_no}: {key} = {text!r} must be >= {_INT_KEYS[key]}")
+    return int(value)
 
 
 @dataclass
@@ -161,9 +176,14 @@ def parse_config(source: str, is_path: bool = False) -> RunSetup:
                 if key in _STR_KEYS:
                     values[section][key] = raw.strip()
                 elif key in _BOOL_KEYS:
-                    values[section][key] = raw.strip().lower() in ("1", "true", "yes")
+                    word = raw.strip().lower()
+                    if word not in _BOOL_WORDS:
+                        raise ConfigError(
+                            f"line {no}: {key} = {raw!r} is not one of "
+                            "1/0/true/false/yes/no")
+                    values[section][key] = _BOOL_WORDS[word]
                 elif key in _INT_KEYS:
-                    values[section][key] = int(parse_quantity(raw, key, no))
+                    values[section][key] = _parse_int(raw, key, no)
                 else:
                     values[section][key] = parse_quantity(raw, key, no)
                 provenance[f"{section}.{key}"] = "file"

@@ -21,22 +21,42 @@ no step straddles a kink:
 - the schedule is cut at phase boundaries (reset release, gate-waveform
   switch times, full-well time, end);
 - a step that crosses the VPD floor is shrunk onto it;
+- a step that runs the gap past one of its bounds, where the gap velocity
+  drops to zero, is shrunk onto the bound, predicted from the first
+  stage's velocity;
 - a step that crosses the selector's saturation/triode knee, where the
   branch current turns from flat to steep within about a millivolt, is
-  shrunk onto it by the same secant rule on the margin ``vds - vov`` of
-  the internal-node solve, and the next step restarts small.
+  shrunk onto it by the secant rule on the margin ``vds - vov`` of the
+  internal-node solve, and the next step restarts small.  While the margin
+  falls toward the knee, the next step is capped at 99 % of the time the
+  last step predicts to it, so the steps close in on the knee from the
+  saturation side; a long step past it would sample deep triode, where the
+  internal-node solve starts far from its answer.
 
-The branch current may change by at most 15 % per step, which keeps the
-recorded trace dense enough for its trapezoidal charge integral; the next
-step is sized from the share of that allowance the last one used.  The
-default step cap of 100 ns equals ``abrupt_window``, so the abrupt-fall
-window always still holds the previous sample.
+The first step is a hundredth of the time the first stage takes to move
+the state by its own size (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4).  The branch current may change by at most 15 % per step; the next
+step is sized from the share of that allowance the last one used.  This
+limiter is for accuracy, not for the trace: without it, the worst final
+VPD of the default case i sweep lies 2.7e-5 V from a fine reference
+(``rel_tol=1e-9, abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with
+it.  ``max_step`` defaults to 10 us, beyond the default exposure, so on the
+defaults only the error controller, the limiter and the landings above
+size the steps.
 
-Discrete happenings are recorded as events: filament switching transitions
-(threshold crossings of the gap across fractions of its span, stamped at the
-crossing time interpolated between samples), abrupt VPD falls (a drop of
-half the available swing inside a sliding window), full well saturation and
-the ground clamp.
+The recorded trace does not depend on the steps being short.  After each
+accepted step the DOPRI5 continuous extension (Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.6; order 4, built from the step's own seven stages)
+gives the state at every point of the output grid ``k * abrupt_window``
+strictly inside the step.  It is clipped as an accepted state is, and its
+branch current comes from one kernel call with its own op-hint record, so
+the stepper's internal-node start points and work counts are untouched
+(``SolverStats.sample_evals`` counts these calls).  Step ends are samples
+too, so fast stretches stay dense, and every abrupt-fall window holds the
+sample one grid point back.
+
+Discrete happenings are recorded as events (module ``oxpix.events``): the
+detector is fed every sample, with the accepted step that holds it.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -54,11 +74,8 @@ whether the entry was cold or warm.
 from __future__ import annotations
 
 import bisect
-import copy
-import enum
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -66,6 +83,7 @@ import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError
+from .events import Event, EventDetector, EventKind, dense
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
@@ -92,22 +110,10 @@ E1, E2, E3, E4, E5, E6, E7 = _E
 
 # Step size the stepper restarts from after crossing the selector knee.
 _KNEE_RESTART = 1e-9  # s
-
-
-class EventKind(enum.Enum):
-    SET_TO_RESET = "SetToReset"
-    RESET_TO_SET = "ResetToSet"
-    SOFT_TO_HARD_RESET = "SoftToHardReset"
-    ABRUPT_FALL = "AbruptFall"
-    FWC_SATURATION = "FwcSaturation"
-    VPD_FLOOR_CLAMP = "VpdFloorClamp"
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    t_event: float
-    detail: str = ""
+# Share of the predicted time to the knee a step may take while the
+# selector margin falls toward it: nearly all, so the steps close in on the
+# knee from the saturation side without crossing it.
+_KNEE_AIM = 0.99
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class SolverOptions:
     rel_tol: float = 1e-6
     abs_tol_v: float = 1e-9        # V
     abs_tol_gap: float = 1e-6      # nm
-    max_step: float = 1e-7         # s; equals abrupt_window
+    max_step: float = 1e-5         # s; beyond the default exposure
     min_step: float = 1e-12        # s
     max_trace_points: int = 400_000
     # Event thresholds; fractions of the gap span / available swing.
@@ -135,23 +141,28 @@ class SolverOptions:
                 raise InvalidInputError(f"{name} must be > 0")
         if self.max_trace_points < 1:
             raise InvalidInputError("max_trace_points must be >= 1")
+        if self.noise_seed < 0:
+            raise InvalidInputError("noise_seed must be >= 0")
 
 
 @dataclass
 class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
     cause, right-hand-side evaluations, internal-node solves and their Newton
-    evaluations, and the step-size range.
+    evaluations, kernel calls of the output-grid samples, and the step-size
+    range.
     The shared reset phase counts in every transient that starts from it."""
 
     accepted: int = 0
     rejected_error: int = 0     # error test failed or a stage overflowed
     rejected_floor: int = 0     # shrunk onto the VPD floor
     rejected_knee: int = 0      # shrunk onto the selector knee
+    rejected_bound: int = 0     # shrunk onto a gap bound
     rejected_current: int = 0   # branch current changed by more than 15 %
     rhs_evals: int = 0
     kcl_solves: int = 0         # internal-node solves (hybrid pixels)
     newton_evals: int = 0       # device-kernel evaluations of the KCL solves
+    sample_evals: int = 0       # kernel calls of the output-grid samples
     h_min: float = math.inf     # smallest accepted step [s]
     h_max: float = 0.0          # largest accepted step [s]
 
@@ -174,85 +185,6 @@ class TransientTrace:
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
 
-
-class EventDetector:
-    """Incremental detector fed one accepted sample at a time."""
-
-    def __init__(self, config: PixelConfig, options: SolverOptions, vstart: float):
-        self.options = options
-        self.events: list[Event] = []
-        self._hybrid = config.is_hybrid()
-        if self._hybrid:
-            p = config.oxram
-            self._span = p.gap_max - p.gap_min
-            self._gmin = p.gap_min
-        self._prev: Optional[tuple[float, float]] = None  # (t, gap fraction)
-        self._min_frac = math.inf
-        self._max_frac = -math.inf
-        self._crossed_hi = False
-        self._crossed_lo = False
-        self._abrupt_seen = False
-        self._window: deque[tuple[float, float]] = deque()
-        self._drop_ref = options.abrupt_frac * (vstart - options.vpd_floor)
-
-    def copy(self) -> "EventDetector":
-        other = copy.copy(self)
-        other.events = list(self.events)
-        other._window = deque(self._window)
-        return other
-
-    def _frac(self, gap: float) -> float:
-        return (gap - self._gmin) / self._span
-
-    def _crossing_time(self, t: float, frac: float, level: float) -> float:
-        """Time the gap fraction passed ``level``, interpolated linearly
-        between the previous sample and this one."""
-        t0, f0 = self._prev
-        return t0 + (t - t0) * (level - f0) / (frac - f0)
-
-    def update(self, t: float, vpd: float, gap: float) -> None:
-        opt = self.options
-        if self._hybrid:
-            frac = self._frac(gap)
-            if self._prev is None:
-                # The initial state is a starting point, not a crossing.
-                self._prev = (t, frac)
-                self._min_frac = self._max_frac = frac
-                self._window.append((t, vpd))
-                return
-            prev_min = self._min_frac
-            prev_max = self._max_frac
-            self._min_frac = min(self._min_frac, frac)
-            self._max_frac = max(self._max_frac, frac)
-            if frac >= opt.gap_hi_frac and not self._crossed_hi and prev_max < opt.gap_hi_frac:
-                self._crossed_hi = True
-                if prev_min < opt.gap_lo_frac:
-                    kind = EventKind.SET_TO_RESET
-                else:
-                    kind = EventKind.SOFT_TO_HARD_RESET
-                self.events.append(Event(
-                    kind, self._crossing_time(t, frac, opt.gap_hi_frac),
-                    f"gap={gap:.4f}nm"))
-            if frac <= opt.gap_lo_frac and not self._crossed_lo and prev_min > opt.gap_lo_frac:
-                if prev_max > opt.gap_hi_frac:
-                    self._crossed_lo = True
-                    self.events.append(Event(
-                        EventKind.RESET_TO_SET,
-                        self._crossing_time(t, frac, opt.gap_lo_frac),
-                        f"gap={gap:.4f}nm"))
-            self._prev = (t, frac)
-        # Abrupt-fall check over a sliding time window.
-        if not self._abrupt_seen:
-            w = self._window
-            w.append((t, vpd))
-            while w and w[0][0] < t - opt.abrupt_window:
-                w.popleft()
-            vmax = max(v for _, v in w)
-            if vmax - vpd > self._drop_ref:
-                self._abrupt_seen = True
-                self.events.append(Event(
-                    EventKind.ABRUPT_FALL, t,
-                    f"fell {vmax - vpd:.3f}V within {opt.abrupt_window * 1e9:.0f}ns"))
 
 
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
@@ -290,12 +222,15 @@ class _ResetPhase:
     gs: tuple[float, ...]
     cur: tuple[float, ...]
     op_hint: tuple
+    sample_hint: tuple
+    k_grid: int
 
 
 class _Run:
     """One transient in progress: the last accepted point, the next step
-    size, the first stage of the next step, the samples so far, the event
-    detector, the op-hint record of the internal-node solve, the right-hand
+    size, the first stage of the next step, the samples so far, the index
+    of the next output-grid point, the event detector, the op-hint records
+    of the stepper's and the samples' internal-node solves, the right-hand
     side of the running schedule segment and the stats."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions,
@@ -320,9 +255,12 @@ class _Run:
         self.gs = list(start.gs)
         self.cur = list(start.cur)
         self.op_hint = list(start.op_hint)
+        self.sample_hint = list(start.sample_hint)
+        self.k_grid = start.k_grid
         self.k1 = (0.0, 0.0, 0.0)
         self.m1 = 0.0
         self.kernel = None
+        self.sample_kernel = None
         self.vg = 0.0
         # Clamp tolerance: relative to the reset level; below this the node
         # is dead and the integration error estimate is pure cancellation
@@ -336,14 +274,19 @@ class _Run:
             est_err_v=self.est_err_v, floored=self.floored,
             stats=replace(self.stats), detector=self.detector.copy(),
             ts=tuple(self.ts), vs=tuple(self.vs), gs=tuple(self.gs),
-            cur=tuple(self.cur), op_hint=tuple(self.op_hint))
+            cur=tuple(self.cur), op_hint=tuple(self.op_hint),
+            sample_hint=tuple(self.sample_hint), k_grid=self.k_grid)
 
     def _segment(self, t: float) -> None:
         """Bind the right-hand side of the schedule segment starting at
-        ``t`` and evaluate the segment's first stage."""
+        ``t``, once for the stepper and once for the grid samples, and
+        evaluate the segment's first stage."""
         config = self.config
         self.kernel = segment_kernel(config, self.stimulus, t,
                                      self.photo_active, self.op_hint)
+        self.sample_kernel = segment_kernel(config, self.stimulus, t,
+                                            self.photo_active,
+                                            self.sample_hint)
         if config.is_hybrid():
             self.vg = config.vg_waveform.level_at(t)
         self.stats.rhs_evals += 1
@@ -364,10 +307,20 @@ class _Run:
         self.cur.append(i)
 
     def begin(self) -> None:
-        """First stage and first sample at t = 0."""
+        """First stage and first sample at t = 0, and the first step: a
+        hundredth of the time the first stage takes to move the state by its
+        own size, in tolerance-scaled norms (Hairer, Norsett & Wanner,
+        *Solving ODEs I*, II.4), at most ``h``."""
         self._segment(0.0)
         self._sample(0.0, self.v, self.g, self.k1[2])
         self.detector.update(0.0, self.v, self.g)
+        opt = self.opt
+        scale_v = opt.abs_tol_v + opt.rel_tol * abs(self.v)
+        scale_g = opt.abs_tol_gap + opt.rel_tol * abs(self.g)
+        speed = math.hypot(self.k1[0] / scale_v, self.k1[1] / scale_g)
+        if speed > 0.0:
+            size = math.hypot(self.v / scale_v, self.g / scale_g)
+            self.h = min(self.h, 0.01 * size / speed)
 
     def enter(self, t: float) -> None:
         """Start the schedule segment at boundary ``t``.
@@ -392,7 +345,9 @@ class _Run:
         Every stage of a step lies inside the running schedule segment, so
         they all evaluate the segment's kernel.  The stages and the
         fifth-order and error sums are written out over the tableau, in the
-        order of a left-to-right sum of ``h * a_ij * k_j`` terms.
+        order of a left-to-right sum of ``h * a_ij * k_j`` terms.  The
+        output-grid points inside an accepted step are sampled before its
+        end point.
         """
         config = self.config
         opt = self.opt
@@ -403,11 +358,18 @@ class _Run:
         stats = self.stats
         detector = self.detector
         rhs = self.kernel
+        sample_rhs = self.sample_kernel
+        window = opt.abrupt_window
+        k_grid = self.k_grid
+        t_grid = k_grid * window
         knee_margin = self._knee_margin
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
-        while t < boundary - 1e-18 * max(1.0, boundary):
+        # Time resolution: the boundary is reached, and a grid point this
+        # close to a step end is that step end.
+        eps = 1e-18 * max(1.0, boundary)
+        while t < boundary - eps:
             if self.floored:
                 break
             remaining = boundary - t
@@ -471,6 +433,43 @@ class _Run:
                         detail={"t": t, "vpd": v, "gap": g})
                 tol_v = opt.abs_tol_v + opt.rel_tol * max(abs(v), abs(v_new))
                 tol_g = opt.abs_tol_gap + opt.rel_tol * max(abs(g), abs(g_new))
+                # A step over a kink of the right-hand side has no honest
+                # error estimate, so it lands on a gap bound or the knee
+                # before the error test.  The floor landing follows the error
+                # test: a step far past the floor is mostly an unstable one,
+                # which the error test shrinks better.
+                # Gap-bound crossing: the gap velocity drops to zero at a
+                # bound.  Stages past the bound see no velocity, which
+                # flattens the secant; the first stage's velocity predicts
+                # the landing better.
+                if hybrid and h > 2.0 * opt.min_step:
+                    if g_new > gap_max + tol_g and g < gap_max - tol_g:
+                        bound = gap_max
+                    elif g_new < gap_min - tol_g and g > gap_min + tol_g:
+                        bound = gap_min
+                    else:
+                        bound = None
+                    if bound is not None:
+                        stats.rejected_bound += 1
+                        h_land = h * (bound - g) / (g_new - g)
+                        if (bound - g) * k1g > 0.0:
+                            h_land = min(h_land, (bound - g) / k1g)
+                        h = max(min(h_land, 0.98 * h), opt.min_step)
+                        continue
+                # Knee crossing: the same secant landing on the selector
+                # margin, so no step straddles the kink in the branch current.
+                # A step that starts on the knee may leave it; a step that
+                # ends on it or crosses it restarts the next one small.
+                knee = abs(m7) <= floor_tol
+                if not knee and (m1 >= 0.0) != (m7 >= 0.0) \
+                        and abs(m1) > floor_tol:
+                    knee = True
+                    if h > 2.0 * opt.min_step:
+                        stats.rejected_knee += 1
+                        shrink = m1 / (m1 - m7)
+                        h = max(h * min(max(shrink, 0.02), 0.98),
+                                opt.min_step)
+                        continue
                 # A step that runs the gap into one of its bounds lands there
                 # exactly via the clip; the gap error estimate is then
                 # polluted by the clamp kink and is ignored.
@@ -498,17 +497,10 @@ class _Run:
                     shrink = (v - opt.vpd_floor) / (v - v_new)
                     h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
                     continue
-                # Knee crossing: the same secant landing on the selector
-                # margin, so no step straddles the kink in the branch current.
-                knee = (m1 >= 0.0) != (m7 >= 0.0)
-                if knee and abs(m7) > floor_tol and h > 2.0 * opt.min_step:
-                    stats.rejected_knee += 1
-                    shrink = m1 / (m1 - m7)
-                    h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
-                    continue
-                # Current-change limiting keeps the recorded trace dense
-                # enough that its trapezoidal charge integral converges.
-                # ``load`` is the share of the 15 % allowance this step used.
+                # Current-change limiting: where the branch current turns
+                # fast, the error estimate alone passes steps that leave the
+                # final VPD off by up to 3e-5 V.  ``load`` is the share of
+                # the 15 % allowance this step used.
                 i_end = k7i
                 i_scale = max(abs(i_end), abs(k1i))
                 load = 0.0
@@ -523,12 +515,31 @@ class _Run:
             stats.accepted += 1
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
+            t_old, v_old, g_old = t, v, g
             t += h
             v = max(v_new, opt.vpd_floor) if t > trst else v_new
             g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
             self.est_err_v += abs(err_v)
-            k1v, k1g, k1i = k7v, k7g, k7i
-            m1 = m7
+            step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g,
+                    k7g) if hybrid else None
+            while t_grid < t:
+                if t_old + eps < t_grid < t - eps:
+                    # An output-grid point inside the step, clipped as an
+                    # accepted state.
+                    theta = (t_grid - t_old) / h
+                    vs = dense(theta, h, v_old, v_new, k1v, k3v, k4v, k5v,
+                                k6v, k7v)
+                    if t_grid > trst:
+                        vs = max(vs, opt.vpd_floor)
+                    gs = g_old
+                    if hybrid:
+                        gs = min(max(dense(theta, *step[1:]), gap_min),
+                                 gap_max)
+                    stats.sample_evals += 1
+                    self._sample(t_grid, vs, gs, sample_rhs(vs, gs)[2])
+                    detector.update(t_grid, vs, gs, step)
+                k_grid += 1
+                t_grid = k_grid * window
 
             if t > trst and v <= opt.vpd_floor + floor_tol:
                 v = opt.vpd_floor
@@ -538,7 +549,7 @@ class _Run:
                 i_end = 0.0
 
             self._sample(t, v, g, i_end)
-            detector.update(t, v, g)
+            detector.update(t, v, g, step)
 
             h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
                 else h * 5.0
@@ -547,8 +558,14 @@ class _Run:
                 h_next = min(h_next, h * 0.9 / load)
             if knee:
                 h_next = min(h_next, _KNEE_RESTART)
+            elif 0.0 < m7 < m1:
+                # Margin falling toward the knee: predict it as linear in h.
+                h_next = min(h_next, _KNEE_AIM * m7 * h / (m1 - m7))
             h = h_next
+            k1v, k1g, k1i = k7v, k7g, k7i
+            m1 = m7
         self.t, self.v, self.g, self.h = t, v, g, h
+        self.k_grid = k_grid
         self.k1, self.m1 = (k1v, k1g, k1i), m1
 
     def run(self, boundaries: list[float], first: int, stop: int) -> None:
@@ -577,7 +594,8 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _ResetPhase:
         v0=v0, t=0.0, v=v0, g=gap0, h=opt.max_step, est_err_v=0.0,
         floored=False, stats=SolverStats(),
         detector=EventDetector(config, opt, v0), ts=(), vs=(), gs=(), cur=(),
-        op_hint=(None, 0.0, 0.0, 0, 0))
+        op_hint=(None, 0.0, 0.0, 0, 0), sample_hint=(None, 0.0, 0.0, 0),
+        k_grid=1)
     run = _Run(config, opt, Stimulus(0.0), None, empty)
     run.begin()
     boundaries = _schedule(config, None)

@@ -26,7 +26,7 @@ from oxpix.devices import (
     read_resistance,
     state_from_resistance,
 )
-from oxpix.errors import CalibrationError, OutOfRangeError
+from oxpix.errors import CalibrationError, InvalidInputError, OutOfRangeError
 
 
 def test_default_anchors_converge(calibrated):
@@ -181,3 +181,10 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
     assert len(lines) == 1
     assert f"2 restarts, {len(calls)} evaluations" in lines[0]
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2},
+                                    {"seed": -1}])
+def test_calibrate_rejects_bad_restarts_and_seed(kwargs):
+    with pytest.raises(InvalidInputError):
+        calibrate(**kwargs)

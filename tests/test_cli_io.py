@@ -178,3 +178,29 @@ def test_cli_truncated_cache_is_a_miss(tmp_path, capsys):
     assert json.loads(cache.read_text())["converged"] is True
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         sorted([cache.name, "report.json", "run.cfg"])
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("simulate", "[solver]\nreset_noise = true\nnoise_seed = -1\n",
+     "line 3: noise_seed"),
+    ("calibrate", "[calibration]\nseed = -1\n", "line 2: seed"),
+])
+def test_cli_negative_seed_exits_one_without_traceback(tmp_path, capsys,
+                                                       command, text,
+                                                       message):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--iexp", "1nA"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):
+    assert main(["calibrate", "--seed", "-1",
+                 "--out", str(tmp_path / "p.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "seed must be >= 0" in err

@@ -152,5 +152,46 @@ c_pox = 2fF
 
 def test_solver_defaults_come_from_solver_options():
     text = dump_config(parse_config(""))
-    assert "max_step = 1e-07" in text.splitlines()
+    assert "max_step = 1e-05" in text.splitlines()
     assert parse_config(text).solver == SolverOptions()
+
+
+@pytest.mark.parametrize("word,value", [
+    ("1", True), ("TRUE", True), ("Yes", True),
+    ("0", False), ("false", False), ("NO", False),
+])
+def test_boolean_words_accepted_in_any_case(word, value):
+    setup = parse_config(f"[solver]\nreset_noise = {word}\n")
+    assert setup.solver.reset_noise is value
+
+
+def test_non_boolean_word_rejected_with_line():
+    with pytest.raises(ConfigError, match="line 3: reset_noise"):
+        parse_config("[solver]\nrel_tol = 1e-6\nreset_noise = maybe\n")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("sweep", "points_per_decade"), ("solver", "max_trace_points"),
+    ("solver", "noise_seed"), ("calibration", "seed"),
+    ("calibration", "restarts"),
+])
+def test_non_integral_integer_key_rejected_with_line(section, key):
+    with pytest.raises(ConfigError, match=f"line 2: {key} = '1.5' is not an"):
+        parse_config(f"[{section}]\n{key} = 1.5\n")
+
+
+def test_integral_float_text_accepted_for_integer_key():
+    assert parse_config("[sweep]\npoints_per_decade = 12.0\n") \
+        .points_per_decade == 12
+
+
+def test_zero_restarts_rejected_with_line():
+    with pytest.raises(ConfigError, match="line 2: restarts .* must be >= 1"):
+        parse_config("[calibration]\nrestarts = 0\n")
+
+
+@pytest.mark.parametrize("section,key", [("solver", "noise_seed"),
+                                         ("calibration", "seed")])
+def test_negative_seed_rejected_with_line(section, key):
+    with pytest.raises(ConfigError, match=f"line 2: {key} .* must be >= 0"):
+        parse_config(f"[{section}]\n{key} = -1\n")

@@ -20,10 +20,10 @@ import pytest
 from oxpix.cli import main
 
 GOLDEN = {
-    "bare3t": "e0ab200aa947c833c708c5b2416465e08f538092bffa3be004830d1dddce86c1",
-    "case_i": "ace18b6197a764fe751221dc8cb1d492731415c77617428f227e4e25a40af241",
-    "case_ii": "6c7c740e73a90da76e4e499d9b12c818ef4ec09a29a8d0c83369c8ac0d47cc0e",
-    "case_iii": "b9f67793ec24c2a5e2b42021da8c4eb6557b273a8423c3460d854b1bc8fa0685",
+    "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
+    "case_i": "3b1b1511a507cf775295eda607a542c5088a17fb9f30822f5a7a795f7cb82f8d",
+    "case_ii": "88104f70f856a7c33810d1f13bc8b17bd79cc7db37e7c1f8377220f6cb7c7191",
+    "case_iii": "19569251d6391f7d4cd5bedcd7ee14bb6aa2c0968993792b2d8e57d04d6a653c",
 }
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from oxpix.defaults import default_config
 from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
-from oxpix.errors import SolverError
-from oxpix import pixel, solver
+from oxpix.errors import InvalidInputError, SolverError
+from oxpix import events, pixel, solver
 from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
 from oxpix.solver import (
     EventKind,
@@ -383,3 +383,71 @@ def test_stats_count_kcl_solves(monkeypatch):
     bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
                      SolverOptions())
     assert bare.stats.kcl_solves == 0
+
+
+def test_negative_noise_seed_rejected():
+    with pytest.raises(InvalidInputError, match="noise_seed"):
+        SolverOptions(reset_noise=True, noise_seed=-1)
+
+
+def test_continuous_extension_is_exact_on_a_quartic():
+    # y' = 4 t^3: the stages are exact, and an order-4 interpolant
+    # reproduces y = t^4 inside the step.
+    t0, h = 1.0, 0.5
+    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    k = [4.0 * (t0 + ci * h) ** 3 for ci in c]
+    y1 = t0 ** 4 + h * sum(b * ki for b, ki in zip(solver._B5, k))
+    assert y1 == pytest.approx((t0 + h) ** 4, rel=1e-14)
+    for theta in (0.1, 0.37, 0.5, 0.9):
+        y = events.dense(theta, h, t0 ** 4, y1, k[0], *k[2:])
+        assert y == pytest.approx((t0 + theta * h) ** 4, rel=1e-13)
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+@pytest.mark.parametrize("i_exp", [0.0, 1e-12, 1e-9])
+def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
+    cfg = default_config(topo, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opt = SolverOptions()
+    trace = integrate(cfg, Stimulus(i_exp), opt)
+    t, window = trace.t, opt.abrupt_window
+    floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    t_stop = floor[0].t_event if floor else cfg.t_end
+    dense = t[t <= t_stop]
+    assert dense[-1] == t_stop
+    assert float(np.max(np.diff(dense))) <= window * (1.0 + 1e-9)
+    # Every other sample is t = 0, a step end, the first sample of a
+    # segment (one ulp past its boundary) or the end sample after the floor
+    # clamp; each grid sample costs one kernel call.
+    entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
+    tail = 1 if floor and t_stop < cfg.t_end else 0
+    stats = trace.stats
+    assert len(t) == 1 + stats.accepted + entered + tail + stats.sample_evals
+    on_grid = int(np.sum(t == np.round(t / window) * window))
+    assert stats.sample_evals <= on_grid
+
+
+def test_abrupt_fall_window_keeps_the_previous_grid_sample():
+    # A long step emits grid samples k * abrupt_window and nothing between
+    # them.  For some k, k * w - w rounds above (k - 1) * w; the sample at
+    # grid point k - 1 must still be in the window when grid point k comes.
+    cfg = default_config(Topology.BARE_3T)
+    opt = SolverOptions()
+    w = opt.abrupt_window
+    k = next(k for k in range(2, 100) if k * w - w > (k - 1) * w)
+    detector = events.EventDetector(cfg, opt, 1.0)
+    detector.update(0.0, 1.0, 0.0)
+    detector.update((k - 1) * w, 1.0, 0.0)
+    detector.update(k * w, 0.4, 0.0)
+    (fall,) = detector.events
+    assert fall.kind is EventKind.ABRUPT_FALL
+    assert fall.t_event == k * w
+
+
+def test_case_iii_collapse_records_one_abrupt_fall(calibrated):
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    trace = integrate(cfg, Stimulus(1e-8), SolverOptions())
+    (r2s,) = trace.events_of(EventKind.RESET_TO_SET)
+    (fall,) = trace.events_of(EventKind.ABRUPT_FALL)
+    assert r2s.t_event < fall.t_event
