@@ -36,7 +36,9 @@ from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
 
-V_RESET_DRIVE = 1.42   # V, constant rupture drive of the reference transient
+# V, constant rupture drive of the reference transient.  It belongs to that
+# measurement, not to the simulated pixel, so it does not follow ``vrst``.
+V_RESET_DRIVE = 1.42
 VG_PROGRAM_ANCHOR = 0.915  # V, selector gate during the programming transient
 
 ANCHOR_R_SET = "r_set"

@@ -24,8 +24,7 @@ import tempfile
 from .calibration import CalibrationResult, calibrate
 from .config import RunSetup, parse_config, parse_quantity
 from .devices import MosfetParams, OxRamParams
-from .errors import CalibrationError, ConfigError, InvalidInputError, \
-    OxpixError, SolverError
+from .errors import ConfigError, InvalidInputError, OxpixError
 from .experiments import SweepSpec, run_sweep, summarize_sweep, table1_report
 from .pixel import Stimulus
 from .solver import integrate
@@ -70,16 +69,10 @@ def _cache_path(out_path: str, digest: str) -> str:
 
 
 def _result_payload(result: CalibrationResult) -> dict:
-    return {
-        "oxram": dataclasses.asdict(result.oxram),
-        "selector": dataclasses.asdict(result.selector),
-        "residuals": result.residuals,
-        "converged": result.converged,
-        "objective": result.objective,
-        "restarts": result.restarts,
-        "seed": result.seed,
-        "detail": result.detail,
-    }
+    """Every field of the fit but ``evaluations``, a work count."""
+    payload = dataclasses.asdict(result)
+    del payload["evaluations"]
+    return payload
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -229,9 +222,6 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OxpixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

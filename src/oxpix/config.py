@@ -18,21 +18,16 @@ dimensionless quantities take bare numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import inspect
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from . import defaults as dflt
-from .calibration import (
-    ANCHOR_I_RESET,
-    ANCHOR_R_RESET,
-    ANCHOR_R_SET,
-    ANCHOR_T_RESET,
-    Anchor,
-    CalibrationAnchors,
-)
+from .calibration import Anchor, CalibrationAnchors, calibrate
 from .devices import MosfetParams, OxRamParams, PhotodiodeParams
 from .errors import ConfigError
-from .experiments import ReadableWindow
-from .pixel import GateWaveform, PixelConfig, Topology
+from .experiments import ReadableWindow, SweepSpec
+from .pixel import VG_RAIL, GateWaveform, PixelConfig, Topology
 from .solver import SolverOptions
 
 _SUFFIX = {
@@ -46,33 +41,59 @@ _SUFFIX = {
 
 _TOPOLOGIES = {t.value: t for t in Topology}
 
-# section -> key -> target field; values are parsed as floats unless noted.
-_SCHEMA = {
-    "photodiode": {"c_pd", "vrst", "fwc_electrons", "reset_noise_electrons",
-                   "texp", "trst"},
-    "oxram": {"oxide_thickness_L", "gap_min", "gap_max", "cf_decay_a",
-              "cf_field_b", "ox_decay_c", "ox_field_d", "i0_cf", "i0_ox",
-              "growth_rate_g0", "rupture_rate_r0", "growth_field_v0",
-              "rupture_field_v1", "c_pox"},
-    "selector": {"vth", "kprime", "lambda"},
-    "pixel": {"topology", "init_resistance", "vg_level", "vg_prog_level",
-              "vg_prog_until", "vs_level", "vrst"},
-    "sweep": {"i_min", "i_max", "points_per_decade"},
-    "solver": {"rel_tol", "abs_tol_v", "abs_tol_gap", "max_step", "min_step",
-               "max_trace_points", "reset_noise", "noise_seed"},
-    "window": {"min_detect", "max_swing", "sense_margin"},
-    "calibration": {"r_set", "r_set_tol", "r_reset", "r_reset_tol",
-                    "t_reset", "t_reset_tol", "i_reset_peak", "i_reset_tol",
-                    "seed", "restarts"},
+# Config keys that differ from their field names ('lambda' is a keyword).
+_KEY_OF = {"lam": "lambda"}
+_FIELD_OF = {key: name for name, key in _KEY_OF.items()}
+
+
+def _keys(obj, names=None) -> dict[str, object]:
+    """Config key -> value of the fields of a dataclass instance, or ->
+    default of the fields of a dataclass; all fields, or those in ``names``."""
+    return {_KEY_OF.get(f.name, f.name): getattr(obj, f.name)
+            for f in fields(obj) if names is None or f.name in names}
+
+
+def _tol_key(quantity: str) -> str:
+    # The tolerance of 'i_reset_peak' is keyed 'i_reset_tol'.
+    return quantity.removesuffix("_peak") + "_tol"
+
+
+def _anchor_keys(anchors: CalibrationAnchors) -> dict[str, float]:
+    """Config key -> value of each anchor's value and tolerance."""
+    keys = {}
+    for a in anchors.anchors:
+        keys[a.quantity] = a.value
+        keys[_tol_key(a.quantity)] = a.tolerance
+    return keys
+
+
+_CALIBRATE = inspect.signature(calibrate).parameters
+
+# Section -> config key -> default, in the order the dump writes them.  A
+# default's type is its key's: str, bool, int, or else a float quantity.
+# Every section but [pixel] is a dataclass's fields (or the anchors and
+# ``calibrate``'s defaults).  A [pixel] default of None is the topology's
+# operating point from ``default_config``; [pixel] vrst is [photodiode] vrst.
+_SCHEMA: dict[str, dict[str, object]] = {
+    "photodiode": _keys(PhotodiodeParams),
+    "oxram": dict(sorted(_keys(OxRamParams).items())),
+    "selector": _keys(MosfetParams),
+    "pixel": {"topology": Topology.BARE_3T.value, "init_resistance": None,
+              "vs_level": None, "vg_prog_level": None, "vg_prog_until": None,
+              "vg_level": None, "vrst": None},
+    "sweep": _keys(SweepSpec, ("i_min", "i_max", "points_per_decade")),
+    "solver": _keys(SolverOptions),
+    "window": _keys(ReadableWindow),
+    "calibration": {**_anchor_keys(CalibrationAnchors()),
+                    "seed": _CALIBRATE["seed"].default,
+                    "restarts": _CALIBRATE["restarts"].default},
 }
 
 # Integer keys and their smallest allowed value.
 _INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0,
              "seed": 0, "restarts": 1}
-_BOOL_KEYS = {"reset_noise"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True,
                "0": False, "false": False, "no": False}
-_STR_KEYS = {"topology"}
 
 
 def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
@@ -89,25 +110,15 @@ def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
     except ValueError:
         raise ConfigError(
             f"line {line_no}: cannot parse number in {key} = {text!r}") from None
-    if not suffix:
-        return value
-    if suffix not in _SUFFIX:
-        raise ConfigError(
-            f"line {line_no}: unknown unit suffix {suffix!r} in "
-            f"{key} = {text!r}")
-    return value * _SUFFIX[suffix]
-
-
-def _parse_int(text: str, key: str, line_no: int) -> int:
-    """Parse an integer key: an integral number at or above its minimum."""
-    value = parse_quantity(text, key, line_no)
-    if not value.is_integer():
-        raise ConfigError(
-            f"line {line_no}: {key} = {text!r} is not an integer")
-    if value < _INT_KEYS[key]:
-        raise ConfigError(
-            f"line {line_no}: {key} = {text!r} must be >= {_INT_KEYS[key]}")
-    return int(value)
+    if suffix:
+        if suffix not in _SUFFIX:
+            raise ConfigError(
+                f"line {line_no}: unknown unit suffix {suffix!r} in "
+                f"{key} = {text!r}")
+        value *= _SUFFIX[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} = {text!r} is not finite")
+    return value
 
 
 @dataclass
@@ -124,12 +135,36 @@ class RunSetup:
     cal_seed: int
     cal_restarts: int
     provenance: dict[str, str] = field(default_factory=dict)
-    raw: dict[str, dict[str, float | str]] = field(default_factory=dict)
+    raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
 
-def _read_sections(text: str) -> tuple[dict, dict]:
-    sections: dict[str, dict[str, str]] = {}
-    lines_of: dict[tuple[str, str], int] = {}
+def _parse(default: object, text: str, key: str, line_no: int):
+    """Parse ``text`` as the type of the key's ``default``.  An integer must
+    be integral and at least its key's minimum."""
+    if isinstance(default, str):
+        return text
+    if isinstance(default, bool):
+        if text.lower() not in _BOOL_WORDS:
+            raise ConfigError(
+                f"line {line_no}: {key} = {text!r} is not one of "
+                "1/0/true/false/yes/no")
+        return _BOOL_WORDS[text.lower()]
+    value = parse_quantity(text, key, line_no)
+    if isinstance(default, int):
+        if not value.is_integer():
+            raise ConfigError(
+                f"line {line_no}: {key} = {text!r} is not an integer")
+        if value < _INT_KEYS[key]:
+            raise ConfigError(
+                f"line {line_no}: {key} = {text!r} must be >= {_INT_KEYS[key]}")
+        return int(value)
+    return value
+
+
+def _read_sections(text: str) -> dict[str, dict[str, object]]:
+    """Section -> key -> parsed value of every key given, parsed in line
+    order, so the first faulty line is the one reported."""
+    given: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     section = None
     for no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -139,7 +174,6 @@ def _read_sections(text: str) -> tuple[dict, dict]:
             section = body[1:-1].strip()
             if section not in _SCHEMA:
                 raise ConfigError(f"line {no}: unknown section [{section}]")
-            sections.setdefault(section, {})
             continue
         if "=" not in body:
             raise ConfigError(f"line {no}: expected key = value, got {body!r}")
@@ -148,11 +182,10 @@ def _read_sections(text: str) -> tuple[dict, dict]:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {no}: unknown key {key!r} in [{section}]")
-        if key in sections[section]:
+        if key in given[section]:
             raise ConfigError(f"line {no}: duplicate key {key!r}")
-        sections[section][key] = value
-        lines_of[(section, key)] = no
-    return sections, lines_of
+        given[section][key] = _parse(_SCHEMA[section][key], value, key, no)
+    return given
 
 
 def parse_config(source: str, is_path: bool = False) -> RunSetup:
@@ -162,40 +195,22 @@ def parse_config(source: str, is_path: bool = False) -> RunSetup:
             text = fh.read()
     else:
         text = source
-    sections, lines_of = _read_sections(text)
-
-    values: dict[str, dict] = {}
-    provenance: dict[str, str] = {}
-    for section, keys in _SCHEMA.items():
-        values[section] = {}
-        present = sections.get(section, {})
-        for key in sorted(keys):
-            if key in present:
-                no = lines_of[(section, key)]
-                raw = present[key]
-                if key in _STR_KEYS:
-                    values[section][key] = raw.strip()
-                elif key in _BOOL_KEYS:
-                    word = raw.strip().lower()
-                    if word not in _BOOL_WORDS:
-                        raise ConfigError(
-                            f"line {no}: {key} = {raw!r} is not one of "
-                            "1/0/true/false/yes/no")
-                    values[section][key] = _BOOL_WORDS[word]
-                elif key in _INT_KEYS:
-                    values[section][key] = _parse_int(raw, key, no)
-                else:
-                    values[section][key] = parse_quantity(raw, key, no)
-                provenance[f"{section}.{key}"] = "file"
-            else:
-                provenance[f"{section}.{key}"] = "default"
-
-    return _build_setup(values, provenance)
+    given = _read_sections(text)
+    provenance = {f"{section}.{key}": "file" if key in given[section]
+                  else "default"
+                  for section, keys in _SCHEMA.items() for key in keys}
+    try:
+        return _build_setup(given, provenance)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
-def _build_setup(values: dict, provenance: dict) -> RunSetup:
-    pdv = values["photodiode"]
-    topo_name = values["pixel"].get("topology", "bare3t")
+def _build_setup(given: dict, provenance: dict) -> RunSetup:
+    """Build each object from the keys given; its class supplies the rest."""
+    pxv = given["pixel"]
+    topo_name = pxv.get("topology", _SCHEMA["pixel"]["topology"])
     topology = _TOPOLOGIES.get(topo_name)
     if topology is None:
         raise ConfigError(
@@ -204,155 +219,85 @@ def _build_setup(values: dict, provenance: dict) -> RunSetup:
 
     # The reset level may be stated with the photodiode constants or with
     # the pixel-level keys; both name the same quantity.
-    if "vrst" in pdv and "vrst" in values["pixel"]:
-        raise ConfigError("vrst given in both [photodiode] and [pixel]")
-    if "vrst" in pdv:
-        vrst = pdv["vrst"]
-    elif "vrst" in values["pixel"]:
-        vrst = values["pixel"]["vrst"]
-    else:
-        vrst = dflt.VRST_CASE_II if topology is Topology.HYBRID_CASE_II \
-            else dflt.VRST_DEFAULT
-    try:
-        pd = PhotodiodeParams(
-            c_pd=pdv.get("c_pd", 1.0e-14), vrst=vrst,
-            fwc_electrons=pdv.get("fwc_electrons", 62_500.0),
-            reset_noise_electrons=pdv.get("reset_noise_electrons", 28.0),
-            texp=pdv.get("texp", 9.5e-6), trst=pdv.get("trst", 0.5e-6))
+    pdv = {"vrst": dflt.default_vrst(topology), **given["photodiode"]}
+    if "vrst" in pxv:
+        if "vrst" in given["photodiode"]:
+            raise ConfigError("vrst given in both [photodiode] and [pixel]")
+        pdv["vrst"] = pxv["vrst"]
+    pd = PhotodiodeParams(**pdv)
+    oxram = OxRamParams(**given["oxram"])
+    selector = MosfetParams(**{_FIELD_OF.get(key, key): value
+                               for key, value in given["selector"].items()})
 
-        oxv = dict(values["oxram"])
-        oxram = OxRamParams(**oxv) if oxv else OxRamParams()
+    vg_waveform = None
+    t_end = pd.trst + pd.texp
+    programmed = "vg_prog_level" in pxv or "vg_prog_until" in pxv
+    if programmed and "vg_level" not in pxv:
+        raise ConfigError("vg_prog_* keys require vg_level")
+    if programmed:
+        prog_level = pxv.get("vg_prog_level", VG_RAIL)
+        prog_until = pxv.get("vg_prog_until", pd.trst)
+        vg_waveform = GateWaveform(((0.0, prog_until, prog_level),
+                                    (prog_until, t_end, pxv["vg_level"])))
+    elif "vg_level" in pxv:
+        vg_waveform = GateWaveform(((0.0, t_end, pxv["vg_level"]),))
 
-        sv = values["selector"]
-        selector = MosfetParams(vth=sv.get("vth", 0.5),
-                                kprime=sv.get("kprime", 1.3e-4),
-                                lam=sv.get("lambda", 0.02))
+    pixel = dflt.default_config(
+        topology, pd=pd, oxram=oxram, selector=selector,
+        vg_waveform=vg_waveform, init_resistance=pxv.get("init_resistance"))
+    if "vs_level" in pxv:
+        pixel = replace(pixel, vs_level=pxv["vs_level"])
 
-        pxv = values["pixel"]
-        vg_waveform = None
-        t_end = pd.trst + pd.texp
-        if "vg_level" in pxv:
-            level = pxv["vg_level"]
-            if "vg_prog_level" in pxv or "vg_prog_until" in pxv:
-                prog_level = pxv.get("vg_prog_level", dflt.VG_PROGRAM)
-                prog_until = pxv.get("vg_prog_until", pd.trst)
-                vg_waveform = GateWaveform((
-                    (0.0, prog_until, prog_level), (prog_until, t_end, level)))
-            else:
-                vg_waveform = GateWaveform(((0.0, t_end, level),))
-        elif "vg_prog_level" in pxv or "vg_prog_until" in pxv:
-            raise ConfigError("vg_prog_* keys require vg_level")
-
-        pixel = dflt.default_config(
-            topology, pd=pd, oxram=oxram, selector=selector,
-            vg_waveform=vg_waveform,
-            init_resistance=pxv.get("init_resistance"))
-        if "vs_level" in pxv:
-            pixel = replace(pixel, vs_level=pxv["vs_level"])
-
-        swv = values["sweep"]
-        # [solver] keys are SolverOptions field names; it owns the defaults.
-        solver = SolverOptions(**values["solver"])
-
-        wv = values["window"]
-        base_window = ReadableWindow()
-        window = ReadableWindow(
-            min_detect=wv.get("min_detect", base_window.min_detect),
-            max_swing=wv.get("max_swing", base_window.max_swing),
-            sense_margin=wv.get("sense_margin", base_window.sense_margin))
-
-        cv = values["calibration"]
-        anchors = CalibrationAnchors((
-            Anchor(ANCHOR_R_SET, cv.get("r_set", 1.25e6),
-                   cv.get("r_set_tol", 0.20)),
-            Anchor(ANCHOR_R_RESET, cv.get("r_reset", 60e9),
-                   cv.get("r_reset_tol", 0.20)),
-            Anchor(ANCHOR_T_RESET, cv.get("t_reset", 510e-9),
-                   cv.get("t_reset_tol", 0.10)),
-            Anchor(ANCHOR_I_RESET, cv.get("i_reset_peak", 11e-6),
-                   cv.get("i_reset_tol", 0.20)),
-        ))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
-
+    sweep = {**_SCHEMA["sweep"], **given["sweep"]}
+    cal = {**_SCHEMA["calibration"], **given["calibration"]}
+    anchors = CalibrationAnchors(tuple(
+        Anchor(a.quantity, cal[a.quantity], cal[_tol_key(a.quantity)])
+        for a in CalibrationAnchors().anchors))
     return RunSetup(
-        pixel=pixel,
-        sweep_i_min=swv.get("i_min", 100e-15),
-        sweep_i_max=swv.get("i_max", 10e-9),
-        points_per_decade=swv.get("points_per_decade", 12),
-        solver=solver, window=window, anchors=anchors,
-        cal_seed=cv.get("seed", 0), cal_restarts=cv.get("restarts", 8),
-        provenance=provenance, raw=values)
+        pixel=pixel, sweep_i_min=sweep["i_min"], sweep_i_max=sweep["i_max"],
+        points_per_decade=sweep["points_per_decade"],
+        solver=SolverOptions(**given["solver"]),
+        window=ReadableWindow(**given["window"]), anchors=anchors,
+        cal_seed=cal["seed"], cal_restarts=cal["restarts"],
+        provenance=provenance, raw=given)
+
+
+def _format(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def dump_config(setup: RunSetup) -> str:
     """Serialize a setup back to config text; re-parsing is value-identical."""
     pix = setup.pixel
-    pd = pix.pd
-    lines = ["[photodiode]"]
-    for name in ("c_pd", "vrst", "fwc_electrons", "reset_noise_electrons",
-                 "texp", "trst"):
-        lines.append(f"{name} = {getattr(pd, name)!r}")
-    lines.append("")
-    if pix.is_hybrid():
-        lines.append("[oxram]")
-        ox = pix.oxram
-        for name in sorted(_SCHEMA["oxram"]):
-            lines.append(f"{name} = {getattr(ox, name)!r}")
-        lines.append("")
-    lines.append("[selector]")
-    lines.append(f"vth = {pix.selector.vth!r}")
-    lines.append(f"kprime = {pix.selector.kprime!r}")
-    lines.append(f"lambda = {pix.selector.lam!r}")
-    lines.append("")
-    lines.append("[pixel]")
-    lines.append(f"topology = {pix.topology.value}")
+    pixel = {"topology": pix.topology.value, "vs_level": pix.vs_level}
     # The initial state is written as the resistance it was read back from,
     # so re-parsing reruns the same bisection.
-    init_resistance = setup.raw.get("pixel", {}).get("init_resistance")
-    if init_resistance is not None:
-        lines.append(f"init_resistance = {init_resistance!r}")
-    lines.append(f"vs_level = {pix.vs_level!r}")
+    if "init_resistance" in setup.raw.get("pixel", {}):
+        pixel["init_resistance"] = setup.raw["pixel"]["init_resistance"]
     if pix.is_hybrid():
         segs = pix.vg_waveform.segments
         if len(segs) == 2:
-            lines.append(f"vg_prog_level = {segs[0][2]!r}")
-            lines.append(f"vg_prog_until = {segs[0][1]!r}")
-            lines.append(f"vg_level = {segs[1][2]!r}")
-        else:
-            lines.append(f"vg_level = {segs[0][2]!r}")
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append(f"i_min = {setup.sweep_i_min!r}")
-    lines.append(f"i_max = {setup.sweep_i_max!r}")
-    lines.append(f"points_per_decade = {setup.points_per_decade}")
-    lines.append("")
-    lines.append("[solver]")
-    opt = setup.solver
-    for name in ("rel_tol", "abs_tol_v", "abs_tol_gap", "max_step", "min_step"):
-        lines.append(f"{name} = {getattr(opt, name)!r}")
-    lines.append(f"max_trace_points = {opt.max_trace_points}")
-    lines.append(f"reset_noise = {'true' if opt.reset_noise else 'false'}")
-    lines.append(f"noise_seed = {opt.noise_seed}")
-    lines.append("")
-    lines.append("[window]")
-    lines.append(f"min_detect = {setup.window.min_detect!r}")
-    lines.append(f"max_swing = {setup.window.max_swing!r}")
-    lines.append(f"sense_margin = {setup.window.sense_margin!r}")
-    lines.append("")
-    lines.append("[calibration]")
-    by_q = {a.quantity: a for a in setup.anchors.anchors}
-    lines.append(f"r_set = {by_q[ANCHOR_R_SET].value!r}")
-    lines.append(f"r_set_tol = {by_q[ANCHOR_R_SET].tolerance!r}")
-    lines.append(f"r_reset = {by_q[ANCHOR_R_RESET].value!r}")
-    lines.append(f"r_reset_tol = {by_q[ANCHOR_R_RESET].tolerance!r}")
-    lines.append(f"t_reset = {by_q[ANCHOR_T_RESET].value!r}")
-    lines.append(f"t_reset_tol = {by_q[ANCHOR_T_RESET].tolerance!r}")
-    lines.append(f"i_reset_peak = {by_q[ANCHOR_I_RESET].value!r}")
-    lines.append(f"i_reset_tol = {by_q[ANCHOR_I_RESET].tolerance!r}")
-    lines.append(f"seed = {setup.cal_seed}")
-    lines.append(f"restarts = {setup.cal_restarts}")
-    lines.append("")
+            pixel.update(vg_prog_level=segs[0][2], vg_prog_until=segs[0][1])
+        pixel["vg_level"] = segs[-1][2]
+    current = {
+        "photodiode": _keys(pix.pd),
+        "oxram": _keys(pix.oxram) if pix.is_hybrid() else {},
+        "selector": _keys(pix.selector),
+        "pixel": pixel,
+        "sweep": {"i_min": setup.sweep_i_min, "i_max": setup.sweep_i_max,
+                  "points_per_decade": setup.points_per_decade},
+        "solver": _keys(setup.solver),
+        "window": _keys(setup.window),
+        "calibration": {**_anchor_keys(setup.anchors), "seed": setup.cal_seed,
+                        "restarts": setup.cal_restarts},
+    }
+    lines = []
+    for section, keys in _SCHEMA.items():
+        if current[section]:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {_format(current[section][key])}"
+                      for key in keys if key in current[section]]
+            lines.append("")
     return "\n".join(lines)

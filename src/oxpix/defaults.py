@@ -21,13 +21,12 @@ from .devices import (
     state_from_resistance,
 )
 from .pixel import (
+    VG_RAIL,
     GateWaveform,
     PixelConfig,
     Topology,
     orientation_for,
 )
-
-VG_PROGRAM = 3.3          # V, gate rail during the reset window
 
 # Exposure-phase selector current ceilings [A].  Sized so a ceiling-limited
 # drain over the full exposure stays inside the readable swing: the case (i)
@@ -48,9 +47,15 @@ R_SET_LEVELS = (1.25e6, 1.0e5, 4.3e4)
 R_SET_OVERSTRONG = 8.0e3
 R_RESET_LEVELS = (12e9, 20e9)
 
-VRST_DEFAULT = 1.42       # V
 VRST_CASE_II = 2.2        # V
 VRST_ELEVATED = 1.8       # V, rescue level for over-strong filaments
+
+
+def default_vrst(topology: Topology) -> float:
+    """Reset level of ``topology``: raised for case (ii), else the default."""
+    if topology is Topology.HYBRID_CASE_II:
+        return VRST_CASE_II
+    return PhotodiodeParams.vrst
 
 
 def vg_for_current(i_limit: float, selector: MosfetParams) -> float:
@@ -63,12 +68,12 @@ def default_gate_waveform(topology: Topology, pd: PhotodiodeParams,
     t_end = pd.trst + pd.texp
     if topology is Topology.HYBRID_CASE_I:
         lvl = vg_for_current(I_EXPOSE_CASE_I, selector)
-        return GateWaveform(((0.0, pd.trst, VG_PROGRAM), (pd.trst, t_end, lvl)))
+        return GateWaveform(((0.0, pd.trst, VG_RAIL), (pd.trst, t_end, lvl)))
     if topology is Topology.HYBRID_CASE_II:
         lvl = vg_for_current(I_EXPOSE_CASE_II, selector)
         return GateWaveform(((0.0, t_end, lvl),))
     # Case (iii) and anything else: selector wide open.
-    return GateWaveform(((0.0, t_end, VG_PROGRAM),))
+    return GateWaveform(((0.0, t_end, VG_RAIL),))
 
 
 def default_config(topology: Topology,
@@ -79,22 +84,17 @@ def default_config(topology: Topology,
                    init_resistance: Optional[float] = None) -> PixelConfig:
     """Assemble a pixel configuration with per-topology defaults."""
     selector = selector or MosfetParams()
+    pd = pd or PhotodiodeParams(vrst=default_vrst(topology))
     if topology is Topology.BARE_3T:
-        return PixelConfig(topology=topology, pd=pd or PhotodiodeParams(),
-                           selector=selector)
+        return PixelConfig(topology=topology, pd=pd, selector=selector)
     oxram = oxram or OxRamParams()
-    if pd is None:
-        vrst = VRST_CASE_II if topology is Topology.HYBRID_CASE_II else VRST_DEFAULT
-        pd = PhotodiodeParams(vrst=vrst)
     orientation = orientation_for(topology)
     if init_resistance is None:
         if topology is Topology.HYBRID_CASE_I:
             init_resistance = R_INIT_CASE_I
         elif topology is Topology.HYBRID_CASE_II:
             init_resistance = R_INIT_CASE_II
-        else:
-            init_resistance = None  # case (iii): hard reset
-    if init_resistance is None:
+    if init_resistance is None:  # case (iii): hard reset
         init = OxRamState(oxram.gap_max, orientation)
     else:
         init = state_from_resistance(init_resistance, VREAD, oxram, orientation)

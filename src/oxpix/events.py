@@ -19,12 +19,18 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .pixel import PixelConfig
 
-if TYPE_CHECKING:
-    from .solver import SolverOptions
+# Switching thresholds, as fractions of the gap span.
+GAP_LO_FRAC = 0.10
+GAP_HI_FRAC = 0.90
+# An abrupt fall drops ABRUPT_FRAC of the swing available above the VPD
+# floor within ABRUPT_WINDOW, which is also the output grid's spacing.
+ABRUPT_WINDOW = 100e-9  # s
+ABRUPT_FRAC = 0.50
+VPD_FLOOR = 0.0         # V, the ground clamp
 
 # Continuous extension: the fifth Hermite coefficient of Hairer's DOPRI5
 # dense output (D2 = 0).
@@ -67,8 +73,7 @@ class Event:
 class EventDetector:
     """Incremental detector fed one accepted sample at a time."""
 
-    def __init__(self, config: PixelConfig, options: SolverOptions, vstart: float):
-        self.options = options
+    def __init__(self, config: PixelConfig, vstart: float):
         self.events: list[Event] = []
         self._hybrid = config.is_hybrid()
         if self._hybrid:
@@ -82,7 +87,7 @@ class EventDetector:
         self._crossed_lo = False
         self._abrupt_seen = False
         self._window: deque[tuple[float, float]] = deque()
-        self._drop_ref = options.abrupt_frac * (vstart - options.vpd_floor)
+        self._drop_ref = ABRUPT_FRAC * (vstart - VPD_FLOOR)
 
     def copy(self) -> "EventDetector":
         other = copy.copy(self)
@@ -116,7 +121,6 @@ class EventDetector:
         """Feed the sample ``(t, vpd, gap)``.  After the first sample of a
         hybrid pixel, ``step`` is the accepted step holding this sample and
         the previous one, as ``_crossing_time`` takes it."""
-        opt = self.options
         if self._hybrid:
             frac = self._frac(gap)
             if self._prev is None:
@@ -129,23 +133,21 @@ class EventDetector:
             prev_max = self._max_frac
             self._min_frac = min(self._min_frac, frac)
             self._max_frac = max(self._max_frac, frac)
-            if frac >= opt.gap_hi_frac and not self._crossed_hi and prev_max < opt.gap_hi_frac:
+            if frac >= GAP_HI_FRAC and not self._crossed_hi and prev_max < GAP_HI_FRAC:
                 self._crossed_hi = True
-                if prev_min < opt.gap_lo_frac:
+                if prev_min < GAP_LO_FRAC:
                     kind = EventKind.SET_TO_RESET
                 else:
                     kind = EventKind.SOFT_TO_HARD_RESET
                 self.events.append(Event(
-                    kind, self._crossing_time(t, frac, opt.gap_hi_frac,
-                                              step),
+                    kind, self._crossing_time(t, frac, GAP_HI_FRAC, step),
                     f"gap={gap:.4f}nm"))
-            if frac <= opt.gap_lo_frac and not self._crossed_lo and prev_min > opt.gap_lo_frac:
-                if prev_max > opt.gap_hi_frac:
+            if frac <= GAP_LO_FRAC and not self._crossed_lo and prev_min > GAP_LO_FRAC:
+                if prev_max > GAP_HI_FRAC:
                     self._crossed_lo = True
                     self.events.append(Event(
                         EventKind.RESET_TO_SET,
-                        self._crossing_time(t, frac, opt.gap_lo_frac,
-                                            step),
+                        self._crossing_time(t, frac, GAP_LO_FRAC, step),
                         f"gap={gap:.4f}nm"))
             self._prev = (t, frac)
         # Abrupt-fall check over a sliding time window.
@@ -153,8 +155,8 @@ class EventDetector:
             w = self._window
             w.append((t, vpd))
             # A sample exactly one window back stays: grid points one window
-            # apart differ by a rounding error from ``abrupt_window``.
-            t_out = t - opt.abrupt_window - 1e-18 * max(1.0, t)
+            # apart differ by a rounding error from ``ABRUPT_WINDOW``.
+            t_out = t - ABRUPT_WINDOW - 1e-18 * max(1.0, t)
             while w and w[0][0] < t_out:
                 w.popleft()
             vmax = max(v for _, v in w)
@@ -162,4 +164,4 @@ class EventDetector:
                 self._abrupt_seen = True
                 self.events.append(Event(
                     EventKind.ABRUPT_FALL, t,
-                    f"fell {vmax - vpd:.3f}V within {opt.abrupt_window * 1e9:.0f}ns"))
+                    f"fell {vmax - vpd:.3f}V within {ABRUPT_WINDOW * 1e9:.0f}ns"))

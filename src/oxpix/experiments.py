@@ -20,7 +20,7 @@ from itertools import repeat
 from typing import Optional
 
 from .errors import InvalidInputError, OxpixError
-from .pixel import PixelConfig, Stimulus
+from .pixel import PixelConfig, Stimulus, Topology
 from .solver import EventKind, SolverOptions, integrate
 
 _log = logging.getLogger("oxpix")
@@ -252,8 +252,10 @@ class DrReport:
 
 def table1_report(oxram, selector, window: Optional[ReadableWindow] = None,
                   options: Optional[SolverOptions] = None,
-                  i_min: float = 100e-15, i_max: float = 10e-9,
-                  points_per_decade: int = 12) -> dict[str, DrReport]:
+                  i_min: float = SweepSpec.i_min,
+                  i_max: float = SweepSpec.i_max,
+                  points_per_decade: int = SweepSpec.points_per_decade
+                  ) -> dict[str, DrReport]:
     """Window and DR rows for the bare pixel and the three hybrid cases.
 
     Relative improvements are measured against the simulated baseline row,
@@ -261,17 +263,14 @@ def table1_report(oxram, selector, window: Optional[ReadableWindow] = None,
     the absolute windows.
     """
     from .defaults import default_config
-    from .pixel import Topology
 
     window = window or ReadableWindow()
     options = options or SolverOptions()
     workers = _worker_count()
-    order = [("baseline", Topology.BARE_3T), ("case_i", Topology.HYBRID_CASE_I),
-             ("case_ii", Topology.HYBRID_CASE_II),
-             ("case_iii", Topology.HYBRID_CASE_III)]
     reports: dict[str, DrReport] = {}
     baseline_dr = None
-    for label, topo in order:
+    for topo in Topology:
+        label = "baseline" if topo is Topology.BARE_3T else topo.value
         cfg = default_config(topo, oxram=oxram, selector=selector)
         sweep = run_sweep(SweepSpec(config=cfg, i_min=i_min, i_max=i_max,
                                     points_per_decade=points_per_decade,

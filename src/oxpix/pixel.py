@@ -39,7 +39,7 @@ from .devices import (
 )
 from .errors import InvalidInputError, SolverError, UnsupportedOperationError
 
-VG_RAIL = 3.3  # V, gate rail for waveform validation
+VG_RAIL = 3.3  # V, selector gate rail: the ceiling of every gate level
 
 # Relative current tolerance of the internal-node KCL solve.
 _OP_POINT_REL_TOL = 1e-12

@@ -47,7 +47,7 @@ size the steps.
 The recorded trace does not depend on the steps being short.  After each
 accepted step the DOPRI5 continuous extension (Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.6; order 4, built from the step's own seven stages)
-gives the state at every point of the output grid ``k * abrupt_window``
+gives the state at every point of the output grid ``k * ABRUPT_WINDOW``
 strictly inside the step.  It is clipped as an accepted state is, and its
 branch current comes from one kernel call with its own op-hint record, so
 the stepper's internal-node start points and work counts are untouched
@@ -83,7 +83,8 @@ import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError
-from .events import Event, EventDetector, EventKind, dense
+from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventDetector,
+                     EventKind, dense)
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
@@ -124,12 +125,6 @@ class SolverOptions:
     max_step: float = 1e-5         # s; beyond the default exposure
     min_step: float = 1e-12        # s
     max_trace_points: int = 400_000
-    # Event thresholds; fractions of the gap span / available swing.
-    gap_lo_frac: float = 0.10
-    gap_hi_frac: float = 0.90
-    abrupt_window: float = 100e-9  # s
-    abrupt_frac: float = 0.50
-    vpd_floor: float = 0.0         # V
     reset_noise: bool = False
     noise_seed: int = 0
 
@@ -186,7 +181,6 @@ class TransientTrace:
         return [e for e in self.events if e.kind is kind]
 
 
-
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     """Phase boundaries the stepper must land on exactly: reset release,
     gate-waveform switch times, full-well time, end of exposure."""
@@ -202,80 +196,75 @@ def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     return sorted(boundaries)
 
 
-@dataclass(frozen=True)
-class _ResetPhase:
-    """Integration state at the reset release, before the first evaluation
-    that sees the stimulus.  Shared by every exposure of one (config,
-    options) pair and never mutated: ``_Run`` copies it."""
-
-    v0: float
-    t: float
-    v: float
-    g: float
-    h: float
-    est_err_v: float
-    floored: bool
-    stats: SolverStats
-    detector: EventDetector
-    ts: tuple[float, ...]
-    vs: tuple[float, ...]
-    gs: tuple[float, ...]
-    cur: tuple[float, ...]
-    op_hint: tuple
-    sample_hint: tuple
-    k_grid: int
-
-
 class _Run:
     """One transient in progress: the last accepted point, the next step
     size, the first stage of the next step, the samples so far, the index
     of the next output-grid point, the event detector, the op-hint records
     of the stepper's and the samples' internal-node solves, the right-hand
-    side of the running schedule segment and the stats."""
+    side of the running schedule segment and the stats.  A new run is the
+    start of the reset phase, with its first stage and sample taken."""
 
-    def __init__(self, config: PixelConfig, opt: SolverOptions,
-                 stimulus: Stimulus, t_fwc: Optional[float],
-                 start: _ResetPhase):
+    def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
         self.opt = opt
-        self.stimulus = stimulus
-        self.t_fwc = t_fwc
+        self.stimulus = Stimulus(0.0)
+        self.t_fwc: Optional[float] = None
         self.photo_active = True
-        self.v0 = start.v0
-        self.t = start.t
-        self.v = start.v
-        self.g = start.g
-        self.h = start.h
-        self.est_err_v = start.est_err_v
-        self.floored = start.floored
-        self.stats = replace(start.stats)
-        self.detector = start.detector.copy()
-        self.ts = list(start.ts)
-        self.vs = list(start.vs)
-        self.gs = list(start.gs)
-        self.cur = list(start.cur)
-        self.op_hint = list(start.op_hint)
-        self.sample_hint = list(start.sample_hint)
-        self.k_grid = start.k_grid
-        self.k1 = (0.0, 0.0, 0.0)
-        self.m1 = 0.0
-        self.kernel = None
-        self.sample_kernel = None
+        v0 = config.pd.vrst
+        if opt.reset_noise:
+            rng = np.random.default_rng(opt.noise_seed)
+            v0 += float(rng.normal(0.0, config.pd.reset_noise_sigma))
+        self.v0 = v0
+        self.t = 0.0
+        self.v = v0
+        self.g = config.oxram_init.gap_x if config.is_hybrid() else 0.0
+        self.h = opt.max_step
+        self.est_err_v = 0.0
+        self.floored = False
+        self.stats = SolverStats()
+        self.detector = EventDetector(config, v0)
+        self.ts: list[float] = []
+        self.vs: list[float] = []
+        self.gs: list[float] = []
+        self.cur: list[float] = []
+        self.op_hint = [None, 0.0, 0.0, 0, 0]
+        self.sample_hint = [None, 0.0, 0.0, 0]
+        self.k_grid = 1
         self.vg = 0.0
         # Clamp tolerance: relative to the reset level; below this the node
         # is dead and the integration error estimate is pure cancellation
         # noise.  The knee landing uses the same tolerance on the selector
         # margin.
         self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
+        # The first step: a hundredth of the time the first stage takes to
+        # move the state by its own size, in tolerance-scaled norms (Hairer,
+        # Norsett & Wanner, *Solving ODEs I*, II.4), at most ``max_step``.
+        self._segment(0.0)
+        self._sample(0.0, self.v, self.g, self.k1[2])
+        self.detector.update(0.0, self.v, self.g)
+        scale_v = opt.abs_tol_v + opt.rel_tol * abs(self.v)
+        scale_g = opt.abs_tol_gap + opt.rel_tol * abs(self.g)
+        speed = math.hypot(self.k1[0] / scale_v, self.k1[1] / scale_g)
+        if speed > 0.0:
+            size = math.hypot(self.v / scale_v, self.g / scale_g)
+            self.h = min(self.h, 0.01 * size / speed)
 
-    def freeze(self) -> _ResetPhase:
-        return _ResetPhase(
-            v0=self.v0, t=self.t, v=self.v, g=self.g, h=self.h,
-            est_err_v=self.est_err_v, floored=self.floored,
-            stats=replace(self.stats), detector=self.detector.copy(),
-            ts=tuple(self.ts), vs=tuple(self.vs), gs=tuple(self.gs),
-            cur=tuple(self.cur), op_hint=tuple(self.op_hint),
-            sample_hint=tuple(self.sample_hint), k_grid=self.k_grid)
+    def fork(self, stimulus: Stimulus, t_fwc: Optional[float]) -> "_Run":
+        """A copy that goes on under ``stimulus``; this run stays as it was.
+        The copy's kernels are unbound: it must ``enter`` a segment first."""
+        # One by one: a copied-in ``__dict__`` doubles attribute-load time.
+        run = object.__new__(_Run)
+        for name, value in vars(self).items():
+            setattr(run, name, value)
+        run.stimulus, run.t_fwc = stimulus, t_fwc
+        run.stats = replace(self.stats)
+        run.detector = self.detector.copy()
+        run.ts, run.vs = list(self.ts), list(self.vs)
+        run.gs, run.cur = list(self.gs), list(self.cur)
+        run.op_hint = list(self.op_hint)
+        run.sample_hint = list(self.sample_hint)
+        run.kernel = run.sample_kernel = None
+        return run
 
     def _segment(self, t: float) -> None:
         """Bind the right-hand side of the schedule segment starting at
@@ -305,22 +294,6 @@ class _Run:
         self.vs.append(v)
         self.gs.append(g)
         self.cur.append(i)
-
-    def begin(self) -> None:
-        """First stage and first sample at t = 0, and the first step: a
-        hundredth of the time the first stage takes to move the state by its
-        own size, in tolerance-scaled norms (Hairer, Norsett & Wanner,
-        *Solving ODEs I*, II.4), at most ``h``."""
-        self._segment(0.0)
-        self._sample(0.0, self.v, self.g, self.k1[2])
-        self.detector.update(0.0, self.v, self.g)
-        opt = self.opt
-        scale_v = opt.abs_tol_v + opt.rel_tol * abs(self.v)
-        scale_g = opt.abs_tol_gap + opt.rel_tol * abs(self.g)
-        speed = math.hypot(self.k1[0] / scale_v, self.k1[1] / scale_g)
-        if speed > 0.0:
-            size = math.hypot(self.v / scale_v, self.g / scale_g)
-            self.h = min(self.h, 0.01 * size / speed)
 
     def enter(self, t: float) -> None:
         """Start the schedule segment at boundary ``t``.
@@ -359,7 +332,7 @@ class _Run:
         detector = self.detector
         rhs = self.kernel
         sample_rhs = self.sample_kernel
-        window = opt.abrupt_window
+        window = ABRUPT_WINDOW
         k_grid = self.k_grid
         t_grid = k_grid * window
         knee_margin = self._knee_margin
@@ -490,11 +463,11 @@ class _Run:
                     continue
                 # Floor crossing: shrink onto vpd = floor and redo the step
                 # so the landing point keeps full integration accuracy.
-                if (t + h > trst and v_new < opt.vpd_floor - floor_tol
-                        and v > opt.vpd_floor + floor_tol
+                if (t + h > trst and v_new < VPD_FLOOR - floor_tol
+                        and v > VPD_FLOOR + floor_tol
                         and h > 2.0 * opt.min_step):
                     stats.rejected_floor += 1
-                    shrink = (v - opt.vpd_floor) / (v - v_new)
+                    shrink = (v - VPD_FLOOR) / (v - v_new)
                     h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
                     continue
                 # Current-change limiting: where the branch current turns
@@ -517,7 +490,7 @@ class _Run:
             stats.h_max = max(stats.h_max, h)
             t_old, v_old, g_old = t, v, g
             t += h
-            v = max(v_new, opt.vpd_floor) if t > trst else v_new
+            v = max(v_new, VPD_FLOOR) if t > trst else v_new
             g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
             self.est_err_v += abs(err_v)
             step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g,
@@ -530,7 +503,7 @@ class _Run:
                     vs = dense(theta, h, v_old, v_new, k1v, k3v, k4v, k5v,
                                 k6v, k7v)
                     if t_grid > trst:
-                        vs = max(vs, opt.vpd_floor)
+                        vs = max(vs, VPD_FLOOR)
                     gs = g_old
                     if hybrid:
                         gs = min(max(dense(theta, *step[1:]), gap_min),
@@ -541,8 +514,8 @@ class _Run:
                 k_grid += 1
                 t_grid = k_grid * window
 
-            if t > trst and v <= opt.vpd_floor + floor_tol:
-                v = opt.vpd_floor
+            if t > trst and v <= VPD_FLOOR + floor_tol:
+                v = VPD_FLOOR
                 self.floored = True
                 detector.events.append(Event(
                     EventKind.VPD_FLOOR_CLAMP, t, f"vpd clamped at {v:.3f}V"))
@@ -580,27 +553,16 @@ class _Run:
 
 
 @functools.lru_cache(maxsize=1)
-def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _ResetPhase:
+def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     """Integrate every schedule segment that ends at or before the reset
     release.  The node is pinned there, so nothing depends on the stimulus;
     the boundary refresh at ``trst``, the first evaluation that sees it,
-    belongs to the exposure phase."""
-    v0 = config.pd.vrst
-    if opt.reset_noise:
-        rng = np.random.default_rng(opt.noise_seed)
-        v0 += float(rng.normal(0.0, config.pd.reset_noise_sigma))
-    gap0 = config.oxram_init.gap_x if config.is_hybrid() else 0.0
-    empty = _ResetPhase(
-        v0=v0, t=0.0, v=v0, g=gap0, h=opt.max_step, est_err_v=0.0,
-        floored=False, stats=SolverStats(),
-        detector=EventDetector(config, opt, v0), ts=(), vs=(), gs=(), cur=(),
-        op_hint=(None, 0.0, 0.0, 0, 0), sample_hint=(None, 0.0, 0.0, 0),
-        k_grid=1)
-    run = _Run(config, opt, Stimulus(0.0), None, empty)
-    run.begin()
+    belongs to the exposure phase.  The run returned is shared and never
+    stepped again: each transient goes on from a ``fork`` of it."""
+    run = _Run(config, opt)
     boundaries = _schedule(config, None)
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
-    return run.freeze()
+    return run
 
 
 def integrate(config: PixelConfig, stimulus: Stimulus,
@@ -621,7 +583,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
             t_fwc = t_candidate
     boundaries = _schedule(config, t_fwc)
 
-    run = _Run(config, opt, stimulus, t_fwc, _reset_phase(config, opt))
+    run = _reset_phase(config, opt).fork(stimulus, t_fwc)
     run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
             len(boundaries))
 

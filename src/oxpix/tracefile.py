@@ -90,9 +90,8 @@ def report_row(report: DrReport, residuals: Optional[dict] = None) -> dict:
 def write_report_json(reports: dict[str, DrReport], residuals: dict,
                       path: str) -> None:
     payload = {"schema": REPORT_SCHEMA}
-    for label in ("baseline", "case_i", "case_ii", "case_iii"):
-        if label in reports:
-            payload[label] = report_row(reports[label], residuals)
+    for label, report in reports.items():
+        payload[label] = report_row(report, residuals)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -199,6 +199,25 @@ def test_cli_negative_seed_exits_one_without_traceback(tmp_path, capsys,
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("sweep", "[sweep]\ni_max = 1e999\n", "line 2: i_max"),
+    ("simulate", "[photodiode]\ntexp = 1e999\n", "line 2: texp"),
+    ("simulate", "[solver]\nrel_tol = 1e999\n", "line 2: rel_tol"),
+])
+def test_cli_non_finite_value_exits_one_without_traceback(tmp_path, capsys,
+                                                          command, text,
+                                                          message):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--iexp", "1nA"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and message in err and "not finite" in err
+
+
 def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):
     assert main(["calibrate", "--seed", "-1",
                  "--out", str(tmp_path / "p.json")]) == 1

@@ -195,3 +195,16 @@ def test_zero_restarts_rejected_with_line():
 def test_negative_seed_rejected_with_line(section, key):
     with pytest.raises(ConfigError, match=f"line 2: {key} .* must be >= 0"):
         parse_config(f"[{section}]\n{key} = -1\n")
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e300Gohm"])
+def test_non_finite_quantity_rejected_with_line(text):
+    with pytest.raises(ConfigError, match=f"line 2: c_pd = '{text}' is not"):
+        parse_config(f"[photodiode]\nc_pd = {text}\n")
+
+
+def test_first_faulty_line_is_reported():
+    # Sections are parsed in file order, whatever their order in the schema.
+    with pytest.raises(ConfigError, match="line 2: restarts"):
+        parse_config("[calibration]\nrestarts = 0\n"
+                     "[photodiode]\nc_pd = 10banana\n")

@@ -1,10 +1,11 @@
-"""Golden traces: the default ``oxpix simulate --iexp 1nA`` CSV of each
-topology, byte for byte.
+"""Golden outputs, byte for byte: the default ``oxpix simulate --iexp 1nA``
+CSV of each topology, the dumped default config of each topology, and the
+keys a config accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
-alone.  A change that moves numbers on purpose updates the digest of every
-topology it moves and says why in CHANGES.md.  Print the current digests
-with ``PYTHONPATH=src python tests/test_golden.py``.
+alone.  A change that moves numbers or the config format on purpose updates
+every digest it moves and says why in CHANGES.md.  Print the current digests
+and key list with ``PYTHONPATH=src python tests/test_golden.py``.
 
 The digests hold for IEEE-754 doubles and a math library that rounds
 ``exp``/``sinh``/``cosh`` as the one they were recorded with; elsewhere,
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from oxpix.cli import main
+from oxpix.config import dump_config, parse_config
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
@@ -25,6 +27,38 @@ GOLDEN = {
     "case_ii": "88104f70f856a7c33810d1f13bc8b17bd79cc7db37e7c1f8377220f6cb7c7191",
     "case_iii": "19569251d6391f7d4cd5bedcd7ee14bb6aa2c0968993792b2d8e57d04d6a653c",
 }
+
+# ``dump_config(parse_config(text))`` for the empty config ("") and for
+# ``[pixel] topology = <name>``.
+GOLDEN_DUMP = {
+    "": "e483f66c255e29bc67030d8bbc6eab5a14bba9bedb0acfdcddd910b7881376a3",
+    "bare3t": "e483f66c255e29bc67030d8bbc6eab5a14bba9bedb0acfdcddd910b7881376a3",
+    "case_i": "3b0cef85a1119735185f596f2014a1d80dec78eb505f7bbe53302907cefc0970",
+    "case_ii": "adff11b9f3710950d9b7fc9269e858879312eef28536546e6613f17eeec59bf3",
+    "case_iii": "6ede1bd36327a952064e7422378c060635d71fde4ebdd97c2b1a6e9eba63356a",
+}
+
+# Every key a config accepts, as ``section.key``.
+GOLDEN_KEYS = [
+    "calibration.i_reset_peak", "calibration.i_reset_tol",
+    "calibration.r_reset", "calibration.r_reset_tol", "calibration.r_set",
+    "calibration.r_set_tol", "calibration.restarts", "calibration.seed",
+    "calibration.t_reset", "calibration.t_reset_tol", "oxram.c_pox",
+    "oxram.cf_decay_a", "oxram.cf_field_b", "oxram.gap_max", "oxram.gap_min",
+    "oxram.growth_field_v0", "oxram.growth_rate_g0", "oxram.i0_cf",
+    "oxram.i0_ox", "oxram.ox_decay_c", "oxram.ox_field_d",
+    "oxram.oxide_thickness_L", "oxram.rupture_field_v1",
+    "oxram.rupture_rate_r0", "photodiode.c_pd", "photodiode.fwc_electrons",
+    "photodiode.reset_noise_electrons", "photodiode.texp", "photodiode.trst",
+    "photodiode.vrst", "pixel.init_resistance", "pixel.topology",
+    "pixel.vg_level", "pixel.vg_prog_level", "pixel.vg_prog_until",
+    "pixel.vrst", "pixel.vs_level", "selector.kprime", "selector.lambda",
+    "selector.vth", "solver.abs_tol_gap", "solver.abs_tol_v",
+    "solver.max_step", "solver.max_trace_points", "solver.min_step",
+    "solver.noise_seed", "solver.rel_tol", "solver.reset_noise", "sweep.i_max",
+    "sweep.i_min", "sweep.points_per_decade", "window.max_swing",
+    "window.min_detect", "window.sense_margin",
+]
 
 
 def simulate_digest(topology: str, directory: Path) -> str:
@@ -43,7 +77,30 @@ def test_default_simulate_csv_matches_golden_digest(tmp_path, topology):
     assert simulate_digest(topology, tmp_path) == GOLDEN[topology]
 
 
+def dump_digest(topology: str) -> str:
+    """SHA-256 of the dumped config of ``topology`` ("" for no config)."""
+    text = f"[pixel]\ntopology = {topology}\n" if topology else ""
+    return hashlib.sha256(
+        dump_config(parse_config(text)).encode()).hexdigest()
+
+
+def accepted_keys() -> list[str]:
+    return sorted(parse_config("").provenance)
+
+
+@pytest.mark.parametrize("topology", sorted(GOLDEN_DUMP))
+def test_dumped_default_config_matches_golden_digest(topology):
+    assert dump_digest(topology) == GOLDEN_DUMP[topology]
+
+
+def test_accepted_keys_match_golden_list():
+    assert accepted_keys() == GOLDEN_KEYS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in GOLDEN:
-            print(f"{name}: {simulate_digest(name, Path(work))}")
+            print(f"simulate {name}: {simulate_digest(name, Path(work))}")
+    for name in GOLDEN_DUMP:
+        print(f"dump {name!r}: {dump_digest(name)}")
+    print(f"keys: {accepted_keys()}")

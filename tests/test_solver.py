@@ -410,7 +410,7 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
                          selector=calibrated.selector)
     opt = SolverOptions()
     trace = integrate(cfg, Stimulus(i_exp), opt)
-    t, window = trace.t, opt.abrupt_window
+    t, window = trace.t, events.ABRUPT_WINDOW
     floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
     t_stop = floor[0].t_event if floor else cfg.t_end
     dense = t[t <= t_stop]
@@ -428,14 +428,13 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
 
 
 def test_abrupt_fall_window_keeps_the_previous_grid_sample():
-    # A long step emits grid samples k * abrupt_window and nothing between
+    # A long step emits grid samples k * ABRUPT_WINDOW and nothing between
     # them.  For some k, k * w - w rounds above (k - 1) * w; the sample at
     # grid point k - 1 must still be in the window when grid point k comes.
     cfg = default_config(Topology.BARE_3T)
-    opt = SolverOptions()
-    w = opt.abrupt_window
+    w = events.ABRUPT_WINDOW
     k = next(k for k in range(2, 100) if k * w - w > (k - 1) * w)
-    detector = events.EventDetector(cfg, opt, 1.0)
+    detector = events.EventDetector(cfg, 1.0)
     detector.update(0.0, 1.0, 0.0)
     detector.update((k - 1) * w, 1.0, 0.0)
     detector.update(k * w, 0.4, 0.0)
