@@ -218,6 +218,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help exits 0
         return int(exc.code or 0)
     try:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise InvalidInputError(f"--out {args.out!r}: no such directory")
         return args.func(args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 from . import defaults as dflt
 from .calibration import Anchor, CalibrationAnchors, calibrate
@@ -98,6 +99,7 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True,
 
 def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
     """Parse '10fF', '9.5us', '1.25Mohm' or a bare number."""
+    where = f"line {line_no}: " if line_no else ""  # 0: not from a file
     raw = text.strip()
     idx = len(raw)
     while idx > 0 and not (raw[idx - 1].isdigit() or raw[idx - 1] == "."):
@@ -109,15 +111,15 @@ def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
         value = float(number)
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: cannot parse number in {key} = {text!r}") from None
+            f"{where}cannot parse number in {key} = {text!r}") from None
     if suffix:
         if suffix not in _SUFFIX:
             raise ConfigError(
-                f"line {line_no}: unknown unit suffix {suffix!r} in "
+                f"{where}unknown unit suffix {suffix!r} in "
                 f"{key} = {text!r}")
         value *= _SUFFIX[suffix]
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {key} = {text!r} is not finite")
+        raise ConfigError(f"{where}{key} = {text!r} is not finite")
     return value
 
 
@@ -190,11 +192,10 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
 
 def parse_config(source: str, is_path: bool = False) -> RunSetup:
     """Parse text (or a file when ``is_path``) into validated run objects."""
-    if is_path:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    try:
+        text = Path(source).read_text(encoding="utf-8") if is_path else source
+    except OSError as exc:
+        raise ConfigError(f"cannot read {source!r}: {exc.strerror}") from None
     given = _read_sections(text)
     provenance = {f"{section}.{key}": "file" if key in given[section]
                   else "default"

@@ -16,7 +16,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 from .errors import InvalidInputError, OxpixError
@@ -97,8 +96,15 @@ class SweepResult:
     vrst: float
 
 
-def _run_point(config: PixelConfig, i_exp: float,
-               options: SolverOptions) -> SweepRow:
+# Jobs go out costliest topology first, so cheap points fill a pool's tail
+# (scaled: case iii 2.4 ms a point, case i 1.4, case ii 0.5, bare 0.2).
+_COST_ORDER = (Topology.HYBRID_CASE_III, Topology.HYBRID_CASE_I,
+               Topology.HYBRID_CASE_II, Topology.BARE_3T)
+_CHUNK = 8  # jobs per pool round trip, which costs about 1 ms
+
+
+def _run_point(config: PixelConfig, options: SolverOptions,
+               i_exp: float) -> SweepRow:
     try:
         trace = integrate(config, Stimulus(i_exp), options)
     except OxpixError as exc:
@@ -109,6 +115,37 @@ def _run_point(config: PixelConfig, i_exp: float,
         events=tuple(e.kind.value for e in trace.events))
 
 
+def _init_worker(setups: tuple) -> None:
+    """Keep every sweep's (config, options) pair in a pool worker, once."""
+    global _worker_setups
+    _worker_setups = setups
+
+
+def _run_job(job: tuple[int, float]) -> SweepRow:
+    return _run_point(*_worker_setups[job[0]], job[1])
+
+
+def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
+    """Every point of every sweep, each dark point a job with ``i_exp = 0``,
+    run serially or on one pool of ``workers`` processes."""
+    setups = tuple((spec.config, spec.options) for spec in specs)
+    order = sorted(range(len(specs)), key=lambda k: _COST_ORDER.index(
+        specs[k].config.topology))
+    jobs = [(k, i) for k in order for i in (0.0, *specs[k].currents())]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(setups,)) as pool:
+            rows = list(pool.map(_run_job, jobs, chunksize=_CHUNK))
+    else:
+        rows = [_run_point(*setups[k], i) for k, i in jobs]
+    results = []  # rows come back in job order: dark first, then ascending
+    for k, spec in enumerate(specs):
+        dark, *points = [row for (j, _), row in zip(jobs, rows) if j == k]
+        results.append(SweepResult(points, dark.final_vpd, dark.swing,
+                                   spec.config.pd.vrst))
+    return results
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """One transient per log-spaced exposure point plus a dark reference.
 
@@ -117,19 +154,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     abort the sweep.  ``spec.workers``, or ``HPS_THREADS`` when it is None,
     caps worker processes (1 = serial).
     """
-    config, options = spec.config, spec.options
-    currents = spec.currents()
-    dark = _run_point(config, 0.0, options)
     workers = spec.workers if spec.workers is not None else _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_point, repeat(config), currents,
-                                 repeat(options)))
-    else:
-        rows = [_run_point(config, i, options) for i in currents]
-    rows.sort(key=lambda r: r.i_exp)
-    return SweepResult(rows=rows, dark_final_vpd=dark.final_vpd,
-                       dark_swing=dark.swing, vrst=config.pd.vrst)
+    return _run_sweeps([spec], workers)[0]
 
 
 def _worker_count() -> int:
@@ -266,15 +292,13 @@ def table1_report(oxram, selector, window: Optional[ReadableWindow] = None,
 
     window = window or ReadableWindow()
     options = options or SolverOptions()
-    workers = _worker_count()
+    specs = [SweepSpec(default_config(topo, oxram=oxram, selector=selector),
+                       i_min, i_max, points_per_decade, options)
+             for topo in Topology]
     reports: dict[str, DrReport] = {}
     baseline_dr = None
-    for topo in Topology:
+    for topo, sweep in zip(Topology, _run_sweeps(specs, _worker_count())):
         label = "baseline" if topo is Topology.BARE_3T else topo.value
-        cfg = default_config(topo, oxram=oxram, selector=selector)
-        sweep = run_sweep(SweepSpec(config=cfg, i_min=i_min, i_max=i_max,
-                                    points_per_decade=points_per_decade,
-                                    options=options, workers=workers))
         rep = summarize_sweep(label, sweep, window, baseline_dr)
         if label == "baseline":
             baseline_dr = rep.operating_dr_db

@@ -61,14 +61,14 @@ detector is fed every sample, with the accepted step that holds it.
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
 steps through the same reset phase.  It is integrated once, up to but not
-including the boundary refresh at ``trst``, and kept in a one-entry memo
+including the boundary refresh at ``trst``, and kept in a four-entry memo
 keyed by the frozen ``(PixelConfig, SolverOptions)`` pair; the options
 belong to the key because they shape every step and, through
-``reset_noise``/``noise_seed``, the start voltage.  One entry suffices: a
-sweep runs one configuration at a time, and its dark point fills the entry
-before any pool worker forks.  Every transient continues from a copy of the
-entry, and its stats include the reset-phase work, so a trace is the same
-whether the entry was cold or warm.
+``reset_noise``/``noise_seed``, the start voltage.  Four entries hold a
+report's four configurations, so a pool worker, which fills its own memo
+and may get points of every topology, integrates each reset phase once.
+Every transient continues from a copy of the entry, and its stats include
+the reset-phase work, so a trace is the same with a cold or a warm entry.
 """
 
 from __future__ import annotations
@@ -552,7 +552,7 @@ class _Run:
             self.step_to(boundaries[k])
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     """Integrate every schedule segment that ends at or before the reset
     release.  The node is pinned there, so nothing depends on the stimulus;

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,11 +18,23 @@ CSV_HEADER = "t_s,vpd_V,i_ox_A,gap_nm,event"
 REPORT_SCHEMA = 1
 
 
+@contextmanager
+def _synced(path: str, what: str):
+    """``path`` open for writing text, flushed and fsynced before close; an
+    OSError is raised as an OxpixError naming ``what``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as exc:
+        raise OxpixError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
 def write_trace_csv(trace: TransientTrace, path: str) -> None:
     """One row per sample; 17 significant digits so values round-trip
     bitwise.  The event column holds the event kind at its first sample at
-    or after the event time, otherwise it is empty.  The file descriptor is
-    flushed and fsynced before close.
+    or after the event time, otherwise it is empty.
     """
     labels = [""] * len(trace.t)
     for event in trace.events:
@@ -33,16 +46,11 @@ def write_trace_csv(trace: TransientTrace, path: str) -> None:
                 idx = len(labels) - 1
                 break
         labels[idx] = event.kind.value
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for t, v, i, g, label in zip(trace.t, trace.vpd, trace.i_ox,
-                                         trace.gap, labels):
-                fh.write(f"{t:.16e},{v:.16e},{i:.16e},{g:.16e},{label}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        raise OxpixError(f"cannot write trace to {path!r}: {exc}") from exc
+    with _synced(path, "trace") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for t, v, i, g, label in zip(trace.t, trace.vpd, trace.i_ox,
+                                     trace.gap, labels):
+            fh.write(f"{t:.16e},{v:.16e},{i:.16e},{g:.16e},{label}\n")
 
 
 @dataclass
@@ -92,27 +100,17 @@ def write_report_json(reports: dict[str, DrReport], residuals: dict,
     payload = {"schema": REPORT_SCHEMA}
     for label, report in reports.items():
         payload[label] = report_row(report, residuals)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        raise OxpixError(f"cannot write report to {path!r}: {exc}") from exc
+    with _synced(path, "report") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_sweep_csv(rows, path: str) -> None:
     """Per-point sweep table: exposure, final level, swing, events."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("i_exp_A,final_vpd_V,swing_V,events,error\n")
-            for r in rows:
-                events = ";".join(r.events)
-                err = r.error or ""
-                fh.write(f"{r.i_exp:.16e},{r.final_vpd:.16e},"
-                         f"{r.swing:.16e},{events},{err}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        raise OxpixError(f"cannot write sweep to {path!r}: {exc}") from exc
+    with _synced(path, "sweep") as fh:
+        fh.write("i_exp_A,final_vpd_V,swing_V,events,error\n")
+        for r in rows:
+            events = ";".join(r.events)
+            err = r.error or ""
+            fh.write(f"{r.i_exp:.16e},{r.final_vpd:.16e},"
+                     f"{r.swing:.16e},{events},{err}\n")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oxpix import cli
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
@@ -223,3 +224,36 @@ def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "p.json")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and "seed must be >= 0" in err
+
+
+def test_cli_missing_config_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code = main(["simulate", "--config", str(missing), "--iexp", "1nA",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_cli_report_into_missing_directory_exits_before_calibrating(
+        tmp_path, capsys, monkeypatch):
+    def no_fit(**_):
+        raise AssertionError("calibrate must not run")
+
+    monkeypatch.setattr(cli, "calibrate", no_fit)
+    out = tmp_path / "nodir" / "r.json"
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "nodir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_bad_iexp_names_the_option(tmp_path, capsys):
+    code = main(["simulate", "--iexp", "1banana",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--iexp" in err and "line" not in err

@@ -1,9 +1,11 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
+from dataclasses import replace
 
 import pytest
 
+from oxpix import experiments, solver
 from oxpix.defaults import default_config
 from oxpix.errors import InvalidInputError
 from oxpix.experiments import (
@@ -184,15 +186,62 @@ def test_sweep_spec_validation():
         SweepSpec(config=cfg, workers=0)
 
 
-def test_parallel_sweep_matches_serial(monkeypatch):
+def test_parallel_sweep_matches_serial():
     cfg = default_config(Topology.BARE_3T)
     spec = SweepSpec(config=cfg, i_min=1e-11, i_max=1e-9,
-                     points_per_decade=2)
+                     points_per_decade=2, workers=1)
     serial = run_sweep(spec)
-    monkeypatch.setenv("HPS_THREADS", "2")
-    parallel = run_sweep(spec)
-    assert [(r.i_exp, r.final_vpd) for r in serial.rows] == \
-        [(r.i_exp, r.final_vpd) for r in parallel.rows]
+    parallel = run_sweep(replace(spec, workers=2))
+    assert serial.rows == parallel.rows
+    assert (serial.dark_final_vpd, serial.dark_swing) == \
+        (parallel.dark_final_vpd, parallel.dark_swing)
+
+
+# Five exposures per topology: three pool chunks for a report.
+SMALL_GRID = {"i_min": 1e-12, "i_max": 1e-10, "points_per_decade": 2}
+
+
+def test_report_identical_for_any_worker_count(monkeypatch, calibrated):
+    reports = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("HPS_THREADS", workers)
+        reports[workers] = table1_report(calibrated.oxram,
+                                         calibrated.selector, **SMALL_GRID)
+    assert all(len(rep.rows) == 5 for rep in reports["1"].values())
+    assert reports["2"] == reports["1"]
+    assert reports["3"] == reports["1"]
+
+
+@pytest.mark.parametrize("workers,pools", [("1", 0), ("2", 1)])
+def test_report_builds_at_most_one_pool(monkeypatch, calibrated, workers,
+                                        pools):
+    built, jobs = [], []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, job_list, **kwargs):
+            jobs.extend(job_list)
+            return super().map(fn, job_list, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("HPS_THREADS", workers)
+    table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    assert len(built) == pools
+    # A job is a sweep index and an exposure; the configs go to each worker
+    # once, through the pool initializer.
+    assert len(jobs) == 4 * 6 * pools
+    assert all(type(k) is int and type(i) is float for k, i in jobs)
+
+
+def test_serial_report_integrates_each_reset_phase_once(monkeypatch,
+                                                        calibrated):
+    monkeypatch.setenv("HPS_THREADS", "1")
+    solver._reset_phase.cache_clear()
+    table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    assert solver._reset_phase.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
