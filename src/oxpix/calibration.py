@@ -31,6 +31,7 @@ from .devices import (
     _read_back,
     read_resistance,
 )
+from .defaults import R_SET_LEVELS
 from .errors import CalibrationError, InvalidInputError
 from .pixel import solve_branch_current
 
@@ -45,8 +46,6 @@ ANCHOR_R_SET = "r_set"
 ANCHOR_R_RESET = "r_reset"
 ANCHOR_T_RESET = "t_reset"
 ANCHOR_I_RESET = "i_reset_peak"
-
-R_SET_DEFAULT = 1.25e6   # ohm, reference SET read resistance
 
 # Fitted degrees of freedom, all strictly positive, searched in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",
@@ -74,7 +73,7 @@ class Anchor:
 @dataclass(frozen=True)
 class CalibrationAnchors:
     anchors: tuple[Anchor, ...] = (
-        Anchor(ANCHOR_R_SET, R_SET_DEFAULT, 0.20),
+        Anchor(ANCHOR_R_SET, R_SET_LEVELS[0], 0.20),  # the first SET level
         Anchor(ANCHOR_R_RESET, 60e9, 0.20),
         Anchor(ANCHOR_T_RESET, 510e-9, 0.10),
         Anchor(ANCHOR_I_RESET, 11e-6, 0.20),
@@ -99,7 +98,7 @@ class CalibrationResult:
 
 
 def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
-                   target: float = R_SET_DEFAULT) -> float:
+                   target: float = R_SET_LEVELS[0]) -> float:
     """Model value of one reference quantity for a candidate parameter set.
 
     ``target`` is the anchor's own value; only the SET read-back uses it.
@@ -227,7 +226,6 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     rng = np.random.default_rng(seed)
     best_x = None
     best_f = math.inf
-    any_finite = False
     evaluations = hits = 0
     for r in range(restarts):
         if r == 0:
@@ -237,11 +235,9 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
         x, f, n_eval, n_hit = _pattern_search(start, lo, hi, fun)
         evaluations += n_eval
         hits += n_hit
-        if math.isfinite(f):
-            any_finite = True
         if f < best_f:
             best_x, best_f = x, f
-    if not any_finite or best_x is None:
+    if best_x is None:
         raise CalibrationError("objective non-finite at every start")
 
     ox_fit, sel_fit = _apply(best_x, oxram, selector)

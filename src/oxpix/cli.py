@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from .calibration import CalibrationResult, calibrate
 from .config import RunSetup, parse_config, parse_quantity
@@ -28,7 +27,8 @@ from .errors import ConfigError, InvalidInputError, OxpixError
 from .experiments import SweepSpec, run_sweep, summarize_sweep, table1_report
 from .pixel import Stimulus
 from .solver import integrate
-from .tracefile import write_report_json, write_sweep_csv, write_trace_csv
+from .tracefile import (write_json, write_report_json, write_sweep_csv,
+                        write_trace_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,31 +63,11 @@ def _fit_key(inputs: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _cache_path(out_path: str, digest: str) -> str:
-    directory = os.path.dirname(os.path.abspath(out_path))
-    return os.path.join(directory, f".oxpix-calib-{digest}.json")
-
-
 def _result_payload(result: CalibrationResult) -> dict:
     """Every field of the fit but ``evaluations``, a work count."""
     payload = dataclasses.asdict(result)
     del payload["evaluations"]
     return payload
-
-
-def _write_json(payload: dict, path: str) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, then move it
-    into place, so a reader never sees a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oxpix-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _read_cache(path: str) -> tuple[OxRamParams, MosfetParams, dict] | None:
@@ -105,12 +85,13 @@ def _read_cache(path: str) -> tuple[OxRamParams, MosfetParams, dict] | None:
 def _calibrate_cached(setup: RunSetup, out_path: str,
                       recalibrate: bool) -> tuple[OxRamParams, MosfetParams, dict]:
     inputs = _fit_inputs(setup)
-    cache = _cache_path(out_path, _fit_key(inputs))
+    cache = os.path.join(os.path.dirname(os.path.abspath(out_path)),
+                         f".oxpix-calib-{_fit_key(inputs)}.json")
     cached = None if recalibrate else _read_cache(cache)
     if cached is not None:
         return cached
     result = calibrate(**inputs)
-    _write_json(_result_payload(result), cache)
+    write_json(_result_payload(result), cache, "calibration cache")
     return result.oxram, result.selector, result.residuals
 
 
@@ -120,7 +101,7 @@ def _cmd_simulate(args) -> int:
     trace = integrate(setup.pixel, Stimulus(i_exp), setup.solver)
     write_trace_csv(trace, args.out)
     print(f"final VPD {trace.final_vpd:.6f} V after "
-          f"{setup.pixel.t_end * 1e6:.3f} us; {len(trace.t)} samples -> {args.out}")
+          f"{setup.pixel.pd.t_end * 1e6:.3f} us; {len(trace.t)} samples -> {args.out}")
     return 0
 
 
@@ -168,7 +149,7 @@ def _cmd_calibrate(args) -> int:
     if args.seed is not None:
         inputs["seed"] = args.seed
     result = calibrate(**inputs)
-    _write_json(_result_payload(result), args.out)
+    write_json(_result_payload(result), args.out, "calibration")
     status = "converged" if result.converged else "NOT converged"
     print(f"calibration {status}; residuals: " + ", ".join(
         f"{q} {r * 100:+.2f}%" for q, r in result.residuals.items()))
@@ -220,6 +201,9 @@ def main(argv=None) -> int:
     try:
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise InvalidInputError(f"--out {args.out!r}: no such directory")
+        # The writers rename a new file over it: never a dir, device or pipe.
+        if os.path.exists(args.out) and not os.path.isfile(args.out):
+            raise InvalidInputError(f"--out {args.out!r}: not a regular file")
         return args.func(args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -196,6 +196,8 @@ def parse_config(source: str, is_path: bool = False) -> RunSetup:
         text = Path(source).read_text(encoding="utf-8") if is_path else source
     except OSError as exc:
         raise ConfigError(f"cannot read {source!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {source!r}: not UTF-8 text") from None
     given = _read_sections(text)
     provenance = {f"{section}.{key}": "file" if key in given[section]
                   else "default"
@@ -231,7 +233,6 @@ def _build_setup(given: dict, provenance: dict) -> RunSetup:
                                for key, value in given["selector"].items()})
 
     vg_waveform = None
-    t_end = pd.trst + pd.texp
     programmed = "vg_prog_level" in pxv or "vg_prog_until" in pxv
     if programmed and "vg_level" not in pxv:
         raise ConfigError("vg_prog_* keys require vg_level")
@@ -239,9 +240,9 @@ def _build_setup(given: dict, provenance: dict) -> RunSetup:
         prog_level = pxv.get("vg_prog_level", VG_RAIL)
         prog_until = pxv.get("vg_prog_until", pd.trst)
         vg_waveform = GateWaveform(((0.0, prog_until, prog_level),
-                                    (prog_until, t_end, pxv["vg_level"])))
+                                    (prog_until, pd.t_end, pxv["vg_level"])))
     elif "vg_level" in pxv:
-        vg_waveform = GateWaveform(((0.0, t_end, pxv["vg_level"]),))
+        vg_waveform = GateWaveform(((0.0, pd.t_end, pxv["vg_level"]),))
 
     pixel = dflt.default_config(
         topology, pd=pd, oxram=oxram, selector=selector,

@@ -35,10 +35,6 @@ from .pixel import (
 I_EXPOSE_CASE_I = 2.6e-10
 I_EXPOSE_CASE_II = 1.0e-10
 
-# Pre-programming targets [ohm].
-R_INIT_CASE_I = 1.25e6
-R_INIT_CASE_II = 5.0e6
-
 # Measured programming levels used by the pre-programming studies: three
 # usable SET levels, one over-strong filament below the switchable limit,
 # and two deep-reset levels (bench-limited readings saturate near 5 Mohm;
@@ -46,6 +42,10 @@ R_INIT_CASE_II = 5.0e6
 R_SET_LEVELS = (1.25e6, 1.0e5, 4.3e4)
 R_SET_OVERSTRONG = 8.0e3
 R_RESET_LEVELS = (12e9, 20e9)
+
+# Pre-programming targets [ohm]: case (i) starts at the first SET level.
+R_INIT_CASE_I = R_SET_LEVELS[0]
+R_INIT_CASE_II = 5.0e6
 
 VRST_CASE_II = 2.2        # V
 VRST_ELEVATED = 1.8       # V, rescue level for over-strong filaments
@@ -65,15 +65,15 @@ def vg_for_current(i_limit: float, selector: MosfetParams) -> float:
 
 def default_gate_waveform(topology: Topology, pd: PhotodiodeParams,
                           selector: MosfetParams) -> GateWaveform:
-    t_end = pd.trst + pd.texp
     if topology is Topology.HYBRID_CASE_I:
         lvl = vg_for_current(I_EXPOSE_CASE_I, selector)
-        return GateWaveform(((0.0, pd.trst, VG_RAIL), (pd.trst, t_end, lvl)))
+        return GateWaveform(((0.0, pd.trst, VG_RAIL),
+                             (pd.trst, pd.t_end, lvl)))
     if topology is Topology.HYBRID_CASE_II:
         lvl = vg_for_current(I_EXPOSE_CASE_II, selector)
-        return GateWaveform(((0.0, t_end, lvl),))
+        return GateWaveform(((0.0, pd.t_end, lvl),))
     # Case (iii) and anything else: selector wide open.
-    return GateWaveform(((0.0, t_end, VG_RAIL),))
+    return GateWaveform(((0.0, pd.t_end, VG_RAIL),))
 
 
 def default_config(topology: Topology,

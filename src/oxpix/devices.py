@@ -147,6 +147,11 @@ class PhotodiodeParams:
             raise InvalidInputError(f"texp must be > 0, got {self.texp}")
 
     @property
+    def t_end(self) -> float:
+        """End of the schedule: reset, then exposure [s]."""
+        return self.trst + self.texp
+
+    @property
     def full_well_swing(self) -> float:
         """Voltage drop corresponding to a full well [V]."""
         return self.fwc_electrons * ELEMENTARY_CHARGE / self.c_pd

@@ -50,6 +50,10 @@ class ReadableWindow:
         if self.sense_margin < 0.0:
             raise InvalidInputError("sense_margin must be >= 0")
 
+    def detection_floor(self, dark_swing: float) -> float:
+        """Smallest detected swing of a pixel whose dark swing is given."""
+        return max(self.min_detect, dark_swing + self.sense_margin)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -58,16 +62,12 @@ class SweepSpec:
     i_max: float = 10e-9
     points_per_decade: int = 12
     options: SolverOptions = field(default_factory=SolverOptions)
-    # Worker processes; None reads ``HPS_THREADS`` when the sweep runs.
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.i_min < self.i_max):
             raise InvalidInputError("need 0 < i_min < i_max")
         if self.points_per_decade < 1:
             raise InvalidInputError("points_per_decade must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidInputError("workers must be >= 1")
 
     def currents(self) -> list[float]:
         n_dec = math.log10(self.i_max / self.i_min)
@@ -151,11 +151,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Rows come back sorted ascending in exposure regardless of execution
     order; per-point solver failures are recorded on the row and do not
-    abort the sweep.  ``spec.workers``, or ``HPS_THREADS`` when it is None,
-    caps worker processes (1 = serial).
+    abort the sweep.  ``HPS_THREADS`` caps worker processes (1 = serial).
     """
-    workers = spec.workers if spec.workers is not None else _worker_count()
-    return _run_sweeps([spec], workers)[0]
+    return _run_sweeps([spec], _worker_count())[0]
 
 
 def _worker_count() -> int:
@@ -182,8 +180,7 @@ def point_readable(row: SweepRow, window: ReadableWindow,
     if not math.isfinite(dark_swing):
         # The dark reference itself failed; nothing can be judged readable.
         return False
-    floor = max(window.min_detect, dark_swing + window.sense_margin)
-    return floor <= row.swing <= window.max_swing
+    return window.detection_floor(dark_swing) <= row.swing <= window.max_swing
 
 
 def readable_window_bounds(result: SweepResult, window: ReadableWindow
@@ -202,7 +199,7 @@ def readable_window_bounds(result: SweepResult, window: ReadableWindow
         return None
     first = flags.index(True)
     last = len(flags) - 1 - flags[::-1].index(True)
-    floor = max(window.min_detect, result.dark_swing + window.sense_margin)
+    floor = window.detection_floor(result.dark_swing)
 
     i_lo = rows[first].i_exp
     if first > 0:

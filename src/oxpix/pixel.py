@@ -96,7 +96,7 @@ class GateWaveform:
 
 
 def build_vg_waveform(level: float, ramp_spec: Optional[Sequence[tuple[float, float, float]]] = None,
-                      t_total: float = 10.0e-6) -> GateWaveform:
+                      t_total: float = PhotodiodeParams().t_end) -> GateWaveform:
     """Constant waveform at ``level``, or a validated piecewise spec.
 
     ``ramp_spec`` segments must tile [0, t_total] without gaps or overlaps.
@@ -144,14 +144,10 @@ class PixelConfig:
                 f"{self.oxram_init.orientation.value}")
         if self.vg_waveform is None:
             raise InvalidInputError("hybrid topologies require a gate waveform")
-        if self.vg_waveform.t_end < self.pd.trst + self.pd.texp - 1e-15:
+        if self.vg_waveform.t_end < self.pd.t_end - 1e-15:
             raise InvalidInputError(
                 f"gate waveform ends at {self.vg_waveform.t_end}, before the "
-                f"schedule end {self.pd.trst + self.pd.texp}")
-
-    @property
-    def t_end(self) -> float:
-        return self.pd.trst + self.pd.texp
+                f"schedule end {self.pd.t_end}")
 
     def is_hybrid(self) -> bool:
         return self.topology is not Topology.BARE_3T

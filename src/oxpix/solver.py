@@ -184,7 +184,7 @@ class TransientTrace:
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     """Phase boundaries the stepper must land on exactly: reset release,
     gate-waveform switch times, full-well time, end of exposure."""
-    t_end = config.t_end
+    t_end = config.pd.t_end
     boundaries = {config.pd.trst, t_end}
     if t_fwc is not None:
         boundaries.add(t_fwc)
@@ -574,7 +574,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     """
     opt = options or SolverOptions()
     pd = config.pd
-    t_end = pd.trst + pd.texp
+    t_end = pd.t_end
 
     t_fwc = None
     if stimulus.i_exp > 0.0:

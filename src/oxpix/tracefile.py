@@ -1,9 +1,10 @@
-"""On-disk formats: trace CSV and the dynamic-range report JSON."""
+"""On-disk formats and the one file writer: trace CSV, sweep CSV and JSON."""
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -19,16 +20,35 @@ REPORT_SCHEMA = 1
 
 
 @contextmanager
-def _synced(path: str, what: str):
-    """``path`` open for writing text, flushed and fsynced before close; an
-    OSError is raised as an OxpixError naming ``what``."""
+def _replacing(path: str, what: str):
+    """A text file that replaces ``path`` when the block ends without error.
+    It is written beside ``path``, fsynced and renamed over it, so a reader
+    sees the old file or the whole new one, with the mode ``open(path, "w")``
+    gives a new file.  An OSError is raised as an OxpixError naming it."""
+    tmp = None
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".oxpix-", suffix=".tmp")
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         raise OxpixError(f"cannot write {what} to {path!r}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_json(payload: dict, path: str, what: str) -> None:
+    """``payload`` as JSON: indented, keys sorted, newline-terminated."""
+    with _replacing(path, what) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_trace_csv(trace: TransientTrace, path: str) -> None:
@@ -46,7 +66,7 @@ def write_trace_csv(trace: TransientTrace, path: str) -> None:
                 idx = len(labels) - 1
                 break
         labels[idx] = event.kind.value
-    with _synced(path, "trace") as fh:
+    with _replacing(path, "trace") as fh:
         fh.write(CSV_HEADER + "\n")
         for t, v, i, g, label in zip(trace.t, trace.vpd, trace.i_ox,
                                      trace.gap, labels):
@@ -100,14 +120,12 @@ def write_report_json(reports: dict[str, DrReport], residuals: dict,
     payload = {"schema": REPORT_SCHEMA}
     for label, report in reports.items():
         payload[label] = report_row(report, residuals)
-    with _synced(path, "report") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path, "report")
 
 
 def write_sweep_csv(rows, path: str) -> None:
     """Per-point sweep table: exposure, final level, swing, events."""
-    with _synced(path, "sweep") as fh:
+    with _replacing(path, "sweep") as fh:
         fh.write("i_exp_A,final_vpd_V,swing_V,events,error\n")
         for r in rows:
             events = ";".join(r.events)

@@ -1,6 +1,8 @@
 """Trace CSV, report JSON and command-line surface."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from oxpix import cli
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
+from oxpix.errors import OxpixError
+from oxpix.experiments import SweepRow
 from oxpix.pixel import GateWaveform, Stimulus, Topology
 from oxpix.solver import EventKind, SolverOptions, integrate
 from oxpix.tracefile import (
     CSV_HEADER,
     read_trace_csv,
+    write_json,
+    write_sweep_csv,
     write_trace_csv,
 )
 
@@ -257,3 +263,73 @@ def test_cli_bad_iexp_names_the_option(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "--iexp" in err and "line" not in err
+
+
+def test_cli_non_utf8_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"\xff\xfe[pixel]\n")
+    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(cfg) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("target", ["directory", "fifo"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "report",
+                                     "calibrate"])
+def test_cli_out_not_a_regular_file_exits_one_before_any_work(
+        tmp_path, capsys, monkeypatch, command, target):
+    def no_work(*_, **__):
+        raise AssertionError("no work may run")
+
+    for name in ("integrate", "run_sweep", "table1_report", "calibrate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "out"
+    if target == "directory":
+        out.mkdir()
+    else:
+        os.mkfifo(out)
+    argv = [command, "--out", str(out)]
+    if command == "simulate":
+        argv += ["--iexp", "1nA"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "not a regular file" in err
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("failure", ["rows", "fsync"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch,
+                                              failure):
+    path = tmp_path / "table.csv"
+    path.write_text("previous\n")
+    row = SweepRow(1e-9, 0.5, 0.92, ())
+
+    def rows():
+        yield row
+        raise OSError(28, "No space left on device")
+
+    def no_fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    if failure == "fsync":
+        monkeypatch.setattr(os, "fsync", no_fsync)
+    with pytest.raises(OxpixError, match="table.csv"):
+        write_sweep_csv(rows() if failure == "rows" else [row], str(path))
+    assert path.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_written_files_get_the_mode_of_a_new_file(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_json({"a": 1}, str(tmp_path / "out.json"), "test")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {0o640}

@@ -1,8 +1,10 @@
 """Configuration parsing, defaults, provenance and round-trip."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oxpix.config import dump_config, parse_config, parse_quantity
+from oxpix.config import RunSetup, dump_config, parse_config, parse_quantity
 from oxpix.errors import ConfigError
 from oxpix.pixel import Topology
 from oxpix.solver import SolverOptions
@@ -208,3 +210,30 @@ def test_first_faulty_line_is_reported():
     with pytest.raises(ConfigError, match="line 2: restarts"):
         parse_config("[calibration]\nrestarts = 0\n"
                      "[photodiode]\nc_pd = 10banana\n")
+
+
+# Every key a config accepts, as (section, key).
+_KEYS = [tuple(name.split(".")) for name in sorted(parse_config("").provenance)]
+_VALUES = st.one_of(
+    st.builds("{}{}".format,
+              st.one_of(st.floats(), st.integers(-3, 10 ** 20)),
+              st.sampled_from(["", "fA", "nA", "fF", "ns", "us", "mV", "V",
+                               "kohm", "Mohm", "Gohm", "nm", "Hz"])),
+    st.sampled_from(["", "true", "no", "bare3t", "case_i", "case_ii",
+                     "case_iii", "1e999", "nan", "0x10"]),
+    st.text(max_size=8))
+_LINES = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=8).map(
+    lambda lines: "".join(f"[{section}]\n{key} = {value}\n"
+                          for (section, key), value in lines).encode())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=120), _LINES))
+def test_any_config_file_parses_or_raises_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        assert isinstance(parse_config(str(path), is_path=True), RunSetup)
+    except ConfigError:
+        pass

@@ -1,7 +1,6 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
-from dataclasses import replace
 
 import pytest
 
@@ -182,16 +181,16 @@ def test_sweep_spec_validation():
         SweepSpec(config=cfg, i_min=1e-9, i_max=1e-12)
     with pytest.raises(InvalidInputError):
         SweepSpec(config=cfg, points_per_decade=0)
-    with pytest.raises(InvalidInputError):
-        SweepSpec(config=cfg, workers=0)
 
 
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(monkeypatch):
     cfg = default_config(Topology.BARE_3T)
     spec = SweepSpec(config=cfg, i_min=1e-11, i_max=1e-9,
-                     points_per_decade=2, workers=1)
+                     points_per_decade=2)
+    monkeypatch.setenv("HPS_THREADS", "1")
     serial = run_sweep(spec)
-    parallel = run_sweep(replace(spec, workers=2))
+    monkeypatch.setenv("HPS_THREADS", "2")
+    parallel = run_sweep(spec)
     assert serial.rows == parallel.rows
     assert (serial.dark_final_vpd, serial.dark_swing) == \
         (parallel.dark_final_vpd, parallel.dark_swing)

@@ -1,5 +1,7 @@
 """Golden outputs, byte for byte: the default ``oxpix simulate --iexp 1nA``
-CSV of each topology, the dumped default config of each topology, and the
+CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
+``oxpix calibrate`` JSON and the ``oxpix report`` JSON and calibration cache
+of one-restart fits, the dumped default config of each topology, and the
 keys a config accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
@@ -26,6 +28,26 @@ GOLDEN = {
     "case_i": "3b1b1511a507cf775295eda607a542c5088a17fb9f30822f5a7a795f7cb82f8d",
     "case_ii": "88104f70f856a7c33810d1f13bc8b17bd79cc7db37e7c1f8377220f6cb7c7191",
     "case_iii": "19569251d6391f7d4cd5bedcd7ee14bb6aa2c0968993792b2d8e57d04d6a653c",
+}
+
+# ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
+GOLDEN_SWEEP = {
+    "bare3t": "8ba86c0d6d4e080d2a6f4b052fc43f6b49600feb58dd758ed9db4618489b3a76",
+    "case_i": "1f2ed8cb7bb728f0cd181b0503af04cd9eb638fd3bb6827360fa5e4284be5281",
+    "case_ii": "e563528db40f7da23fe55fa047ab2e4e0a00353cce194e2bc129bd2169721cba",
+    "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
+}
+
+# ``oxpix calibrate`` with ``[calibration] restarts = 1``, and ``oxpix report``
+# on ``SMALL_REPORT`` (as in ``tests/test_cli_io.py``: a two-point sweep and
+# one calibration restart) with the cache it fills.
+SMALL_REPORT = ("[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
+                "[calibration]\nrestarts = 1\n")
+GOLDEN_FIT = {
+    "calibrate": "6850c6424102373039e4d5aab282bc7eabedd87ed708aad904fab976d25eb659",
+    "report": "c31023065e238055d5e60d6393e3fd3d612c41952d95f790bf5e0a14524eff3c",
+    "cache": "6850c6424102373039e4d5aab282bc7eabedd87ed708aad904fab976d25eb659",
+    "cache_name": ".oxpix-calib-d3449efcc4a86517.json",
 }
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
@@ -77,6 +99,43 @@ def test_default_simulate_csv_matches_golden_digest(tmp_path, topology):
     assert simulate_digest(topology, tmp_path) == GOLDEN[topology]
 
 
+def sweep_digest(topology: str, directory: Path) -> str:
+    """SHA-256 of the coarse ``oxpix sweep`` CSV of ``topology``."""
+    cfg = directory / f"{topology}.cfg"
+    cfg.write_text(f"[pixel]\ntopology = {topology}\n"
+                   "[sweep]\ni_min = 100fA\ni_max = 10nA\n"
+                   "points_per_decade = 1\n")
+    out = directory / f"{topology}.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("topology", sorted(GOLDEN_SWEEP))
+def test_coarse_sweep_csv_matches_golden_digest(tmp_path, topology):
+    assert sweep_digest(topology, tmp_path) == GOLDEN_SWEEP[topology]
+
+
+def fit_digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of the one-restart ``calibrate`` JSON, of the small report
+    JSON and of its cache file, and the cache file's name."""
+    cfg = directory / "fit.cfg"
+    cfg.write_text("[calibration]\nrestarts = 1\n")
+    params = directory / "params.json"
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(params)]) == 0
+    cfg.write_text(SMALL_REPORT)
+    report = directory / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(report)]) == 0
+    (cache,) = directory.glob(".oxpix-calib-*.json")
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in (("calibrate", params), ("report", report),
+                               ("cache", cache))} | {"cache_name": cache.name}
+
+
+def test_fit_outputs_match_golden_digests(tmp_path):
+    assert fit_digests(tmp_path) == GOLDEN_FIT
+
+
 def dump_digest(topology: str) -> str:
     """SHA-256 of the dumped config of ``topology`` ("" for no config)."""
     text = f"[pixel]\ntopology = {topology}\n" if topology else ""
@@ -101,6 +160,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in GOLDEN:
             print(f"simulate {name}: {simulate_digest(name, Path(work))}")
+        for name in GOLDEN_SWEEP:
+            print(f"sweep {name}: {sweep_digest(name, Path(work))}")
+        for name, digest in fit_digests(Path(work)).items():
+            print(f"{name}: {digest}")
     for name in GOLDEN_DUMP:
         print(f"dump {name!r}: {dump_digest(name)}")
     print(f"keys: {accepted_keys()}")

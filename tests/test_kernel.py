@@ -402,7 +402,7 @@ def test_schedule_segments_hold_the_kernel_constants(case, data):
     pd = PhotodiodeParams(trst=trst, texp=texp)
     config = default_config(topo, pd=pd, vg_waveform=GateWaveform(segments))
     t_fwc = pd.trst + pd.fwc_electrons * ELEMENTARY_CHARGE / i_exp
-    if not t_fwc < config.t_end:
+    if not t_fwc < config.pd.t_end:
         t_fwc = None
     stim = Stimulus(i_exp)
     wf = config.vg_waveform

@@ -31,7 +31,7 @@ def closed_form_vpd(pd: PhotodiodeParams, i_exp: float, t: float) -> float:
 def test_bare_matches_closed_form(i_exp):
     cfg = default_config(Topology.BARE_3T)
     trace = integrate(cfg, Stimulus(i_exp), SolverOptions())
-    expected = closed_form_vpd(cfg.pd, i_exp, cfg.t_end)
+    expected = closed_form_vpd(cfg.pd, i_exp, cfg.pd.t_end)
     assert trace.final_vpd == pytest.approx(expected, abs=1e-4)
 
 
@@ -222,7 +222,7 @@ def radau_final_vpd(cfg, i_exp: float) -> float:
     p = cfg.oxram
     hint = [None]
     y = [cfg.pd.vrst, cfg.oxram_init.gap_x]
-    for t0, t1 in ((0.0, cfg.pd.trst), (cfg.pd.trst, cfg.t_end)):
+    for t0, t1 in ((0.0, cfg.pd.trst), (cfg.pd.trst, cfg.pd.t_end)):
         t_last = math.nextafter(t1, 0.0)
 
         def f(t, yy, t_last=t_last):
@@ -412,7 +412,7 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
     trace = integrate(cfg, Stimulus(i_exp), opt)
     t, window = trace.t, events.ABRUPT_WINDOW
     floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
-    t_stop = floor[0].t_event if floor else cfg.t_end
+    t_stop = floor[0].t_event if floor else cfg.pd.t_end
     dense = t[t <= t_stop]
     assert dense[-1] == t_stop
     assert float(np.max(np.diff(dense))) <= window * (1.0 + 1e-9)
@@ -420,7 +420,7 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
     # segment (one ulp past its boundary) or the end sample after the floor
     # clamp; each grid sample costs one kernel call.
     entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
-    tail = 1 if floor and t_stop < cfg.t_end else 0
+    tail = 1 if floor and t_stop < cfg.pd.t_end else 0
     stats = trace.stats
     assert len(t) == 1 + stats.accepted + entered + tail + stats.sample_evals
     on_grid = int(np.sum(t == np.round(t / window) * window))
