@@ -97,7 +97,8 @@ class SweepResult:
 
 
 # Jobs go out costliest topology first, so cheap points fill a pool's tail
-# (scaled: case iii 2.4 ms a point, case i 1.4, case ii 0.5, bare 0.2).
+# (CPU time on a 2-core x86 host: case iii about 2.5 ms a point, case i
+# 1.6, case ii 0.6, bare 0.4).
 _COST_ORDER = (Topology.HYBRID_CASE_III, Topology.HYBRID_CASE_I,
                Topology.HYBRID_CASE_II, Topology.BARE_3T)
 _CHUNK = 8  # jobs per pool round trip, which costs about 1 ms

@@ -35,12 +35,17 @@ no step straddles a kink:
 
 The first step is a hundredth of the time the first stage takes to move
 the state by its own size (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4).  The branch current may change by at most 15 % per step; the next
-step is sized from the share of that allowance the last one used.  This
-limiter is for accuracy, not for the trace: without it, the worst final
-VPD of the default case i sweep lies 2.7e-5 V from a fine reference
-(``rel_tol=1e-9, abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with
-it.  ``max_step`` defaults to 10 us, beyond the default exposure, so on the
+II.4); the first step after the reset release follows the same rule where a
+branch current flows.  The branch current may change by at most 15 % per
+step; the next step is sized from the share of that allowance the last one
+used.  This limiter is for accuracy: without it, the worst final VPD of the
+default case i sweep lies 2.7e-5 V from a fine reference (``rel_tol=1e-9,
+abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with it.  It is waived
+while the branch conductance ``i / VPD`` changes by less than 5 % per step
+(both ends above ground): the node then discharges as an RC circuit, on
+which the error estimate is honest, and the 5 % allowance sizes the next
+step instead.  Case iii's collapse to the floor is such a discharge.
+``max_step`` defaults to 10 us, beyond the default exposure, so on the
 defaults only the error controller, the limiter and the landings above
 size the steps.
 
@@ -48,12 +53,22 @@ The recorded trace does not depend on the steps being short.  After each
 accepted step the DOPRI5 continuous extension (Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.6; order 4, built from the step's own seven stages)
 gives the state at every point of the output grid ``k * ABRUPT_WINDOW``
-strictly inside the step.  It is clipped as an accepted state is, and its
-branch current comes from one kernel call with its own op-hint record, so
-the stepper's internal-node start points and work counts are untouched
-(``SolverStats.sample_evals`` counts these calls).  Step ends are samples
-too, so fast stretches stay dense, and every abrupt-fall window holds the
-sample one grid point back.
+strictly inside the step (``SolverStats.sample_evals``), and, for a step
+whose current used ``load > 1`` of its 15 % allowance, at the ``ceil(load)
+- 1`` inner ends of equal parts of the step (``SolverStats.fill_samples``).
+The fill samples keep the trace as dense where the current moves as the
+limiter did, which the trapezoidal charge balance needs.  Samples are
+clipped as an accepted state is and fed to the event detector in time
+order.  Step ends are samples too, so fast stretches stay dense, and every
+abrupt-fall window holds the sample one grid point back.
+
+The branch current of a sample inside a step is computed only when
+``TransientTrace.i_ox`` is first read, so a sweep, which keeps the final
+VPD and the events, never pays for it.  Each such sample keeps its
+segment's sample kernel, which has its own op-hint record; the first read
+calls them in recorded order, so the currents are those the calls would
+have given at sampling time, and the stepper's internal-node start points
+and work counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``): the
 detector is fed every sample, with the accepted step that holds it.
@@ -77,7 +92,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -144,8 +159,7 @@ class SolverOptions:
 class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
     cause, right-hand-side evaluations, internal-node solves and their Newton
-    evaluations, kernel calls of the output-grid samples, and the step-size
-    range.
+    evaluations, the samples inside steps, and the step-size range.
     The shared reset phase counts in every transient that starts from it."""
 
     accepted: int = 0
@@ -153,11 +167,12 @@ class SolverStats:
     rejected_floor: int = 0     # shrunk onto the VPD floor
     rejected_knee: int = 0      # shrunk onto the selector knee
     rejected_bound: int = 0     # shrunk onto a gap bound
-    rejected_current: int = 0   # branch current changed by more than 15 %
+    rejected_current: int = 0   # current (or conductance) limit exceeded
     rhs_evals: int = 0
     kcl_solves: int = 0         # internal-node solves (hybrid pixels)
     newton_evals: int = 0       # device-kernel evaluations of the KCL solves
-    sample_evals: int = 0       # kernel calls of the output-grid samples
+    sample_evals: int = 0       # output-grid samples inside steps
+    fill_samples: int = 0       # samples splitting a fast-current step
     h_min: float = math.inf     # smallest accepted step [s]
     h_max: float = 0.0          # largest accepted step [s]
 
@@ -166,7 +181,9 @@ class SolverStats:
 class TransientTrace:
     t: np.ndarray
     vpd: np.ndarray
-    i_ox: np.ndarray
+    # The branch current at every sample, or the call that computes it on
+    # the first read of ``i_ox``.
+    _i_ox: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     gap: np.ndarray
     events: list[Event]
     final_vpd: float
@@ -177,8 +194,27 @@ class TransientTrace:
     vstart: float = 0.0
     stats: SolverStats = field(default_factory=SolverStats)
 
+    @property
+    def i_ox(self) -> np.ndarray:
+        """Branch current at every sample [A].  The currents of the samples
+        inside steps are computed on the first read (see ``_replay``)."""
+        if callable(self._i_ox):
+            self._i_ox = self._i_ox()
+        return self._i_ox
+
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
+
+
+def _replay(cur: list, deferred: list) -> np.ndarray:
+    """``cur`` with the currents of its deferred samples filled in.  Each
+    ``(index, kernel, vpd, gap)`` of ``deferred`` is called in recorded
+    order, so the kernels' shared op-hint record steps through the same
+    states as if each had been called when its sample was taken."""
+    for k, kernel, v, g in deferred:
+        cur[k] = kernel(v, g)[2]
+    deferred.clear()
+    return np.asarray(cur)
 
 
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
@@ -198,11 +234,13 @@ def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
 
 class _Run:
     """One transient in progress: the last accepted point, the next step
-    size, the first stage of the next step, the samples so far, the index
-    of the next output-grid point, the event detector, the op-hint records
-    of the stepper's and the samples' internal-node solves, the right-hand
-    side of the running schedule segment and the stats.  A new run is the
-    start of the reset phase, with its first stage and sample taken."""
+    size, the first stage of the next step, the samples so far with the
+    kernel calls that give the currents of those inside steps (see
+    ``_replay``), the index of the next output-grid point, the event
+    detector, the op-hint records of the stepper's and the samples'
+    internal-node solves, the right-hand side of the running schedule
+    segment and the stats.  A new run is the start of the reset phase, with
+    its first stage and sample taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -218,7 +256,6 @@ class _Run:
         self.t = 0.0
         self.v = v0
         self.g = config.oxram_init.gap_x if config.is_hybrid() else 0.0
-        self.h = opt.max_step
         self.est_err_v = 0.0
         self.floored = False
         self.stats = SolverStats()
@@ -226,7 +263,8 @@ class _Run:
         self.ts: list[float] = []
         self.vs: list[float] = []
         self.gs: list[float] = []
-        self.cur: list[float] = []
+        self.cur: list[Optional[float]] = []
+        self.deferred: list[tuple] = []
         self.op_hint = [None, 0.0, 0.0, 0, 0]
         self.sample_hint = [None, 0.0, 0.0, 0]
         self.k_grid = 1
@@ -236,15 +274,21 @@ class _Run:
         # noise.  The knee landing uses the same tolerance on the selector
         # margin.
         self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
-        # The first step: a hundredth of the time the first stage takes to
-        # move the state by its own size, in tolerance-scaled norms (Hairer,
-        # Norsett & Wanner, *Solving ODEs I*, II.4), at most ``max_step``.
         self._segment(0.0)
         self._sample(0.0, self.v, self.g, self.k1[2])
         self.detector.update(0.0, self.v, self.g)
+        self._start_step()
+
+    def _start_step(self) -> None:
+        """Size the next step as a first one: a hundredth of the time the
+        first stage takes to move the state by its own size, in
+        tolerance-scaled norms (Hairer, Norsett & Wanner, *Solving ODEs I*,
+        II.4), at most ``max_step``."""
+        opt = self.opt
         scale_v = opt.abs_tol_v + opt.rel_tol * abs(self.v)
         scale_g = opt.abs_tol_gap + opt.rel_tol * abs(self.g)
         speed = math.hypot(self.k1[0] / scale_v, self.k1[1] / scale_g)
+        self.h = opt.max_step
         if speed > 0.0:
             size = math.hypot(self.v / scale_v, self.g / scale_g)
             self.h = min(self.h, 0.01 * size / speed)
@@ -261,6 +305,7 @@ class _Run:
         run.detector = self.detector.copy()
         run.ts, run.vs = list(self.ts), list(self.vs)
         run.gs, run.cur = list(self.gs), list(self.cur)
+        run.deferred = list(self.deferred)
         run.op_hint = list(self.op_hint)
         run.sample_hint = list(self.sample_hint)
         run.kernel = run.sample_kernel = None
@@ -289,11 +334,17 @@ class _Run:
             return 1.0
         return self.op_hint[0] - self.vg + self.config.selector.vth
 
-    def _sample(self, t: float, v: float, g: float, i: float) -> None:
+    def _sample(self, t: float, v: float, g: float,
+                i: Optional[float]) -> None:
         self.ts.append(t)
         self.vs.append(v)
         self.gs.append(g)
         self.cur.append(i)
+
+    def _defer(self, t: float, v: float, g: float, kernel) -> None:
+        """A sample whose current ``kernel`` gives when it is read."""
+        self.deferred.append((len(self.cur), kernel, v, g))
+        self._sample(t, v, g, None)
 
     def enter(self, t: float) -> None:
         """Start the schedule segment at boundary ``t``.
@@ -311,6 +362,13 @@ class _Run:
                 f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
         self._segment(t)
         self._sample(math.nextafter(t, math.inf), self.v, self.g, self.k1[2])
+        if t == self.config.pd.trst and self.k1[2] != 0.0:
+            # The last step was sized with the node pinned, which says
+            # nothing about the first step of the exposure.  Without a
+            # branch current the exposure starts as a ramp of constant
+            # slope, on which every step is exact, so the carried step
+            # stays and a selector-off hybrid steps as the bare pixel does.
+            self._start_step()
 
     def step_to(self, boundary: float) -> None:
         """Take accepted steps until ``boundary`` or the VPD floor.
@@ -472,13 +530,22 @@ class _Run:
                     continue
                 # Current-change limiting: where the branch current turns
                 # fast, the error estimate alone passes steps that leave the
-                # final VPD off by up to 3e-5 V.  ``load`` is the share of
-                # the 15 % allowance this step used.
+                # final VPD off by up to 3e-5 V.  ``i_load`` is the share of
+                # the 15 % allowance this step used.  Where the branch
+                # conductance i / VPD holds within 5 %, the node discharges
+                # as an RC circuit, on which the error estimate is honest;
+                # there ``load`` is the share of that 5 % allowance.
                 i_end = k7i
                 i_scale = max(abs(i_end), abs(k1i))
-                load = 0.0
+                i_load = load = 0.0
                 if i_scale > 1e-12 and h > 4.0 * opt.min_step:
-                    load = abs(i_end - k1i) / (0.15 * i_scale)
+                    i_load = load = abs(i_end - k1i) / (0.15 * i_scale)
+                    if v > 0.0 and v_new > 0.0:
+                        cond1, cond7 = k1i / v, i_end / v_new
+                        d_cond = abs(cond7 - cond1)
+                        cond_scale = max(abs(cond1), abs(cond7))
+                        if d_cond < 0.05 * cond_scale:
+                            load = min(load, d_cond / (0.05 * cond_scale))
                 if load > 1.0:
                     stats.rejected_current += 1
                     h = max(h * 0.9 / load, opt.min_step)
@@ -495,24 +562,41 @@ class _Run:
             self.est_err_v += abs(err_v)
             step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g,
                     k7g) if hybrid else None
-            while t_grid < t:
-                if t_old + eps < t_grid < t - eps:
-                    # An output-grid point inside the step, clipped as an
-                    # accepted state.
-                    theta = (t_grid - t_old) / h
-                    vs = dense(theta, h, v_old, v_new, k1v, k3v, k4v, k5v,
-                                k6v, k7v)
-                    if t_grid > trst:
-                        vs = max(vs, VPD_FLOOR)
-                    gs = g_old
-                    if hybrid:
-                        gs = min(max(dense(theta, *step[1:]), gap_min),
-                                 gap_max)
+            # Samples inside the step, in increasing time: the output-grid
+            # points, and, where the current used more than its allowance,
+            # the inner ends of ``pieces`` equal parts of the step, so the
+            # trace keeps its density where the branch current moves.  A
+            # part end within ``eps`` of a grid point is that grid point.
+            pieces = math.ceil(i_load) if i_load > 1.0 else 1
+            j = 1
+            while True:
+                t_fill = t_old + h * j / pieces if j < pieces else t
+                if t_grid < t and t_grid <= t_fill + eps:
+                    t_s = t_grid
+                    k_grid += 1
+                    t_grid = k_grid * window
+                    if j < pieces and t_fill - t_s <= eps:
+                        j += 1
+                    if not t_old + eps < t_s < t - eps:
+                        continue
                     stats.sample_evals += 1
-                    self._sample(t_grid, vs, gs, sample_rhs(vs, gs)[2])
-                    detector.update(t_grid, vs, gs, step)
-                k_grid += 1
-                t_grid = k_grid * window
+                elif j < pieces:
+                    t_s = t_fill
+                    j += 1
+                    stats.fill_samples += 1
+                else:
+                    break
+                # Clipped as an accepted state.
+                theta = (t_s - t_old) / h
+                vs = dense(theta, h, v_old, v_new, k1v, k3v, k4v, k5v, k6v,
+                           k7v)
+                if t_s > trst:
+                    vs = max(vs, VPD_FLOOR)
+                gs = g_old
+                if hybrid:
+                    gs = min(max(dense(theta, *step[1:]), gap_min), gap_max)
+                self._defer(t_s, vs, gs, sample_rhs)
+                detector.update(t_s, vs, gs, step)
 
             if t > trst and v <= VPD_FLOOR + floor_tol:
                 v = VPD_FLOOR
@@ -562,6 +646,7 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     run = _Run(config, opt)
     boundaries = _schedule(config, None)
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
+    _replay(run.cur, run.deferred)
     return run
 
 
@@ -587,7 +672,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
             len(boundaries))
 
-    ts, vs, gs, cur = run.ts, run.vs, run.gs, run.cur
+    ts, vs, gs = run.ts, run.vs, run.gs
     if run.floored and ts[-1] < t_end:
         run._sample(t_end, run.v, run.g, 0.0)
 
@@ -596,7 +681,8 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     stats.kcl_solves = run.op_hint[4]
     events = sorted(run.detector.events, key=lambda e: e.t_event)
     trace = TransientTrace(
-        t=np.asarray(ts), vpd=np.asarray(vs), i_ox=np.asarray(cur),
+        t=np.asarray(ts), vpd=np.asarray(vs),
+        _i_ox=functools.partial(_replay, run.cur, run.deferred),
         gap=np.asarray(gs), events=events, final_vpd=run.v, final_gap=run.g,
         est_error_v=run.est_err_v, i_exp=stimulus.i_exp, trst=pd.trst,
         vstart=run.v0, stats=stats)
@@ -618,7 +704,7 @@ def _downsample(trace: TransientTrace, max_points: int) -> TransientTrace:
             if 0 <= j < n:
                 keep[j] = True
     return replace(trace, t=trace.t[keep], vpd=trace.vpd[keep],
-                   i_ox=trace.i_ox[keep], gap=trace.gap[keep])
+                   _i_ox=trace.i_ox[keep], gap=trace.gap[keep])
 
 
 def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:

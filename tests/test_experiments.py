@@ -2,6 +2,7 @@
 
 import logging
 
+import numpy as np
 import pytest
 
 from oxpix import experiments, solver
@@ -194,6 +195,51 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     assert serial.rows == parallel.rows
     assert (serial.dark_final_vpd, serial.dark_swing) == \
         (parallel.dark_final_vpd, parallel.dark_swing)
+
+
+def test_sweep_point_computes_no_sample_current(monkeypatch, calibrated):
+    # A sweep keeps the final VPD and the events of each point, never its
+    # current trace: every kernel call a point makes is a counted right-hand
+    # side of the stepper, and the currents of the samples inside steps are
+    # computed when ``i_ox`` is first read.
+    cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opt = SolverOptions()
+    reset = solver._reset_phase(cfg, opt).stats  # filled before counting
+    calls = []
+    make_kernel = solver.segment_kernel
+
+    def counting_kernel(*args):
+        kernel = make_kernel(*args)
+
+        def counted(vpd, gap):
+            calls.append(None)
+            return kernel(vpd, gap)
+        return counted
+
+    traces = []
+    integrate = experiments.integrate
+
+    def keep(*args):
+        traces.append(integrate(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(solver, "segment_kernel", counting_kernel)
+    monkeypatch.setattr(experiments, "integrate", keep)
+    monkeypatch.setenv("HPS_THREADS", "1")
+    run_sweep(SweepSpec(cfg, i_min=1e-12, i_max=1e-9, points_per_decade=1,
+                        options=opt))
+    assert len(calls) == sum(tr.stats.rhs_evals - reset.rhs_evals
+                             for tr in traces)
+    for trace in traces:
+        deferred = trace.stats.sample_evals + trace.stats.fill_samples \
+            - reset.sample_evals - reset.fill_samples
+        assert deferred > 0
+        del calls[:]
+        first = trace.i_ox
+        assert len(calls) == deferred
+        assert np.array_equal(trace.i_ox, first)
+        assert len(calls) == deferred
 
 
 # Five exposures per topology: three pool chunks for a report.

@@ -25,16 +25,16 @@ from oxpix.config import dump_config, parse_config
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
-    "case_i": "3b1b1511a507cf775295eda607a542c5088a17fb9f30822f5a7a795f7cb82f8d",
-    "case_ii": "88104f70f856a7c33810d1f13bc8b17bd79cc7db37e7c1f8377220f6cb7c7191",
-    "case_iii": "19569251d6391f7d4cd5bedcd7ee14bb6aa2c0968993792b2d8e57d04d6a653c",
+    "case_i": "4943ddc1df96b1a29ca30dd56e112cffeb03f557d0f4144543b027a9a30b12a1",
+    "case_ii": "4d079463b20be101528d752fd68b98b82ec5991c7ca6796c30680b486519f4be",
+    "case_iii": "bb6333b69340bbd585a63e2e1b7493cd8f9b485e05654e3dc725e11e331d074b",
 }
 
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
 GOLDEN_SWEEP = {
     "bare3t": "8ba86c0d6d4e080d2a6f4b052fc43f6b49600feb58dd758ed9db4618489b3a76",
-    "case_i": "1f2ed8cb7bb728f0cd181b0503af04cd9eb638fd3bb6827360fa5e4284be5281",
-    "case_ii": "e563528db40f7da23fe55fa047ab2e4e0a00353cce194e2bc129bd2169721cba",
+    "case_i": "a30a6d1d88063ae304c27602fc43c81450f492500dd9b1b814a57629ddac80c4",
+    "case_ii": "e572aab1850200b7c05e42e40d2fc8e2cdde95a63218eb7624603463fbae4c92",
     "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
 }
 

@@ -9,6 +9,7 @@ from oxpix.defaults import default_config
 from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
 from oxpix.errors import InvalidInputError, SolverError
 from oxpix import events, pixel, solver
+from oxpix.experiments import SweepSpec
 from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
 from oxpix.solver import (
     EventKind,
@@ -288,6 +289,32 @@ def test_stats_current_limiter_rarely_rejects(calibrated):
     assert stats.rejected_current < 0.1 * stats.accepted
 
 
+@pytest.mark.parametrize("k", [33, 43])  # 56.2 pA and 383 pA
+def test_case_i_final_vpd_matches_fine_reference(calibrated, k):
+    # Where case i's branch current turns, the error estimate alone passes
+    # steps that leave the final VPD up to 2.7e-5 V off; the current limiter
+    # keeps it within 4e-8 V.
+    cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    i_exp = SweepSpec(cfg).currents()[k]
+    fine = SolverOptions(rel_tol=1e-9, abs_tol_v=1e-12, max_step=1e-8,
+                         min_step=1e-16)
+    default = integrate(cfg, Stimulus(i_exp), SolverOptions()).final_vpd
+    assert abs(default - integrate(cfg, Stimulus(i_exp), fine).final_vpd) \
+        <= 1e-7
+
+
+def test_case_iii_charge_balance_holds_through_the_collapse(calibrated):
+    # The collapse to the floor takes few steps; the samples splitting them
+    # keep the trapezoidal drain integral close to the charge lost.
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    worst = max(charge_balance_error(
+        integrate(cfg, Stimulus(i_exp), SolverOptions()), cfg)
+        for i_exp in (0.0, 1e-12, 1e-10, 1e-9, 5e-9))
+    assert worst <= 2.5e-3
+
+
 def _same_trace(a, b):
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.vpd, b.vpd)
@@ -417,12 +444,13 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
     assert dense[-1] == t_stop
     assert float(np.max(np.diff(dense))) <= window * (1.0 + 1e-9)
     # Every other sample is t = 0, a step end, the first sample of a
-    # segment (one ulp past its boundary) or the end sample after the floor
-    # clamp; each grid sample costs one kernel call.
+    # segment (one ulp past its boundary), the end sample after the floor
+    # clamp or a sample splitting a step whose current moved fast.
     entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
     tail = 1 if floor and t_stop < cfg.pd.t_end else 0
     stats = trace.stats
-    assert len(t) == 1 + stats.accepted + entered + tail + stats.sample_evals
+    assert len(t) == 1 + stats.accepted + entered + tail + stats.sample_evals \
+        + stats.fill_samples
     on_grid = int(np.sum(t == np.round(t / window) * window))
     assert stats.sample_evals <= on_grid
 
