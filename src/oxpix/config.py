@@ -90,6 +90,8 @@ _SCHEMA: dict[str, dict[str, object]] = {
                     "restarts": _CALIBRATE["restarts"].default},
 }
 
+# Anchor values and tolerances: each residual divides by both.
+_POSITIVE_KEYS = frozenset(_anchor_keys(CalibrationAnchors()))
 # Integer keys and their smallest allowed value.
 _INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0,
              "seed": 0, "restarts": 1}
@@ -142,7 +144,8 @@ class RunSetup:
 
 def _parse(default: object, text: str, key: str, line_no: int):
     """Parse ``text`` as the type of the key's ``default``.  An integer must
-    be integral and at least its key's minimum."""
+    be integral and at least its key's minimum; an anchor value or
+    tolerance must be above zero."""
     if isinstance(default, str):
         return text
     if isinstance(default, bool):
@@ -152,6 +155,8 @@ def _parse(default: object, text: str, key: str, line_no: int):
                 "1/0/true/false/yes/no")
         return _BOOL_WORDS[text.lower()]
     value = parse_quantity(text, key, line_no)
+    if key in _POSITIVE_KEYS and not value > 0.0:
+        raise ConfigError(f"line {line_no}: {key} = {text!r} must be > 0")
     if isinstance(default, int):
         if not value.is_integer():
             raise ConfigError(

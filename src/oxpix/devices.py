@@ -272,12 +272,17 @@ def _read_back(r_target: float, vread: float, p: OxRamParams,
     k_cf, a, length = p.i0_cf, p.cf_decay_a, p.oxide_thickness_L
     i0_ox, c, d, gap_max = p.i0_ox, p.ox_decay_c, p.ox_field_d, p.gap_max
     s_cf = _safe_sinh(p.cf_field_b * vread)
+    exp, sinh, arg_max, clip = math.exp, math.sinh, _EXP_ARG_MAX, _SINH_CLIP
 
     def resistance(gap: float) -> float:
-        i_cf = k_cf * _safe_exp(-a * (length - gap)) * s_cf
-        i_ox = i0_ox * _safe_exp(-c * gap) \
-            * _safe_sinh(d * (vread * (gap / gap_max)))
-        return vread / (i_cf + i_ox)
+        # ``_safe_exp`` and ``_safe_sinh`` written out, clip for clip.
+        x = -a * (length - gap)
+        i_cf = k_cf * exp(arg_max if arg_max < x else x) * s_cf
+        x = -c * gap
+        e_ox = exp(arg_max if arg_max < x else x)
+        x = d * (vread * (gap / gap_max))
+        s_ox = clip if x > arg_max else -clip if x < -arg_max else sinh(x)
+        return vread / (i_cf + i0_ox * e_ox * s_ox)
 
     lo, hi = p.gap_min, gap_max
     r_lo, r_hi = resistance(lo), resistance(hi)

@@ -18,11 +18,13 @@ class UnsupportedOperationError(OxpixError):
 
 
 class SolverError(OxpixError):
-    """Transient or operating-point solve failed; carries diagnostics."""
+    """Transient or operating-point solve failed; carries diagnostics, and
+    from ``integrate`` the ``SolverStats`` of the transient so far."""
 
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail or {}
+        self.stats = None
 
 
 class CalibrationError(OxpixError):

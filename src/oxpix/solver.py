@@ -91,6 +91,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -160,7 +161,8 @@ class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
     cause, right-hand-side evaluations, internal-node solves and their Newton
     evaluations, the samples inside steps, and the step-size range.
-    The shared reset phase counts in every transient that starts from it."""
+    The shared reset phase counts in every transient that starts from it.
+    The wall time is a measurement, not work: stats compare without it."""
 
     accepted: int = 0
     rejected_error: int = 0     # error test failed or a stage overflowed
@@ -175,6 +177,7 @@ class SolverStats:
     fill_samples: int = 0       # samples splitting a fast-current step
     h_min: float = math.inf     # smallest accepted step [s]
     h_max: float = 0.0          # largest accepted step [s]
+    wall_s: float = field(default=0.0, compare=False)  # ``integrate`` [s]
 
 
 @dataclass
@@ -627,13 +630,24 @@ class _Run:
 
     def run(self, boundaries: list[float], first: int, stop: int) -> None:
         """Segments ``first`` .. ``stop - 1`` of the schedule; segment ``k``
-        ends at ``boundaries[k]`` and starts at the boundary before it."""
-        for k in range(first, stop):
-            if self.floored:
-                break
-            if k > 0:
-                self.enter(boundaries[k - 1])
-            self.step_to(boundaries[k])
+        ends at ``boundaries[k]`` and starts at the boundary before it.  A
+        ``SolverError`` leaves with the stats so far as its ``stats``."""
+        try:
+            for k in range(first, stop):
+                if self.floored:
+                    break
+                if k > 0:
+                    self.enter(boundaries[k - 1])
+                self.step_to(boundaries[k])
+        except SolverError as exc:
+            exc.stats = self.tally()
+            raise
+
+    def tally(self) -> SolverStats:
+        """The stats, with the internal-node solves counted so far."""
+        self.stats.newton_evals = self.op_hint[3]
+        self.stats.kcl_solves = self.op_hint[4]
+        return self.stats
 
 
 @functools.lru_cache(maxsize=4)
@@ -655,8 +669,10 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     """Simulate one exposure: reset phase then integration phase.
 
     The trace covers [0, trst + texp].  Raises SolverError on step
-    underflow (stiffness) or a non-finite state (divergence).
+    underflow (stiffness) or a non-finite state (divergence), with the
+    stats so far as its ``stats``.
     """
+    t0 = time.perf_counter()
     opt = options or SolverOptions()
     pd = config.pd
     t_end = pd.t_end
@@ -668,17 +684,21 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
             t_fwc = t_candidate
     boundaries = _schedule(config, t_fwc)
 
-    run = _reset_phase(config, opt).fork(stimulus, t_fwc)
-    run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
-            len(boundaries))
+    try:
+        run = _reset_phase(config, opt).fork(stimulus, t_fwc)
+        run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
+                len(boundaries))
+    except SolverError as exc:
+        if exc.stats is None:  # the first evaluation failed
+            exc.stats = SolverStats()
+        exc.stats.wall_s = time.perf_counter() - t0
+        raise
 
     ts, vs, gs = run.ts, run.vs, run.gs
     if run.floored and ts[-1] < t_end:
         run._sample(t_end, run.v, run.g, 0.0)
 
-    stats = run.stats
-    stats.newton_evals = run.op_hint[3]
-    stats.kcl_solves = run.op_hint[4]
+    stats = run.tally()
     events = sorted(run.detector.events, key=lambda e: e.t_event)
     trace = TransientTrace(
         t=np.asarray(ts), vpd=np.asarray(vs),
@@ -688,6 +708,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         vstart=run.v0, stats=stats)
     if len(ts) > opt.max_trace_points:
         trace = _downsample(trace, opt.max_trace_points)
+    stats.wall_s = time.perf_counter() - t0
     return trace
 
 

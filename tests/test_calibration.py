@@ -2,6 +2,8 @@
 
 import dataclasses
 import logging
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from oxpix.calibration import (
     VREAD,
     Anchor,
     CalibrationAnchors,
+    _ANCHOR_INPUTS,
+    _FIT_FIELDS,
     _pattern_search,
     calibrate,
     predict_anchor,
@@ -188,3 +192,55 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
 def test_calibrate_rejects_bad_restarts_and_seed(kwargs):
     with pytest.raises(InvalidInputError):
         calibrate(**kwargs)
+
+
+def test_fit_logs_predictor_calls_and_reused_values(monkeypatch, caplog):
+    calls = Counter()
+    predict = calibration.predict_anchor
+
+    def counted(quantity, *args):
+        calls[quantity] += 1
+        return predict(quantity, *args)
+
+    monkeypatch.setattr(calibration, "predict_anchor", counted)
+    with caplog.at_level(logging.INFO, logger="oxpix"):
+        result = calibrate(seed=5, restarts=2)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
+    for a in CalibrationAnchors().anchors:
+        made, reused = map(int, re.search(
+            rf"\b{a.quantity} (\d+)/(\d+)", line).groups())
+        # The residuals of the fit call each predictor once more.
+        assert made + 1 == calls[a.quantity]
+        assert made + reused == result.evaluations
+    assert calls[ANCHOR_T_RESET] < 0.2 * result.evaluations
+
+
+def _scaled(oxram, selector, name, factor):
+    if name == "kprime":
+        return oxram, dataclasses.replace(selector,
+                                          kprime=selector.kprime * factor)
+    return (dataclasses.replace(oxram, **{name: getattr(oxram, name) * factor}),
+            selector)
+
+
+@pytest.mark.parametrize("anchor", CalibrationAnchors().anchors,
+                         ids=lambda a: a.quantity)
+def test_anchor_inputs_are_the_fields_its_predictor_reads(anchor):
+    # The objective reuses an anchor's value while the fields it lists stay
+    # put, so a field its predictor reads but the table misses would hand
+    # the fit a stale value.  At the default constants the filament term is
+    # below the last bit of the read-backs and the programming peak; the
+    # raised prefactor makes every listed field show.
+    inputs = _ANCHOR_INPUTS[anchor.quantity]
+    sel = MosfetParams()
+    for ox in (OxRamParams(), OxRamParams(i0_cf=1e-16)):
+        base = predict_anchor(anchor.quantity, ox, sel, anchor.value)
+        for name in _FIT_FIELDS:
+            for factor in (0.9, 1.1):
+                moved = predict_anchor(anchor.quantity,
+                                       *_scaled(ox, sel, name, factor),
+                                       anchor.value)
+                if name not in inputs:
+                    assert moved == base, name
+                elif ox.i0_cf == 1e-16:
+                    assert moved != base, name

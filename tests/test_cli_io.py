@@ -225,6 +225,28 @@ def test_cli_non_finite_value_exits_one_without_traceback(tmp_path, capsys,
     assert err.count("\n") == 1 and message in err and "not finite" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("r_set", "0"), ("r_set_tol", "0"), ("r_reset", "-60Gohm"),
+    ("r_reset_tol", "-0.2"), ("t_reset", "0ns"), ("t_reset_tol", "-0.1"),
+    ("i_reset_peak", "0"), ("i_reset_tol", "-0.2"),
+])
+def test_cli_anchor_not_above_zero_exits_one_before_fitting(
+        tmp_path, capsys, monkeypatch, key, value):
+    def no_fit(**_):
+        raise AssertionError("calibrate must not run")
+
+    monkeypatch.setattr(cli, "calibrate", no_fit)
+    cfg = tmp_path / "anchor.cfg"
+    cfg.write_text(f"[calibration]\n{key} = {value}\n")
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path / "p.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and f"line 2: {key} = " in err
+    assert "must be > 0" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):
     assert main(["calibrate", "--seed", "-1",
                  "--out", str(tmp_path / "p.json")]) == 1

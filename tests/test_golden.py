@@ -1,8 +1,9 @@
 """Golden outputs, byte for byte: the default ``oxpix simulate --iexp 1nA``
 CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
 ``oxpix calibrate`` JSON and the ``oxpix report`` JSON and calibration cache
-of one-restart fits, the dumped default config of each topology, and the
-keys a config accepts.
+of one-restart fits, the ``oxpix calibrate`` JSON of the default
+eight-restart fit for two seeds, the dumped default config of each
+topology, and the keys a config accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
 alone.  A change that moves numbers or the config format on purpose updates
@@ -48,6 +49,13 @@ GOLDEN_FIT = {
     "report": "c31023065e238055d5e60d6393e3fd3d612c41952d95f790bf5e0a14524eff3c",
     "cache": "6850c6424102373039e4d5aab282bc7eabedd87ed708aad904fab976d25eb659",
     "cache_name": ".oxpix-calib-d3449efcc4a86517.json",
+}
+
+# ``oxpix calibrate --seed N`` on the default config: eight restarts.  Seed 3
+# lands in another minimum than seed 0.
+GOLDEN_MULTISTART = {
+    0: "8f59191cc6c3c6276b67b8ea084bfe3095a8f6a245798d28b654ea37e9eea60d",
+    3: "e4ea9b568cc252fea9db3dc93554ae5fc2a02300f79d465ee77b0acb184a2747",
 }
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
@@ -136,6 +144,18 @@ def test_fit_outputs_match_golden_digests(tmp_path):
     assert fit_digests(tmp_path) == GOLDEN_FIT
 
 
+def multistart_digest(seed: int, directory: Path) -> str:
+    """SHA-256 of the default ``oxpix calibrate --seed`` JSON."""
+    out = directory / f"fit{seed}.json"
+    assert main(["calibrate", "--seed", str(seed), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_MULTISTART))
+def test_multistart_fit_matches_golden_digest(tmp_path, seed):
+    assert multistart_digest(seed, tmp_path) == GOLDEN_MULTISTART[seed]
+
+
 def dump_digest(topology: str) -> str:
     """SHA-256 of the dumped config of ``topology`` ("" for no config)."""
     text = f"[pixel]\ntopology = {topology}\n" if topology else ""
@@ -164,6 +184,8 @@ if __name__ == "__main__":
             print(f"sweep {name}: {sweep_digest(name, Path(work))}")
         for name, digest in fit_digests(Path(work)).items():
             print(f"{name}: {digest}")
+        for seed in GOLDEN_MULTISTART:
+            print(f"multistart {seed}: {multistart_digest(seed, Path(work))}")
     for name in GOLDEN_DUMP:
         print(f"dump {name!r}: {dump_digest(name)}")
     print(f"keys: {accepted_keys()}")

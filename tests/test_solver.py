@@ -188,6 +188,24 @@ def test_stiffness_diagnostic_carries_state(calibrated):
     assert "t" in err.value.detail
 
 
+def test_solver_error_carries_the_stats_so_far(calibrated):
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opts = SolverOptions(max_step=1e-8, min_step=1e-8)
+    with pytest.raises(SolverError) as err:
+        integrate(cfg, Stimulus(1e-9), opts)
+    exc = err.value
+    assert set(exc.detail) == {"t", "vpd", "gap", "h"}
+    stats = exc.stats
+    # The accepted steps, all of the one step size allowed, end where the
+    # failed attempt starts.
+    assert stats.accepted == round(exc.detail["t"] / 1e-8) > 0
+    assert stats.h_max == 1e-8
+    assert stats.rhs_evals >= 6 * stats.accepted
+    assert 0 < stats.kcl_solves <= stats.rhs_evals + stats.sample_evals
+    assert stats.wall_s > 0.0
+
+
 def test_trace_downsampling_keeps_events():
     cfg = default_config(Topology.HYBRID_CASE_III)
     opts = SolverOptions(max_trace_points=64)
@@ -280,6 +298,17 @@ def test_stats_six_rhs_evaluations_per_step():
     thinned = integrate(cfg, Stimulus(1e-9), SolverOptions(max_trace_points=16))
     assert len(thinned.t) < len(trace.t)
     assert thinned.stats == stats
+
+
+def test_stats_wall_time_is_recorded_but_not_compared():
+    cfg = default_config(Topology.BARE_3T)
+    a = integrate(cfg, Stimulus(1e-9), SolverOptions())
+    b = integrate(cfg, Stimulus(1e-9), SolverOptions())
+    assert a.stats.wall_s > 0.0 and b.stats.wall_s > 0.0
+    b.stats.wall_s = 2.0 * a.stats.wall_s
+    assert a.stats == b.stats
+    b.stats.accepted += 1
+    assert a.stats != b.stats
 
 
 def test_stats_current_limiter_rarely_rejects(calibrated):
