@@ -209,11 +209,11 @@ def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
 
 
 def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    fun, step0: float = 0.08, shrink: float = 0.5,
-                    tol: float = 1e-6, max_iter: int = 400
-                    ) -> tuple[np.ndarray, float, int, int]:
+                    fun) -> tuple[np.ndarray, float, int, int]:
     """Best point and value, the number of distinct points evaluated, and
-    the number of revisits answered from the memo.
+    the number of revisits answered from the memo.  The step starts at
+    0.08 (natural log), halves after a sweep with no improving move and
+    ends the search below 1e-6, or after 400 sweeps.
 
     ``fun`` is fixed for the whole search, so a point's bytes are a complete
     key; a move back along a coordinate revisits the point it left.
@@ -233,9 +233,9 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     x = np.clip(x0, lo, hi)
     f = value(x)
-    step = step0
+    step = 0.08
     n = len(x)
-    for _ in range(max_iter):
+    for _ in range(400):
         improved = False
         for j in range(n):
             for sign in (1.0, -1.0):
@@ -248,8 +248,8 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     x, f = trial, ft
                     improved = True
         if not improved:
-            step *= shrink
-            if step < tol:
+            step *= 0.5
+            if step < 1e-6:
                 break
     return x, f, len(memo), hits
 

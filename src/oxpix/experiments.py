@@ -96,11 +96,6 @@ class SweepResult:
     vrst: float
 
 
-# Jobs go out costliest topology first, so cheap points fill a pool's tail
-# (CPU time on a 2-core x86 host: case iii about 2.5 ms a point, case i
-# 1.6, case ii 0.6, bare 0.4).
-_COST_ORDER = (Topology.HYBRID_CASE_III, Topology.HYBRID_CASE_I,
-               Topology.HYBRID_CASE_II, Topology.BARE_3T)
 _CHUNK = 8  # jobs per pool round trip, which costs about 1 ms
 
 
@@ -130,9 +125,8 @@ def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     """Every point of every sweep, each dark point a job with ``i_exp = 0``,
     run serially or on one pool of ``workers`` processes."""
     setups = tuple((spec.config, spec.options) for spec in specs)
-    order = sorted(range(len(specs)), key=lambda k: _COST_ORDER.index(
-        specs[k].config.topology))
-    jobs = [(k, i) for k in order for i in (0.0, *specs[k].currents())]
+    jobs = [(k, i) for k, spec in enumerate(specs)
+            for i in (0.0, *spec.currents())]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(setups,)) as pool:

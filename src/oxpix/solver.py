@@ -165,7 +165,7 @@ class SolverStats:
     The wall time is a measurement, not work: stats compare without it."""
 
     accepted: int = 0
-    rejected_error: int = 0     # error test failed or a stage overflowed
+    rejected_error: int = 0     # error test failed
     rejected_floor: int = 0     # shrunk onto the VPD floor
     rejected_knee: int = 0      # shrunk onto the selector knee
     rejected_bound: int = 0     # shrunk onto a gap bound
@@ -193,7 +193,6 @@ class TransientTrace:
     final_gap: float
     est_error_v: float = 0.0   # accumulated |local error estimate| on VPD
     i_exp: float = 0.0
-    trst: float = 0.0
     vstart: float = 0.0
     stats: SolverStats = field(default_factory=SolverStats)
 
@@ -416,41 +415,27 @@ class _Run:
                         "required step underflow: stiffness at "
                         f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
                                                "h": h})
-                # ``stage`` names the stage in evaluation, so an attempt that
-                # fails counts the right-hand sides it evaluated.
-                stage = 2
-                try:
-                    k2v, k2g, _ = rhs(v + h * A21 * k1v, g + h * A21 * k1g)
-                    stage = 3
-                    k3v, k3g, _ = rhs(v + h * A31 * k1v + h * A32 * k2v,
-                                      g + h * A31 * k1g + h * A32 * k2g)
-                    stage = 4
-                    k4v, k4g, _ = rhs(
-                        v + h * A41 * k1v + h * A42 * k2v + h * A43 * k3v,
-                        g + h * A41 * k1g + h * A42 * k2g + h * A43 * k3g)
-                    stage = 5
-                    k5v, k5g, _ = rhs(
-                        v + h * A51 * k1v + h * A52 * k2v + h * A53 * k3v
-                        + h * A54 * k4v,
-                        g + h * A51 * k1g + h * A52 * k2g + h * A53 * k3g
-                        + h * A54 * k4g)
-                    stage = 6
-                    k6v, k6g, _ = rhs(
-                        v + h * A61 * k1v + h * A62 * k2v + h * A63 * k3v
-                        + h * A64 * k4v + h * A65 * k5v,
-                        g + h * A61 * k1g + h * A62 * k2g + h * A63 * k3g
-                        + h * A64 * k4g + h * A65 * k5g)
-                    stage = 7
-                    k7v, k7g, k7i = rhs(
-                        v + h * A71 * k1v + h * A72 * k2v + h * A73 * k3v
-                        + h * A74 * k4v + h * A75 * k5v + h * A76 * k6v,
-                        g + h * A71 * k1g + h * A72 * k2g + h * A73 * k3g
-                        + h * A74 * k4g + h * A75 * k5g + h * A76 * k6g)
-                except (OverflowError, ValueError):
-                    stats.rhs_evals += stage - 1
-                    stats.rejected_error += 1
-                    h *= 0.25
-                    continue
+                k2v, k2g, _ = rhs(v + h * A21 * k1v, g + h * A21 * k1g)
+                k3v, k3g, _ = rhs(v + h * A31 * k1v + h * A32 * k2v,
+                                  g + h * A31 * k1g + h * A32 * k2g)
+                k4v, k4g, _ = rhs(
+                    v + h * A41 * k1v + h * A42 * k2v + h * A43 * k3v,
+                    g + h * A41 * k1g + h * A42 * k2g + h * A43 * k3g)
+                k5v, k5g, _ = rhs(
+                    v + h * A51 * k1v + h * A52 * k2v + h * A53 * k3v
+                    + h * A54 * k4v,
+                    g + h * A51 * k1g + h * A52 * k2g + h * A53 * k3g
+                    + h * A54 * k4g)
+                k6v, k6g, _ = rhs(
+                    v + h * A61 * k1v + h * A62 * k2v + h * A63 * k3v
+                    + h * A64 * k4v + h * A65 * k5v,
+                    g + h * A61 * k1g + h * A62 * k2g + h * A63 * k3g
+                    + h * A64 * k4g + h * A65 * k5g)
+                k7v, k7g, k7i = rhs(
+                    v + h * A71 * k1v + h * A72 * k2v + h * A73 * k3v
+                    + h * A74 * k4v + h * A75 * k5v + h * A76 * k6v,
+                    g + h * A71 * k1g + h * A72 * k2g + h * A73 * k3g
+                    + h * A74 * k4g + h * A75 * k5g + h * A76 * k6g)
                 stats.rhs_evals += 6
                 m7 = knee_margin()
                 v_new = v + h * B1 * k1v + h * B2 * k2v + h * B3 * k3v \
@@ -704,8 +689,8 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         t=np.asarray(ts), vpd=np.asarray(vs),
         _i_ox=functools.partial(_replay, run.cur, run.deferred),
         gap=np.asarray(gs), events=events, final_vpd=run.v, final_gap=run.g,
-        est_error_v=run.est_err_v, i_exp=stimulus.i_exp, trst=pd.trst,
-        vstart=run.v0, stats=stats)
+        est_error_v=run.est_err_v, i_exp=stimulus.i_exp, vstart=run.v0,
+        stats=stats)
     if len(ts) > opt.max_trace_points:
         trace = _downsample(trace, opt.max_trace_points)
     stats.wall_s = time.perf_counter() - t0

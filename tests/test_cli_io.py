@@ -111,6 +111,21 @@ def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_solver_failure_exits_two_without_output(tmp_path, capsys):
+    # Steps pinned at 10 ns cannot follow case iii's switching after the
+    # reset release.
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text("[pixel]\ntopology = case_iii\n"
+                   "[solver]\nmax_step = 10ns\nmin_step = 10ns\n")
+    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_cli_sweep_writes_table(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ni_min = 1pA\ni_max = 10pA\n"

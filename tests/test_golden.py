@@ -2,8 +2,8 @@
 CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
 ``oxpix calibrate`` JSON and the ``oxpix report`` JSON and calibration cache
 of one-restart fits, the ``oxpix calibrate`` JSON of the default
-eight-restart fit for two seeds, the dumped default config of each
-topology, and the keys a config accepts.
+eight-restart fit for two seeds, the default ``oxpix report`` JSON, the
+dumped default config of each topology, and the keys a config accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
 alone.  A change that moves numbers or the config format on purpose updates
@@ -21,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from oxpix.calibration import calibrate
 from oxpix.cli import main
 from oxpix.config import dump_config, parse_config
+from oxpix.experiments import table1_report
+from oxpix.tracefile import write_report_json
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
@@ -57,6 +60,12 @@ GOLDEN_MULTISTART = {
     0: "8f59191cc6c3c6276b67b8ea084bfe3095a8f6a245798d28b654ea37e9eea60d",
     3: "e4ea9b568cc252fea9db3dc93554ae5fc2a02300f79d465ee77b0acb184a2747",
 }
+
+# ``oxpix report`` on the default config: the eight-restart seed-0 fit and
+# the 100 fA .. 10 nA grid at 12 points per decade, which the session
+# ``calibrated`` and ``reports`` fixtures compute.
+GOLDEN_REPORT = \
+    "228c051cb535e84f36bada55e05bc77d0e331c7aeee0a7edeafba266bfc0e022"
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.
@@ -156,6 +165,21 @@ def test_multistart_fit_matches_golden_digest(tmp_path, seed):
     assert multistart_digest(seed, tmp_path) == GOLDEN_MULTISTART[seed]
 
 
+def report_digest(table: dict, residuals: dict, directory: Path) -> str:
+    """SHA-256 of the report JSON of ``table`` and the fit ``residuals``,
+    written as ``oxpix report`` writes it."""
+    out = directory / "default_report.json"
+    write_report_json(table, residuals, str(out))
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_default_report_json_matches_golden_digest(tmp_path, reports,
+                                                   calibrated):
+    table, _ = reports
+    assert report_digest(table, calibrated.residuals, tmp_path) \
+        == GOLDEN_REPORT
+
+
 def dump_digest(topology: str) -> str:
     """SHA-256 of the dumped config of ``topology`` ("" for no config)."""
     text = f"[pixel]\ntopology = {topology}\n" if topology else ""
@@ -186,6 +210,10 @@ if __name__ == "__main__":
             print(f"{name}: {digest}")
         for seed in GOLDEN_MULTISTART:
             print(f"multistart {seed}: {multistart_digest(seed, Path(work))}")
+        fit = calibrate(seed=0, restarts=8)
+        table = table1_report(fit.oxram, fit.selector)
+        print(f"default report: "
+              f"{report_digest(table, fit.residuals, Path(work))}")
     for name in GOLDEN_DUMP:
         print(f"dump {name!r}: {dump_digest(name)}")
     print(f"keys: {accepted_keys()}")

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oxpix.defaults import default_config
-from oxpix.devices import ELEMENTARY_CHARGE, PhotodiodeParams
+from oxpix.defaults import default_config, vg_for_current
+from oxpix.devices import ELEMENTARY_CHARGE, MosfetParams, PhotodiodeParams
 from oxpix.errors import InvalidInputError, SolverError
 from oxpix import events, pixel, solver
 from oxpix.experiments import SweepSpec
-from oxpix.pixel import GateWaveform, Stimulus, Topology, assemble_derivative
+from oxpix.pixel import (VG_RAIL, GateWaveform, Stimulus, Topology,
+                         assemble_derivative)
 from oxpix.solver import (
     EventKind,
     SolverOptions,
@@ -342,6 +343,43 @@ def test_case_iii_charge_balance_holds_through_the_collapse(calibrated):
         integrate(cfg, Stimulus(i_exp), SolverOptions()), cfg)
         for i_exp in (0.0, 1e-12, 1e-10, 1e-9, 5e-9))
     assert worst <= 2.5e-3
+
+
+def _lands(cfg, i_exp: float, counter: str, options=SolverOptions()):
+    """The transient, checked to have fired the landing that ``counter``
+    counts and to have kept its charge balance."""
+    trace = integrate(cfg, Stimulus(i_exp), options)
+    assert getattr(trace.stats, counter) > 0
+    assert charge_balance_error(trace, cfg) <= 5e-3
+    return trace
+
+
+def test_steps_land_on_the_selector_knee():
+    # Case iii with the gate at a 1 nA saturation current: the selector
+    # leaves saturation during the exposure.
+    pd = PhotodiodeParams()
+    wf = GateWaveform(((0.0, pd.t_end, vg_for_current(1e-9, MosfetParams())),))
+    _lands(default_config(Topology.HYBRID_CASE_III, vg_waveform=wf), 1e-9,
+           "rejected_knee")
+
+
+def test_steps_land_on_the_lower_gap_bound():
+    # Case iii reset at 1.8 V, then a 1 uA gate: the filament grows until
+    # the gap reaches gap_min.
+    pd = PhotodiodeParams(vrst=1.8)
+    wf = GateWaveform(((0.0, pd.trst, VG_RAIL),
+                       (pd.trst, pd.t_end,
+                        vg_for_current(1e-6, MosfetParams()))))
+    cfg = default_config(Topology.HYBRID_CASE_III, pd=pd, vg_waveform=wf)
+    trace = _lands(cfg, 100e-12, "rejected_bound")
+    assert trace.gap.min() == cfg.oxram.gap_min
+
+
+def test_steps_land_on_the_vpd_floor():
+    # A loose voltage tolerance lets the error test pass steps of case iii's
+    # collapse that run past the floor.
+    _lands(default_config(Topology.HYBRID_CASE_III), 10e-9, "rejected_floor",
+           SolverOptions(abs_tol_v=1e-6))
 
 
 def _same_trace(a, b):
