@@ -119,8 +119,8 @@ class MosfetParams:
             raise InvalidInputError(f"vth must be > 0, got {self.vth}")
         if not (self.kprime > 0.0):
             raise InvalidInputError(f"kprime must be > 0, got {self.kprime}")
-        if self.lam < 0.0:
-            raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < math.inf):
+            raise InvalidInputError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,10 @@ class PhotodiodeParams:
             raise InvalidInputError(f"vrst must be > 0, got {self.vrst}")
         if not (self.fwc_electrons > 0.0):
             raise InvalidInputError(f"fwc_electrons must be > 0, got {self.fwc_electrons}")
-        if self.trst < 0.0:
-            raise InvalidInputError(f"trst must be >= 0, got {self.trst}")
+        for name in ("trst", "reset_noise_electrons"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         if not (self.texp > 0.0):
             raise InvalidInputError(f"texp must be > 0, got {self.texp}")
 

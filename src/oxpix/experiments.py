@@ -47,8 +47,8 @@ class ReadableWindow:
             raise InvalidInputError(
                 f"need 0 < min_detect < max_swing, got {self.min_detect}, "
                 f"{self.max_swing}")
-        if self.sense_margin < 0.0:
-            raise InvalidInputError("sense_margin must be >= 0")
+        if not (0.0 <= self.sense_margin < math.inf):
+            raise InvalidInputError("sense_margin must be finite and >= 0")
 
     def detection_floor(self, dark_swing: float) -> float:
         """Smallest detected swing of a pixel whose dark swing is given."""
@@ -123,10 +123,12 @@ def _run_job(job: tuple[int, float]) -> SweepRow:
 
 def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     """Every point of every sweep, each dark point a job with ``i_exp = 0``,
-    run serially or on one pool of ``workers`` processes."""
+    run serially or on one pool of at most ``workers`` processes: one per
+    chunk of jobs at most, since the pool starts all of them at once."""
     setups = tuple((spec.config, spec.options) for spec in specs)
     jobs = [(k, i) for k, spec in enumerate(specs)
             for i in (0.0, *spec.currents())]
+    workers = min(workers, math.ceil(len(jobs) / _CHUNK))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(setups,)) as pool:

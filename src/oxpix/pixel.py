@@ -16,6 +16,10 @@ object construction and no calls below it but ``math``.  It is sound because
 the schedule cuts at every time those constants change (reset release,
 gate-waveform edges, full well).  ``assemble_derivative`` and
 ``solve_branch_current`` are thin wrappers over the same kernel.
+
+The right-hand side has no floor clamp and is continuous through 0 V (at
+or below ``vs`` the branch just carries no current); the ground clamp is
+the solver's.
 """
 
 from __future__ import annotations
@@ -172,9 +176,8 @@ def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
     sensitivity ``dv_m/dvpd = g_dev / (g_dev + g_sel)`` follows from
     differentiating the KCL balance at the converged point; it is 0 after a
     solve with no branch current, where the node sits at vpd.
-    ``newton_evals`` counts device-kernel evaluations over all solves; a
-    fifth field, when the record has one, counts the solves.  ``[None]`` is
-    an empty record; without one the solve starts cold.
+    ``newton_evals`` counts device-kernel evaluations over all solves.
+    ``[None]`` is an empty record; without one the solve starts cold.
     """
     record = [None] if hint is None else hint
     kernel = _hybrid_kernel(oxram, selector, state.orientation, vg, vs,
@@ -203,7 +206,8 @@ def segment_kernel(config: PixelConfig, stimulus: Stimulus, t: float,
 
     ``op_hint`` is the op-hint record of the internal-node solve (see
     ``solve_branch_current``); it is shared with the caller, so a kernel of
-    the next segment continues from the last solve of this one.
+    the next segment continues from the last solve of this one.  Every call
+    of a hybrid kernel solves the internal node, at any VPD.
     """
     pd = config.pd
     pinned = t < pd.trst
@@ -214,11 +218,9 @@ def segment_kernel(config: PixelConfig, stimulus: Stimulus, t: float,
             config.vg_waveform.level_at(t), config.vs_level, pinned, i_photo,
             pd.c_pd + config.oxram.c_pox, op_hint)
     # The hybrid expression with no branch current and no parasitic cap.
-    dvpd = -(i_photo + 0.0) / (pd.c_pd + 0.0)
+    dvpd = 0.0 if pinned else -(i_photo + 0.0) / (pd.c_pd + 0.0)
 
     def bare(vpd: float, gap: float) -> tuple[float, float, float]:
-        if pinned or vpd <= 0.0:
-            return 0.0, 0.0, 0.0
         return dvpd, 0.0, 0.0
     return bare
 
@@ -239,7 +241,6 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
     warm = hint is not None
     if warm and len(hint) < 4:
         hint[:] = (None, 0.0, 0.0, 0)
-    count = warm and len(hint) > 4
     vov = vg - vs - selector.vth
     kp, lam = selector.kprime, selector.lam
     i_sat = 0.5 * kp * vov * vov
@@ -255,8 +256,6 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
     exp, sinh, cosh, isfinite = math.exp, math.sinh, math.cosh, math.isfinite
 
     def kernel(vpd: float, gap: float) -> tuple[float, float, float]:
-        if not pinned and vpd <= 0.0:
-            return 0.0, 0.0, 0.0
         if gap < gap_min:
             gap = gap_min
         if gap > gap_max:
@@ -338,8 +337,6 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                         hint[2] = di_dev / slope_sum if slope_sum > 0.0 \
                             else 0.0
                         hint[3] += n
-                        if count:
-                            hint[4] += 1
                     i_ox = 0.5 * (i_dev + i_sel)
                     v_dev = vpd - v_m
                     break
@@ -362,8 +359,6 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
             hint[0] = vpd
             hint[1] = vpd
             hint[2] = 0.0
-            if count:
-                hint[4] += 1
 
         # Gap velocity [nm/s]: rupture or growth by orientation and sign,
         # zero at the bound the gap is driven toward.
@@ -397,11 +392,11 @@ def assemble_derivative(vpd: float, oxram_gap: float, t: float,
 
     During the reset phase (t < trst) the node is pinned at vrst and the
     voltage derivative is zero while the gap still evolves.  ``photo_active``
-    is cleared by the scheduler once the well is full.  VPD at or below
-    ground gives a zero derivative (floor clamp).  ``op_hint`` is the optional
-    op-hint record of the internal-node solve (see ``solve_branch_current``);
-    ``op_hint[0]`` holds the node voltage of the last solve.  The gap is
-    clamped to its bounds.  One evaluation of ``segment_kernel``.
+    is cleared by the scheduler once the well is full.  VPD is not clamped.
+    ``op_hint`` is the optional op-hint record of the internal-node solve
+    (see ``solve_branch_current``); ``op_hint[0]`` holds the node voltage of
+    the last solve.  The gap is clamped to its bounds.  One evaluation of
+    ``segment_kernel``.
     """
     return segment_kernel(config, stimulus, t, photo_active, op_hint)(
         vpd, oxram_gap)

@@ -20,7 +20,6 @@ no step straddles a kink:
 
 - the schedule is cut at phase boundaries (reset release, gate-waveform
   switch times, full-well time, end);
-- a step that crosses the VPD floor is shrunk onto it;
 - a step that runs the gap past one of its bounds, where the gap velocity
   drops to zero, is shrunk onto the bound, predicted from the first
   stage's velocity;
@@ -32,6 +31,12 @@ no step straddles a kink:
   last step predicts to it, so the steps close in on the knee from the
   saturation side; a long step past it would sample deep triode, where the
   internal-node solve starts far from its answer.
+
+The VPD floor (ground) is the stepper's alone: the right-hand side is
+continuous through it.  An accepted step that ends below it is cut where it
+crosses it on the secant, with the gap interpolated there; a step that ends
+within ``floor_tol`` of it stops the transient with a ``VpdFloorClamp``
+event, and a last sample holds the state at the end of the schedule.
 
 The first step is a hundredth of the time the first stage takes to move
 the state by its own size (Hairer, Norsett & Wanner, *Solving ODEs I*,
@@ -148,8 +153,8 @@ class SolverOptions:
         if not (0.0 < self.min_step <= self.max_step):
             raise InvalidInputError("require 0 < min_step <= max_step")
         for name in ("rel_tol", "abs_tol_v", "abs_tol_gap"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidInputError(f"{name} must be > 0")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise InvalidInputError(f"{name} must be finite and > 0")
         if self.max_trace_points < 1:
             raise InvalidInputError("max_trace_points must be >= 1")
         if self.noise_seed < 0:
@@ -166,7 +171,6 @@ class SolverStats:
 
     accepted: int = 0
     rejected_error: int = 0     # error test failed
-    rejected_floor: int = 0     # shrunk onto the VPD floor
     rejected_knee: int = 0      # shrunk onto the selector knee
     rejected_bound: int = 0     # shrunk onto a gap bound
     rejected_current: int = 0   # current (or conductance) limit exceeded
@@ -267,7 +271,7 @@ class _Run:
         self.gs: list[float] = []
         self.cur: list[Optional[float]] = []
         self.deferred: list[tuple] = []
-        self.op_hint = [None, 0.0, 0.0, 0, 0]
+        self.op_hint = [None, 0.0, 0.0, 0]
         self.sample_hint = [None, 0.0, 0.0, 0]
         self.k_grid = 1
         self.vg = 0.0
@@ -454,9 +458,7 @@ class _Run:
                 tol_g = opt.abs_tol_gap + opt.rel_tol * max(abs(g), abs(g_new))
                 # A step over a kink of the right-hand side has no honest
                 # error estimate, so it lands on a gap bound or the knee
-                # before the error test.  The floor landing follows the error
-                # test: a step far past the floor is mostly an unstable one,
-                # which the error test shrinks better.
+                # before the error test.
                 # Gap-bound crossing: the gap velocity drops to zero at a
                 # bound.  Stages past the bound see no velocity, which
                 # flattens the secant; the first stage's velocity predicts
@@ -507,15 +509,6 @@ class _Run:
                     stats.rejected_error += 1
                     h = max(h * max(0.2, 0.9 * err ** -0.2), opt.min_step)
                     continue
-                # Floor crossing: shrink onto vpd = floor and redo the step
-                # so the landing point keeps full integration accuracy.
-                if (t + h > trst and v_new < VPD_FLOOR - floor_tol
-                        and v > VPD_FLOOR + floor_tol
-                        and h > 2.0 * opt.min_step):
-                    stats.rejected_floor += 1
-                    shrink = (v - VPD_FLOOR) / (v - v_new)
-                    h = max(h * min(max(shrink, 0.02), 0.98), opt.min_step)
-                    continue
                 # Current-change limiting: where the branch current turns
                 # fast, the error estimate alone passes steps that leave the
                 # final VPD off by up to 3e-5 V.  ``i_load`` is the share of
@@ -544,12 +537,17 @@ class _Run:
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
             t_old, v_old, g_old = t, v, g
-            t += h
-            v = max(v_new, VPD_FLOOR) if t > trst else v_new
-            g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
-            self.est_err_v += abs(err_v)
             step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g,
                     k7g) if hybrid else None
+            # A step that runs below the floor ends where it crosses it.
+            h_end, v = h, v_new
+            if v_new < VPD_FLOOR < v_old:
+                theta = (v_old - VPD_FLOOR) / (v_old - v_new)
+                h_end, v = theta * h, VPD_FLOOR
+                g_new = dense(theta, *step[1:]) if hybrid else g_new
+            t = t_old + h_end
+            g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
+            self.est_err_v += abs(err_v)
             # Samples inside the step, in increasing time: the output-grid
             # points, and, where the current used more than its allowance,
             # the inner ends of ``pieces`` equal parts of the step, so the
@@ -558,7 +556,7 @@ class _Run:
             pieces = math.ceil(i_load) if i_load > 1.0 else 1
             j = 1
             while True:
-                t_fill = t_old + h * j / pieces if j < pieces else t
+                t_fill = t_old + h_end * j / pieces if j < pieces else t
                 if t_grid < t and t_grid <= t_fill + eps:
                     t_s = t_grid
                     k_grid += 1
@@ -629,9 +627,11 @@ class _Run:
             raise
 
     def tally(self) -> SolverStats:
-        """The stats, with the internal-node solves counted so far."""
+        """The stats, with the internal-node solves counted so far: every
+        right-hand side of a hybrid pixel solves the internal node."""
         self.stats.newton_evals = self.op_hint[3]
-        self.stats.kcl_solves = self.op_hint[4]
+        self.stats.kcl_solves = self.stats.rhs_evals \
+            if self.config.is_hybrid() else 0
         return self.stats
 
 
@@ -736,7 +736,6 @@ def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:
     floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
     if floor:
         t_photo_end = min(t_photo_end, floor[0].t_event)
-        i_ox = np.where(tt > floor[0].t_event, 0.0, i_ox)
     q_drain = float(np.trapezoid(i_ox, tt)) \
         + trace.i_exp * (t_photo_end - pd.trst)
     v_at_release = float(trace.vpd[mask][0])

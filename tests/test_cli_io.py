@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from oxpix import cli
+from oxpix import cli, config
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
@@ -260,6 +260,30 @@ def test_cli_anchor_not_above_zero_exits_one_before_fitting(
     assert err.count("\n") == 1 and f"line 2: {key} = " in err
     assert "must be > 0" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
+    # No config value may reach the user as a traceback: set each numeric
+    # key to -1 and then to 0 in a case i run with reset noise.
+    keys = [(section, key) for section, defaults in config._SCHEMA.items()
+            for key, default in defaults.items()
+            if not isinstance(default, (str, bool))]
+    assert len(keys) == 52
+    cfg = tmp_path / "run.cfg"
+    argv = ["simulate", "--config", str(cfg), "--iexp", "1nA",
+            "--out", str(tmp_path / "trace.csv")]
+    codes = {}
+    for value in ("-1", "0"):
+        for section, key in keys:
+            cfg.write_text("[pixel]\ntopology = case_i\n[solver]\n"
+                           f"reset_noise = true\n[{section}]\n{key} = {value}\n")
+            codes[section, key, value] = code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (section, key, value)
+            assert "Traceback" not in err
+            assert code == 0 or (err.startswith("error: ")
+                                 and err.count("\n") == 1)
+    assert codes["photodiode", "reset_noise_electrons", "-1"] == 1
 
 
 def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):

@@ -18,6 +18,8 @@ from oxpix.devices import (
     state_from_resistance,
 )
 from oxpix.errors import InvalidInputError, OutOfRangeError
+from oxpix.experiments import ReadableWindow
+from oxpix.solver import SolverOptions
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,28 @@ def test_params_invariants_rejected():
         PhotodiodeParams(c_pd=0.0)
     with pytest.raises(InvalidInputError):
         PhotodiodeParams(texp=-1.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    *((SolverOptions, name, value) for name in ("rel_tol", "abs_tol_v",
+                                                "abs_tol_gap")
+      for value in (_NAN, _INF)),
+    (MosfetParams, "lam", _NAN), (MosfetParams, "lam", _INF),
+    (PhotodiodeParams, "trst", _NAN), (PhotodiodeParams, "trst", _INF),
+    *((PhotodiodeParams, "reset_noise_electrons", value)
+      for value in (_NAN, _INF, -1.0)),
+    (ReadableWindow, "sense_margin", _NAN),
+    (ReadableWindow, "sense_margin", _INF),
+])
+def test_non_finite_or_negative_field_rejected(cls, name, value):
+    # A comparison with NaN is false, so a check written as ``x < 0`` lets
+    # NaN through.
+    with pytest.raises(InvalidInputError,
+                       match="lambda" if name == "lam" else name):
+        cls(**{name: value})
 
 
 def test_full_well_swing():

@@ -224,16 +224,13 @@ def assemble_derivative(vpd: float, oxram_gap: float, t: float,
 
     During the reset phase (t < trst) the node is pinned at vrst and the
     voltage derivative is zero while the gap still evolves.  ``photo_active``
-    is cleared by the scheduler once the well is full.  VPD at or below
-    ground gives a zero derivative (floor clamp).  ``op_hint`` is the optional
-    op-hint record of the internal-node solve (see ``solve_branch_current``);
-    ``op_hint[0]`` holds the node voltage of the last solve.
+    is cleared by the scheduler once the well is full.  ``op_hint`` is the
+    optional op-hint record of the internal-node solve (see
+    ``solve_branch_current``); ``op_hint[0]`` holds the node voltage of the
+    last solve.
     """
     pd = config.pd
     pinned = t < pd.trst
-
-    if not pinned and vpd <= 0.0:
-        return 0.0, 0.0, 0.0
 
     i_ox = 0.0
     dgap = 0.0

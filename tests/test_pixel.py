@@ -42,10 +42,12 @@ def test_selector_off_reduces_to_bare_discharge():
     assert dvpd == pytest.approx(-1.0e5, rel=1e-12)
 
 
-def test_floor_clamp_zeroes_derivative():
+def test_bare_exposure_slope_continues_below_ground():
+    # The floor is the solver's: the right-hand side has no clamp at 0 V.
     cfg = default_config(Topology.BARE_3T)
-    dvpd, dgap, i_ox = assemble_derivative(0.0, 0.0, 2e-6, cfg, Stimulus(1e-9))
-    assert (dvpd, dgap, i_ox) == (0.0, 0.0, 0.0)
+    for vpd in (0.0, -0.1):
+        assert assemble_derivative(vpd, 0.0, 2e-6, cfg, Stimulus(1e-9)) \
+            == (-1e-9 / cfg.pd.c_pd, 0.0, 0.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -52,6 +52,20 @@ def test_bare_pointwise_oracle_until_clamp():
         assert float(np.max(np.abs(trace.vpd - ref))) <= 1e-4
 
 
+@pytest.mark.parametrize("i_exp", [2e-9, 1e-8])
+def test_bare_run_ends_at_its_floor_crossing(i_exp):
+    # A well that never fills: the linear discharge reaches the floor, and
+    # the step that runs past it is cut at the closed-form crossing.
+    pd = PhotodiodeParams(fwc_electrons=1e6)
+    cfg = default_config(Topology.BARE_3T, pd=pd)
+    trace = integrate(cfg, Stimulus(i_exp), SolverOptions())
+    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    assert floor.t_event == pytest.approx(pd.trst + pd.vrst * pd.c_pd / i_exp,
+                                          rel=1e-12)
+    ref = np.array([closed_form_vpd(pd, i_exp, t) for t in trace.t])
+    assert float(np.max(np.abs(trace.vpd - ref))) <= 1e-12
+
+
 def test_bare_zero_stimulus_exact():
     cfg = default_config(Topology.BARE_3T)
     trace = integrate(cfg, Stimulus(0.0), SolverOptions())
@@ -377,9 +391,29 @@ def test_steps_land_on_the_lower_gap_bound():
 
 def test_steps_land_on_the_vpd_floor():
     # A loose voltage tolerance lets the error test pass steps of case iii's
-    # collapse that run past the floor.
-    _lands(default_config(Topology.HYBRID_CASE_III), 10e-9, "rejected_floor",
-           SolverOptions(abs_tol_v=1e-6))
+    # collapse that run past the floor; the run ends at the crossing.
+    cfg = default_config(Topology.HYBRID_CASE_III)
+    trace = integrate(cfg, Stimulus(10e-9), SolverOptions(abs_tol_v=1e-6))
+    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    (at_floor,) = np.flatnonzero(trace.t == floor.t_event)
+    assert trace.vpd[at_floor] == 0.0
+    assert trace.vpd.min() == 0.0
+    assert charge_balance_error(trace, cfg) <= 5e-3
+
+
+@pytest.mark.parametrize("options", [
+    SolverOptions(rel_tol=1e-7), SolverOptions(rel_tol=1e-8, abs_tol_v=1e-11)])
+def test_case_iii_sweeps_at_tight_tolerances(options):
+    # Case iii's collapse ends on the floor within a microvolt of it; the
+    # steps there must not underflow at a tight tolerance.  Some runs end
+    # on a step cut at its floor crossing.
+    cfg = default_config(Topology.HYBRID_CASE_III)
+    for i_exp in SweepSpec(cfg).currents():
+        trace = integrate(cfg, Stimulus(i_exp), options)
+        (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+        assert trace.vpd[trace.t == floor.t_event].tolist() == [0.0]
+        assert trace.vpd.min() == 0.0
+        assert charge_balance_error(trace, cfg) <= 2.5e-3
 
 
 def _same_trace(a, b):
@@ -450,9 +484,9 @@ def test_stats_count_newton_evaluations_and_step_range(calibrated):
 
 
 def test_stats_count_kcl_solves(monkeypatch):
-    # Every hybrid right-hand side solves the internal node, except past the
-    # reset release with VPD at or below ground (the floor clamp).
-    floor_calls = []
+    # Every hybrid right-hand side solves the internal node, also past the
+    # reset release with VPD at or below ground.
+    floor_calls, unsolved = [], []
 
     def counting_kernel(config, stimulus, t, photo_active, op_hint):
         kernel = pixel.segment_kernel(config, stimulus, t, photo_active,
@@ -461,7 +495,11 @@ def test_stats_count_kcl_solves(monkeypatch):
         def counted(vpd, gap):
             if t >= config.pd.trst and vpd <= 0.0:
                 floor_calls.append(vpd)
-            return kernel(vpd, gap)
+            out = kernel(vpd, gap)
+            # A solve records the VPD it solved at.
+            if config.is_hybrid() and op_hint[1] != vpd:
+                unsolved.append(vpd)
+            return out
         return counted
 
     monkeypatch.setattr(solver, "segment_kernel", counting_kernel)
@@ -472,8 +510,8 @@ def test_stats_count_kcl_solves(monkeypatch):
     collapse = integrate(default_config(Topology.HYBRID_CASE_III),
                          Stimulus(1e-8), SolverOptions())
     assert collapse.events_of(EventKind.VPD_FLOOR_CLAMP) and floor_calls
-    assert collapse.stats.kcl_solves \
-        == collapse.stats.rhs_evals - len(floor_calls)
+    assert collapse.stats.kcl_solves == collapse.stats.rhs_evals
+    assert not unsolved
     bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
                      SolverOptions())
     assert bare.stats.kcl_solves == 0
