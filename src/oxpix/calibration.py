@@ -33,6 +33,7 @@ from .devices import (
     OxRamParams,
     OxRamState,
     _read_back,
+    gap_velocity,
     read_resistance,
 )
 from .defaults import R_SET_LEVELS
@@ -131,10 +132,7 @@ def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
     if quantity == ANCHOR_R_RESET:
         return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
     if quantity == ANCHOR_T_RESET:
-        rate = oxram.rupture_rate_r0 * math.sinh(
-            V_RESET_DRIVE / oxram.rupture_field_v1)
-        if rate <= 0.0:
-            return math.inf
+        rate = gap_velocity(OxRamState(oxram.gap_min), V_RESET_DRIVE, oxram)
         return (oxram.gap_max - oxram.gap_min) / rate
     if quantity == ANCHOR_I_RESET:
         state = OxRamState(oxram.gap_min, Orientation.BE_AT_PD)

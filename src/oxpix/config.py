@@ -26,7 +26,7 @@ from pathlib import Path
 from . import defaults as dflt
 from .calibration import Anchor, CalibrationAnchors, calibrate
 from .devices import MosfetParams, OxRamParams, PhotodiodeParams
-from .errors import ConfigError
+from .errors import KEY_OF, ConfigError
 from .experiments import ReadableWindow, SweepSpec
 from .pixel import VG_RAIL, GateWaveform, PixelConfig, Topology
 from .solver import SolverOptions
@@ -42,15 +42,13 @@ _SUFFIX = {
 
 _TOPOLOGIES = {t.value: t for t in Topology}
 
-# Config keys that differ from their field names ('lambda' is a keyword).
-_KEY_OF = {"lam": "lambda"}
-_FIELD_OF = {key: name for name, key in _KEY_OF.items()}
+_FIELD_OF = {key: name for name, key in KEY_OF.items()}
 
 
 def _keys(obj, names=None) -> dict[str, object]:
     """Config key -> value of the fields of a dataclass instance, or ->
     default of the fields of a dataclass; all fields, or those in ``names``."""
-    return {_KEY_OF.get(f.name, f.name): getattr(obj, f.name)
+    return {KEY_OF.get(f.name, f.name): getattr(obj, f.name)
             for f in fields(obj) if names is None or f.name in names}
 
 

@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, OutOfRangeError
+from .errors import InvalidInputError, OutOfRangeError, require_finite
 
 # Electron charge [C]; used for full-well and noise bookkeeping.
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -82,20 +82,17 @@ class OxRamParams:
     c_pox: float = 0.0                # F
 
     def __post_init__(self):
-        if not (0.0 <= self.gap_min < self.gap_max <= self.oxide_thickness_L):
+        require_finite(self, positive=(
+            "oxide_thickness_L", "gap_max", "cf_decay_a", "cf_field_b",
+            "ox_decay_c", "ox_field_d", "i0_cf", "i0_ox", "growth_rate_g0",
+            "rupture_rate_r0", "growth_field_v0", "rupture_field_v1"),
+            nonnegative=("gap_min", "c_pox"))
+        if not (self.gap_min < self.gap_max <= self.oxide_thickness_L):
             raise InvalidInputError(
-                "require 0 <= gap_min < gap_max <= oxide_thickness_L, got "
+                "require gap_min < gap_max <= oxide_thickness_L, got "
                 f"gap_min={self.gap_min}, gap_max={self.gap_max}, "
                 f"L={self.oxide_thickness_L}"
             )
-        for name in ("cf_decay_a", "cf_field_b", "ox_decay_c", "ox_field_d",
-                     "i0_cf", "i0_ox", "growth_rate_g0", "rupture_rate_r0",
-                     "growth_field_v0", "rupture_field_v1"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be strictly positive, got {value}")
-        if self.c_pox < 0.0 or not math.isfinite(self.c_pox):
-            raise InvalidInputError(f"c_pox must be >= 0, got {self.c_pox}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,7 @@ class MosfetParams:
     lam: float = 0.02      # 1/V, channel-length modulation
 
     def __post_init__(self):
-        if not (self.vth > 0.0):
-            raise InvalidInputError(f"vth must be > 0, got {self.vth}")
-        if not (self.kprime > 0.0):
-            raise InvalidInputError(f"kprime must be > 0, got {self.kprime}")
-        if not (0.0 <= self.lam < math.inf):
-            raise InvalidInputError(f"lambda must be finite and >= 0, got {self.lam}")
+        require_finite(self, positive=("vth", "kprime"), nonnegative=("lam",))
 
 
 @dataclass(frozen=True)
@@ -135,18 +127,8 @@ class PhotodiodeParams:
     trst: float = 0.5e-6            # s
 
     def __post_init__(self):
-        if not (self.c_pd > 0.0):
-            raise InvalidInputError(f"c_pd must be > 0, got {self.c_pd}")
-        if not (self.vrst > 0.0):
-            raise InvalidInputError(f"vrst must be > 0, got {self.vrst}")
-        if not (self.fwc_electrons > 0.0):
-            raise InvalidInputError(f"fwc_electrons must be > 0, got {self.fwc_electrons}")
-        for name in ("trst", "reset_noise_electrons"):
-            value = getattr(self, name)
-            if not (0.0 <= value < math.inf):
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
-        if not (self.texp > 0.0):
-            raise InvalidInputError(f"texp must be > 0, got {self.texp}")
+        require_finite(self, positive=("c_pd", "vrst", "fwc_electrons", "texp"),
+                       nonnegative=("reset_noise_electrons", "trst"))
 
     @property
     def t_end(self) -> float:
@@ -277,11 +259,10 @@ def _read_back(r_target: float, vread: float, p: OxRamParams,
     exp, sinh, arg_max, clip = math.exp, math.sinh, _EXP_ARG_MAX, _SINH_CLIP
 
     def resistance(gap: float) -> float:
-        # ``_safe_exp`` and ``_safe_sinh`` written out, clip for clip.
-        x = -a * (length - gap)
-        i_cf = k_cf * exp(arg_max if arg_max < x else x) * s_cf
-        x = -c * gap
-        e_ox = exp(arg_max if arg_max < x else x)
+        # ``_safe_sinh`` written out, clip for clip.  The ``exp`` arguments
+        # are <= 0 for a gap in [0, L], where ``_safe_exp`` does not clip.
+        i_cf = k_cf * exp(-a * (length - gap)) * s_cf
+        e_ox = exp(-c * gap)
         x = d * (vread * (gap / gap_max))
         s_ox = clip if x > arg_max else -clip if x < -arg_max else sinh(x)
         return vread / (i_cf + i0_ox * e_ox * s_ox)

@@ -1,4 +1,10 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the one check of the
+sign and finiteness of a numeric parameter."""
+
+from math import inf
+
+# Config keys that differ from their field names ('lambda' is a keyword).
+KEY_OF = {"lam": "lambda"}
 
 
 class OxpixError(Exception):
@@ -33,3 +39,19 @@ class CalibrationError(OxpixError):
 
 class ConfigError(OxpixError):
     """Configuration file could not be parsed or validated."""
+
+
+def require_finite(obj, positive=(), nonnegative=()) -> None:
+    """Raise InvalidInputError unless each field of ``obj`` named in
+    ``positive`` is finite and > 0 and each one named in ``nonnegative`` is
+    finite and >= 0; NaN and +-inf fail both.  The message names the field
+    by its config key."""
+    values = obj.__dict__  # cheaper than a getattr per field
+    for name in positive:
+        if not 0.0 < values[name] < inf:
+            raise InvalidInputError(f"{KEY_OF.get(name, name)} must be finite "
+                                    f"and > 0, got {values[name]}")
+    for name in nonnegative:
+        if not 0.0 <= values[name] < inf:
+            raise InvalidInputError(f"{KEY_OF.get(name, name)} must be finite "
+                                    f"and >= 0, got {values[name]}")

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError, OxpixError
+from .errors import InvalidInputError, OxpixError, require_finite
 from .pixel import PixelConfig, Stimulus, Topology
 from .solver import EventKind, SolverOptions, integrate
 
@@ -43,12 +43,12 @@ class ReadableWindow:
     sense_margin: float = DEFAULT_SENSE_MARGIN  # V, margin above dark frame
 
     def __post_init__(self):
-        if not (0.0 < self.min_detect < self.max_swing):
+        require_finite(self, positive=("min_detect", "max_swing"),
+                       nonnegative=("sense_margin",))
+        if not self.min_detect < self.max_swing:
             raise InvalidInputError(
-                f"need 0 < min_detect < max_swing, got {self.min_detect}, "
+                f"need min_detect < max_swing, got {self.min_detect}, "
                 f"{self.max_swing}")
-        if not (0.0 <= self.sense_margin < math.inf):
-            raise InvalidInputError("sense_margin must be finite and >= 0")
 
     def detection_floor(self, dark_swing: float) -> float:
         """Smallest detected swing of a pixel whose dark swing is given."""
@@ -64,8 +64,9 @@ class SweepSpec:
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if not (0.0 < self.i_min < self.i_max):
-            raise InvalidInputError("need 0 < i_min < i_max")
+        require_finite(self, positive=("i_min", "i_max"))
+        if not self.i_min < self.i_max:
+            raise InvalidInputError("need i_min < i_max")
         if self.points_per_decade < 1:
             raise InvalidInputError("points_per_decade must be >= 1")
 

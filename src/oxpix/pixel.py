@@ -41,7 +41,8 @@ from .devices import (
     device_current_and_slope,  # not called here; perfbench/tracer.py wraps it
     state_from_resistance,
 )
-from .errors import InvalidInputError, SolverError, UnsupportedOperationError
+from .errors import (InvalidInputError, SolverError,
+                     UnsupportedOperationError, require_finite)
 
 VG_RAIL = 3.3  # V, selector gate rail: the ceiling of every gate level
 
@@ -76,7 +77,7 @@ class GateWaveform:
         for t0, t1, level in self.segments:
             if not (t1 > t0):
                 raise InvalidInputError(f"empty or reversed segment ({t0}, {t1})")
-            if level < 0.0 or level > VG_RAIL:
+            if not 0.0 <= level <= VG_RAIL:
                 raise InvalidInputError(
                     f"gate level {level} outside [0, {VG_RAIL}] V")
             if prev_end is None:
@@ -121,8 +122,7 @@ class Stimulus:
     i_exp: float  # A
 
     def __post_init__(self):
-        if not math.isfinite(self.i_exp) or self.i_exp < 0.0:
-            raise InvalidInputError(f"i_exp must be finite and >= 0, got {self.i_exp}")
+        require_finite(self, nonnegative=("i_exp",))
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,11 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
     The body is ``devices.device_current_and_slope``, the selector's
     square law with its slope, the bracketed Newton solve of
     ``solve_branch_current`` and ``devices.gap_velocity``, each in the
-    operation order of the validated models, with every ``sinh``/``cosh``
-    argument clipped at +-600 as in ``devices``.
+    operation order of the validated models.  Every ``sinh``/``cosh``
+    argument and both branch currents are >= 0 (``b, d > 0``, the drop is
+    >= 0 inside the bracket, the gap is clamped into ``[0, L]``), so of the
+    clips of ``devices`` only the one above 600 remains; the two gap-factor
+    ``exp`` arguments are <= 0, which ``devices`` never clips.
     """
     warm = hint is not None
     if warm and len(hint) < 4:
@@ -269,20 +272,16 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
             # and none of the drop sits across the device.
             solved = False
         else:
-            x = neg_a * (length - gap)
-            k_cf = i0_cf * exp(cap if x > cap else x)
-            x = neg_c * gap
-            k_ox = i0_ox * exp(cap if x > cap else x)
+            k_cf = i0_cf * exp(neg_a * (length - gap))
+            k_ox = i0_ox * exp(neg_c * gap)
             s = d * gap / gap_max
             # Bracket probe: a device that passes nothing even with the
             # full drop leaves no branch current.
             v = vpd - vs
             bv = b * v
             sv = s * v
-            solved = not (k_cf * (big if bv > cap else -big if bv < -cap
-                                  else sinh(bv))
-                          + k_ox * (big if sv > cap else -big if sv < -cap
-                                    else sinh(sv)) <= 0.0)
+            solved = not (k_cf * (big if bv > cap else sinh(bv))
+                          + k_ox * (big if sv > cap else sinh(sv)) <= 0.0)
         if solved:
             lo, hi = vs, vpd
             v_m = 0.5 * (lo + hi)
@@ -296,12 +295,8 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 v = vpd - v_m
                 bv = b * v
                 sv = s * v
-                i_dev = k_cf * (big if bv > cap else -big if bv < -cap
-                                else sinh(bv)) \
-                    + k_ox * (big if sv > cap else -big if sv < -cap
-                              else sinh(sv))
-                bv = abs(bv)
-                sv = abs(sv)
+                i_dev = k_cf * (big if bv > cap else sinh(bv)) \
+                    + k_ox * (big if sv > cap else sinh(sv))
                 di_dev = kb * (big if bv > cap else cosh(bv)) \
                     + ks * (big if sv > cap else cosh(sv))
                 vds = v_m - vs
@@ -319,10 +314,7 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                     di_sel = dbase * mod + base * lam
                 f = i_dev - i_sel
                 slope_sum = di_dev + di_sel
-                scale = abs(i_dev)
-                x = abs(i_sel)
-                if x > scale:
-                    scale = x
+                scale = i_dev if i_dev > i_sel else i_sel
                 if scale < 1e-300:
                     scale = 1e-300
                 # Converged when the KCL mismatch is at tolerance, or the
@@ -360,23 +352,20 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
             hint[1] = vpd
             hint[2] = 0.0
 
-        # Gap velocity [nm/s]: rupture or growth by orientation and sign,
-        # zero at the bound the gap is driven toward.
+        # Gap velocity [nm/s]: the drop is never negative, so a BE_at_PD
+        # device ruptures and a TE_at_PD one grows, each with zero rate at
+        # the bound the gap is driven toward.
         dgap = 0.0
         if v_dev != 0.0:
             if not isfinite(v_dev):
                 raise InvalidInputError(f"non-finite v_device: {v_dev}")
-            rupturing = v_dev > 0.0 if be_at_pd else v_dev < 0.0
-            v = abs(v_dev)
-            if rupturing:
+            if be_at_pd:
                 if not gap >= gap_max:
-                    x = v / v1
-                    dgap = r0 * (big if x > cap else -big if x < -cap
-                                 else sinh(x))
+                    x = v_dev / v1
+                    dgap = r0 * (big if x > cap else sinh(x))
             elif not gap <= gap_min:
-                x = v / v0
-                dgap = neg_g0 * (big if x > cap else -big if x < -cap
-                                 else sinh(x))
+                x = v_dev / v0
+                dgap = neg_g0 * (big if x > cap else sinh(x))
 
         if pinned:
             return 0.0, dgap, i_ox

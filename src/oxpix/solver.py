@@ -12,8 +12,10 @@ The right-hand side of a schedule segment is one closure,
 boundaries of the schedule below nothing but the state changes, so every
 stage of every step in the segment calls the same kernel with ``(VPD,
 gap)`` alone.  The six stages and the fifth-order and error sums are written
-out over the tableau.  The kernel clamps the gap itself, so stage inputs go
-in unclipped; an accepted state is clipped to the gap bounds.
+out over the tableau, without the terms whose coefficient is zero; the
+seventh stage is taken at the fifth-order end point, which is its input.
+The kernel clamps the gap itself, so stage inputs go in unclipped; an
+accepted state is clipped to the gap bounds.
 
 The error estimate is only honest where the right-hand side is smooth, so
 no step straddles a kink:
@@ -103,14 +105,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError, require_finite
 from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventDetector,
                      EventKind, dense)
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  The stage-7 row is ``_B5`` (FSAL).
 _A = (
     (),
     (1 / 5,),
@@ -118,17 +120,17 @@ _A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-# The same coefficients one name each, for the written-out stages.
+# The same coefficients one name each, for the written-out stages; the
+# zero ones have no term there.
 ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
- (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76)) = _A[1:]
-B1, B2, B3, B4, B5, B6, B7 = _B5
-E1, E2, E3, E4, E5, E6, E7 = _E
+ (A61, A62, A63, A64, A65)) = _A[1:]
+B1, _, B3, B4, B5, B6, _ = _B5
+E1, _, E3, E4, E5, E6, E7 = _E
 
 # Step size the stepper restarts from after crossing the selector knee.
 _KNEE_RESTART = 1e-9  # s
@@ -150,11 +152,10 @@ class SolverOptions:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.min_step <= self.max_step):
-            raise InvalidInputError("require 0 < min_step <= max_step")
-        for name in ("rel_tol", "abs_tol_v", "abs_tol_gap"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise InvalidInputError(f"{name} must be finite and > 0")
+        require_finite(self, positive=("rel_tol", "abs_tol_v", "abs_tol_gap",
+                                       "max_step", "min_step"))
+        if not self.min_step <= self.max_step:
+            raise InvalidInputError("require min_step <= max_step")
         if self.max_trace_points < 1:
             raise InvalidInputError("max_trace_points must be >= 1")
         if self.noise_seed < 0:
@@ -382,9 +383,11 @@ class _Run:
         Every stage of a step lies inside the running schedule segment, so
         they all evaluate the segment's kernel.  The stages and the
         fifth-order and error sums are written out over the tableau, in the
-        order of a left-to-right sum of ``h * a_ij * k_j`` terms.  The
-        output-grid points inside an accepted step are sampled before its
-        end point.
+        order of a left-to-right sum of ``h * a_ij * k_j`` terms; a term
+        with a zero coefficient is left out, which changes no finite sum.
+        The seventh stage is taken at the step end ``(v_new, g_new)``, its
+        input.  The output-grid points inside an accepted step are sampled
+        before its end point.
         """
         config = self.config
         opt = self.opt
@@ -435,21 +438,17 @@ class _Run:
                     + h * A64 * k4v + h * A65 * k5v,
                     g + h * A61 * k1g + h * A62 * k2g + h * A63 * k3g
                     + h * A64 * k4g + h * A65 * k5g)
-                k7v, k7g, k7i = rhs(
-                    v + h * A71 * k1v + h * A72 * k2v + h * A73 * k3v
-                    + h * A74 * k4v + h * A75 * k5v + h * A76 * k6v,
-                    g + h * A71 * k1g + h * A72 * k2g + h * A73 * k3g
-                    + h * A74 * k4g + h * A75 * k5g + h * A76 * k6g)
+                v_new = v + h * B1 * k1v + h * B3 * k3v + h * B4 * k4v \
+                    + h * B5 * k5v + h * B6 * k6v
+                g_new = g + h * B1 * k1g + h * B3 * k3g + h * B4 * k4g \
+                    + h * B5 * k5g + h * B6 * k6g
+                k7v, k7g, k7i = rhs(v_new, g_new)
                 stats.rhs_evals += 6
                 m7 = knee_margin()
-                v_new = v + h * B1 * k1v + h * B2 * k2v + h * B3 * k3v \
-                    + h * B4 * k4v + h * B5 * k5v + h * B6 * k6v + h * B7 * k7v
-                g_new = g + h * B1 * k1g + h * B2 * k2g + h * B3 * k3g \
-                    + h * B4 * k4g + h * B5 * k5g + h * B6 * k6g + h * B7 * k7g
-                err_v = h * E1 * k1v + h * E2 * k2v + h * E3 * k3v \
-                    + h * E4 * k4v + h * E5 * k5v + h * E6 * k6v + h * E7 * k7v
-                err_g = h * E1 * k1g + h * E2 * k2g + h * E3 * k3g \
-                    + h * E4 * k4g + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
+                err_v = h * E1 * k1v + h * E3 * k3v + h * E4 * k4v \
+                    + h * E5 * k5v + h * E6 * k6v + h * E7 * k7v
+                err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
+                    + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
                 if not (math.isfinite(v_new) and math.isfinite(g_new)):
                     raise SolverError(
                         f"non-finite state at t={t:.6e}s",

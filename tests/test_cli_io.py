@@ -202,6 +202,30 @@ def test_cli_truncated_cache_is_a_miss(tmp_path, capsys):
         sorted([cache.name, "report.json", "run.cfg"])
 
 
+@pytest.mark.parametrize("section,name", [
+    ("selector", "kprime"), ("selector", "vth"),
+    ("oxram", "oxide_thickness_L")])
+def test_cli_non_finite_cached_constant_is_a_miss(tmp_path, capsys, section,
+                                                  name):
+    # JSON reads Infinity as a float, so the constructors' finite checks are
+    # all that keeps a corrupt cached constant out of the report.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_REPORT)
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    first = out.read_bytes()
+    (cache,) = tmp_path.glob(".oxpix-calib-*.json")
+    payload = json.loads(cache.read_text())
+    fitted = payload[section][name]
+    payload[section][name] = float("inf")
+    cache.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(cache.read_text())[section][name] == fitted
+    assert out.read_bytes() == first
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("simulate", "[solver]\nreset_noise = true\nnoise_seed = -1\n",
      "line 3: noise_seed"),

@@ -1,5 +1,7 @@
 """Device model unit tests: conduction, switching rates, read-out."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,8 @@ from oxpix.devices import (
     state_from_resistance,
 )
 from oxpix.errors import InvalidInputError, OutOfRangeError
-from oxpix.experiments import ReadableWindow
+from oxpix.experiments import ReadableWindow, SweepSpec
+from oxpix.pixel import GateWaveform, PixelConfig, Stimulus, Topology
 from oxpix.solver import SolverOptions
 
 
@@ -231,24 +234,28 @@ def test_params_invariants_rejected():
 
 _NAN, _INF = float("nan"), float("inf")
 
+# Every float field of these classes must be finite, and positive or
+# non-negative; the cases are read off the fields, so a new one is covered.
+_CHECKED = (OxRamParams, MosfetParams, PhotodiodeParams, SolverOptions,
+            ReadableWindow, SweepSpec, Stimulus)
+# Classes that need more than the one value under test.
+_BUILD = {
+    SweepSpec: lambda **kw: SweepSpec(PixelConfig(Topology.BARE_3T), **kw),
+    GateWaveform: lambda level: GateWaveform(((0.0, 1e-6, level),)),
+}
+
 
 @pytest.mark.parametrize("cls,name,value", [
-    *((SolverOptions, name, value) for name in ("rel_tol", "abs_tol_v",
-                                                "abs_tol_gap")
-      for value in (_NAN, _INF)),
-    (MosfetParams, "lam", _NAN), (MosfetParams, "lam", _INF),
-    (PhotodiodeParams, "trst", _NAN), (PhotodiodeParams, "trst", _INF),
-    *((PhotodiodeParams, "reset_noise_electrons", value)
-      for value in (_NAN, _INF, -1.0)),
-    (ReadableWindow, "sense_margin", _NAN),
-    (ReadableWindow, "sense_margin", _INF),
+    *((cls, f.name, value) for cls in _CHECKED for f in fields(cls)
+      if f.type in ("float", float) for value in (_NAN, _INF, -_INF, -1.0)),
+    (GateWaveform, "level", _NAN),
 ])
 def test_non_finite_or_negative_field_rejected(cls, name, value):
     # A comparison with NaN is false, so a check written as ``x < 0`` lets
-    # NaN through.
+    # NaN through, and one written as ``x > 0`` lets +inf through.
     with pytest.raises(InvalidInputError,
                        match="lambda" if name == "lam" else name):
-        cls(**{name: value})
+        _BUILD.get(cls, cls)(**{name: value})
 
 
 def test_full_well_swing():
