@@ -35,23 +35,29 @@ no step straddles a kink:
   internal-node solve starts far from its answer.
 
 The VPD floor (ground) is the stepper's alone: the right-hand side is
-continuous through it.  An accepted step that ends below it is cut where it
-crosses it on the secant, with the gap interpolated there; a step that ends
-within ``floor_tol`` of it stops the transient with a ``VpdFloorClamp``
-event, and a last sample holds the state at the end of the schedule.
+continuous through it.  A Lawson step (below) lands at ``floor_tol / 2`` in
+closed form; any other step that ends below the floor is cut at its secant
+crossing, the gap interpolated there.  A step that ends within
+``floor_tol`` of it stops the transient with a ``VpdFloorClamp`` event, and
+a last sample holds the state at the end of the schedule.
 
-The first step is a hundredth of the time the first stage takes to move
-the state by its own size (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4); the first step after the reset release follows the same rule where a
-branch current flows.  The branch current may change by at most 15 % per
-step; the next step is sized from the share of that allowance the last one
-used.  This limiter is for accuracy: without it, the worst final VPD of the
-default case i sweep lies 2.7e-5 V from a fine reference (``rel_tol=1e-9,
-abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with it.  It is waived
-while the branch conductance ``i / VPD`` changes by less than 5 % per step
-(both ends above ground): the node then discharges as an RC circuit, on
-which the error estimate is honest, and the 5 % allowance sizes the next
-step instead.  Case iii's collapse to the floor is such a discharge.
+The first step is a hundredth of the time the first stage takes to move the
+state by its own size (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4);
+the first step after the reset release follows the same rule where a branch
+current flows.  The branch current may change by at most 15 % per step; the
+next step is sized from the share of that allowance the last one used.  This
+limiter is for accuracy: without it, the worst final VPD of the default case
+i sweep lies 2.7e-5 V from a fine reference (``rel_tol=1e-9,
+abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with it; past 60 % of
+it, the growth of the used share per second shrinks the next step too.  It
+is waived while the conductance ``G = i / VPD`` changes by less than 5 % per
+step (both ends above ground, after the reset release): the node then
+discharges as an RC circuit, ``v' = lam (v - v_star)``, ``lam = -G / C``,
+``v_star = -i_photo / G``, and the next step, sized by the 5 % allowance, is
+a Lawson step (Hochbruck & Ostermann, *Exponential integrators*, Acta
+Numerica 2010) of at most ``_LAWSON_REACH`` time constants, whose VPD stages
+run on ``w = e^(-lam t) (v - v_star)``, where the RC part stands still.
+Case iii's collapse to the floor is such a discharge.
 ``max_step`` defaults to 10 us, beyond the default exposure, so on the
 defaults only the error controller, the limiter and the landings above
 size the steps.
@@ -62,12 +68,14 @@ accepted step the DOPRI5 continuous extension (Hairer, Norsett & Wanner,
 gives the state at every point of the output grid ``k * ABRUPT_WINDOW``
 strictly inside the step (``SolverStats.sample_evals``), and, for a step
 whose current used ``load > 1`` of its 15 % allowance, at the ``ceil(load)
-- 1`` inner ends of equal parts of the step (``SolverStats.fill_samples``).
-The fill samples keep the trace as dense where the current moves as the
-limiter did, which the trapezoidal charge balance needs.  Samples are
-clipped as an accepted state is and fed to the event detector in time
-order.  Step ends are samples too, so fast stretches stay dense, and every
-abrupt-fall window holds the sample one grid point back.
+- 1`` inner ends of equal parts of the step, or of more parts on a Lawson
+step, so that its current falls by at most 15 % a part
+(``SolverStats.fill_samples``).  The fill samples keep the trace as dense
+where the current moves as the limiter did, which the trapezoidal charge
+balance needs.  Samples are clipped as an accepted state is and fed to the
+event detector in time order.  Step ends are samples too, so fast stretches
+stay dense, and every abrupt-fall window holds the sample one grid point
+back.
 
 The branch current of a sample inside a step is computed only when
 ``TransientTrace.i_ox`` is first read, so a sweep, which keeps the final
@@ -130,6 +138,7 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
  (A61, A62, A63, A64, A65)) = _A[1:]
 B1, _, B3, B4, B5, B6, _ = _B5
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)  # stage times 2-5 and 7, in steps
 E1, _, E3, E4, E5, E6, E7 = _E
 
 # Step size the stepper restarts from after crossing the selector knee.
@@ -138,6 +147,8 @@ _KNEE_RESTART = 1e-9  # s
 # selector margin falls toward it: nearly all, so the steps close in on the
 # knee from the saturation side without crossing it.
 _KNEE_AIM = 0.99
+# Time constants a Lawson step may span; its dense output errs as (lam h)^5.
+_LAWSON_REACH = 2.0
 
 
 @dataclass(frozen=True)
@@ -385,6 +396,8 @@ class _Run:
         fifth-order and error sums are written out over the tableau, in the
         order of a left-to-right sum of ``h * a_ij * k_j`` terms; a term
         with a zero coefficient is left out, which changes no finite sum.
+        For VPD they run on the Lawson frame ``w``, stage ``i`` with slope
+        ``k_i / e^(lam c_i h) - lam W_i``; ``lam = 0`` gives the plain ones.
         The seventh stage is taken at the step end ``(v_new, g_new)``, its
         input.  The output-grid points inside an accepted step are sampled
         before its end point.
@@ -395,6 +408,7 @@ class _Run:
         hybrid = config.is_hybrid()
         if hybrid:
             gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
+        i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
         detector = self.detector
         rhs = self.kernel
@@ -406,6 +420,8 @@ class _Run:
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
+        rc = False  # the last accepted step discharged as an RC circuit
+        rate = 0.0
         # Time resolution: the boundary is reached, and a grid point this
         # close to a step end is that step end.
         eps = 1e-18 * max(1.0, boundary)
@@ -413,7 +429,15 @@ class _Run:
             if self.floored:
                 break
             remaining = boundary - t
+            lam = v_star = 0.0  # the Lawson frame of the module docstring
+            if rc:
+                v_star = -i_photo * v / k1i
+                lam = k1v / (v - v_star)
+                h = min(h, _LAWSON_REACH / -lam, math.log(
+                    (v - v_star) / (0.5 * floor_tol - v_star)) / -lam)
             h = min(max(h, opt.min_step), remaining, opt.max_step)
+            w = v - v_star
+            K1 = k1v - lam * w
             attempts = 0
             while True:
                 attempts += 1
@@ -422,31 +446,41 @@ class _Run:
                         "required step underflow: stiffness at "
                         f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
                                                "h": h})
-                k2v, k2g, _ = rhs(v + h * A21 * k1v, g + h * A21 * k1g)
-                k3v, k3g, _ = rhs(v + h * A31 * k1v + h * A32 * k2v,
+                e2, e3, e4, e5, e7 = [math.exp(lam * h * c) for c in _C]
+                W2 = w + h * A21 * K1
+                k2v, k2g, _ = rhs(v_star + e2 * W2, g + h * A21 * k1g)
+                K2 = k2v / e2 - lam * W2
+                W3 = w + h * A31 * K1 + h * A32 * K2
+                k3v, k3g, _ = rhs(v_star + e3 * W3,
                                   g + h * A31 * k1g + h * A32 * k2g)
-                k4v, k4g, _ = rhs(
-                    v + h * A41 * k1v + h * A42 * k2v + h * A43 * k3v,
-                    g + h * A41 * k1g + h * A42 * k2g + h * A43 * k3g)
-                k5v, k5g, _ = rhs(
-                    v + h * A51 * k1v + h * A52 * k2v + h * A53 * k3v
-                    + h * A54 * k4v,
-                    g + h * A51 * k1g + h * A52 * k2g + h * A53 * k3g
-                    + h * A54 * k4g)
-                k6v, k6g, _ = rhs(
-                    v + h * A61 * k1v + h * A62 * k2v + h * A63 * k3v
-                    + h * A64 * k4v + h * A65 * k5v,
-                    g + h * A61 * k1g + h * A62 * k2g + h * A63 * k3g
-                    + h * A64 * k4g + h * A65 * k5g)
-                v_new = v + h * B1 * k1v + h * B3 * k3v + h * B4 * k4v \
-                    + h * B5 * k5v + h * B6 * k6v
+                K3 = k3v / e3 - lam * W3
+                W4 = w + h * A41 * K1 + h * A42 * K2 + h * A43 * K3
+                k4v, k4g, _ = rhs(v_star + e4 * W4, g + h * A41 * k1g
+                                  + h * A42 * k2g + h * A43 * k3g)
+                K4 = k4v / e4 - lam * W4
+                W5 = w + h * A51 * K1 + h * A52 * K2 + h * A53 * K3 \
+                    + h * A54 * K4
+                k5v, k5g, _ = rhs(v_star + e5 * W5, g + h * A51 * k1g
+                                  + h * A52 * k2g + h * A53 * k3g
+                                  + h * A54 * k4g)
+                K5 = k5v / e5 - lam * W5
+                W6 = w + h * A61 * K1 + h * A62 * K2 + h * A63 * K3 \
+                    + h * A64 * K4 + h * A65 * K5
+                k6v, k6g, _ = rhs(v_star + e7 * W6, g + h * A61 * k1g
+                                  + h * A62 * k2g + h * A63 * k3g
+                                  + h * A64 * k4g + h * A65 * k5g)
+                K6 = k6v / e7 - lam * W6
+                W7 = w + h * B1 * K1 + h * B3 * K3 + h * B4 * K4 \
+                    + h * B5 * K5 + h * B6 * K6
+                v_new = v_star + e7 * W7
                 g_new = g + h * B1 * k1g + h * B3 * k3g + h * B4 * k4g \
                     + h * B5 * k5g + h * B6 * k6g
                 k7v, k7g, k7i = rhs(v_new, g_new)
+                K7 = k7v / e7 - lam * W7
                 stats.rhs_evals += 6
                 m7 = knee_margin()
-                err_v = h * E1 * k1v + h * E3 * k3v + h * E4 * k4v \
-                    + h * E5 * k5v + h * E6 * k6v + h * E7 * k7v
+                err_v = e7 * (h * E1 * K1 + h * E3 * K3 + h * E4 * K4
+                              + h * E5 * K5 + h * E6 * K6 + h * E7 * K7)
                 err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
                     + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
                 if not (math.isfinite(v_new) and math.isfinite(g_new)):
@@ -518,13 +552,15 @@ class _Run:
                 i_end = k7i
                 i_scale = max(abs(i_end), abs(k1i))
                 i_load = load = 0.0
+                rc = False
                 if i_scale > 1e-12 and h > 4.0 * opt.min_step:
                     i_load = load = abs(i_end - k1i) / (0.15 * i_scale)
-                    if v > 0.0 and v_new > 0.0:
+                    if t >= trst and v > 0.0 and v_new > 0.0:
                         cond1, cond7 = k1i / v, i_end / v_new
                         d_cond = abs(cond7 - cond1)
                         cond_scale = max(abs(cond1), abs(cond7))
-                        if d_cond < 0.05 * cond_scale:
+                        rc = d_cond < 0.05 * cond_scale
+                        if rc:
                             load = min(load, d_cond / (0.05 * cond_scale))
                 if load > 1.0:
                     stats.rejected_current += 1
@@ -550,9 +586,11 @@ class _Run:
             # Samples inside the step, in increasing time: the output-grid
             # points, and, where the current used more than its allowance,
             # the inner ends of ``pieces`` equal parts of the step, so the
-            # trace keeps its density where the branch current moves.  A
-            # part end within ``eps`` of a grid point is that grid point.
-            pieces = math.ceil(i_load) if i_load > 1.0 else 1
+            # trace keeps its density where the branch current moves; on a
+            # Lawson step, at most 15 % of it is lost per part.  A part end
+            # within ``eps`` of a grid point is that grid point.
+            pieces = max(1, math.ceil(i_load),
+                         math.ceil(lam * h / math.log(0.85)))
             j = 1
             while True:
                 t_fill = t_old + h_end * j / pieces if j < pieces else t
@@ -573,8 +611,8 @@ class _Run:
                     break
                 # Clipped as an accepted state.
                 theta = (t_s - t_old) / h
-                vs = dense(theta, h, v_old, v_new, k1v, k3v, k4v, k5v, k6v,
-                           k7v)
+                vs = v_star + math.exp(lam * theta * h) * dense(
+                    theta, h, w, W7, K1, K3, K4, K5, K6, K7)
                 if t_s > trst:
                     vs = max(vs, VPD_FLOOR)
                 gs = g_old
@@ -596,8 +634,10 @@ class _Run:
             h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
                 else h * 5.0
             if load > 0.6:
-                # Predict the current change as linear in h.
-                h_next = min(h_next, h * 0.9 / load)
+                # The current change, linear in h at a rate growing as it grew.
+                growth = load / h / rate if rate else 1.0
+                h_next = min(h_next, h * 0.9 / load / max(1.0, growth))
+            rate = load / h
             if knee:
                 h_next = min(h_next, _KNEE_RESTART)
             elif 0.0 < m7 < m1:

@@ -29,16 +29,16 @@ from oxpix.tracefile import write_report_json
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
-    "case_i": "4943ddc1df96b1a29ca30dd56e112cffeb03f557d0f4144543b027a9a30b12a1",
-    "case_ii": "4d079463b20be101528d752fd68b98b82ec5991c7ca6796c30680b486519f4be",
-    "case_iii": "bb6333b69340bbd585a63e2e1b7493cd8f9b485e05654e3dc725e11e331d074b",
+    "case_i": "6c277f559f5d4175b2bb782f6c1bc3d3e58d07bb937b2485cf0a27f6aaad1ebe",
+    "case_ii": "2b048e94dc7f4eef35980715b9178924a886bd66c1299a2754e0b4fa3c1872e5",
+    "case_iii": "491c54adbdf070032e796381f44d195242e4107c9a4d866df45c0a65f231e7b1",
 }
 
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
 GOLDEN_SWEEP = {
     "bare3t": "8ba86c0d6d4e080d2a6f4b052fc43f6b49600feb58dd758ed9db4618489b3a76",
-    "case_i": "a30a6d1d88063ae304c27602fc43c81450f492500dd9b1b814a57629ddac80c4",
-    "case_ii": "e572aab1850200b7c05e42e40d2fc8e2cdde95a63218eb7624603463fbae4c92",
+    "case_i": "68aa4c1d5cc1637e815d996e2fc4e88c47b8a9bfde38e78b44520a04e5f021bb",
+    "case_ii": "93ea5e125c802b2d1cefbbd9c1344e2f15c2fe842119278bf465d99b3bf15fab",
     "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
 }
 
@@ -65,7 +65,7 @@ GOLDEN_MULTISTART = {
 # the 100 fA .. 10 nA grid at 12 points per decade, which the session
 # ``calibrated`` and ``reports`` fixtures compute.
 GOLDEN_REPORT = \
-    "228c051cb535e84f36bada55e05bc77d0e331c7aeee0a7edeafba266bfc0e022"
+    "d9a2ece605741970329d7fe466b4c134213858afbd8cc18643f294d590984fdd"
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.

@@ -390,8 +390,8 @@ def test_steps_land_on_the_lower_gap_bound():
 
 
 def test_steps_land_on_the_vpd_floor():
-    # A loose voltage tolerance lets the error test pass steps of case iii's
-    # collapse that run past the floor; the run ends at the crossing.
+    # A loose voltage tolerance lets the error test pass long steps of case
+    # iii's collapse; the last one still ends on the floor.
     cfg = default_config(Topology.HYBRID_CASE_III)
     trace = integrate(cfg, Stimulus(10e-9), SolverOptions(abs_tol_v=1e-6))
     (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
@@ -401,12 +401,71 @@ def test_steps_land_on_the_vpd_floor():
     assert charge_balance_error(trace, cfg) <= 5e-3
 
 
+@pytest.mark.parametrize("i_exp", [1e-12, 1e-9])
+def test_case_iii_collapse_matches_radau_oracle(calibrated, i_exp):
+    # The Lawson steps of the collapse and their samples inside, against
+    # Radau from the first sample of the exposure up to the floor.
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opt = SolverOptions()
+    trace = integrate(cfg, Stimulus(i_exp), opt)
+    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    first = int(np.searchsorted(trace.t, cfg.pd.trst, side="right"))
+    inside = (trace.t > trace.t[first]) & (trace.t < floor.t_event)
+    kernel = pixel.segment_kernel(cfg, Stimulus(i_exp), cfg.pd.trst)
+    sol = solve_ivp(lambda t, y: kernel(*y)[:2],
+                    (trace.t[first], floor.t_event),
+                    [trace.vpd[first], trace.gap[first]], method="Radau",
+                    rtol=1e-11, atol=[1e-15, 1e-12], t_eval=trace.t[inside])
+    assert sol.success, sol.message
+    floor_tol = max(opt.abs_tol_v, opt.rel_tol * cfg.pd.vrst)
+    assert np.count_nonzero(inside) > 10
+    assert float(np.max(np.abs(sol.y[0] - trace.vpd[inside]))) <= floor_tol
+
+
+def test_lawson_steps_are_exact_on_an_rc_node(monkeypatch):
+    # A node that discharges through a constant conductance (tau = 1 ns):
+    # every step after the first is a Lawson step, exact up to rounding.
+    cfg = default_config(Topology.HYBRID_CASE_III)
+    cond, c_total = 1e-5, cfg.pd.c_pd + cfg.oxram.c_pox
+    i_exp, opt = 1e-9, SolverOptions()
+
+    def rc_kernel(config, stimulus, t, photo_active, op_hint):
+        pinned = t < config.pd.trst
+        # The selector margin stays at vth: no knee.
+        op_hint[0] = config.vg_waveform.level_at(t)
+
+        def kernel(vpd, gap):
+            i = cond * vpd
+            return 0.0 if pinned else -(i_exp + i) / c_total, 0.0, i
+        return kernel
+
+    monkeypatch.setattr(solver, "segment_kernel", rc_kernel)
+    solver._reset_phase.cache_clear()
+    try:
+        trace = integrate(cfg, Stimulus(i_exp), opt)
+        reset_steps = solver._reset_phase(cfg, opt).stats.accepted
+    finally:
+        solver._reset_phase.cache_clear()
+    assert trace.stats.accepted - reset_steps <= 12
+    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    # The end of the first exposure step, one sample after its start.
+    k0 = int(np.searchsorted(trace.t, cfg.pd.trst, side="right")) + 1
+    t0, v0 = trace.t[k0], trace.vpd[k0]
+    lam, v_star = -cond / c_total, -i_exp / cond
+    lawson = (trace.t > t0) & (trace.t < floor.t_event)
+    exact = v_star + np.exp(lam * (trace.t[lawson] - t0)) * (v0 - v_star)
+    assert np.count_nonzero(lawson) > 10
+    np.testing.assert_allclose(trace.vpd[lawson], exact, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("options", [
-    SolverOptions(rel_tol=1e-7), SolverOptions(rel_tol=1e-8, abs_tol_v=1e-11)])
+    SolverOptions(rel_tol=1e-7), SolverOptions(rel_tol=1e-8, abs_tol_v=1e-11),
+    SolverOptions(rel_tol=1e-9, abs_tol_v=1e-12)])
 def test_case_iii_sweeps_at_tight_tolerances(options):
     # Case iii's collapse ends on the floor within a microvolt of it; the
-    # steps there must not underflow at a tight tolerance.  Some runs end
-    # on a step cut at its floor crossing.
+    # steps there must not underflow at a tight tolerance.
     cfg = default_config(Topology.HYBRID_CASE_III)
     for i_exp in SweepSpec(cfg).currents():
         trace = integrate(cfg, Stimulus(i_exp), options)
@@ -507,8 +566,16 @@ def test_stats_count_kcl_solves(monkeypatch):
                     SolverOptions())
     assert not floor_calls
     assert lit.stats.kcl_solves == lit.stats.rhs_evals
-    collapse = integrate(default_config(Topology.HYBRID_CASE_III),
-                         Stimulus(1e-8), SolverOptions())
+    cfg = default_config(Topology.HYBRID_CASE_III)
+    collapse = integrate(cfg, Stimulus(1e-8), SolverOptions())
+    # The collapse lands on the floor from above, so its kernel is called
+    # below ground directly.
+    hint = [None]
+    kernel = solver.segment_kernel(cfg, Stimulus(1e-8), cfg.pd.trst, True,
+                                   hint)
+    for vpd in (0.0, -1e-6):
+        kernel(vpd, collapse.final_gap)
+        assert hint[1] == vpd
     assert collapse.events_of(EventKind.VPD_FLOOR_CLAMP) and floor_calls
     assert collapse.stats.kcl_solves == collapse.stats.rhs_evals
     assert not unsolved
