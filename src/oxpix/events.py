@@ -1,11 +1,11 @@
-"""Events of a transient and the detector that finds them in its samples.
+"""Events of a transient, and ``detect``, which finds them in its samples.
 
 Discrete happenings are recorded as events: filament switching transitions
 (threshold crossings of the gap across fractions of its span, stamped where
 the step's interpolant crosses the threshold), abrupt VPD falls (a drop of
 half the available swing inside a sliding window of samples), full well
-saturation and the ground clamp.  The detector sees the first two; the
-stepper records the last two itself.
+saturation and the ground clamp.  ``detect`` finds the first two in the
+finished samples of a transient; the stepper records the last two itself.
 
 The interpolant is the DOPRI5 continuous extension (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.6): order 4, built from a step's own seven
@@ -14,12 +14,11 @@ stages.  The stepper samples the output grid with it too.
 
 from __future__ import annotations
 
-import copy
+import bisect
 import enum
-import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .pixel import PixelConfig
 
@@ -70,98 +69,76 @@ class Event:
     detail: str = ""
 
 
-class EventDetector:
-    """Incremental detector fed one accepted sample at a time."""
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or 0 if there is none."""
+    i = int(np.argmax(mask))
+    return i if mask[i] else 0
 
-    def __init__(self, config: PixelConfig, vstart: float):
-        self.events: list[Event] = []
-        self._hybrid = config.is_hybrid()
-        if self._hybrid:
-            p = config.oxram
-            self._span = p.gap_max - p.gap_min
-            self._gmin = p.gap_min
-        self._prev: Optional[tuple[float, float]] = None  # (t, gap fraction)
-        self._min_frac = math.inf
-        self._max_frac = -math.inf
-        self._crossed_hi = False
-        self._crossed_lo = False
-        self._abrupt_seen = False
-        self._window: deque[tuple[float, float]] = deque()
-        self._drop_ref = ABRUPT_FRAC * (vstart - VPD_FLOOR)
 
-    def copy(self) -> "EventDetector":
-        other = copy.copy(self)
-        other.events = list(self.events)
-        other._window = deque(self._window)
-        return other
+def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
+                   steps: list[tuple], gap_min: float, span: float) -> float:
+    """Time the gap fraction passed ``level`` between samples ``i - 1`` and
+    ``i``, bisected on the interpolant of the accepted step ``(t0, h, g0,
+    g1, k1, k3, k4, k5, k6, k7)`` that holds sample ``i``."""
+    t_prev, t_i = float(t[i - 1]), float(t[i])
+    step = steps[bisect.bisect_left(steps, t_i, key=lambda s: s[0]) - 1]
+    t0, h = step[0], step[1]
+    rising = frac[i] > frac[i - 1]
+    lo, hi = (t_prev - t0) / h, (t_i - t0) / h
+    for _ in range(_CROSSING_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        f_mid = (dense(mid, h, *step[2:]) - gap_min) / span
+        if (f_mid >= level) if rising else (f_mid <= level):
+            hi = mid
+        else:
+            lo = mid
+    return t0 + hi * h
 
-    def _frac(self, gap: float) -> float:
-        return (gap - self._gmin) / self._span
 
-    def _crossing_time(self, t: float, frac: float, level: float,
-                       step: tuple) -> float:
-        """Time the gap fraction passed ``level`` since the previous sample,
-        bisected on the interpolant of the step ``(t0, h, g0, g1, k1, k3,
-        k4, k5, k6, k7)`` that holds both samples."""
-        t_prev, f_prev = self._prev
-        t0, h = step[0], step[1]
-        rising = frac > f_prev
-        lo, hi = (t_prev - t0) / h, (t - t0) / h
-        for _ in range(_CROSSING_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            f_mid = self._frac(dense(mid, h, *step[2:]))
-            if (f_mid >= level) if rising else (f_mid <= level):
-                hi = mid
-            else:
-                lo = mid
-        return t0 + hi * h
+def detect(t: np.ndarray, vpd: np.ndarray, gap: np.ndarray,
+           steps: list[tuple], config: PixelConfig, vstart: float
+           ) -> list[Event]:
+    """The switching and abrupt-fall events of a transient's samples ``(t,
+    vpd, gap)``, in time order from the initial state at sample 0.  For a
+    hybrid pixel, ``steps`` are its accepted steps in time order, as
+    ``_crossing_time`` takes them.
 
-    def update(self, t: float, vpd: float, gap: float,
-               step: Optional[tuple] = None) -> None:
-        """Feed the sample ``(t, vpd, gap)``.  After the first sample of a
-        hybrid pixel, ``step`` is the accepted step holding this sample and
-        the previous one, as ``_crossing_time`` takes it."""
-        if self._hybrid:
-            frac = self._frac(gap)
-            if self._prev is None:
-                # The initial state is a starting point, not a crossing.
-                self._prev = (t, frac)
-                self._min_frac = self._max_frac = frac
-                self._window.append((t, vpd))
-                return
-            prev_min = self._min_frac
-            prev_max = self._max_frac
-            self._min_frac = min(self._min_frac, frac)
-            self._max_frac = max(self._max_frac, frac)
-            if frac >= GAP_HI_FRAC and not self._crossed_hi and prev_max < GAP_HI_FRAC:
-                self._crossed_hi = True
-                if prev_min < GAP_LO_FRAC:
-                    kind = EventKind.SET_TO_RESET
-                else:
-                    kind = EventKind.SOFT_TO_HARD_RESET
-                self.events.append(Event(
-                    kind, self._crossing_time(t, frac, GAP_HI_FRAC, step),
-                    f"gap={gap:.4f}nm"))
-            if frac <= GAP_LO_FRAC and not self._crossed_lo and prev_min > GAP_LO_FRAC:
-                if prev_max > GAP_HI_FRAC:
-                    self._crossed_lo = True
-                    self.events.append(Event(
-                        EventKind.RESET_TO_SET,
-                        self._crossing_time(t, frac, GAP_LO_FRAC, step),
-                        f"gap={gap:.4f}nm"))
-            self._prev = (t, frac)
-        # Abrupt-fall check over a sliding time window.
-        if not self._abrupt_seen:
-            w = self._window
-            w.append((t, vpd))
-            # A sample exactly one window back stays: grid points one window
-            # apart differ by a rounding error from ``ABRUPT_WINDOW``.
-            t_out = t - ABRUPT_WINDOW - 1e-18 * max(1.0, t)
-            while w and w[0][0] < t_out:
-                w.popleft()
-            vmax = max(v for _, v in w)
-            if vmax - vpd > self._drop_ref:
-                self._abrupt_seen = True
-                self.events.append(Event(
-                    EventKind.ABRUPT_FALL, t,
-                    f"fell {vmax - vpd:.3f}V within {ABRUPT_WINDOW * 1e9:.0f}ns"))
+    The gap reaches 90 % of its span at its first sample there after sample
+    0, a SetToReset if an earlier sample lay below 10 %, else a
+    SoftToHardReset; it falls to 10 % at its first sample there after sample
+    0, a ResetToSet if an earlier sample lay above 90 %.  Each is stamped at
+    its crossing time.  An abrupt fall is the first sample that lies more
+    than ``ABRUPT_FRAC`` of the swing above the floor below the largest VPD
+    of the window ``ABRUPT_WINDOW`` back.
+    """
+    events = []
+    if config.is_hybrid():
+        p = config.oxram
+        gap_min, span = p.gap_min, p.gap_max - p.gap_min
+        frac = (gap - gap_min) / span
+        i = _first(frac >= GAP_HI_FRAC)
+        if i:
+            kind = EventKind.SET_TO_RESET if frac[:i].min() < GAP_LO_FRAC \
+                else EventKind.SOFT_TO_HARD_RESET
+            events.append(Event(kind, _crossing_time(
+                t, frac, i, GAP_HI_FRAC, steps, gap_min, span),
+                f"gap={float(gap[i]):.4f}nm"))
+        i = _first(frac <= GAP_LO_FRAC)
+        if i and frac[:i].max() > GAP_HI_FRAC:
+            events.append(Event(EventKind.RESET_TO_SET, _crossing_time(
+                t, frac, i, GAP_LO_FRAC, steps, gap_min, span),
+                f"gap={float(gap[i]):.4f}nm"))
+    # Only a sample that far below the running maximum can qualify.
+    drop = ABRUPT_FRAC * (vstart - VPD_FLOOR)
+    for i in np.flatnonzero(np.maximum.accumulate(vpd) - vpd > drop):
+        t_i, v_i = float(t[i]), float(vpd[i])
+        # A sample exactly one window back stays: grid points one window
+        # apart differ by a rounding error from ``ABRUPT_WINDOW``.
+        t_out = t_i - ABRUPT_WINDOW - 1e-18 * max(1.0, t_i)
+        vmax = float(vpd[np.searchsorted(t, t_out):i + 1].max())
+        if vmax - v_i > drop:
+            events.append(Event(
+                EventKind.ABRUPT_FALL, t_i,
+                f"fell {vmax - v_i:.3f}V within {ABRUPT_WINDOW * 1e9:.0f}ns"))
+            break
+    return events

@@ -215,12 +215,11 @@ def readable_window_bounds(result: SweepResult, window: ReadableWindow
 
 
 def _log_linear_cross(row_a: SweepRow, row_b: SweepRow, level: float) -> float:
-    """Exposure at which the swing crosses ``level``, log-linear in i_exp."""
+    """Exposure at which the swing crosses ``level``, log-linear in i_exp.
+    Both callers give ``s_a < s_b`` with ``level`` between them, so ``x``
+    lies in [0, 1]."""
     s_a, s_b = row_a.swing, row_b.swing
-    if s_a == s_b:
-        return row_a.i_exp
     x = (level - s_a) / (s_b - s_a)
-    x = min(max(x, 0.0), 1.0)
     return row_a.i_exp ** (1.0 - x) * row_b.i_exp ** x
 
 

@@ -72,10 +72,9 @@ whose current used ``load > 1`` of its 15 % allowance, at the ``ceil(load)
 step, so that its current falls by at most 15 % a part
 (``SolverStats.fill_samples``).  The fill samples keep the trace as dense
 where the current moves as the limiter did, which the trapezoidal charge
-balance needs.  Samples are clipped as an accepted state is and fed to the
-event detector in time order.  Step ends are samples too, so fast stretches
-stay dense, and every abrupt-fall window holds the sample one grid point
-back.
+balance needs.  Samples are clipped as an accepted state is and recorded in
+time order.  Step ends are samples too, so fast stretches stay dense, and
+every abrupt-fall window holds the sample one grid point back.
 
 The branch current of a sample inside a step is computed only when
 ``TransientTrace.i_ox`` is first read, so a sweep, which keeps the final
@@ -85,8 +84,11 @@ calls them in recorded order, so the currents are those the calls would
 have given at sampling time, and the stepper's internal-node start points
 and work counts are untouched.
 
-Discrete happenings are recorded as events (module ``oxpix.events``): the
-detector is fed every sample, with the accepted step that holds it.
+Discrete happenings are recorded as events (module ``oxpix.events``).  The
+stepper records the full-well and floor events as it meets them; the
+switching and abrupt-fall events are found by ``events.detect`` in the
+finished samples, with every accepted step of a hybrid pixel kept for the
+interpolant its crossing times are bisected on.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -114,8 +116,7 @@ import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError, require_finite
-from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventDetector,
-                     EventKind, dense)
+from .events import ABRUPT_WINDOW, VPD_FLOOR, Event, EventKind, dense, detect
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
@@ -254,10 +255,10 @@ class _Run:
     """One transient in progress: the last accepted point, the next step
     size, the first stage of the next step, the samples so far with the
     kernel calls that give the currents of those inside steps (see
-    ``_replay``), the index of the next output-grid point, the event
-    detector, the op-hint records of the stepper's and the samples'
-    internal-node solves, the right-hand side of the running schedule
-    segment and the stats.  A new run is the start of the reset phase, with
+    ``_replay``), the index of the next output-grid point, the stepper's
+    events, the accepted steps of a hybrid pixel, the op-hint records of the
+    stepper's and the samples' internal-node solves, the right-hand side of
+    the running schedule segment and the stats.  A new run is the start of the reset phase, with
     its first stage and sample taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
@@ -277,7 +278,8 @@ class _Run:
         self.est_err_v = 0.0
         self.floored = False
         self.stats = SolverStats()
-        self.detector = EventDetector(config, v0)
+        self.events: list[Event] = []
+        self.steps: list[tuple] = []
         self.ts: list[float] = []
         self.vs: list[float] = []
         self.gs: list[float] = []
@@ -294,7 +296,6 @@ class _Run:
         self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
         self._segment(0.0)
         self._sample(0.0, self.v, self.g, self.k1[2])
-        self.detector.update(0.0, self.v, self.g)
         self._start_step()
 
     def _start_step(self) -> None:
@@ -320,7 +321,7 @@ class _Run:
             setattr(run, name, value)
         run.stimulus, run.t_fwc = stimulus, t_fwc
         run.stats = replace(self.stats)
-        run.detector = self.detector.copy()
+        run.events, run.steps = list(self.events), list(self.steps)
         run.ts, run.vs = list(self.ts), list(self.vs)
         run.gs, run.cur = list(self.gs), list(self.cur)
         run.deferred = list(self.deferred)
@@ -375,7 +376,7 @@ class _Run:
         if self.t_fwc is not None and self.photo_active and math.isclose(
                 t, self.t_fwc, rel_tol=0.0, abs_tol=1e-18):
             self.photo_active = False
-            self.detector.events.append(Event(
+            self.events.append(Event(
                 EventKind.FWC_SATURATION, t,
                 f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
         self._segment(t)
@@ -410,7 +411,7 @@ class _Run:
             gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
-        detector = self.detector
+        steps = self.steps
         rhs = self.kernel
         sample_rhs = self.sample_kernel
         window = ABRUPT_WINDOW
@@ -572,8 +573,9 @@ class _Run:
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
             t_old, v_old, g_old = t, v, g
-            step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g,
-                    k7g) if hybrid else None
+            if hybrid:
+                step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g)
+                steps.append(step)
             # A step that runs below the floor ends where it crosses it.
             h_end, v = h, v_new
             if v_new < VPD_FLOOR < v_old:
@@ -619,17 +621,15 @@ class _Run:
                 if hybrid:
                     gs = min(max(dense(theta, *step[1:]), gap_min), gap_max)
                 self._defer(t_s, vs, gs, sample_rhs)
-                detector.update(t_s, vs, gs, step)
 
             if t > trst and v <= VPD_FLOOR + floor_tol:
                 v = VPD_FLOOR
                 self.floored = True
-                detector.events.append(Event(
+                self.events.append(Event(
                     EventKind.VPD_FLOOR_CLAMP, t, f"vpd clamped at {v:.3f}V"))
                 i_end = 0.0
 
             self._sample(t, v, g, i_end)
-            detector.update(t, v, g, step)
 
             h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
                 else h * 5.0
@@ -723,11 +723,13 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         run._sample(t_end, run.v, run.g, 0.0)
 
     stats = run.tally()
-    events = sorted(run.detector.events, key=lambda e: e.t_event)
+    t, vpd, gap = np.asarray(ts), np.asarray(vs), np.asarray(gs)
+    # At equal times the stepper's events come first.
+    events = sorted(run.events + detect(t, vpd, gap, run.steps, config,
+                                        run.v0), key=lambda e: e.t_event)
     trace = TransientTrace(
-        t=np.asarray(ts), vpd=np.asarray(vs),
-        _i_ox=functools.partial(_replay, run.cur, run.deferred),
-        gap=np.asarray(gs), events=events, final_vpd=run.v, final_gap=run.g,
+        t=t, vpd=vpd, _i_ox=functools.partial(_replay, run.cur, run.deferred),
+        gap=gap, events=events, final_vpd=run.v, final_gap=run.g,
         est_error_v=run.est_err_v, i_exp=stimulus.i_exp, vstart=run.v0,
         stats=stats)
     if len(ts) > opt.max_trace_points:

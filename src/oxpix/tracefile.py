@@ -53,24 +53,20 @@ def write_json(payload: dict, path: str, what: str) -> None:
 
 def write_trace_csv(trace: TransientTrace, path: str) -> None:
     """One row per sample; 17 significant digits so values round-trip
-    bitwise.  The event column holds the event kind at its first sample at
-    or after the event time, otherwise it is empty.
+    bitwise.  The event column holds the kind of each event whose first
+    sample at or after the event time (or the last sample) is this one,
+    joined by ``;``, otherwise it is empty.
     """
-    labels = [""] * len(trace.t)
+    labels = [[] for _ in trace.t]
     for event in trace.events:
         idx = int(np.searchsorted(trace.t, event.t_event, side="left"))
-        idx = min(idx, len(labels) - 1)
-        while labels[idx]:
-            idx += 1
-            if idx >= len(labels):
-                idx = len(labels) - 1
-                break
-        labels[idx] = event.kind.value
+        labels[min(idx, len(labels) - 1)].append(event.kind.value)
     with _replacing(path, "trace") as fh:
         fh.write(CSV_HEADER + "\n")
         for t, v, i, g, label in zip(trace.t, trace.vpd, trace.i_ox,
                                      trace.gap, labels):
-            fh.write(f"{t:.16e},{v:.16e},{i:.16e},{g:.16e},{label}\n")
+            fh.write(f"{t:.16e},{v:.16e},{i:.16e},{g:.16e},"
+                     f"{';'.join(label)}\n")
 
 
 @dataclass
@@ -98,7 +94,8 @@ def read_trace_csv(path: str) -> TraceFile:
                 for col, text in zip(cols, parts[:4]):
                     col.append(float(text))
                 if parts[4]:
-                    events.append((cols[0][-1], parts[4]))
+                    events += [(cols[0][-1], kind)
+                               for kind in parts[4].split(";")]
     except OSError as exc:
         raise OxpixError(f"cannot read trace from {path!r}: {exc}") from exc
     return TraceFile(*(np.asarray(c) for c in cols), events=events)

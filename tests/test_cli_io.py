@@ -14,7 +14,8 @@ from oxpix.devices import PhotodiodeParams
 from oxpix.errors import OxpixError
 from oxpix.experiments import SweepRow
 from oxpix.pixel import GateWaveform, Stimulus, Topology
-from oxpix.solver import EventKind, SolverOptions, integrate
+from oxpix.events import Event
+from oxpix.solver import EventKind, SolverOptions, TransientTrace, integrate
 from oxpix.tracefile import (
     CSV_HEADER,
     read_trace_csv,
@@ -79,6 +80,28 @@ def test_trace_csv_single_set_to_reset_cell(tmp_path, calibrated):
     assert cells.count("SetToReset") == 1
 
 
+def test_trace_csv_keeps_every_event_of_a_shared_row(tmp_path):
+    # Two events on an inner row and two on the last row: each row holds
+    # both kinds, in event order.
+    events = [Event(EventKind.RESET_TO_SET, 0.5e-6),
+              Event(EventKind.FWC_SATURATION, 0.5e-6),
+              Event(EventKind.ABRUPT_FALL, 2e-6),
+              Event(EventKind.VPD_FLOOR_CLAMP, 2e-6)]
+    trace = TransientTrace(
+        t=np.array([0.0, 1e-6, 2e-6]), vpd=np.array([1.0, 0.5, 0.0]),
+        _i_ox=np.zeros(3), gap=np.zeros(3), events=events, final_vpd=0.0,
+        final_gap=0.0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    cells = [line.split(",")[4] for line in
+             path.read_text().splitlines()[1:]]
+    assert cells == ["", "ResetToSet;FwcSaturation",
+                     "AbruptFall;VpdFloorClamp"]
+    assert read_trace_csv(str(path)).events == [
+        (1e-6, "ResetToSet"), (1e-6, "FwcSaturation"),
+        (2e-6, "AbruptFall"), (2e-6, "VpdFloorClamp")]
+
+
 def test_cli_simulate_matches_oracle(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["simulate", "--iexp", "1nA", "--out", str(out)])
@@ -109,6 +132,18 @@ def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "max_trace_points" in err
     assert "Traceback" not in err
+
+
+def test_cli_unknown_topology_exits_one_without_output(tmp_path, capsys):
+    cfg = tmp_path / "iv.cfg"
+    cfg.write_text("[pixel]\ntopology = case_iv\n")
+    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "case_iv" in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_solver_failure_exits_two_without_output(tmp_path, capsys):

@@ -57,6 +57,14 @@ def test_unknown_key_rejected():
     assert "unknown key" in str(err.value)
 
 
+def test_unknown_topology_rejected_naming_the_valid_ones():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[pixel]\ntopology = case_iv\n")
+    msg = str(err.value)
+    assert "'case_iv'" in msg
+    assert "['bare3t', 'case_i', 'case_ii', 'case_iii']" in msg
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_config("[nonsense]\na = 1\n")

@@ -1,7 +1,7 @@
 """Golden outputs, byte for byte: the default ``oxpix simulate --iexp 1nA``
 CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
 ``oxpix calibrate`` JSON and the ``oxpix report`` JSON and calibration cache
-of one-restart fits, the ``oxpix calibrate`` JSON of the default
+of one-restart fits, the events of the coarse sweep transients, the ``oxpix calibrate`` JSON of the default
 eight-restart fit for two seeds, the default ``oxpix report`` JSON, the
 dumped default config of each topology, and the keys a config accepts.
 
@@ -24,7 +24,10 @@ import pytest
 from oxpix.calibration import calibrate
 from oxpix.cli import main
 from oxpix.config import dump_config, parse_config
-from oxpix.experiments import table1_report
+from oxpix.defaults import default_config
+from oxpix.experiments import SweepSpec, table1_report
+from oxpix.pixel import Stimulus, Topology
+from oxpix.solver import integrate
 from oxpix.tracefile import write_report_json
 
 GOLDEN = {
@@ -41,6 +44,12 @@ GOLDEN_SWEEP = {
     "case_ii": "93ea5e125c802b2d1cefbbd9c1344e2f15c2fe842119278bf465d99b3bf15fab",
     "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
 }
+
+# Every event of the coarse sweep transients (dark, and 100 fA .. 10 nA at
+# one point per decade) of each topology with default constants: 28
+# transients, 31 events.
+GOLDEN_EVENTS = \
+    "a33ed3b5ee6bf8c23ebbbdd27d240461a2a87586903f5563041d6c715e0a3f7a"
 
 # ``oxpix calibrate`` with ``[calibration] restarts = 1``, and ``oxpix report``
 # on ``SMALL_REPORT`` (as in ``tests/test_cli_io.py``: a two-point sweep and
@@ -132,6 +141,23 @@ def test_coarse_sweep_csv_matches_golden_digest(tmp_path, topology):
     assert sweep_digest(topology, tmp_path) == GOLDEN_SWEEP[topology]
 
 
+def events_digest() -> str:
+    """SHA-256 of ``topology,i_exp,kind,t_event.hex(),detail`` lines, one
+    per event of the transients ``GOLDEN_EVENTS`` names, in order."""
+    lines = []
+    for topology in Topology:
+        spec = SweepSpec(default_config(topology), points_per_decade=1)
+        for i_exp in (0.0, *spec.currents()):
+            for e in integrate(spec.config, Stimulus(i_exp)).events:
+                lines.append(f"{topology.value},{i_exp!r},{e.kind.value},"
+                             f"{e.t_event.hex()},{e.detail}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_coarse_sweep_events_match_golden_digest():
+    assert events_digest() == GOLDEN_EVENTS
+
+
 def fit_digests(directory: Path) -> dict[str, str]:
     """SHA-256 of the one-restart ``calibrate`` JSON, of the small report
     JSON and of its cache file, and the cache file's name."""
@@ -206,6 +232,7 @@ if __name__ == "__main__":
             print(f"simulate {name}: {simulate_digest(name, Path(work))}")
         for name in GOLDEN_SWEEP:
             print(f"sweep {name}: {sweep_digest(name, Path(work))}")
+        print(f"events: {events_digest()}")
         for name, digest in fit_digests(Path(work)).items():
             print(f"{name}: {digest}")
         for seed in GOLDEN_MULTISTART:

@@ -634,13 +634,62 @@ def test_abrupt_fall_window_keeps_the_previous_grid_sample():
     cfg = default_config(Topology.BARE_3T)
     w = events.ABRUPT_WINDOW
     k = next(k for k in range(2, 100) if k * w - w > (k - 1) * w)
-    detector = events.EventDetector(cfg, 1.0)
-    detector.update(0.0, 1.0, 0.0)
-    detector.update((k - 1) * w, 1.0, 0.0)
-    detector.update(k * w, 0.4, 0.0)
-    (fall,) = detector.events
+    t = np.array([0.0, (k - 1) * w, k * w])
+    (fall,) = events.detect(t, np.array([1.0, 1.0, 0.4]), np.zeros(3), [],
+                            cfg, 1.0)
     assert fall.kind is EventKind.ABRUPT_FALL
     assert fall.t_event == k * w
+
+
+_H = 1e-7  # s, the spacing of the synthetic samples below
+
+
+def _detect_on_lines(fracs: list[float]):
+    """``events.detect`` on case i samples ``_H`` apart at the gap fractions
+    ``fracs``, each pair joined by one step of constant gap velocity.  The
+    dense-output coefficients sum to zero, so such a step interpolates
+    linearly.  Also returns where each pair's line crosses each threshold."""
+    cfg = default_config(Topology.HYBRID_CASE_I)
+    p = cfg.oxram
+    span = p.gap_max - p.gap_min
+    t = (_H * np.arange(len(fracs))).tolist()
+    gap = (p.gap_min + span * np.asarray(fracs)).tolist()
+    steps = []  # of floats, as the stepper records them
+    for k in range(1, len(fracs)):
+        slope = (gap[k] - gap[k - 1]) / _H
+        steps.append((t[k - 1], _H, gap[k - 1], gap[k]) + (slope,) * 6)
+    found = events.detect(np.asarray(t), np.ones(len(fracs)),
+                          np.asarray(gap), steps, cfg, 1.0)
+
+    def crossing(k: int, level: float) -> float:
+        return t[k - 1] \
+            + _H * (level - fracs[k - 1]) / (fracs[k] - fracs[k - 1])
+
+    return found, crossing
+
+
+@pytest.mark.parametrize("fracs,expected", [
+    # Sample 0 is the starting point: at or above 90 % it is no crossing.
+    ([0.95, 0.5, 0.97], []),
+    # A rise from below 10 %: the kind no default config produces.
+    ([0.05, 0.5, 0.95], [(EventKind.SET_TO_RESET, 2, 0.9)]),
+    ([0.5, 0.6, 0.95], [(EventKind.SOFT_TO_HARD_RESET, 2, 0.9)]),
+    # A fall through 10 % counts only after a sample above 90 %.
+    ([0.5, 0.3, 0.05], []),
+    ([0.5, 0.95, 0.5, 0.05], [(EventKind.SOFT_TO_HARD_RESET, 1, 0.9),
+                              (EventKind.RESET_TO_SET, 3, 0.1)]),
+    ([0.95, 0.5, 0.05], [(EventKind.RESET_TO_SET, 2, 0.1)]),
+    # A gap that starts at or below 10 % never falls through it.
+    ([0.05, 0.95, 0.05], [(EventKind.SET_TO_RESET, 1, 0.9)]),
+])
+def test_detect_switching_rules_on_linear_steps(fracs, expected):
+    found, crossing = _detect_on_lines(fracs)
+    assert [e.kind for e in found] == [kind for kind, _, _ in expected]
+    for event, (_, k, level) in zip(found, expected):
+        # To bisection resolution: 50 halvings of one step, and rounding.
+        assert type(event.t_event) is float
+        assert event.t_event == pytest.approx(crossing(k, level),
+                                              rel=0.0, abs=_H * 2.0 ** -49)
 
 
 def test_case_iii_collapse_records_one_abrupt_fall(calibrated):
