@@ -1,21 +1,23 @@
-"""Events of a transient, and ``detect``, which finds them in its samples.
+"""Events of a transient, and ``detect``, which finds them in its states.
 
 Discrete happenings are recorded as events: filament switching transitions
 (threshold crossings of the gap across fractions of its span, stamped where
 the step's interpolant crosses the threshold), abrupt VPD falls (a drop of
-half the available swing inside a sliding window of samples), full well
-saturation and the ground clamp.  ``detect`` finds the first two in the
-finished samples of a transient; the stepper records the last two itself.
+half the available swing within a sliding window), full well saturation
+and the ground clamp.  ``detect`` finds the first two in the states of a
+finished transient, on the interpolants of the accepted steps between them;
+the stepper records the last two itself.
 
 The interpolant is the DOPRI5 continuous extension (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.6): order 4, built from a step's own seven
-stages.  The stepper samples the output grid with it too.
+stages; the trace's samples inside steps lie on it too.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,14 @@ def dense(theta: float, h: float, y0: float, y1: float, k1: float,
     return y0 + theta * (dy + s * (a + theta * (b + s * c)))
 
 
+def vpd_at(step: tuple, t: float) -> float:
+    """VPD at ``t`` on an accepted step record of ``solver._Run``: the
+    continuous extension of its Lawson frame ``w``, ``t0`` to ``t0 + h``."""
+    t0, h, lam, v_star = step[0], step[1], step[10], step[11]
+    theta = (t - t0) / h
+    return v_star + math.exp(lam * theta * h) * dense(theta, h, *step[12:20])
+
+
 class EventKind(enum.Enum):
     SET_TO_RESET = "SetToReset"
     RESET_TO_SET = "ResetToSet"
@@ -77,9 +87,9 @@ def _first(mask: np.ndarray) -> int:
 
 def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
                    steps: list[tuple], gap_min: float, span: float) -> float:
-    """Time the gap fraction passed ``level`` between samples ``i - 1`` and
-    ``i``, bisected on the interpolant of the accepted step ``(t0, h, g0,
-    g1, k1, k3, k4, k5, k6, k7)`` that holds sample ``i``."""
+    """Time the gap fraction passed ``level`` between states ``i - 1`` and
+    ``i``, bisected on the gap interpolant ``(t0, h, g0, g1, k1, k3..k7)``
+    that opens the record of the accepted step holding state ``i``."""
     t_prev, t_i = float(t[i - 1]), float(t[i])
     step = steps[bisect.bisect_left(steps, t_i, key=lambda s: s[0]) - 1]
     t0, h = step[0], step[1]
@@ -87,7 +97,7 @@ def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
     lo, hi = (t_prev - t0) / h, (t_i - t0) / h
     for _ in range(_CROSSING_HALVINGS):
         mid = 0.5 * (lo + hi)
-        f_mid = (dense(mid, h, *step[2:]) - gap_min) / span
+        f_mid = (dense(mid, h, *step[2:10]) - gap_min) / span
         if (f_mid >= level) if rising else (f_mid <= level):
             hi = mid
         else:
@@ -96,46 +106,54 @@ def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
 
 
 def detect(t: np.ndarray, vpd: np.ndarray, gap: np.ndarray,
-           steps: list[tuple], config: PixelConfig, vstart: float
-           ) -> list[Event]:
-    """The switching and abrupt-fall events of a transient's samples ``(t,
-    vpd, gap)``, in time order from the initial state at sample 0.  For a
-    hybrid pixel, ``steps`` are its accepted steps in time order, as
-    ``_crossing_time`` takes them.
+           steps: list[tuple], config: PixelConfig, vstart: float,
+           known: tuple[Event, ...] = ()) -> list[Event]:
+    """The switching and abrupt-fall events of a transient's states ``(t,
+    vpd, gap)``, in time order from state 0, with ``steps`` the records of
+    the accepted steps between them (``solver._Run``) and ``known`` the
+    events found in a prefix of the states (the shared reset phase).
 
-    The gap reaches 90 % of its span at its first sample there after sample
-    0, a SetToReset if an earlier sample lay below 10 %, else a
-    SoftToHardReset; it falls to 10 % at its first sample there after sample
-    0, a ResetToSet if an earlier sample lay above 90 %.  Each is stamped at
-    its crossing time.  An abrupt fall is the first sample that lies more
-    than ``ABRUPT_FRAC`` of the swing above the floor below the largest VPD
-    of the window ``ABRUPT_WINDOW`` back.
+    The gap reaches 90 % of its span at its first state there after state
+    0, a SetToReset if an earlier state lay below 10 %, else a
+    SoftToHardReset; it falls to 10 % at its first state there after state
+    0, a ResetToSet if an earlier state lay above 90 %.  Each is stamped at
+    its crossing time, or is the event of ``known`` if in the prefix.  An
+    abrupt fall is the first state that lies more than ``ABRUPT_FRAC`` of
+    the swing above the floor below the largest VPD of the window
+    ``ABRUPT_WINDOW`` back: of its states and of the interpolant at its
+    start, so a fall within one long step is seen.
     """
     events = []
     if config.is_hybrid():
         p = config.oxram
         gap_min, span = p.gap_min, p.gap_max - p.gap_min
         frac = (gap - gap_min) / span
+
+        def crossing(kind: EventKind, i: int, level: float) -> Event:
+            return next((e for e in known if e.kind is kind), None) \
+                or Event(kind, _crossing_time(t, frac, i, level, steps,
+                                              gap_min, span),
+                         f"gap={float(gap[i]):.4f}nm")
         i = _first(frac >= GAP_HI_FRAC)
         if i:
             kind = EventKind.SET_TO_RESET if frac[:i].min() < GAP_LO_FRAC \
                 else EventKind.SOFT_TO_HARD_RESET
-            events.append(Event(kind, _crossing_time(
-                t, frac, i, GAP_HI_FRAC, steps, gap_min, span),
-                f"gap={float(gap[i]):.4f}nm"))
+            events.append(crossing(kind, i, GAP_HI_FRAC))
         i = _first(frac <= GAP_LO_FRAC)
         if i and frac[:i].max() > GAP_HI_FRAC:
-            events.append(Event(EventKind.RESET_TO_SET, _crossing_time(
-                t, frac, i, GAP_LO_FRAC, steps, gap_min, span),
-                f"gap={float(gap[i]):.4f}nm"))
-    # Only a sample that far below the running maximum can qualify.
+            events.append(crossing(EventKind.RESET_TO_SET, i, GAP_LO_FRAC))
+    # Only a state that far below the running maximum can qualify.
     drop = ABRUPT_FRAC * (vstart - VPD_FLOOR)
     for i in np.flatnonzero(np.maximum.accumulate(vpd) - vpd > drop):
         t_i, v_i = float(t[i]), float(vpd[i])
-        # A sample exactly one window back stays: grid points one window
+        # A state exactly one window back stays: grid points one window
         # apart differ by a rounding error from ``ABRUPT_WINDOW``.
         t_out = t_i - ABRUPT_WINDOW - 1e-18 * max(1.0, t_i)
         vmax = float(vpd[np.searchsorted(t, t_out):i + 1].max())
+        t_start = t_i - ABRUPT_WINDOW
+        k = bisect.bisect_right(steps, t_start, key=lambda s: s[0]) - 1
+        if k >= 0 and t_start <= steps[k][0] + steps[k][20]:
+            vmax = max(vmax, vpd_at(steps[k], t_start))
         if vmax - v_i > drop:
             events.append(Event(
                 EventKind.ABRUPT_FALL, t_i,

@@ -62,33 +62,29 @@ Case iii's collapse to the floor is such a discharge.
 defaults only the error controller, the limiter and the landings above
 size the steps.
 
-The recorded trace does not depend on the steps being short.  After each
-accepted step the DOPRI5 continuous extension (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.6; order 4, built from the step's own seven stages)
-gives the state at every point of the output grid ``k * ABRUPT_WINDOW``
-strictly inside the step (``SolverStats.sample_evals``), and, for a step
-whose current used ``load > 1`` of its 15 % allowance, at the ``ceil(load)
-- 1`` inner ends of equal parts of the step, or of more parts on a Lawson
-step, so that its current falls by at most 15 % a part
-(``SolverStats.fill_samples``).  The fill samples keep the trace as dense
-where the current moves as the limiter did, which the trapezoidal charge
-balance needs.  Samples are clipped as an accepted state is and recorded in
-time order.  Step ends are samples too, so fast stretches stay dense, and
-every abrupt-fall window holds the sample one grid point back.
-
-The branch current of a sample inside a step is computed only when
-``TransientTrace.i_ox`` is first read, so a sweep, which keeps the final
-VPD and the events, never pays for it.  Each such sample keeps its
-segment's sample kernel, which has its own op-hint record; the first read
-calls them in recorded order, so the currents are those the calls would
-have given at sampling time, and the stepper's internal-node start points
-and work counts are untouched.
+The recorded trace does not depend on the steps being short.  The stepper
+keeps the accepted states (start, step ends, each segment's first sample
+and, after a floor clamp, one at the end) and a record per accepted step
+with its DOPRI5 continuous extension (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.6; order 4, from the step's own seven stages), for VPD in the
+Lawson frame.  The first read of ``TransientTrace.t``, ``vpd``, ``i_ox`` or
+``gap`` builds the samples from them; a sweep, which keeps the final VPD
+and the events, never does.  Inside a step they are the points of the
+output grid ``k * ABRUPT_WINDOW`` (``SolverStats.sample_evals``) and, where
+the current used ``load > 1`` of its 15 % allowance, the ``ceil(load) -
+1`` inner ends of equal parts of the step, or of more on a Lawson step, so
+that the current falls by at most 15 % a part
+(``SolverStats.fill_samples``): as dense as the trapezoidal charge balance
+needs.  The stepper counts both, so the stats do not depend on a read.
+Samples are clipped as an accepted state is; their currents come from the
+segment's sample kernel, called in time order on its own op-hint record,
+so the stepper's internal-node start points and work counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
-stepper records the full-well and floor events as it meets them; the
-switching and abrupt-fall events are found by ``events.detect`` in the
-finished samples, with every accepted step of a hybrid pixel kept for the
-interpolant its crossing times are bisected on.
+stepper records the full-well and floor events as it meets them;
+``events.detect`` finds the switching and abrupt-fall events in the reset
+phase's samples followed by the exposure's states, on the step records
+between them.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -98,9 +94,10 @@ keyed by the frozen ``(PixelConfig, SolverOptions)`` pair; the options
 belong to the key because they shape every step and, through
 ``reset_noise``/``noise_seed``, the start voltage.  Four entries hold a
 report's four configurations, so a pool worker, which fills its own memo
-and may get points of every topology, integrates each reset phase once.
-Every transient continues from a copy of the entry, and its stats include
-the reset-phase work, so a trace is the same with a cold or a warm entry.
+and may get points of every topology, integrates each reset phase, builds
+its samples and finds their events once.  Every transient continues from a
+copy of the entry, and its stats include the reset-phase work, so a trace
+is the same with a cold or a warm entry.
 """
 
 from __future__ import annotations
@@ -116,7 +113,8 @@ import numpy as np
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError, require_finite
-from .events import ABRUPT_WINDOW, VPD_FLOOR, Event, EventKind, dense, detect
+from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventKind, dense,
+                     detect, vpd_at)
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
@@ -199,12 +197,11 @@ class SolverStats:
 
 @dataclass
 class TransientTrace:
-    t: np.ndarray
-    vpd: np.ndarray
-    # The branch current at every sample, or the call that computes it on
-    # the first read of ``i_ox``.
-    _i_ox: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
-    gap: np.ndarray
+    # The samples; with ``_build`` given, the first read of any builds all.
+    t: Optional[np.ndarray]
+    vpd: Optional[np.ndarray]
+    _i_ox: Optional[np.ndarray] = field(repr=False)
+    gap: Optional[np.ndarray]
     events: list[Event]
     final_vpd: float
     final_gap: float
@@ -212,28 +209,38 @@ class TransientTrace:
     i_exp: float = 0.0
     vstart: float = 0.0
     stats: SolverStats = field(default_factory=SolverStats)
+    _build: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._build is not None:
+            del self.t, self.vpd, self._i_ox, self.gap
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute not set: a sample array not built.
+        build = self.__dict__.get("_build")
+        if build is None or name not in ("t", "vpd", "_i_ox", "gap"):
+            raise AttributeError(name)
+        self._build = None
+        self.t, self.vpd, self._i_ox, self.gap = build()
+        return getattr(self, name)
 
     @property
     def i_ox(self) -> np.ndarray:
-        """Branch current at every sample [A].  The currents of the samples
-        inside steps are computed on the first read (see ``_replay``)."""
-        if callable(self._i_ox):
-            self._i_ox = self._i_ox()
+        """Branch current at every sample [A]."""
         return self._i_ox
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
 
 
-def _replay(cur: list, deferred: list) -> np.ndarray:
-    """``cur`` with the currents of its deferred samples filled in.  Each
-    ``(index, kernel, vpd, gap)`` of ``deferred`` is called in recorded
-    order, so the kernels' shared op-hint record steps through the same
-    states as if each had been called when its sample was taken."""
-    for k, kernel, v, g in deferred:
-        cur[k] = kernel(v, g)[2]
-    deferred.clear()
-    return np.asarray(cur)
+def _grid_from(x: float, k: int) -> int:
+    """The first output-grid index from ``k`` on whose point is not below
+    ``x``: the float quotient, at most one too high, less one, then raised
+    on the products themselves."""
+    n = max(k, math.ceil(x / ABRUPT_WINDOW) - 1)
+    while n * ABRUPT_WINDOW < x:
+        n += 1
+    return n
 
 
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
@@ -253,13 +260,15 @@ def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
 
 class _Run:
     """One transient in progress: the last accepted point, the next step
-    size, the first stage of the next step, the samples so far with the
-    kernel calls that give the currents of those inside steps (see
-    ``_replay``), the index of the next output-grid point, the stepper's
-    events, the accepted steps of a hybrid pixel, the op-hint records of the
-    stepper's and the samples' internal-node solves, the right-hand side of
-    the running schedule segment and the stats.  A new run is the start of the reset phase, with
-    its first stage and sample taken."""
+    size, the first stage of the next step, the states so far, a record per
+    accepted step, the next output-grid index, the stepper's events, the
+    op-hint records of the stepper's and the samples' internal-node solves,
+    the right-hand side of the running schedule segment and the stats.  A
+    record holds the full step's gap interpolant ``(t0, h, g0, g1, k1g,
+    k3g..k7g)``, its VPD one ``(lam, v_star, w0, w1, K1, K3..K7)`` in the
+    Lawson frame, ``h_end`` (shorter if cut at the floor), ``pieces``,
+    ``eps``, its first grid index, sample kernel and end state's index.  A
+    new run is the start of the reset phase, first stage and state taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -280,11 +289,9 @@ class _Run:
         self.stats = SolverStats()
         self.events: list[Event] = []
         self.steps: list[tuple] = []
-        self.ts: list[float] = []
-        self.vs: list[float] = []
-        self.gs: list[float] = []
-        self.cur: list[Optional[float]] = []
-        self.deferred: list[tuple] = []
+        self.states: list[tuple] = []  # (t, vpd, i_ox, gap)
+        # The reset phase's samples and events (set by ``_reset_phase``).
+        self.samples, self.detected = [], ()
         self.op_hint = [None, 0.0, 0.0, 0]
         self.sample_hint = [None, 0.0, 0.0, 0]
         self.k_grid = 1
@@ -295,7 +302,7 @@ class _Run:
         # margin.
         self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
         self._segment(0.0)
-        self._sample(0.0, self.v, self.g, self.k1[2])
+        self.states.append((0.0, self.v, self.k1[2], self.g))
         self._start_step()
 
     def _start_step(self) -> None:
@@ -321,10 +328,8 @@ class _Run:
             setattr(run, name, value)
         run.stimulus, run.t_fwc = stimulus, t_fwc
         run.stats = replace(self.stats)
-        run.events, run.steps = list(self.events), list(self.steps)
-        run.ts, run.vs = list(self.ts), list(self.vs)
-        run.gs, run.cur = list(self.gs), list(self.cur)
-        run.deferred = list(self.deferred)
+        run.events = list(self.events)
+        run.steps, run.states = [], []
         run.op_hint = list(self.op_hint)
         run.sample_hint = list(self.sample_hint)
         run.kernel = run.sample_kernel = None
@@ -353,18 +358,6 @@ class _Run:
             return 1.0
         return self.op_hint[0] - self.vg + self.config.selector.vth
 
-    def _sample(self, t: float, v: float, g: float,
-                i: Optional[float]) -> None:
-        self.ts.append(t)
-        self.vs.append(v)
-        self.gs.append(g)
-        self.cur.append(i)
-
-    def _defer(self, t: float, v: float, g: float, kernel) -> None:
-        """A sample whose current ``kernel`` gives when it is read."""
-        self.deferred.append((len(self.cur), kernel, v, g))
-        self._sample(t, v, g, None)
-
     def enter(self, t: float) -> None:
         """Start the schedule segment at boundary ``t``.
 
@@ -380,7 +373,8 @@ class _Run:
                 EventKind.FWC_SATURATION, t,
                 f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
         self._segment(t)
-        self._sample(math.nextafter(t, math.inf), self.v, self.g, self.k1[2])
+        self.states.append((math.nextafter(t, math.inf), self.v, self.k1[2],
+                            self.g))
         if t == self.config.pd.trst and self.k1[2] != 0.0:
             # The last step was sized with the node pinned, which says
             # nothing about the first step of the exposure.  Without a
@@ -400,8 +394,8 @@ class _Run:
         For VPD they run on the Lawson frame ``w``, stage ``i`` with slope
         ``k_i / e^(lam c_i h) - lam W_i``; ``lam = 0`` gives the plain ones.
         The seventh stage is taken at the step end ``(v_new, g_new)``, its
-        input.  The output-grid points inside an accepted step are sampled
-        before its end point.
+        input.  Each accepted step leaves its record in ``steps`` and its
+        end point in the states; no sample inside it is taken here.
         """
         config = self.config
         opt = self.opt
@@ -411,12 +405,9 @@ class _Run:
             gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
-        steps = self.steps
         rhs = self.kernel
-        sample_rhs = self.sample_kernel
         window = ABRUPT_WINDOW
         k_grid = self.k_grid
-        t_grid = k_grid * window
         knee_margin = self._knee_margin
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
@@ -573,54 +564,37 @@ class _Run:
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
             t_old, v_old, g_old = t, v, g
-            if hybrid:
-                step = (t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g)
-                steps.append(step)
             # A step that runs below the floor ends where it crosses it.
-            h_end, v = h, v_new
+            h_end, v, g_end = h, v_new, g_new
             if v_new < VPD_FLOOR < v_old:
                 theta = (v_old - VPD_FLOOR) / (v_old - v_new)
                 h_end, v = theta * h, VPD_FLOOR
-                g_new = dense(theta, *step[1:]) if hybrid else g_new
+                if hybrid:
+                    g_end = dense(theta, h, g_old, g_new, k1g, k3g, k4g, k5g,
+                                  k6g, k7g)
             t = t_old + h_end
-            g = min(max(g_new, gap_min), gap_max) if hybrid else g_new
+            g = min(max(g_end, gap_min), gap_max) if hybrid else g_end
             self.est_err_v += abs(err_v)
-            # Samples inside the step, in increasing time: the output-grid
-            # points, and, where the current used more than its allowance,
-            # the inner ends of ``pieces`` equal parts of the step, so the
-            # trace keeps its density where the branch current moves; on a
-            # Lawson step, at most 15 % of it is lost per part.  A part end
-            # within ``eps`` of a grid point is that grid point.
+            # Count the samples ``_samples`` takes inside the step: grid
+            # points and part ends, less those within ``eps`` of the grid.
             pieces = max(1, math.ceil(i_load),
                          math.ceil(lam * h / math.log(0.85)))
-            j = 1
-            while True:
-                t_fill = t_old + h_end * j / pieces if j < pieces else t
-                if t_grid < t and t_grid <= t_fill + eps:
-                    t_s = t_grid
-                    k_grid += 1
-                    t_grid = k_grid * window
-                    if j < pieces and t_fill - t_s <= eps:
-                        j += 1
-                    if not t_old + eps < t_s < t - eps:
-                        continue
-                    stats.sample_evals += 1
-                elif j < pieces:
-                    t_s = t_fill
-                    j += 1
-                    stats.fill_samples += 1
-                else:
-                    break
-                # Clipped as an accepted state.
-                theta = (t_s - t_old) / h
-                vs = v_star + math.exp(lam * theta * h) * dense(
-                    theta, h, w, W7, K1, K3, K4, K5, K6, K7)
-                if t_s > trst:
-                    vs = max(vs, VPD_FLOOR)
-                gs = g_old
-                if hybrid:
-                    gs = min(max(dense(theta, *step[1:]), gap_min), gap_max)
-                self._defer(t_s, vs, gs, sample_rhs)
+            k_old, fills = k_grid, pieces - 1
+            if k_grid * window < t:
+                k_grid = _grid_from(t, k_old)
+                stats.sample_evals += max(0, _grid_from(t - eps, k_old) - (
+                    _grid_from(math.nextafter(t_old + eps, math.inf), k_old)))
+                for j in range(1, pieces):
+                    t_fill = t_old + h_end * j / pieces
+                    k = round(t_fill / window)
+                    if k_old <= k < k_grid and k * window <= t_fill + eps \
+                            and t_fill - k * window <= eps:
+                        fills -= 1
+            stats.fill_samples += fills
+            self.steps.append((
+                t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
+                v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, pieces, eps,
+                k_old, self.sample_kernel, len(self.states)))
 
             if t > trst and v <= VPD_FLOOR + floor_tol:
                 v = VPD_FLOOR
@@ -629,7 +603,7 @@ class _Run:
                     EventKind.VPD_FLOOR_CLAMP, t, f"vpd clamped at {v:.3f}V"))
                 i_end = 0.0
 
-            self._sample(t, v, g, i_end)
+            self.states.append((t, v, i_end, g))
 
             h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
                 else h * 5.0
@@ -677,15 +651,61 @@ class _Run:
 @functools.lru_cache(maxsize=4)
 def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     """Integrate every schedule segment that ends at or before the reset
-    release.  The node is pinned there, so nothing depends on the stimulus;
-    the boundary refresh at ``trst``, the first evaluation that sees it,
-    belongs to the exposure phase.  The run returned is shared and never
-    stepped again: each transient goes on from a ``fork`` of it."""
+    release; build its samples and events.  The node is pinned there, so
+    nothing depends on the stimulus; the boundary refresh at ``trst``, the
+    first evaluation that sees it, belongs to the exposure phase.  The run
+    returned is shared and never stepped again: each transient goes on from
+    a ``fork`` of it."""
     run = _Run(config, opt)
     boundaries = _schedule(config, None)
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
-    _replay(run.cur, run.deferred)
+    run.samples = _samples(run)
+    t, vpd, _, gap = np.asarray(run.samples).T
+    run.detected = tuple(detect(t, vpd, gap, run.steps, config, run.v0))
     return run
+
+
+def _samples(run: _Run) -> list[tuple]:
+    """The samples ``(t, vpd, i_ox, gap)`` of ``run`` in time order, which
+    its sample kernels are called in: the reset phase's, then its states,
+    each step end after the samples inside its step."""
+    config = run.config
+    hybrid = config.is_hybrid()
+    if hybrid:
+        gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
+    samples = list(run.samples)
+    n = 0
+    for step in run.steps:
+        t_old, h, g_old = step[:3]
+        h_end, pieces, eps, k_grid, kernel, end = step[20:]
+        samples += run.states[n:end]
+        n = end
+        t = run.states[end][0]
+        t_grid = k_grid * ABRUPT_WINDOW
+        j = 1
+        while True:
+            t_fill = t_old + h_end * j / pieces if j < pieces else t
+            if t_grid < t and t_grid <= t_fill + eps:
+                t_s = t_grid
+                k_grid += 1
+                t_grid = k_grid * ABRUPT_WINDOW
+                if j < pieces and t_fill - t_s <= eps:
+                    j += 1
+                if not t_old + eps < t_s < t - eps:
+                    continue
+            elif j < pieces:
+                t_s = t_fill
+                j += 1
+            else:
+                break
+            # Clipped as an accepted state.
+            v = vpd_at(step, t_s)
+            if t_s > config.pd.trst:
+                v = max(v, VPD_FLOOR)
+            g = min(max(dense((t_s - t_old) / h, *step[1:10]), gap_min),
+                    gap_max) if hybrid else g_old
+            samples.append((t_s, v, kernel(v, g)[2], g))
+    return samples + run.states[n:]
 
 
 def integrate(config: PixelConfig, stimulus: Stimulus,
@@ -718,40 +738,42 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         exc.stats.wall_s = time.perf_counter() - t0
         raise
 
-    ts, vs, gs = run.ts, run.vs, run.gs
-    if run.floored and ts[-1] < t_end:
-        run._sample(t_end, run.v, run.g, 0.0)
+    if run.floored and run.t < t_end:
+        run.states.append((t_end, run.v, 0.0, run.g))
 
     stats = run.tally()
-    t, vpd, gap = np.asarray(ts), np.asarray(vs), np.asarray(gs)
+    t, vpd, _, gap = np.asarray(run.samples + run.states).T
     # At equal times the stepper's events come first.
     events = sorted(run.events + detect(t, vpd, gap, run.steps, config,
-                                        run.v0), key=lambda e: e.t_event)
+                                        run.v0, run.detected),
+                    key=lambda e: e.t_event)
     trace = TransientTrace(
-        t=t, vpd=vpd, _i_ox=functools.partial(_replay, run.cur, run.deferred),
-        gap=gap, events=events, final_vpd=run.v, final_gap=run.g,
-        est_error_v=run.est_err_v, i_exp=stimulus.i_exp, vstart=run.v0,
-        stats=stats)
-    if len(ts) > opt.max_trace_points:
-        trace = _downsample(trace, opt.max_trace_points)
+        None, None, None, None, events=events, final_vpd=run.v,
+        final_gap=run.g, est_error_v=run.est_err_v, i_exp=stimulus.i_exp,
+        vstart=run.v0, stats=stats, _build=lambda: _downsample(
+            _samples(run), events, opt.max_trace_points))
     stats.wall_s = time.perf_counter() - t0
     return trace
 
 
-def _downsample(trace: TransientTrace, max_points: int) -> TransientTrace:
-    """Keep every k-th sample plus all event-adjacent ones."""
-    n = len(trace.t)
+def _downsample(samples: list[tuple], events: list[Event],
+                max_points: int) -> np.ndarray:
+    """The samples as the rows ``t, vpd, i_ox, gap``; past ``max_points``
+    of them, every k-th sample plus all event-adjacent ones."""
+    samples = np.asarray(samples).T
+    n = samples.shape[1]
+    if n <= max_points:
+        return samples
     k = max(1, n // max_points + 1)
     keep = np.zeros(n, dtype=bool)
     keep[::k] = True
     keep[0] = keep[-1] = True
-    for e in trace.events:
-        idx = int(np.searchsorted(trace.t, e.t_event))
+    for e in events:
+        idx = int(np.searchsorted(samples[0], e.t_event))
         for j in (idx - 1, idx, idx + 1):
             if 0 <= j < n:
                 keep[j] = True
-    return replace(trace, t=trace.t[keep], vpd=trace.vpd[keep],
-                   _i_ox=trace.i_ox[keep], gap=trace.gap[keep])
+    return samples[:, keep]
 
 
 def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:

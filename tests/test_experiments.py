@@ -242,6 +242,40 @@ def test_sweep_point_computes_no_sample_current(monkeypatch, calibrated):
         assert len(calls) == deferred
 
 
+def test_sweep_builds_no_samples(monkeypatch, calibrated):
+    # A sweep point reads no sample, so none is built; the first read of a
+    # trace builds all four sample arrays at once.
+    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    opt = SolverOptions()
+    solver._reset_phase(cfg, opt)  # its samples are built once, here
+    builds = []
+    build = solver._samples
+
+    def counted(run):
+        builds.append(None)
+        return build(run)
+
+    traces = []
+    integrate = experiments.integrate
+
+    def keep(*args):
+        traces.append(integrate(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(solver, "_samples", counted)
+    monkeypatch.setattr(experiments, "integrate", keep)
+    monkeypatch.setenv("HPS_THREADS", "1")
+    run_sweep(SweepSpec(cfg, i_min=1e-12, i_max=1e-9, points_per_decade=1,
+                        options=opt))
+    assert traces and not builds
+    trace = traces[-1]
+    assert len(trace.t) > 1
+    assert len(builds) == 1
+    assert len(trace.vpd) == len(trace.i_ox) == len(trace.gap) == len(trace.t)
+    assert len(builds) == 1
+
+
 # Five exposures per topology: three pool chunks for a report.
 SMALL_GRID = {"i_min": 1e-12, "i_max": 1e-10, "points_per_decade": 2}
 

@@ -34,7 +34,7 @@ GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
     "case_i": "6c277f559f5d4175b2bb782f6c1bc3d3e58d07bb937b2485cf0a27f6aaad1ebe",
     "case_ii": "2b048e94dc7f4eef35980715b9178924a886bd66c1299a2754e0b4fa3c1872e5",
-    "case_iii": "491c54adbdf070032e796381f44d195242e4107c9a4d866df45c0a65f231e7b1",
+    "case_iii": "f4569e676911e126138786221f0b607b69399c8681d738b0902a5437dcf94abf",
 }
 
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
@@ -49,7 +49,7 @@ GOLDEN_SWEEP = {
 # one point per decade) of each topology with default constants: 28
 # transients, 31 events.
 GOLDEN_EVENTS = \
-    "a33ed3b5ee6bf8c23ebbbdd27d240461a2a87586903f5563041d6c715e0a3f7a"
+    "692845744a7376d8076082615f469f96daec2c2425ac922dc54aa4d28146f399"
 
 # ``oxpix calibrate`` with ``[calibration] restarts = 1``, and ``oxpix report``
 # on ``SMALL_REPORT`` (as in ``tests/test_cli_io.py``: a two-point sweep and

@@ -1,6 +1,7 @@
 """Transient solver tests: oracles, events, conservation, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,33 @@ def test_stats_six_rhs_evaluations_per_step():
     thinned = integrate(cfg, Stimulus(1e-9), SolverOptions(max_trace_points=16))
     assert len(thinned.t) < len(trace.t)
     assert thinned.stats == stats
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_stats_are_the_same_for_a_read_and_an_unread_trace(calibrated, topo):
+    # The stepper counts the samples inside its steps as it goes; building
+    # them on a read adds nothing to the stats.
+    cfg = default_config(topo, oxram=calibrated.oxram,
+                         selector=calibrated.selector)
+    unread = integrate(cfg, Stimulus(1e-9), SolverOptions())
+    read = integrate(cfg, Stimulus(1e-9), SolverOptions())
+    before = replace(read.stats)
+    assert len(read.t) > read.stats.sample_evals > 0
+    assert read.stats == before == unread.stats
+
+
+@pytest.mark.parametrize("i_exp", [75e-9, 80e-9, 100e-9])
+def test_fall_inside_one_step_longer_than_the_window_is_seen(i_exp):
+    # The bare pixel falls by more than half its swing within one accepted
+    # step, longer than the window, that ends on the full-well boundary: no
+    # other state lies in the window, so only the VPD interpolated at its
+    # start shows the fall.  At equal times the stepper's event comes first.
+    trace = integrate(default_config(Topology.BARE_3T), Stimulus(i_exp),
+                      SolverOptions())
+    fwc, fall = trace.events
+    assert fwc.kind is EventKind.FWC_SATURATION
+    assert fall.kind is EventKind.ABRUPT_FALL
+    assert fall.t_event == fwc.t_event
 
 
 def test_stats_wall_time_is_recorded_but_not_compared():
