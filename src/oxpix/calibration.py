@@ -9,10 +9,11 @@ the gap barely moves, so the trace maximum is the plateau current).
 
 Gradients through event times are not smooth, so the optimizer is a
 bounded coordinate pattern search over log-parameters with deterministic
-seeded restarts.  Each anchor's predictor reads only some of the fit
-coordinates (``_ANCHOR_INPUTS``), and a pattern-search move changes one
-coordinate, so within a restart the objective reuses an anchor's model value
-wherever the coordinates it reads repeat, and recomputes only the rest.
+seeded restarts.  A candidate is the checked initial constants with only the
+eight fitted values replaced and checked (``_point``).  Each anchor's
+predictor reads only some of the fit coordinates (``_ANCHOR_INPUTS``), and a
+move changes one coordinate, so within a restart the objective reuses an
+anchor's model value wherever the coordinates it reads repeat.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import struct
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +39,7 @@ from .devices import (
     read_resistance,
 )
 from .defaults import R_SET_LEVELS
-from .errors import CalibrationError, InvalidInputError
+from .errors import CalibrationError, InvalidInputError, require_finite
 from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
@@ -55,6 +57,9 @@ ANCHOR_I_RESET = "i_reset_peak"
 # Fitted degrees of freedom, all strictly positive, searched in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",
                "rupture_rate_r0", "rupture_field_v1", "kprime")
+# The fitted OxRAM fields in the order ``OxRamParams`` checks them.
+_OX_CHECKED = ("cf_field_b", "ox_decay_c", "ox_field_d", "i0_cf", "i0_ox",
+               "rupture_rate_r0", "rupture_field_v1")
 # Half-width of the search box in decades around the initial guess.  Four
 # anchors cannot pin eight constants; the shape constants (field and decay
 # coefficients, the high-field surge prefactor) get narrow boxes because
@@ -78,7 +83,7 @@ _ANCHOR_INPUTS = {
 }
 # Model values an anchor's memo holds before it starts afresh: four sweeps
 # of the 16 moves around the current point, without growing with the fit
-# (256 raised the fit's peak traced memory by a sixth and reused 1 % more).
+# (256 raised the fit's peak traced memory by 7 % and reused 1 % more).
 _MEMO_LIMIT = 64
 
 
@@ -142,19 +147,29 @@ def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
     raise CalibrationError(f"unknown anchor quantity: {quantity!r}")
 
 
-def _apply(vector: np.ndarray, oxram: OxRamParams,
+def _point(coords, oxram: OxRamParams,
            selector: MosfetParams) -> tuple[OxRamParams, MosfetParams]:
-    values = {name: math.exp(v)
-              for name, v in zip(_FIT_FIELDS, vector.tolist())}
-    kprime = values.pop("kprime")
-    return (OxRamParams(**{**vars(oxram), **values}),
-            MosfetParams(**{**vars(selector), "kprime": kprime}))
+    """``oxram`` and ``selector`` with the fitted fields at ``exp(coords)``.
+
+    The inputs were checked when built and a point changes only the fitted
+    values, so only those are checked, as and in the order the constructors
+    check them.  Both types are frozen, so the fields are filled directly.
+    """
+    *values, kprime = map(math.exp, coords)
+    fields = vars(oxram).copy()
+    fields.update(zip(_FIT_FIELDS, values))
+    ox, sel = object.__new__(OxRamParams), object.__new__(MosfetParams)
+    object.__setattr__(ox, "__dict__", fields)
+    vars(sel).update(vars(selector), kprime=kprime)
+    require_finite(ox, positive=_OX_CHECKED)
+    require_finite(sel, positive=("kprime",))
+    return ox, sel
 
 
 class _AnchorMemo:
     """Finite model values of each anchor for one restart, keyed by the fit
-    coordinates its predictor reads, and per anchor the predictor calls made
-    and the values reused over the whole fit."""
+    coordinates its predictor reads (a tuple of the point's floats), and per
+    anchor the predictor calls made and the values reused over the fit."""
 
     def __init__(self, anchors: CalibrationAnchors):
         # An unknown quantity reads every coordinate, so its predictor runs
@@ -166,38 +181,29 @@ class _AnchorMemo:
         self.values: list[dict] = [{} for _ in index]
         self.calls = [0] * len(index)
         self.reused = [0] * len(index)
-        # ``_apply`` checks each coordinate on its own, and a value is kept
-        # only after ``_apply`` passed.  When the anchors together read every
-        # coordinate, a point whose values are all reused passes too, so
-        # ``_apply`` need not run for it.
-        self.vouches = set().union(*index) == set(range(len(_FIT_FIELDS)))
 
     def restart(self) -> None:
         for values in self.values:
             values.clear()
 
 
-def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
+def _objective(coords: tuple, anchors: CalibrationAnchors,
                oxram: OxRamParams, selector: MosfetParams,
                memo: _AnchorMemo) -> float:
-    coords = vector.tolist()
-    keys = [key_of(coords) for key_of in memo.key_of]
-    models = [values.get(key) for values, key in zip(memo.values, keys)]
     try:
-        if None in models or not memo.vouches:
-            ox, sel = _apply(vector, oxram, selector)
+        ox, sel = _point(coords, oxram, selector)
         total = 0.0
         for k, a in enumerate(anchors.anchors):
-            model = models[k]
+            values, key = memo.values[k], memo.key_of[k](coords)
+            model = values.get(key)
             if model is None:
                 model = predict_anchor(a.quantity, ox, sel, a.value)
                 memo.calls[k] += 1
                 if not math.isfinite(model):
                     return math.inf
-                values = memo.values[k]
                 if len(values) >= _MEMO_LIMIT:
                     values.clear()
-                values[keys[k]] = model
+                values[key] = model
             else:
                 memo.reused[k] += 1
             total += ((model - a.value) / (a.tolerance * a.value)) ** 2
@@ -206,22 +212,23 @@ def _objective(vector: np.ndarray, anchors: CalibrationAnchors,
         return math.inf
 
 
-def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    fun) -> tuple[np.ndarray, float, int, int]:
+def _pattern_search(x0, lo, hi, fun) -> tuple[tuple, float, int, int]:
     """Best point and value, the number of distinct points evaluated, and
     the number of revisits answered from the memo.  The step starts at
     0.08 (natural log), halves after a sweep with no improving move and
     ends the search below 1e-6, or after 400 sweeps.
 
-    ``fun`` is fixed for the whole search, so a point's bytes are a complete
-    key; a move back along a coordinate revisits the point it left.
+    ``fun`` takes a point, a tuple of floats, and is fixed for the whole
+    search, so a point's packed doubles (smaller than the tuple) are a
+    complete key; a move back along a coordinate revisits the point it left.
     """
     memo: dict[bytes, float] = {}
     hits = 0
+    key_of = struct.Struct(f"{len(lo)}d").pack
 
-    def value(v: np.ndarray) -> float:
+    def value(v: tuple) -> float:
         nonlocal hits
-        key = v.tobytes()
+        key = key_of(*v)
         f = memo.get(key)
         if f is None:
             f = memo[key] = fun(v)
@@ -229,7 +236,7 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             hits += 1
         return f
 
-    x = np.clip(x0, lo, hi)
+    x = tuple(map(min, map(max, x0, lo), hi))
     f = value(x)
     step = 0.08
     n = len(x)
@@ -237,10 +244,10 @@ def _pattern_search(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         improved = False
         for j in range(n):
             for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[j] = min(max(trial[j] + sign * step, lo[j]), hi[j])
-                if trial[j] == x[j]:
+                xj = min(max(x[j] + sign * step, lo[j]), hi[j])
+                if xj == x[j]:
                     continue
+                trial = x[:j] + (xj,) + x[j + 1:]
                 ft = value(trial)
                 if ft < f:
                     x, f = trial, ft
@@ -275,12 +282,12 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     x0 = np.array([math.log(getattr(oxram, f)) for f in _FIT_FIELDS[:-1]]
                   + [math.log(selector.kprime)])
     width = np.array([_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS])
-    lo, hi = x0 - width, x0 + width
+    lo, hi = (x0 - width).tolist(), (x0 + width).tolist()
 
     memo = _AnchorMemo(anchors)
 
-    def fun(vec: np.ndarray) -> float:
-        return _objective(vec, anchors, oxram, selector, memo)
+    def fun(coords: tuple) -> float:
+        return _objective(coords, anchors, oxram, selector, memo)
 
     rng = np.random.default_rng(seed)
     best_x = None
@@ -288,11 +295,11 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     evaluations = hits = 0
     for r in range(restarts):
         if r == 0:
-            start = x0.copy()
+            start = x0
         else:
             start = x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width
         memo.restart()
-        x, f, n_eval, n_hit = _pattern_search(start, lo, hi, fun)
+        x, f, n_eval, n_hit = _pattern_search(start.tolist(), lo, hi, fun)
         evaluations += n_eval
         hits += n_hit
         if f < best_f:
@@ -300,7 +307,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     if best_x is None:
         raise CalibrationError("objective non-finite at every start")
 
-    ox_fit, sel_fit = _apply(best_x, oxram, selector)
+    ox_fit, sel_fit = _point(best_x, oxram, selector)
     residuals = {}
     converged = True
     for a in anchors.anchors:

@@ -1,7 +1,10 @@
 """Calibration tests: anchor fitting, round-trip recovery, determinism."""
 
 import dataclasses
+import itertools
 import logging
+import math
+import pickle
 import re
 from collections import Counter
 
@@ -17,6 +20,7 @@ from oxpix.calibration import (
     Anchor,
     CalibrationAnchors,
     _ANCHOR_INPUTS,
+    _BOX_DECADES,
     _FIT_FIELDS,
     _pattern_search,
     calibrate,
@@ -157,17 +161,95 @@ def test_pattern_search_evaluates_each_point_once():
     seen = {}
 
     def fun(v):
-        key = v.tobytes()
-        assert key not in seen
-        seen[key] = float(np.sum((v - np.array([0.3, -0.2, 0.05])) ** 2))
-        return seen[key]
+        assert type(v) is tuple and all(type(c) is float for c in v)
+        assert v not in seen
+        seen[v] = float(np.sum((np.array(v) - np.array([0.3, -0.2, 0.05]))
+                               ** 2))
+        return seen[v]
 
-    lo, hi = np.full(3, -1.0), np.full(3, 1.0)
-    x, f, evaluations, hits = _pattern_search(np.zeros(3), lo, hi, fun)
+    lo, hi = (-1.0,) * 3, (1.0,) * 3
+    x, f, evaluations, hits = _pattern_search((0.0,) * 3, lo, hi, fun)
     assert evaluations == len(seen)
     assert hits > 0
     assert f == min(seen.values())
-    assert seen[x.tobytes()] == f
+    assert seen[x] == f
+
+
+def test_fit_keeps_its_search_path(calibrated, caplog):
+    # The work counts of a fit pin the points it searched, which a digest
+    # of the result alone would not: another path can end at the same point.
+    with caplog.at_level(logging.INFO, logger="oxpix"):
+        result = calibrate(seed=5, restarts=2)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
+    assert result.evaluations == 3374
+    assert "2 restarts, 3374 evaluations, 433 memo hits, predictor " \
+        "calls/reused values r_set 1906/1468 r_reset 1906/1468 " \
+        "t_reset 146/3228 i_reset_peak 2415/959, " in line
+    assert calibrated.evaluations == 13650
+
+
+def _box(oxram, selector):
+    x0 = [math.log(getattr(oxram, f)) for f in _FIT_FIELDS[:-1]] \
+        + [math.log(selector.kprime)]
+    width = [_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS]
+    return ([x - w for x, w in zip(x0, width)],
+            [x + w for x, w in zip(x0, width)])
+
+
+def _checked(coords, oxram, selector):
+    """The point at ``coords`` built by the checked constructors."""
+    values = dict(zip(_FIT_FIELDS, map(math.exp, coords)))
+    kprime = values.pop("kprime")
+    return (OxRamParams(**{**vars(oxram), **values}),
+            MosfetParams(**{**vars(selector), "kprime": kprime}))
+
+
+def test_search_point_equals_the_checked_constructors(calibrated):
+    base = (OxRamParams(), MosfetParams())
+    fitted = [math.log(getattr(calibrated.oxram, f))
+              for f in _FIT_FIELDS[:-1]] \
+        + [math.log(calibrated.selector.kprime)]
+    for coords in (fitted, *_box(*base)):
+        coords = tuple(coords)
+        point = calibration._point(coords, *base)
+        checked = _checked(coords, *base)
+        for built, want in zip(point, checked):
+            assert type(built) is type(want)
+            assert built == want
+            assert dataclasses.asdict(built) == dataclasses.asdict(want)
+            assert hash(built) == hash(want)
+            assert pickle.dumps(built) == pickle.dumps(want)
+            assert pickle.loads(pickle.dumps(built)) == want
+
+
+def _message(build, *args):
+    with pytest.raises(InvalidInputError) as err:
+        build(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_search_point_fails_as_the_checked_constructors(bad):
+    # Every single fitted field and every pair of them, so the first field
+    # named is the one the constructors check first.
+    base = (OxRamParams(), MosfetParams())
+    x0 = _box(*base)[0]
+    log_bad = -math.inf if bad == 0.0 else bad
+    for names in [*itertools.combinations(range(len(_FIT_FIELDS)), 1),
+                  *itertools.combinations(range(len(_FIT_FIELDS)), 2)]:
+        coords = tuple(log_bad if j in names else x for j, x in enumerate(x0))
+        assert _message(calibration._point, coords, *base) == \
+            _message(_checked, coords, *base), names
+
+
+def test_initial_constants_at_the_float_range_edges():
+    tiny = calibrate(initial_oxram=OxRamParams(i0_cf=5e-324), restarts=2)
+    assert tiny.converged
+    assert tiny.objective == 2.499231698466286e-08
+    assert tiny.evaluations == 2873
+    with pytest.raises(CalibrationError,
+                       match="^objective non-finite at every start$"):
+        calibrate(initial_oxram=OxRamParams(i0_ox=1e308), restarts=2)
 
 
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
