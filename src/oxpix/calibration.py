@@ -9,8 +9,9 @@ the gap barely moves, so the trace maximum is the plateau current).
 
 Gradients through event times are not smooth, so the optimizer is a
 bounded coordinate pattern search over log-parameters with deterministic
-seeded restarts.  A candidate is the checked initial constants with only the
-eight fitted values replaced and checked (``_point``).  Each anchor's
+seeded restarts, independent of each other, so they run on a process pool.
+A candidate is the checked initial constants with only the eight fitted
+values replaced and checked (``_point``).  Each anchor's
 predictor reads only some of the fit coordinates (``_ANCHOR_INPUTS``), and a
 move changes one coordinate, so within a restart the objective reuses an
 anchor's model value wherever the coordinates it reads repeat.
@@ -40,6 +41,7 @@ from .devices import (
 )
 from .defaults import R_SET_LEVELS
 from .errors import CalibrationError, InvalidInputError, require_finite
+from .experiments import _map_jobs, _worker_count
 from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
@@ -169,7 +171,7 @@ def _point(coords, oxram: OxRamParams,
 class _AnchorMemo:
     """Finite model values of each anchor for one restart, keyed by the fit
     coordinates its predictor reads (a tuple of the point's floats), and per
-    anchor the predictor calls made and the values reused over the fit."""
+    anchor the predictor calls made and the values reused."""
 
     def __init__(self, anchors: CalibrationAnchors):
         # An unknown quantity reads every coordinate, so its predictor runs
@@ -181,10 +183,6 @@ class _AnchorMemo:
         self.values: list[dict] = [{} for _ in index]
         self.calls = [0] * len(index)
         self.reused = [0] * len(index)
-
-    def restart(self) -> None:
-        for values in self.values:
-            values.clear()
 
 
 def _objective(coords: tuple, anchors: CalibrationAnchors,
@@ -259,6 +257,19 @@ def _pattern_search(x0, lo, hi, fun) -> tuple[tuple, float, int, int]:
     return x, f, len(memo), hits
 
 
+def _restart(setup: tuple, start: list) -> tuple:
+    """One restart of the search from ``start`` with its own anchor memo:
+    its best point and value, the distinct points it evaluated, its memo
+    hits, and per anchor the predictor calls made and the values reused."""
+    anchors, oxram, selector, lo, hi = setup
+    memo = _AnchorMemo(anchors)
+
+    def fun(coords: tuple) -> float:
+        return _objective(coords, anchors, oxram, selector, memo)
+
+    return (*_pattern_search(start, lo, hi, fun), memo.calls, memo.reused)
+
+
 def calibrate(anchors: Optional[CalibrationAnchors] = None,
               initial_oxram: Optional[OxRamParams] = None,
               initial_selector: Optional[MosfetParams] = None,
@@ -266,9 +277,12 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     """Fit the model to the anchors by multi-start bounded pattern search.
 
     Restart 0 starts from the initial guess itself; the remaining restarts
-    perturb it log-uniformly inside the search box.  Ties resolve to the
-    lowest restart index, so results are bit-stable for a given seed.
-    Raises InvalidInputError for a negative seed or fewer than one restart.
+    perturb it log-uniformly inside the search box.  ``HPS_THREADS`` caps
+    the worker processes that run the restarts (1 = in-process).  Ties
+    resolve to the lowest restart index, so results are bit-stable for a
+    given seed and any worker count.
+    Raises InvalidInputError for a negative seed or fewer than one restart,
+    and OxpixError if a worker process dies.
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
@@ -284,28 +298,26 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     width = np.array([_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS])
     lo, hi = (x0 - width).tolist(), (x0 + width).tolist()
 
-    memo = _AnchorMemo(anchors)
-
-    def fun(coords: tuple) -> float:
-        return _objective(coords, anchors, oxram, selector, memo)
-
+    # Every start is drawn before any search runs, so the starts and the
+    # restart-order reduction below do not depend on the worker count.
     rng = np.random.default_rng(seed)
+    starts = [x0.tolist()] + [
+        (x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width).tolist()
+        for _ in range(restarts - 1)]
+    workers = min(_worker_count(), restarts)
+    runs = _map_jobs(_restart, (anchors, oxram, selector, lo, hi), starts,
+                     workers)
     best_x = None
     best_f = math.inf
-    evaluations = hits = 0
-    for r in range(restarts):
-        if r == 0:
-            start = x0
-        else:
-            start = x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width
-        memo.restart()
-        x, f, n_eval, n_hit = _pattern_search(start.tolist(), lo, hi, fun)
-        evaluations += n_eval
-        hits += n_hit
+    for x, f, *_ in runs:
         if f < best_f:
             best_x, best_f = x, f
     if best_x is None:
         raise CalibrationError("objective non-finite at every start")
+    evaluations = sum(run[2] for run in runs)
+    hits = sum(run[3] for run in runs)
+    calls, reused = ([sum(n) for n in zip(*(run[k] for run in runs))]
+                     for k in (4, 5))
 
     ox_fit, sel_fit = _point(best_x, oxram, selector)
     residuals = {}
@@ -320,11 +332,11 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     if len(anchors.anchors) < 2:
         detail = "under-determined: single anchor leaves the fit unconstrained"
     _log.info("calibrate: %d restarts, %d evaluations, %d memo hits, "
-              "predictor calls/reused values %s, %.3f s", restarts,
-              evaluations, hits, " ".join(
+              "predictor calls/reused values %s, %d worker%s, %.3f s",
+              restarts, evaluations, hits, " ".join(
                   f"{a.quantity} {n}/{m}" for a, n, m in
-                  zip(anchors.anchors, memo.calls, memo.reused)),
-              time.perf_counter() - t0)
+                  zip(anchors.anchors, calls, reused)),
+              workers, "s" * (workers > 1), time.perf_counter() - t0)
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,
         converged=converged, objective=best_f, restarts=restarts,

@@ -15,7 +15,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .errors import InvalidInputError, OxpixError, require_finite
@@ -112,14 +114,35 @@ def _run_point(config: PixelConfig, options: SolverOptions,
         events=tuple(e.kind.value for e in trace.events))
 
 
-def _init_worker(setups: tuple) -> None:
-    """Keep every sweep's (config, options) pair in a pool worker, once."""
-    global _worker_setups
-    _worker_setups = setups
+def _init_worker(setup) -> None:
+    """Keep a pool's shared job inputs in each of its workers, once."""
+    global _worker_setup
+    _worker_setup = setup
 
 
-def _run_job(job: tuple[int, float]) -> SweepRow:
-    return _run_point(*_worker_setups[job[0]], job[1])
+def _worker_job(fn, job):
+    return fn(_worker_setup, job)
+
+
+def _map_jobs(fn, setup, jobs: list, workers: int, chunksize: int = 1) -> list:
+    """``[fn(setup, job) for job in jobs]``, in-process for one worker, else
+    on one pool of ``workers`` processes that each get ``setup`` once,
+    through the pool initializer.  ``fn`` must be a module-level function.
+    A worker that dies raises OxpixError."""
+    if workers <= 1:
+        return [fn(setup, job) for job in jobs]
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(setup,)) as pool:
+            return list(pool.map(partial(_worker_job, fn), jobs,
+                                 chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        raise OxpixError(f"a worker process died: {exc}") from None
+
+
+def _sweep_job(setups: tuple, job: tuple[int, float]) -> SweepRow:
+    k, i_exp = job
+    return _run_point(*setups[k], i_exp)
 
 
 def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
@@ -130,12 +153,7 @@ def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     jobs = [(k, i) for k, spec in enumerate(specs)
             for i in (0.0, *spec.currents())]
     workers = min(workers, math.ceil(len(jobs) / _CHUNK))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(setups,)) as pool:
-            rows = list(pool.map(_run_job, jobs, chunksize=_CHUNK))
-    else:
-        rows = [_run_point(*setups[k], i) for k, i in jobs]
+    rows = _map_jobs(_sweep_job, setups, jobs, workers, _CHUNK)
     results = []  # rows come back in job order: dark first, then ascending
     for k, spec in enumerate(specs):
         dark, *points = [row for (j, _), row in zip(jobs, rows) if j == k]

@@ -34,7 +34,12 @@ from oxpix.devices import (
     read_resistance,
     state_from_resistance,
 )
-from oxpix.errors import CalibrationError, InvalidInputError, OutOfRangeError
+from oxpix.errors import (
+    CalibrationError,
+    InvalidInputError,
+    OutOfRangeError,
+    OxpixError,
+)
 
 
 def test_default_anchors_converge(calibrated):
@@ -253,6 +258,8 @@ def test_initial_constants_at_the_float_range_edges():
 
 
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
+    # The counter lives in this process: the fit must not fork.
+    monkeypatch.setenv("HPS_THREADS", "1")
     calls = []
     objective = calibration._objective
 
@@ -269,6 +276,51 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     assert f"2 restarts, {len(calls)} evaluations" in lines[0]
 
 
+def _logged_fit(monkeypatch, caplog, workers, **kwargs):
+    """A fit under ``HPS_THREADS=workers`` and its one INFO line."""
+    monkeypatch.setenv("HPS_THREADS", workers)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="oxpix"):
+        result = calibrate(**kwargs)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
+    return result, line
+
+
+def test_fit_identical_for_any_worker_count(monkeypatch, caplog):
+    fits = {}
+    for workers in ("1", "2", "3"):
+        result, line = _logged_fit(monkeypatch, caplog, workers, seed=5,
+                                   restarts=3)
+        counts, used = re.fullmatch(r"(.*), (\d+) workers?, [0-9.]+ s",
+                                    line).groups()
+        assert int(used) == int(workers)
+        fits[workers] = pickle.dumps(result), result.evaluations, counts
+    assert fits["2"] == fits["1"]
+    assert fits["3"] == fits["1"]
+
+
+@pytest.mark.parametrize("workers,restarts,pools", [
+    ("1", 3, []), ("2", 1, []), ("2", 3, [2]), ("3", 3, [3]), ("4", 3, [3])])
+def test_fit_builds_one_pool_of_a_worker_per_restart_at_most(
+        monkeypatch, caplog, recorded_pools, workers, restarts, pools):
+    built, jobs = recorded_pools
+    _, line = _logged_fit(monkeypatch, caplog, workers, seed=5,
+                          restarts=restarts)
+    assert [kwargs["max_workers"] for kwargs in built] == pools
+    # A job is one start; the anchors and constants go to each worker once,
+    # through the pool initializer.
+    assert len(jobs) == (restarts if pools else 0)
+    assert all(len(start) == len(_FIT_FIELDS) for start in jobs)
+    assert f", {pools[0] if pools else 1} worker" in line
+
+
+def test_dead_fit_worker_raises_oxpix_error(monkeypatch, die_in_workers):
+    die_in_workers(calibration, "_pattern_search")
+    monkeypatch.setenv("HPS_THREADS", "2")
+    with pytest.raises(OxpixError, match="worker process died"):
+        calibrate(seed=0, restarts=2)
+
+
 @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2},
                                     {"seed": -1}])
 def test_calibrate_rejects_bad_restarts_and_seed(kwargs):
@@ -277,6 +329,8 @@ def test_calibrate_rejects_bad_restarts_and_seed(kwargs):
 
 
 def test_fit_logs_predictor_calls_and_reused_values(monkeypatch, caplog):
+    # The counter lives in this process: the fit must not fork.
+    monkeypatch.setenv("HPS_THREADS", "1")
     calls = Counter()
     predict = calibration.predict_anchor
 

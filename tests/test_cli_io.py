@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from oxpix import cli, config
+from oxpix import calibration, cli, config, experiments
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
@@ -259,6 +259,48 @@ def test_cli_non_finite_cached_constant_is_a_miss(tmp_path, capsys, section,
     assert capsys.readouterr().err == ""
     assert json.loads(cache.read_text())[section][name] == fitted
     assert out.read_bytes() == first
+
+
+# Two restarts, so the fit gets a pool of its own under two workers.
+POOLED_REPORT = SMALL_REPORT.replace("restarts = 1", "restarts = 2")
+
+
+def test_cli_warm_report_builds_no_fit_pool(tmp_path, monkeypatch,
+                                            recorded_pools):
+    built, jobs = recorded_pools
+    monkeypatch.setenv("HPS_THREADS", "2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(POOLED_REPORT)
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+    # Cold: one fit pool, a job per restart, then one sweep pool, a job per
+    # point: a dark and two lit points for each of the four topologies.
+    assert main(argv) == 0
+    assert [kwargs["max_workers"] for kwargs in built] == [2, 2]
+    starts, points = jobs[:2], jobs[2:]
+    assert all(type(start) is list for start in starts)
+    assert len(points) == 4 * 3
+    # Warm: the fit comes from the cache, so only the sweep pool is built.
+    del built[:], jobs[:]
+    assert main(argv) == 0
+    assert [kwargs["max_workers"] for kwargs in built] == [2]
+    assert jobs == points
+
+
+@pytest.mark.parametrize("command,module,name", [
+    ("report", experiments, "_run_point"),
+    ("calibrate", calibration, "_pattern_search")])
+def test_cli_dead_worker_exits_two_without_traceback(
+        tmp_path, capsys, monkeypatch, die_in_workers, command, module, name):
+    die_in_workers(module, name)
+    monkeypatch.setenv("HPS_THREADS", "2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(POOLED_REPORT)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "worker process died" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,text,message", [

@@ -291,30 +291,10 @@ def test_report_identical_for_any_worker_count(monkeypatch, calibrated):
     assert reports["3"] == reports["1"]
 
 
-def _recording_pools(monkeypatch):
-    """Lists of the keyword arguments of each sweep pool built and of the
-    jobs mapped onto them, filled as the pools are used."""
-    built, jobs = [], []
-
-    class RecordingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            # A test starts a few real processes at most.
-            assert kwargs["max_workers"] <= 4
-            super().__init__(*args, **kwargs)
-
-        def map(self, fn, job_list, **kwargs):
-            jobs.extend(job_list)
-            return super().map(fn, job_list, **kwargs)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    return built, jobs
-
-
 @pytest.mark.parametrize("workers,pools", [("1", 0), ("2", 1)])
 def test_report_builds_at_most_one_pool(monkeypatch, calibrated, workers,
-                                        pools):
-    built, jobs = _recording_pools(monkeypatch)
+                                        pools, recorded_pools):
+    built, jobs = recorded_pools
     monkeypatch.setenv("HPS_THREADS", workers)
     table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
     assert len(built) == pools
@@ -324,9 +304,10 @@ def test_report_builds_at_most_one_pool(monkeypatch, calibrated, workers,
     assert all(type(k) is int and type(i) is float for k, i in jobs)
 
 
-def test_pool_has_one_worker_per_job_chunk(monkeypatch, calibrated):
+def test_pool_has_one_worker_per_job_chunk(monkeypatch, calibrated,
+                                           recorded_pools):
     # The pool starts all its workers at once; 24 jobs make three chunks.
-    built, jobs = _recording_pools(monkeypatch)
+    built, jobs = recorded_pools
     monkeypatch.setenv("HPS_THREADS", "64")
     pooled = table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
     assert [kwargs["max_workers"] for kwargs in built] == [3]

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oxpix.defaults import default_config, vg_for_current
+from oxpix.defaults import (R_RESET_LEVELS, R_SET_LEVELS, default_config,
+                            vg_for_current)
 from oxpix.devices import ELEMENTARY_CHARGE, MosfetParams, PhotodiodeParams
 from oxpix.errors import InvalidInputError, SolverError
 from oxpix import events, pixel, solver
@@ -763,3 +765,32 @@ def test_case_iii_collapse_records_one_abrupt_fall(calibrated):
     (r2s,) = trace.events_of(EventKind.RESET_TO_SET)
     (fall,) = trace.events_of(EventKind.ABRUPT_FALL)
     assert r2s.t_event < fall.t_event
+
+
+# The exposure that fills the well at the end of the frame: 1.054 nA.
+_PD = PhotodiodeParams()
+I_FULL_WELL = _PD.fwc_electrons * ELEMENTARY_CHARGE / _PD.texp
+
+
+# Below full well only: above it the clamped final VPD is not monotone.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(topology=st.sampled_from(Topology),
+       log_r=st.floats(math.log10(R_SET_LEVELS[-1]),
+                       math.log10(R_RESET_LEVELS[-1])),
+       log_i=st.lists(st.floats(-14.0, math.log10(0.99 * I_FULL_WELL)),
+                      min_size=2, max_size=2))
+def test_transient_properties_below_full_well(calibrated, topology, log_r,
+                                              log_i):
+    init = {} if topology is Topology.BARE_3T else \
+        {"init_resistance": 10.0 ** log_r}
+    cfg = default_config(topology, oxram=calibrated.oxram,
+                         selector=calibrated.selector, **init)
+    dim, bright = (integrate(cfg, Stimulus(10.0 ** x), SolverOptions())
+                   for x in sorted(log_i))
+    assert bright.final_vpd <= dim.final_vpd
+    for trace in (dim, bright):
+        assert charge_balance_error(trace, cfg) <= 5e-3
+        if cfg.is_hybrid():
+            assert cfg.oxram.gap_min <= trace.gap.min()
+            assert trace.gap.max() <= cfg.oxram.gap_max
+            assert trace.stats.kcl_solves == trace.stats.rhs_evals
