@@ -15,6 +15,13 @@ values replaced and checked (``_point``).  Each anchor's
 predictor reads only some of the fit coordinates (``_ANCHOR_INPUTS``), and a
 move changes one coordinate, so within a restart the objective reuses an
 anchor's model value wherever the coordinates it reads repeat.
+
+Some coordinates move no anchor inside the search box at all (with the
+default constants ``i0_cf`` and ``cf_field_b``: the filament term lies below
+the last bit of every anchor).  Before the restarts, the objective is probed
+with each coordinate alone at either box edge; a coordinate that leaves it
+bit-identical to its value at the initial guess is held at each restart's
+start, and the search tries no move along it.
 """
 
 from __future__ import annotations
@@ -84,8 +91,9 @@ _ANCHOR_INPUTS = {
     ANCHOR_I_RESET: _CONDUCTION + ("kprime",),
 }
 # Model values an anchor's memo holds before it starts afresh: four sweeps
-# of the 16 moves around the current point, without growing with the fit
-# (256 raised the fit's peak traced memory by 7 % and reused 1 % more).
+# of the moves around the current point with no coordinate held (two per
+# coordinate), without growing with the fit (256 raised the fit's peak
+# traced memory by 7 % and reused 1 % more).
 _MEMO_LIMIT = 64
 
 
@@ -258,10 +266,14 @@ def _pattern_search(x0, lo, hi, fun) -> tuple[tuple, float, int, int]:
 
 
 def _restart(setup: tuple, start: list) -> tuple:
-    """One restart of the search from ``start`` with its own anchor memo:
-    its best point and value, the distinct points it evaluated, its memo
-    hits, and per anchor the predictor calls made and the values reused."""
-    anchors, oxram, selector, lo, hi = setup
+    """One restart of the search from ``start`` with its own anchor memo and
+    the ``held`` coordinates boxed in at their start: its best point and
+    value, the distinct points it evaluated, its memo hits, and per anchor
+    the predictor calls made and the values reused."""
+    anchors, oxram, selector, lo, hi, held = setup
+    lo, hi = list(lo), list(hi)
+    for j in held:
+        lo[j] = hi[j] = start[j]
     memo = _AnchorMemo(anchors)
 
     def fun(coords: tuple) -> float:
@@ -277,7 +289,9 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     """Fit the model to the anchors by multi-start bounded pattern search.
 
     Restart 0 starts from the initial guess itself; the remaining restarts
-    perturb it log-uniformly inside the search box.  ``HPS_THREADS`` caps
+    perturb it log-uniformly inside the search box.  A coordinate that moves
+    no anchor at either box edge is held at each restart's start; the probe
+    points count as evaluations and predictor calls.  ``HPS_THREADS`` caps
     the worker processes that run the restarts (1 = in-process).  Ties
     resolve to the lowest restart index, so results are bit-stable for a
     given seed and any worker count.
@@ -305,8 +319,22 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
         (x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width).tolist()
         for _ in range(restarts - 1)]
     workers = min(_worker_count(), restarts)
-    runs = _map_jobs(_restart, (anchors, oxram, selector, lo, hi), starts,
-                     workers)
+    # Each coordinate alone at both box edges: one that leaves the finite
+    # objective at x0 bit-identical is taken to move no anchor inside the
+    # box, so each restart holds it at its start.
+    probe = _AnchorMemo(anchors)
+
+    def at(coords: tuple) -> float:
+        return _objective(coords, anchors, oxram, selector, probe)
+
+    x = tuple(x0.tolist())
+    f0 = at(x)
+    edges = [tuple(at(x[:j] + (edge[j],) + x[j + 1:]) for edge in (lo, hi))
+             for j in range(len(x))]
+    held = tuple(j for j, f in enumerate(edges)
+                 if math.isfinite(f0) and f == (f0, f0))
+    runs = _map_jobs(_restart, (anchors, oxram, selector, lo, hi, held),
+                     starts, workers)
     best_x = None
     best_f = math.inf
     for x, f, *_ in runs:
@@ -314,10 +342,10 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
             best_x, best_f = x, f
     if best_x is None:
         raise CalibrationError("objective non-finite at every start")
-    evaluations = sum(run[2] for run in runs)
+    evaluations = 1 + 2 * len(edges) + sum(run[2] for run in runs)
     hits = sum(run[3] for run in runs)
-    calls, reused = ([sum(n) for n in zip(*(run[k] for run in runs))]
-                     for k in (4, 5))
+    calls, reused = ([sum(n) for n in zip(counts, *(run[k] for run in runs))]
+                     for counts, k in ((probe.calls, 4), (probe.reused, 5)))
 
     ox_fit, sel_fit = _point(best_x, oxram, selector)
     residuals = {}
@@ -332,10 +360,11 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     if len(anchors.anchors) < 2:
         detail = "under-determined: single anchor leaves the fit unconstrained"
     _log.info("calibrate: %d restarts, %d evaluations, %d memo hits, "
-              "predictor calls/reused values %s, %d worker%s, %.3f s",
-              restarts, evaluations, hits, " ".join(
+              "predictor calls/reused values %s, held %s, %d worker%s, "
+              "%.3f s", restarts, evaluations, hits, " ".join(
                   f"{a.quantity} {n}/{m}" for a, n, m in
                   zip(anchors.anchors, calls, reused)),
+              " ".join(_FIT_FIELDS[j] for j in held) or "none",
               workers, "s" * (workers > 1), time.perf_counter() - t0)
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,

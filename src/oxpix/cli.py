@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import sys
 
@@ -198,6 +199,19 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help exits 0
         return int(exc.code or 0)
+    # A setting read at several places of one command (``HPS_THREADS``)
+    # warns once: the logger drops a message the command already logged.
+    seen = set()
+
+    def first_time(record: logging.LogRecord) -> bool:
+        message = (record.levelno, record.getMessage())
+        if message in seen:
+            return False
+        seen.add(message)
+        return True
+
+    log = logging.getLogger("oxpix")
+    log.addFilter(first_time)
     try:
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise InvalidInputError(f"--out {args.out!r}: no such directory")
@@ -211,6 +225,8 @@ def main(argv=None) -> int:
     except OxpixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeFilter(first_time)
 
 
 if __name__ == "__main__":

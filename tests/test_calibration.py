@@ -180,17 +180,68 @@ def test_pattern_search_evaluates_each_point_once():
     assert seen[x] == f
 
 
+def test_pattern_search_takes_no_move_along_a_closed_coordinate():
+    seen = {}
+
+    def fun(v):
+        seen[v] = sum((c - t) ** 2 for c, t in zip(v, (0.3, -0.2, 0.05)))
+        return seen[v]
+
+    lo, hi = (-1.0, 0.1, -1.0), (1.0, 0.1, 1.0)
+    x, f, _, _ = _pattern_search((0.0, 0.5, 0.0), lo, hi, fun)
+    assert {v[1] for v in seen} == {0.1}
+    assert f == min(seen.values()) and seen[x] == f
+
+
+@pytest.mark.parametrize("kwargs,held", [
+    ({}, "i0_cf cf_field_b"),
+    # A raised filament prefactor makes every conduction field show.
+    ({"initial_oxram": OxRamParams(i0_cf=1e-16)}, "none"),
+    ({"anchors": CalibrationAnchors((Anchor(ANCHOR_R_RESET, 60e9, 0.20),))},
+     "i0_cf cf_field_b rupture_rate_r0 rupture_field_v1 kprime"),
+], ids=["defaults", "raised_i0_cf", "r_reset_only"])
+def test_fit_holds_the_coordinates_no_anchor_sees(monkeypatch, caplog,
+                                                  kwargs, held):
+    _, line = _logged_fit(monkeypatch, caplog, "1", restarts=1, **kwargs)
+    assert re.search(r", held (.*), 1 worker, ", line).group(1) == held
+
+
+def test_one_restart_keeps_the_held_constants_of_its_start(monkeypatch):
+    # The first restart starts at the initial point, so a held coordinate
+    # ends there bit for bit and no move along it is ever evaluated.
+    monkeypatch.setenv("HPS_THREADS", "1")
+    points = []
+    objective = calibration._objective
+
+    def recorded(coords, *args):
+        points.append(coords)
+        return objective(coords, *args)
+
+    monkeypatch.setattr(calibration, "_objective", recorded)
+    result = calibrate(restarts=1)
+    x0 = points[0]
+    start, _ = calibration._point(x0, OxRamParams(), MosfetParams())
+    assert start.cf_field_b == OxRamParams().cf_field_b
+    for name in ("i0_cf", "cf_field_b"):
+        assert getattr(result.oxram, name) == getattr(start, name)
+    # One probe point per box edge of each coordinate, then the search.
+    held = [_FIT_FIELDS.index("i0_cf"), _FIT_FIELDS.index("cf_field_b")]
+    search = points[1 + 2 * len(_FIT_FIELDS):]
+    assert len(search) == result.evaluations - 1 - 2 * len(_FIT_FIELDS)
+    assert all(p[j] == x0[j] for p in search for j in held)
+
+
 def test_fit_keeps_its_search_path(calibrated, caplog):
     # The work counts of a fit pin the points it searched, which a digest
     # of the result alone would not: another path can end at the same point.
     with caplog.at_level(logging.INFO, logger="oxpix"):
         result = calibrate(seed=5, restarts=2)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
-    assert result.evaluations == 3374
-    assert "2 restarts, 3374 evaluations, 433 memo hits, predictor " \
-        "calls/reused values r_set 1906/1468 r_reset 1906/1468 " \
-        "t_reset 146/3228 i_reset_peak 2415/959, " in line
-    assert calibrated.evaluations == 13650
+    assert result.evaluations == 2403
+    assert "2 restarts, 2403 evaluations, 433 memo hits, predictor " \
+        "calls/reused values r_set 945/1458 r_reset 945/1458 " \
+        "t_reset 151/2252 i_reset_peak 1452/951, " in line
+    assert calibrated.evaluations == 9651
 
 
 def _box(oxram, selector):
@@ -251,7 +302,7 @@ def test_initial_constants_at_the_float_range_edges():
     tiny = calibrate(initial_oxram=OxRamParams(i0_cf=5e-324), restarts=2)
     assert tiny.converged
     assert tiny.objective == 2.499231698466286e-08
-    assert tiny.evaluations == 2873
+    assert tiny.evaluations == 2038
     with pytest.raises(CalibrationError,
                        match="^objective non-finite at every start$"):
         calibrate(initial_oxram=OxRamParams(i0_ox=1e308), restarts=2)

@@ -1,6 +1,7 @@
 """Trace CSV, report JSON and command-line surface."""
 
 import json
+import logging
 import os
 import stat
 
@@ -284,6 +285,23 @@ def test_cli_warm_report_builds_no_fit_pool(tmp_path, monkeypatch,
     assert main(argv) == 0
     assert [kwargs["max_workers"] for kwargs in built] == [2]
     assert jobs == points
+
+
+def test_cli_bad_worker_count_warns_once_per_command(tmp_path, monkeypatch,
+                                                     caplog):
+    # A cold report reads HPS_THREADS for the fit and for the sweeps.
+    monkeypatch.setenv("HPS_THREADS", "abc")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_REPORT)
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+    for run in ("cold", "warm"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="oxpix"):
+            assert main(argv) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1, run
+        assert "HPS_THREADS='abc' is not a positive integer" in warnings[0]
 
 
 @pytest.mark.parametrize("command,module,name", [

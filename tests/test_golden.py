@@ -1,9 +1,11 @@
 """Golden outputs, byte for byte: the default ``oxpix simulate --iexp 1nA``
 CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
 ``oxpix calibrate`` JSON and the ``oxpix report`` JSON and calibration cache
-of one-restart fits, the events of the coarse sweep transients, the ``oxpix calibrate`` JSON of the default
-eight-restart fit for two seeds, the default ``oxpix report`` JSON, the
-dumped default config of each topology, and the keys a config accepts.
+of one-restart fits, the events of the coarse sweep transients, the
+``oxpix calibrate`` JSON of the default eight-restart fit for two seeds, the
+payload of the two-restart fit for seeds 0-7, the default ``oxpix report``
+JSON, the dumped default config of each topology, and the keys a config
+accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
 alone.  A change that moves numbers or the config format on purpose updates
@@ -16,13 +18,14 @@ record them afresh on the unchanged code first.
 """
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from oxpix.calibration import calibrate
-from oxpix.cli import main
+from oxpix.cli import _result_payload, main
 from oxpix.config import dump_config, parse_config
 from oxpix.defaults import default_config
 from oxpix.experiments import SweepSpec, table1_report
@@ -68,6 +71,19 @@ GOLDEN_FIT = {
 GOLDEN_MULTISTART = {
     0: "8f59191cc6c3c6276b67b8ea084bfe3095a8f6a245798d28b654ea37e9eea60d",
     3: "e4ea9b568cc252fea9db3dc93554ae5fc2a02300f79d465ee77b0acb184a2747",
+}
+
+# ``cli._result_payload`` (every field but ``evaluations``) of
+# ``calibrate(seed=N, restarts=2)``: more fits pinned, each one cheap.
+GOLDEN_TWO_RESTARTS = {
+    0: "48fd5fa0d0b1abd79fba005661ceffaf23079cebde9431a3b27ab455c32a191c",
+    1: "3075fa7d2b546959c5f8959e2477cb77756cc82a5045af8ff32cf8010a82b14a",
+    2: "90caf14208e0b141e3e9a1de226e9f0f56dd7e9858ab345dba2fbde9e982c41e",
+    3: "a2edac09f3bf510e33bb51c154e6d33fc5b40be25c497cf65227547c1a90822f",
+    4: "398e3c4751b48e8355e2484a9c6a727e32b2f1e039760aacc4a40382cc26a40e",
+    5: "6f50f326e7a99323676fe53e755f2b0e34206a51c2c0695cc7e3cc648f56fb7f",
+    6: "45a3741d03ea01b5981b99ff63af6811a47ef10cf79c41b7560e51b01742b4b2",
+    7: "2bdafd55679474d1c96ba0c5a75498e8dba66eb04e9e36b1ba23d32aada5632c",
 }
 
 # ``oxpix report`` on the default config: the eight-restart seed-0 fit and
@@ -191,6 +207,18 @@ def test_multistart_fit_matches_golden_digest(tmp_path, seed):
     assert multistart_digest(seed, tmp_path) == GOLDEN_MULTISTART[seed]
 
 
+def two_restart_digest(seed: int) -> str:
+    """SHA-256 of the sorted-key JSON of the two-restart fit's payload."""
+    payload = _result_payload(calibrate(seed=seed, restarts=2))
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TWO_RESTARTS))
+def test_two_restart_fit_matches_golden_digest(seed):
+    assert two_restart_digest(seed) == GOLDEN_TWO_RESTARTS[seed]
+
+
 def report_digest(table: dict, residuals: dict, directory: Path) -> str:
     """SHA-256 of the report JSON of ``table`` and the fit ``residuals``,
     written as ``oxpix report`` writes it."""
@@ -237,6 +265,8 @@ if __name__ == "__main__":
             print(f"{name}: {digest}")
         for seed in GOLDEN_MULTISTART:
             print(f"multistart {seed}: {multistart_digest(seed, Path(work))}")
+        for seed in GOLDEN_TWO_RESTARTS:
+            print(f"two restarts {seed}: {two_restart_digest(seed)}")
         fit = calibrate(seed=0, restarts=8)
         table = table1_report(fit.oxram, fit.selector)
         print(f"default report: "
