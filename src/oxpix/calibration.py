@@ -1,4 +1,4 @@
-"""Least-squares fit of the device constants to reference measurements.
+"""Fit of the device constants to reference measurements.
 
 Four reference quantities anchor the model: the SET and hard-RESET read
 resistances, the time a constant reset-polarity drive takes to open the gap
@@ -7,29 +7,24 @@ The first three have closed forms; the programming peak is one
 operating-point solve (the transient sits at its compliance plateau while
 the gap barely moves, so the trace maximum is the plateau current).
 
-Gradients through event times are not smooth, so the optimizer is a
-bounded coordinate pattern search over log-parameters with deterministic
-seeded restarts, independent of each other, so they run on a process pool.
-A candidate is the checked initial constants with only the eight fitted
-values replaced and checked (``_point``).  Each anchor's
-predictor reads only some of the fit coordinates (``_ANCHOR_INPUTS``), and a
-move changes one coordinate, so within a restart the objective reuses an
-anchor's model value wherever the coordinates it reads repeat.
-
-Some coordinates move no anchor inside the search box at all (with the
-default constants ``i0_cf`` and ``cf_field_b``: the filament term lies below
-the last bit of every anchor).  Before the restarts, the objective is probed
-with each coordinate alone at either box edge; a coordinate that leaves it
-bit-identical to its value at the initial guess is held at each restart's
-start, and the search tries no move along it.
+So the fit is a root-find of one equation per anchor, ``log(model /
+anchor) = 0``, in eight log-parameters, smooth but for the SET read-back's
+bisection steps.  It is solved by Gauss-Newton steps from the initial guess
+``x0``, each the minimum-norm solution of the linearized equations measured
+from ``x0`` and clipped to a box around it: the anchors fix only as many
+combinations of the parameters as there are anchors, and the rest stay at
+``x0``.  A coordinate no anchor moves at all (with the default constants
+``i0_cf`` and ``cf_field_b``: the filament term lies below the last bit of
+every anchor) has a Jacobian column of exact zeros and is *held*: it
+keeps its initial value bit for bit.  A point is the checked initial
+constants with only the eight fitted values replaced and checked
+(``_point``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
-import struct
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -47,8 +42,7 @@ from .devices import (
     read_resistance,
 )
 from .defaults import R_SET_LEVELS
-from .errors import CalibrationError, InvalidInputError, require_finite
-from .experiments import _map_jobs, _worker_count
+from .errors import CalibrationError, require_finite
 from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
@@ -63,13 +57,17 @@ ANCHOR_R_RESET = "r_reset"
 ANCHOR_T_RESET = "t_reset"
 ANCHOR_I_RESET = "i_reset_peak"
 
-# Fitted degrees of freedom, all strictly positive, searched in log space.
+# Names the fit method in the calibration cache key, so a cache written by
+# another method is a miss.
+FIT_METHOD = "min-norm-gauss-newton"
+
+# Fitted degrees of freedom, all strictly positive, fitted in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",
                "rupture_rate_r0", "rupture_field_v1", "kprime")
 # The fitted OxRAM fields in the order ``OxRamParams`` checks them.
 _OX_CHECKED = ("cf_field_b", "ox_decay_c", "ox_field_d", "i0_cf", "i0_ox",
                "rupture_rate_r0", "rupture_field_v1")
-# Half-width of the search box in decades around the initial guess.  Four
+# Half-width of the fit box in decades around the initial guess.  Four
 # anchors cannot pin eight constants; the shape constants (field and decay
 # coefficients, the high-field surge prefactor) get narrow boxes because
 # the anchors constrain them only weakly while the pixel's switching regime
@@ -80,21 +78,17 @@ _BOX_DECADES = {
     "ox_field_d": 0.05, "rupture_rate_r0": 1.0, "rupture_field_v1": 0.05,
     "kprime": 0.5,
 }
-# The fit fields each anchor's predictor reads; the other fit fields leave
-# its model value bit-identical.  The read-backs and the programming peak go
-# through the device conduction law, the rupture time through the rate law.
-_CONDUCTION = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d")
-_ANCHOR_INPUTS = {
-    ANCHOR_R_SET: _CONDUCTION,
-    ANCHOR_R_RESET: _CONDUCTION,
-    ANCHOR_T_RESET: ("rupture_rate_r0", "rupture_field_v1"),
-    ANCHOR_I_RESET: _CONDUCTION + ("kprime",),
-}
-# Model values an anchor's memo holds before it starts afresh: four sweeps
-# of the moves around the current point with no coordinate held (two per
-# coordinate), without growing with the fit (256 raised the fit's peak
-# traced memory by 7 % and reused 1 % more).
-_MEMO_LIMIT = 64
+# Half-step of the central-difference Jacobian, in natural log.
+_JACOBIAN_STEP = 1e-4
+# The SET read-back stops its bisection within 1e-3 of its target, so its
+# log residual moves in steps: the fit stops once every log residual is
+# below this level, about where those steps leave it.
+_STOP = 2e-5
+# Halvings of a step that does not lower the largest log residual, before
+# the fit stops.
+_HALVINGS = 3
+# Iterations at most: 1 + (16 + 1 + 3) * 9 = 181 evaluations.
+_MAX_ITERATIONS = 9
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,10 @@ class CalibrationResult:
     residuals: dict[str, float]        # relative deviation per anchor
     converged: bool
     objective: float
-    restarts: int
-    seed: int
+    singular_values: tuple[float, ...]  # of the fit's last Jacobian
+    held: tuple[str, ...]              # fit fields kept at the initial guess
     detail: str = ""
-    evaluations: int = 0               # distinct objective evaluations
+    evaluations: int = 0               # model evaluations of every anchor
 
 
 def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
@@ -161,11 +155,16 @@ def _point(coords, oxram: OxRamParams,
            selector: MosfetParams) -> tuple[OxRamParams, MosfetParams]:
     """``oxram`` and ``selector`` with the fitted fields at ``exp(coords)``.
 
-    The inputs were checked when built and a point changes only the fitted
-    values, so only those are checked, as and in the order the constructors
-    check them.  Both types are frozen, so the fields are filled directly.
+    A coordinate equal to the log of its field's value in ``oxram`` or
+    ``selector`` keeps that value itself: ``exp(log(v))`` need not give back
+    ``v``.  The inputs were checked when built and a point changes only the
+    fitted values, so only those are checked, as and in the order the
+    constructors check them.  Both types are frozen, so the fields are
+    filled directly.
     """
-    *values, kprime = map(math.exp, coords)
+    given = [getattr(oxram, f) for f in _FIT_FIELDS[:-1]] + [selector.kprime]
+    *values, kprime = (v if c == math.log(v) else math.exp(c)
+                       for c, v in zip(coords, given))
     fields = vars(oxram).copy()
     fields.update(zip(_FIT_FIELDS, values))
     ox, sel = object.__new__(OxRamParams), object.__new__(MosfetParams)
@@ -176,132 +175,44 @@ def _point(coords, oxram: OxRamParams,
     return ox, sel
 
 
-class _AnchorMemo:
-    """Finite model values of each anchor for one restart, keyed by the fit
-    coordinates its predictor reads (a tuple of the point's floats), and per
-    anchor the predictor calls made and the values reused."""
-
-    def __init__(self, anchors: CalibrationAnchors):
-        # An unknown quantity reads every coordinate, so its predictor runs
-        # and raises.
-        index = [[_FIT_FIELDS.index(name) for name in
-                  _ANCHOR_INPUTS.get(a.quantity, _FIT_FIELDS)]
-                 for a in anchors.anchors]
-        self.key_of = [operator.itemgetter(*i) for i in index]
-        self.values: list[dict] = [{} for _ in index]
-        self.calls = [0] * len(index)
-        self.reused = [0] * len(index)
-
-
-def _objective(coords: tuple, anchors: CalibrationAnchors,
-               oxram: OxRamParams, selector: MosfetParams,
-               memo: _AnchorMemo) -> float:
+def _log_residuals(coords, anchors: CalibrationAnchors, oxram: OxRamParams,
+                  selector: MosfetParams) -> tuple[np.ndarray, list] | None:
+    """Log residual ``log(model / anchor)`` and model value of each anchor
+    at ``coords``, or None where the point cannot be built or a log
+    residual is not finite."""
     try:
         ox, sel = _point(coords, oxram, selector)
-        total = 0.0
-        for k, a in enumerate(anchors.anchors):
-            values, key = memo.values[k], memo.key_of[k](coords)
-            model = values.get(key)
-            if model is None:
-                model = predict_anchor(a.quantity, ox, sel, a.value)
-                memo.calls[k] += 1
-                if not math.isfinite(model):
-                    return math.inf
-                if len(values) >= _MEMO_LIMIT:
-                    values.clear()
-                values[key] = model
-            else:
-                memo.reused[k] += 1
-            total += ((model - a.value) / (a.tolerance * a.value)) ** 2
-        return total
+        models = [predict_anchor(a.quantity, ox, sel, a.value)
+                  for a in anchors.anchors]
+        logs = [math.log(m / a.value) for m, a in zip(models, anchors.anchors)]
     except (OverflowError, ValueError, ZeroDivisionError):
-        return math.inf
-
-
-def _pattern_search(x0, lo, hi, fun) -> tuple[tuple, float, int, int]:
-    """Best point and value, the number of distinct points evaluated, and
-    the number of revisits answered from the memo.  The step starts at
-    0.08 (natural log), halves after a sweep with no improving move and
-    ends the search below 1e-6, or after 400 sweeps.
-
-    ``fun`` takes a point, a tuple of floats, and is fixed for the whole
-    search, so a point's packed doubles (smaller than the tuple) are a
-    complete key; a move back along a coordinate revisits the point it left.
-    """
-    memo: dict[bytes, float] = {}
-    hits = 0
-    key_of = struct.Struct(f"{len(lo)}d").pack
-
-    def value(v: tuple) -> float:
-        nonlocal hits
-        key = key_of(*v)
-        f = memo.get(key)
-        if f is None:
-            f = memo[key] = fun(v)
-        else:
-            hits += 1
-        return f
-
-    x = tuple(map(min, map(max, x0, lo), hi))
-    f = value(x)
-    step = 0.08
-    n = len(x)
-    for _ in range(400):
-        improved = False
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                xj = min(max(x[j] + sign * step, lo[j]), hi[j])
-                if xj == x[j]:
-                    continue
-                trial = x[:j] + (xj,) + x[j + 1:]
-                ft = value(trial)
-                if ft < f:
-                    x, f = trial, ft
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return x, f, len(memo), hits
-
-
-def _restart(setup: tuple, start: list) -> tuple:
-    """One restart of the search from ``start`` with its own anchor memo and
-    the ``held`` coordinates boxed in at their start: its best point and
-    value, the distinct points it evaluated, its memo hits, and per anchor
-    the predictor calls made and the values reused."""
-    anchors, oxram, selector, lo, hi, held = setup
-    lo, hi = list(lo), list(hi)
-    for j in held:
-        lo[j] = hi[j] = start[j]
-    memo = _AnchorMemo(anchors)
-
-    def fun(coords: tuple) -> float:
-        return _objective(coords, anchors, oxram, selector, memo)
-
-    return (*_pattern_search(start, lo, hi, fun), memo.calls, memo.reused)
+        return None
+    if not all(map(math.isfinite, logs)):
+        return None
+    return np.array(logs), models
 
 
 def calibrate(anchors: Optional[CalibrationAnchors] = None,
               initial_oxram: Optional[OxRamParams] = None,
               initial_selector: Optional[MosfetParams] = None,
               seed: int = 0, restarts: int = 8) -> CalibrationResult:
-    """Fit the model to the anchors by multi-start bounded pattern search.
+    """Fit the model to the anchors by minimum-norm Gauss-Newton steps.
 
-    Restart 0 starts from the initial guess itself; the remaining restarts
-    perturb it log-uniformly inside the search box.  A coordinate that moves
-    no anchor at either box edge is held at each restart's start; the probe
-    points count as evaluations and predictor calls.  ``HPS_THREADS`` caps
-    the worker processes that run the restarts (1 = in-process).  Ties
-    resolve to the lowest restart index, so results are bit-stable for a
-    given seed and any worker count.
-    Raises InvalidInputError for a negative seed or fewer than one restart,
-    and OxpixError if a worker process dies.
+    The unknowns are the logs of the fitted fields and the equations are
+    the anchors' log residuals.  Each step takes a central-difference
+    Jacobian ``J`` at the current point ``x`` and moves to
+    ``x0 + pinv(J) (J (x - x0) - r)``, clipped to the box, over the columns
+    of ``J`` that are not all zero; the other coordinates are held at
+    ``x0``, and a held field keeps its initial value.  A step that does not
+    lower the largest log residual is halved, up to ``_HALVINGS`` times.
+    The fit stops when no such step lowers it, or when it falls below the
+    read-back's level.  It has no
+    random part and runs in-process.
+    ``seed`` and ``restarts`` are ignored: the fit has no random starts, and
+    they stay accepted for callers that still pass them.
+    Raises CalibrationError when a log residual at the initial guess, or
+    the objective at the fit, is not finite.
     """
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    if restarts < 1:
-        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     t0 = time.perf_counter()
     anchors = anchors or CalibrationAnchors()
     oxram = initial_oxram or OxRamParams()
@@ -310,63 +221,75 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     x0 = np.array([math.log(getattr(oxram, f)) for f in _FIT_FIELDS[:-1]]
                   + [math.log(selector.kprime)])
     width = np.array([_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS])
-    lo, hi = (x0 - width).tolist(), (x0 + width).tolist()
+    lo, hi = x0 - width, x0 + width
+    evaluations = 0
 
-    # Every start is drawn before any search runs, so the starts and the
-    # restart-order reduction below do not depend on the worker count.
-    rng = np.random.default_rng(seed)
-    starts = [x0.tolist()] + [
-        (x0 + rng.uniform(-0.3, 0.3, size=len(x0)) * width).tolist()
-        for _ in range(restarts - 1)]
-    workers = min(_worker_count(), restarts)
-    # Each coordinate alone at both box edges: one that leaves the finite
-    # objective at x0 bit-identical is taken to move no anchor inside the
-    # box, so each restart holds it at its start.
-    probe = _AnchorMemo(anchors)
+    def at(x: np.ndarray) -> tuple[np.ndarray, list] | None:
+        nonlocal evaluations
+        evaluations += 1
+        return _log_residuals(x.tolist(), anchors, oxram, selector)
 
-    def at(coords: tuple) -> float:
-        return _objective(coords, anchors, oxram, selector, probe)
+    def jacobian(x: np.ndarray) -> np.ndarray | None:
+        columns = []
+        for dx in np.eye(len(x)) * _JACOBIAN_STEP:
+            up, down = at(x + dx), at(x - dx)
+            if up is None or down is None:
+                return None
+            columns.append((up[0] - down[0]) / (2.0 * _JACOBIAN_STEP))
+        return np.array(columns).T
 
-    x = tuple(x0.tolist())
-    f0 = at(x)
-    edges = [tuple(at(x[:j] + (edge[j],) + x[j + 1:]) for edge in (lo, hi))
-             for j in range(len(x))]
-    held = tuple(j for j, f in enumerate(edges)
-                 if math.isfinite(f0) and f == (f0, f0))
-    runs = _map_jobs(_restart, (anchors, oxram, selector, lo, hi, held),
-                     starts, workers)
-    best_x = None
-    best_f = math.inf
-    for x, f, *_ in runs:
-        if f < best_f:
-            best_x, best_f = x, f
-    if best_x is None:
-        raise CalibrationError("objective non-finite at every start")
-    evaluations = 1 + 2 * len(edges) + sum(run[2] for run in runs)
-    hits = sum(run[3] for run in runs)
-    calls, reused = ([sum(n) for n in zip(counts, *(run[k] for run in runs))]
-                     for counts, k in ((probe.calls, 4), (probe.reused, 5)))
+    fit = at(x0)
+    if fit is None:
+        raise CalibrationError("log residuals non-finite at the initial guess")
+    x, largest = x0, np.abs(fit[0]).max()
+    iterations, singular, held = 0, np.zeros(0), ()
+    while iterations < _MAX_ITERATIONS and largest >= _STOP:
+        jac = jacobian(x)
+        if jac is None:
+            break
+        seen = np.any(jac != 0.0, axis=0)
+        held = tuple(f for f, s in zip(_FIT_FIELDS, seen) if not s)
+        jac = jac[:, seen]
+        singular = np.linalg.svd(jac, compute_uv=False)
+        trial = x0.copy()
+        trial[seen] = np.clip(
+            x0[seen] + np.linalg.pinv(jac) @ (jac @ (x - x0)[seen] - fit[0]),
+            lo[seen], hi[seen])
+        iterations += 1
+        for _ in range(_HALVINGS + 1):
+            moved = at(trial)
+            if moved is not None and np.abs(moved[0]).max() < largest:
+                break
+            trial = x + 0.5 * (trial - x)
+        else:
+            break
+        x, fit, largest = trial, moved, np.abs(moved[0]).max()
 
-    ox_fit, sel_fit = _point(best_x, oxram, selector)
     residuals = {}
     converged = True
-    for a in anchors.anchors:
-        model = predict_anchor(a.quantity, ox_fit, sel_fit, a.value)
-        rel = (model - a.value) / a.value
-        residuals[a.quantity] = rel
-        if abs(rel) > a.tolerance:
-            converged = False
+    try:
+        objective = 0.0
+        for a, model in zip(anchors.anchors, fit[1]):
+            rel = (model - a.value) / a.value
+            residuals[a.quantity] = rel
+            objective += ((model - a.value) / (a.tolerance * a.value)) ** 2
+            if abs(rel) > a.tolerance:
+                converged = False
+    except (OverflowError, ZeroDivisionError):
+        objective = math.inf
+    if not math.isfinite(objective):
+        raise CalibrationError("objective non-finite at the fit")
     detail = ""
     if len(anchors.anchors) < 2:
         detail = "under-determined: single anchor leaves the fit unconstrained"
-    _log.info("calibrate: %d restarts, %d evaluations, %d memo hits, "
-              "predictor calls/reused values %s, held %s, %d worker%s, "
-              "%.3f s", restarts, evaluations, hits, " ".join(
-                  f"{a.quantity} {n}/{m}" for a, n, m in
-                  zip(anchors.anchors, calls, reused)),
-              " ".join(_FIT_FIELDS[j] for j in held) or "none",
-              workers, "s" * (workers > 1), time.perf_counter() - t0)
+    _log.info("calibrate: %d evaluations in %d iterations, largest log "
+              "residual %.2g, singular values %s, held %s, %.3f s",
+              evaluations, iterations, largest,
+              " ".join(f"{s:.3g}" for s in singular) or "none",
+              " ".join(held) or "none", time.perf_counter() - t0)
+    ox_fit, sel_fit = _point(x.tolist(), oxram, selector)
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,
-        converged=converged, objective=best_f, restarts=restarts,
-        seed=seed, detail=detail, evaluations=evaluations)
+        converged=converged, objective=objective,
+        singular_values=tuple(singular.tolist()), held=held, detail=detail,
+        evaluations=evaluations)

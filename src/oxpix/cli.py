@@ -5,7 +5,7 @@ Subcommands::
     oxpix simulate  --config F --iexp 1nA --out trace.csv
     oxpix sweep     --config F --out table.csv
     oxpix report    --config F --out report.json [--recalibrate]
-    oxpix calibrate --config F --out params.json [--seed N]
+    oxpix calibrate --config F --out params.json
 
 Exit codes: 0 success, 1 validation or usage error, 2 solver or
 calibration failure.
@@ -17,11 +17,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 import sys
 
-from .calibration import CalibrationResult, calibrate
+from .calibration import FIT_METHOD, CalibrationResult, calibrate
 from .config import RunSetup, parse_config, parse_quantity
 from .devices import MosfetParams, OxRamParams
 from .errors import ConfigError, InvalidInputError, OxpixError
@@ -52,15 +51,15 @@ def _fit_inputs(setup: RunSetup) -> dict:
     """Keyword arguments of ``calibrate`` for this setup."""
     return {"anchors": setup.anchors,
             "initial_oxram": setup.pixel.oxram or OxRamParams(),
-            "initial_selector": setup.pixel.selector,
-            "seed": setup.cal_seed, "restarts": setup.cal_restarts}
+            "initial_selector": setup.pixel.selector}
 
 
 def _fit_key(inputs: dict) -> str:
-    """Digest of every input of one fit: the cache key."""
-    blob = json.dumps({name: dataclasses.asdict(value)
-                       if dataclasses.is_dataclass(value) else value
-                       for name, value in inputs.items()}, sort_keys=True)
+    """Digest of every input of one fit and of the fit method: the cache
+    key."""
+    blob = json.dumps({"method": FIT_METHOD} | {
+        name: dataclasses.asdict(value) for name, value in inputs.items()},
+        sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -146,10 +145,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     setup = _load_setup(args.config)
-    inputs = _fit_inputs(setup)
-    if args.seed is not None:
-        inputs["seed"] = args.seed
-    result = calibrate(**inputs)
+    result = calibrate(**_fit_inputs(setup))
     write_json(_result_payload(result), args.out, "calibration")
     status = "converged" if result.converged else "NOT converged"
     print(f"calibration {status}; residuals: " + ", ".join(
@@ -185,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit device constants to anchors")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_calibrate)
     return parser
 
@@ -199,19 +194,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help exits 0
         return int(exc.code or 0)
-    # A setting read at several places of one command (``HPS_THREADS``)
-    # warns once: the logger drops a message the command already logged.
-    seen = set()
-
-    def first_time(record: logging.LogRecord) -> bool:
-        message = (record.levelno, record.getMessage())
-        if message in seen:
-            return False
-        seen.add(message)
-        return True
-
-    log = logging.getLogger("oxpix")
-    log.addFilter(first_time)
     try:
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise InvalidInputError(f"--out {args.out!r}: no such directory")
@@ -225,8 +207,6 @@ def main(argv=None) -> int:
     except OxpixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        log.removeFilter(first_time)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,12 @@ dimensionless quantities take bare numbers.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import defaults as dflt
-from .calibration import Anchor, CalibrationAnchors, calibrate
+from .calibration import Anchor, CalibrationAnchors
 from .devices import MosfetParams, OxRamParams, PhotodiodeParams
 from .errors import KEY_OF, ConfigError
 from .experiments import ReadableWindow, SweepSpec
@@ -66,13 +65,12 @@ def _anchor_keys(anchors: CalibrationAnchors) -> dict[str, float]:
     return keys
 
 
-_CALIBRATE = inspect.signature(calibrate).parameters
-
 # Section -> config key -> default, in the order the dump writes them.  A
 # default's type is its key's: str, bool, int, or else a float quantity.
-# Every section but [pixel] is a dataclass's fields (or the anchors and
-# ``calibrate``'s defaults).  A [pixel] default of None is the topology's
-# operating point from ``default_config``; [pixel] vrst is [photodiode] vrst.
+# Every section but [pixel] and [calibration] is a dataclass's fields;
+# [calibration] is the default anchors' values and tolerances.  A [pixel]
+# default of None is the topology's operating point from ``default_config``;
+# [pixel] vrst is [photodiode] vrst.
 _SCHEMA: dict[str, dict[str, object]] = {
     "photodiode": _keys(PhotodiodeParams),
     "oxram": dict(sorted(_keys(OxRamParams).items())),
@@ -83,16 +81,13 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "sweep": _keys(SweepSpec, ("i_min", "i_max", "points_per_decade")),
     "solver": _keys(SolverOptions),
     "window": _keys(ReadableWindow),
-    "calibration": {**_anchor_keys(CalibrationAnchors()),
-                    "seed": _CALIBRATE["seed"].default,
-                    "restarts": _CALIBRATE["restarts"].default},
+    "calibration": _anchor_keys(CalibrationAnchors()),
 }
 
 # Anchor values and tolerances: each residual divides by both.
 _POSITIVE_KEYS = frozenset(_anchor_keys(CalibrationAnchors()))
 # Integer keys and their smallest allowed value.
-_INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0,
-             "seed": 0, "restarts": 1}
+_INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True,
                "0": False, "false": False, "no": False}
 
@@ -134,8 +129,6 @@ class RunSetup:
     solver: SolverOptions
     window: ReadableWindow
     anchors: CalibrationAnchors
-    cal_seed: int
-    cal_restarts: int
     provenance: dict[str, str] = field(default_factory=dict)
     raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
@@ -263,7 +256,6 @@ def _build_setup(given: dict, provenance: dict) -> RunSetup:
         points_per_decade=sweep["points_per_decade"],
         solver=SolverOptions(**given["solver"]),
         window=ReadableWindow(**given["window"]), anchors=anchors,
-        cal_seed=cal["seed"], cal_restarts=cal["restarts"],
         provenance=provenance, raw=given)
 
 
@@ -295,8 +287,7 @@ def dump_config(setup: RunSetup) -> str:
                   "points_per_decade": setup.points_per_decade},
         "solver": _keys(setup.solver),
         "window": _keys(setup.window),
-        "calibration": {**_anchor_keys(setup.anchors), "seed": setup.cal_seed,
-                        "restarts": setup.cal_restarts},
+        "calibration": _anchor_keys(setup.anchors),
     }
     lines = []
     for section, keys in _SCHEMA.items():

@@ -70,7 +70,10 @@ class OxRamParams:
     gap_min: float = 0.6
     gap_max: float = 9.4
     cf_decay_a: float = 0.01          # 1/nm
-    cf_field_b: float = 40.0          # 1/V
+    # 1/V.  No calibration anchor sees the filament term.  The fitted
+    # case i pixel's final VPD at 1 nA does: this value puts its difference
+    # between the two RESET levels at the 12 mV target, to 0.01 1/V.
+    cf_field_b: float = 40.43
     ox_decay_c: float = 2.190830      # 1/nm
     ox_field_d: float = 1.6           # 1/V
     i0_cf: float = 4.3280e-31         # A

@@ -17,7 +17,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .errors import InvalidInputError, OxpixError, require_finite
@@ -114,46 +113,37 @@ def _run_point(config: PixelConfig, options: SolverOptions,
         events=tuple(e.kind.value for e in trace.events))
 
 
-def _init_worker(setup) -> None:
-    """Keep a pool's shared job inputs in each of its workers, once."""
-    global _worker_setup
-    _worker_setup = setup
+def _init_worker(setups: tuple) -> None:
+    """Keep a pool's sweep setups in each of its workers, once."""
+    global _worker_setups
+    _worker_setups = setups
 
 
-def _worker_job(fn, job):
-    return fn(_worker_setup, job)
-
-
-def _map_jobs(fn, setup, jobs: list, workers: int, chunksize: int = 1) -> list:
-    """``[fn(setup, job) for job in jobs]``, in-process for one worker, else
-    on one pool of ``workers`` processes that each get ``setup`` once,
-    through the pool initializer.  ``fn`` must be a module-level function.
-    A worker that dies raises OxpixError."""
-    if workers <= 1:
-        return [fn(setup, job) for job in jobs]
-    try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(setup,)) as pool:
-            return list(pool.map(partial(_worker_job, fn), jobs,
-                                 chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise OxpixError(f"a worker process died: {exc}") from None
-
-
-def _sweep_job(setups: tuple, job: tuple[int, float]) -> SweepRow:
+def _sweep_job(job: tuple[int, float]) -> SweepRow:
     k, i_exp = job
-    return _run_point(*setups[k], i_exp)
+    return _run_point(*_worker_setups[k], i_exp)
 
 
 def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     """Every point of every sweep, each dark point a job with ``i_exp = 0``,
     run serially or on one pool of at most ``workers`` processes: one per
-    chunk of jobs at most, since the pool starts all of them at once."""
+    chunk of jobs at most, since the pool starts all of them at once.  Each
+    worker gets the sweep setups once, through the pool initializer.  A
+    worker that dies raises OxpixError."""
     setups = tuple((spec.config, spec.options) for spec in specs)
     jobs = [(k, i) for k, spec in enumerate(specs)
             for i in (0.0, *spec.currents())]
     workers = min(workers, math.ceil(len(jobs) / _CHUNK))
-    rows = _map_jobs(_sweep_job, setups, jobs, workers, _CHUNK)
+    if workers <= 1:
+        rows = [_run_point(*setups[k], i_exp) for k, i_exp in jobs]
+    else:
+        try:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_init_worker,
+                                     initargs=(setups,)) as pool:
+                rows = list(pool.map(_sweep_job, jobs, chunksize=_CHUNK))
+        except BrokenProcessPool as exc:
+            raise OxpixError(f"a worker process died: {exc}") from None
     results = []  # rows come back in job order: dark first, then ascending
     for k, spec in enumerate(specs):
         dark, *points = [row for (j, _), row in zip(jobs, rows) if j == k]

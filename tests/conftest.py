@@ -13,7 +13,7 @@ from oxpix.experiments import ReadableWindow, table1_report
 
 @pytest.fixture(scope="session")
 def calibrated():
-    result = calibrate(seed=0, restarts=8)
+    result = calibrate()
     assert result.converged, f"calibration failed: {result.residuals}"
     return result
 
@@ -33,8 +33,8 @@ def reports(calibrated, window):
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
-    """Lists of the keyword arguments of each worker pool built, fit or
-    sweep, and of the jobs mapped onto them, filled as the pools are used."""
+    """Lists of the keyword arguments of each worker pool built and of the
+    jobs mapped onto them, filled as the pools are used."""
     built, jobs = [], []
 
     class RecordingPool(experiments.ProcessPoolExecutor):

@@ -6,9 +6,7 @@ import logging
 import math
 import pickle
 import re
-from collections import Counter
 
-import numpy as np
 import pytest
 
 from oxpix.calibration import (
@@ -19,10 +17,8 @@ from oxpix.calibration import (
     VREAD,
     Anchor,
     CalibrationAnchors,
-    _ANCHOR_INPUTS,
     _BOX_DECADES,
     _FIT_FIELDS,
-    _pattern_search,
     calibrate,
     predict_anchor,
 )
@@ -34,12 +30,7 @@ from oxpix.devices import (
     read_resistance,
     state_from_resistance,
 )
-from oxpix.errors import (
-    CalibrationError,
-    InvalidInputError,
-    OutOfRangeError,
-    OxpixError,
-)
+from oxpix.errors import CalibrationError, InvalidInputError, OutOfRangeError
 
 
 def test_default_anchors_converge(calibrated):
@@ -50,18 +41,22 @@ def test_default_anchors_converge(calibrated):
         assert abs(calibrated.residuals[quantity]) <= tol
 
 
-def test_synthetic_round_trip_recovers_anchor_values():
-    # Anchors generated from a perturbed parameter set must be reproduced
-    # within 1 % by the fit started from the unperturbed defaults.
+def _synthetic_anchors() -> CalibrationAnchors:
+    """The anchors of a perturbed parameter set, at 5 % tolerance."""
     truth = dataclasses.replace(
         OxRamParams(), i0_ox=OxRamParams().i0_ox * 1.8,
         rupture_rate_r0=OxRamParams().rupture_rate_r0 * 0.6)
-    sel = MosfetParams()
-    anchors = CalibrationAnchors(tuple(
-        Anchor(q, predict_anchor(q, truth, sel), 0.05)
+    return CalibrationAnchors(tuple(
+        Anchor(q, predict_anchor(q, truth, MosfetParams()), 0.05)
         for q in (ANCHOR_R_SET, ANCHOR_R_RESET, ANCHOR_T_RESET,
                   ANCHOR_I_RESET)))
-    result = calibrate(anchors, seed=3, restarts=4)
+
+
+def test_synthetic_round_trip_recovers_anchor_values():
+    # Anchors generated from a perturbed parameter set must be reproduced
+    # within 1 % by the fit started from the unperturbed defaults.
+    anchors = _synthetic_anchors()
+    result = calibrate(anchors)
     for anchor in anchors.anchors:
         model = predict_anchor(anchor.quantity, result.oxram, result.selector)
         assert model == pytest.approx(anchor.value, rel=0.01)
@@ -69,7 +64,7 @@ def test_synthetic_round_trip_recovers_anchor_values():
 
 def test_single_anchor_flags_underdetermined():
     anchors = CalibrationAnchors((Anchor(ANCHOR_R_RESET, 60e9, 0.20),))
-    result = calibrate(anchors, seed=1, restarts=2)
+    result = calibrate(anchors)
     assert result.converged
     assert "under-determined" in result.detail
 
@@ -86,7 +81,7 @@ def test_non_finite_objective_raises():
     # A zero-valued anchor makes every residual undefined.
     anchors = CalibrationAnchors((Anchor(ANCHOR_T_RESET, 0.0, 0.1),))
     with pytest.raises(CalibrationError):
-        calibrate(anchors, restarts=1)
+        calibrate(anchors)
 
 
 def test_empty_anchor_list_rejected():
@@ -102,7 +97,7 @@ def test_unknown_anchor_quantity_rejected():
 def test_r_set_anchor_uses_its_own_target():
     anchors = CalibrationAnchors(
         (Anchor(ANCHOR_R_SET, 2e6, 0.20),) + CalibrationAnchors().anchors[1:])
-    result = calibrate(anchors, seed=0, restarts=1)
+    result = calibrate(anchors)
     assert result.converged
     assert abs(result.residuals[ANCHOR_R_SET]) <= 0.01
 
@@ -145,52 +140,20 @@ def _objective_at(result, anchors):
 
 
 def test_fit_is_unaffected_by_earlier_fits():
-    # Fits from the same initial constants search the same points, so a
-    # memo shared between fits would hand one fit the other's values.
+    # Fits from the same initial constants evaluate the same points, so
+    # state kept between fits would hand one fit the other's values.
     default = CalibrationAnchors()
     other = CalibrationAnchors((Anchor(ANCHOR_R_SET, 2e6, 0.20),)
                                + default.anchors[1:])
-    a1 = calibrate(seed=4, restarts=2)
-    b = calibrate(other, seed=4, restarts=2)
+    a1 = calibrate()
+    b = calibrate(other)
     c = calibrate(initial_oxram=OxRamParams(i0_ox=1.2e-2),
-                  initial_selector=MosfetParams(kprime=1.1e-4), seed=4,
-                  restarts=2)
-    a2 = calibrate(seed=4, restarts=2)
+                  initial_selector=MosfetParams(kprime=1.1e-4))
+    a2 = calibrate()
     assert (a2.oxram, a2.selector, a2.residuals, a2.objective) == \
         (a1.oxram, a1.selector, a1.residuals, a1.objective)
     for fit, anchors in ((a1, default), (b, other), (c, default)):
         assert fit.objective == _objective_at(fit, anchors)
-
-
-def test_pattern_search_evaluates_each_point_once():
-    seen = {}
-
-    def fun(v):
-        assert type(v) is tuple and all(type(c) is float for c in v)
-        assert v not in seen
-        seen[v] = float(np.sum((np.array(v) - np.array([0.3, -0.2, 0.05]))
-                               ** 2))
-        return seen[v]
-
-    lo, hi = (-1.0,) * 3, (1.0,) * 3
-    x, f, evaluations, hits = _pattern_search((0.0,) * 3, lo, hi, fun)
-    assert evaluations == len(seen)
-    assert hits > 0
-    assert f == min(seen.values())
-    assert seen[x] == f
-
-
-def test_pattern_search_takes_no_move_along_a_closed_coordinate():
-    seen = {}
-
-    def fun(v):
-        seen[v] = sum((c - t) ** 2 for c, t in zip(v, (0.3, -0.2, 0.05)))
-        return seen[v]
-
-    lo, hi = (-1.0, 0.1, -1.0), (1.0, 0.1, 1.0)
-    x, f, _, _ = _pattern_search((0.0, 0.5, 0.0), lo, hi, fun)
-    assert {v[1] for v in seen} == {0.1}
-    assert f == min(seen.values()) and seen[x] == f
 
 
 @pytest.mark.parametrize("kwargs,held", [
@@ -202,46 +165,35 @@ def test_pattern_search_takes_no_move_along_a_closed_coordinate():
 ], ids=["defaults", "raised_i0_cf", "r_reset_only"])
 def test_fit_holds_the_coordinates_no_anchor_sees(monkeypatch, caplog,
                                                   kwargs, held):
-    _, line = _logged_fit(monkeypatch, caplog, "1", restarts=1, **kwargs)
-    assert re.search(r", held (.*), 1 worker, ", line).group(1) == held
+    result, line = _logged_fit(monkeypatch, caplog, "1", **kwargs)
+    assert re.search(r", held (.*), [0-9.]+ s$", line).group(1) == held
+    assert (" ".join(result.held) or "none") == held
 
 
-def test_one_restart_keeps_the_held_constants_of_its_start(monkeypatch):
-    # The first restart starts at the initial point, so a held coordinate
-    # ends there bit for bit and no move along it is ever evaluated.
-    monkeypatch.setenv("HPS_THREADS", "1")
-    points = []
-    objective = calibration._objective
-
-    def recorded(coords, *args):
-        points.append(coords)
-        return objective(coords, *args)
-
-    monkeypatch.setattr(calibration, "_objective", recorded)
-    result = calibrate(restarts=1)
-    x0 = points[0]
-    start, _ = calibration._point(x0, OxRamParams(), MosfetParams())
-    assert start.cf_field_b == OxRamParams().cf_field_b
-    for name in ("i0_cf", "cf_field_b"):
-        assert getattr(result.oxram, name) == getattr(start, name)
-    # One probe point per box edge of each coordinate, then the search.
-    held = [_FIT_FIELDS.index("i0_cf"), _FIT_FIELDS.index("cf_field_b")]
-    search = points[1 + 2 * len(_FIT_FIELDS):]
-    assert len(search) == result.evaluations - 1 - 2 * len(_FIT_FIELDS)
-    assert all(p[j] == x0[j] for p in search for j in held)
+def test_fit_returns_the_held_coordinates_of_x0_bit_for_bit():
+    # A held coordinate is no part of any step, so the fit ends on its
+    # initial value itself, though neither default held value comes back
+    # from ``exp(log(v))``.
+    result = calibrate()
+    assert result.held == ("i0_cf", "cf_field_b")
+    for name in result.held:
+        value = getattr(OxRamParams(), name)
+        assert math.exp(math.log(value)) != value
+        assert getattr(result.oxram, name) == value
+    only = calibrate(anchors=CalibrationAnchors(
+        (Anchor(ANCHOR_R_RESET, 60e9, 0.20),)))
+    assert "kprime" in only.held
+    assert only.selector.kprime == MosfetParams().kprime
 
 
 def test_fit_keeps_its_search_path(calibrated, caplog):
-    # The work counts of a fit pin the points it searched, which a digest
+    # The work counts of a fit pin the points it evaluated, which a digest
     # of the result alone would not: another path can end at the same point.
     with caplog.at_level(logging.INFO, logger="oxpix"):
-        result = calibrate(seed=5, restarts=2)
+        result = calibrate()
     (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
-    assert result.evaluations == 2403
-    assert "2 restarts, 2403 evaluations, 433 memo hits, predictor " \
-        "calls/reused values r_set 945/1458 r_reset 945/1458 " \
-        "t_reset 151/2252 i_reset_peak 1452/951, " in line
-    assert calibrated.evaluations == 9651
+    assert result.evaluations == calibrated.evaluations == 35
+    assert line.startswith("calibrate: 35 evaluations in 2 iterations, ")
 
 
 def _box(oxram, selector):
@@ -253,8 +205,11 @@ def _box(oxram, selector):
 
 
 def _checked(coords, oxram, selector):
-    """The point at ``coords`` built by the checked constructors."""
-    values = dict(zip(_FIT_FIELDS, map(math.exp, coords)))
+    """The point at ``coords`` built by the checked constructors; a
+    coordinate at the log of its field's given value keeps that value."""
+    given = [getattr(oxram, f) for f in _FIT_FIELDS[:-1]] + [selector.kprime]
+    values = dict(zip(_FIT_FIELDS, (v if c == math.log(v) else math.exp(c)
+                                    for c, v in zip(coords, given))))
     kprime = values.pop("kprime")
     return (OxRamParams(**{**vars(oxram), **values}),
             MosfetParams(**{**vars(selector), "kprime": kprime}))
@@ -299,32 +254,35 @@ def test_search_point_fails_as_the_checked_constructors(bad):
 
 
 def test_initial_constants_at_the_float_range_edges():
-    tiny = calibrate(initial_oxram=OxRamParams(i0_cf=5e-324), restarts=2)
+    tiny = calibrate(initial_oxram=OxRamParams(i0_cf=5e-324))
     assert tiny.converged
-    assert tiny.objective == 2.499231698466286e-08
-    assert tiny.evaluations == 2038
+    assert tiny.objective == 6.410932570836353e-09
+    assert tiny.evaluations == 35
+    # The log residuals are finite there (709 at most), the objective not.
     with pytest.raises(CalibrationError,
-                       match="^objective non-finite at every start$"):
-        calibrate(initial_oxram=OxRamParams(i0_ox=1e308), restarts=2)
+                       match="^objective non-finite at the fit$"):
+        calibrate(initial_oxram=OxRamParams(i0_ox=1e308))
 
 
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
-    # The counter lives in this process: the fit must not fork.
-    monkeypatch.setenv("HPS_THREADS", "1")
+    # An evaluation predicts every anchor once; the fit's residuals reuse
+    # the model values of its last accepted point.
     calls = []
-    objective = calibration._objective
+    predict = calibration.predict_anchor
 
-    def counted(*args):
-        calls.append(1)
-        return objective(*args)
+    def counted(quantity, *args):
+        calls.append(quantity)
+        return predict(quantity, *args)
 
-    monkeypatch.setattr(calibration, "_objective", counted)
+    monkeypatch.setattr(calibration, "predict_anchor", counted)
     with caplog.at_level(logging.INFO, logger="oxpix"):
-        result = calibrate(seed=5, restarts=2)
-    assert result.evaluations == len(calls) > 0
+        result = calibrate()
+    anchors = CalibrationAnchors().anchors
+    assert len(calls) == len(anchors) * result.evaluations > 0
+    assert calls[:len(anchors)] == [a.quantity for a in anchors]
     lines = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
     assert len(lines) == 1
-    assert f"2 restarts, {len(calls)} evaluations" in lines[0]
+    assert f": {result.evaluations} evaluations in " in lines[0]
 
 
 def _logged_fit(monkeypatch, caplog, workers, **kwargs):
@@ -337,69 +295,43 @@ def _logged_fit(monkeypatch, caplog, workers, **kwargs):
     return result, line
 
 
-def test_fit_identical_for_any_worker_count(monkeypatch, caplog):
-    fits = {}
-    for workers in ("1", "2", "3"):
-        result, line = _logged_fit(monkeypatch, caplog, workers, seed=5,
-                                   restarts=3)
-        counts, used = re.fullmatch(r"(.*), (\d+) workers?, [0-9.]+ s",
-                                    line).groups()
-        assert int(used) == int(workers)
-        fits[workers] = pickle.dumps(result), result.evaluations, counts
-    assert fits["2"] == fits["1"]
-    assert fits["3"] == fits["1"]
+def test_fit_identical_for_any_worker_count(monkeypatch, caplog,
+                                            recorded_pools):
+    # Nor for any seed or restart count: the fit has no random part, and
+    # it runs in-process.
+    built, _ = recorded_pools
+    fits = set()
+    for workers, kwargs in (("1", {}), ("2", {"seed": 5, "restarts": 3}),
+                            ("3", {"seed": 11, "restarts": 1}),
+                            ("2", {"seed": -1, "restarts": 0})):
+        result, line = _logged_fit(monkeypatch, caplog, workers, **kwargs)
+        fits.add((pickle.dumps(result), line.rsplit(", ", 1)[0]))
+    assert len(fits) == 1
+    assert built == []
 
 
-@pytest.mark.parametrize("workers,restarts,pools", [
-    ("1", 3, []), ("2", 1, []), ("2", 3, [2]), ("3", 3, [3]), ("4", 3, [3])])
-def test_fit_builds_one_pool_of_a_worker_per_restart_at_most(
-        monkeypatch, caplog, recorded_pools, workers, restarts, pools):
-    built, jobs = recorded_pools
-    _, line = _logged_fit(monkeypatch, caplog, workers, seed=5,
-                          restarts=restarts)
-    assert [kwargs["max_workers"] for kwargs in built] == pools
-    # A job is one start; the anchors and constants go to each worker once,
-    # through the pool initializer.
-    assert len(jobs) == (restarts if pools else 0)
-    assert all(len(start) == len(_FIT_FIELDS) for start in jobs)
-    assert f", {pools[0] if pools else 1} worker" in line
+@pytest.mark.parametrize("kwargs", [
+    {}, {"initial_oxram": OxRamParams(i0_cf=1e-16)},
+    {"initial_oxram": OxRamParams(i0_cf=5e-324)},
+    {"anchors": CalibrationAnchors((Anchor(ANCHOR_R_SET, 2e6, 0.20),)
+                                   + CalibrationAnchors().anchors[1:])},
+    {"anchors": CalibrationAnchors((Anchor(ANCHOR_R_RESET, 60e9, 0.20),))},
+    {"anchors": _synthetic_anchors()},
+    {"initial_oxram": OxRamParams(ox_field_d=1.76)},
+], ids=["defaults", "raised_i0_cf", "tiny_i0_cf", "r_set_2M", "r_reset_only",
+        "round_trip", "far_ox_field_d"])
+def test_fit_takes_at_most_200_evaluations(kwargs):
+    result = calibrate(**kwargs)
+    assert result.converged
+    assert result.evaluations <= 200
 
 
-def test_dead_fit_worker_raises_oxpix_error(monkeypatch, die_in_workers):
-    die_in_workers(calibration, "_pattern_search")
-    monkeypatch.setenv("HPS_THREADS", "2")
-    with pytest.raises(OxpixError, match="worker process died"):
-        calibrate(seed=0, restarts=2)
-
-
-@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2},
-                                    {"seed": -1}])
-def test_calibrate_rejects_bad_restarts_and_seed(kwargs):
-    with pytest.raises(InvalidInputError):
-        calibrate(**kwargs)
-
-
-def test_fit_logs_predictor_calls_and_reused_values(monkeypatch, caplog):
-    # The counter lives in this process: the fit must not fork.
-    monkeypatch.setenv("HPS_THREADS", "1")
-    calls = Counter()
-    predict = calibration.predict_anchor
-
-    def counted(quantity, *args):
-        calls[quantity] += 1
-        return predict(quantity, *args)
-
-    monkeypatch.setattr(calibration, "predict_anchor", counted)
-    with caplog.at_level(logging.INFO, logger="oxpix"):
-        result = calibrate(seed=5, restarts=2)
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
-    for a in CalibrationAnchors().anchors:
-        made, reused = map(int, re.search(
-            rf"\b{a.quantity} (\d+)/(\d+)", line).groups())
-        # The residuals of the fit call each predictor once more.
-        assert made + 1 == calls[a.quantity]
-        assert made + reused == result.evaluations
-    assert calls[ANCHOR_T_RESET] < 0.2 * result.evaluations
+def test_fit_halves_a_step_that_does_not_lower_the_residual():
+    # From 10 % above the default ox_field_d the second full step overshoots:
+    # without its halvings the fit stops there, with r_set 9e-4 off.  Halved,
+    # the steps go on to about the read-back's level.
+    result = calibrate(initial_oxram=OxRamParams(ox_field_d=1.76))
+    assert max(map(abs, result.residuals.values())) < 1e-4
 
 
 def _scaled(oxram, selector, name, factor):
@@ -410,14 +342,25 @@ def _scaled(oxram, selector, name, factor):
             selector)
 
 
+# The fit fields each anchor's predictor reads: the read-backs and the
+# programming peak go through the device conduction law, the rupture time
+# through the rate law.  A field an anchor does not read is a zero in its
+# row of the fit's Jacobian.
+_CONDUCTION = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d")
+_ANCHOR_INPUTS = {
+    ANCHOR_R_SET: _CONDUCTION,
+    ANCHOR_R_RESET: _CONDUCTION,
+    ANCHOR_T_RESET: ("rupture_rate_r0", "rupture_field_v1"),
+    ANCHOR_I_RESET: _CONDUCTION + ("kprime",),
+}
+
+
 @pytest.mark.parametrize("anchor", CalibrationAnchors().anchors,
                          ids=lambda a: a.quantity)
 def test_anchor_inputs_are_the_fields_its_predictor_reads(anchor):
-    # The objective reuses an anchor's value while the fields it lists stay
-    # put, so a field its predictor reads but the table misses would hand
-    # the fit a stale value.  At the default constants the filament term is
-    # below the last bit of the read-backs and the programming peak; the
-    # raised prefactor makes every listed field show.
+    # At the default constants the filament term is below the last bit of
+    # the read-backs and the programming peak; the raised prefactor makes
+    # every listed field show.
     inputs = _ANCHOR_INPUTS[anchor.quantity]
     sel = MosfetParams()
     for ox in (OxRamParams(), OxRamParams(i0_cf=1e-16)):

@@ -8,7 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-from oxpix import calibration, cli, config, experiments
+from oxpix import cli, config, experiments
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
@@ -202,16 +202,20 @@ def test_cli_report_schema_and_cache(tmp_path, monkeypatch):
 
 def test_cli_calibrate_writes_params(tmp_path):
     out = tmp_path / "params.json"
-    assert main(["calibrate", "--out", str(out), "--seed", "0"]) == 0
+    assert main(["calibrate", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["converged"] is True
     assert set(payload["residuals"]) == {"r_set", "r_reset", "t_reset",
                                          "i_reset_peak"}
+    assert payload["held"] == ["i0_cf", "cf_field_b"]
+    assert len(payload["singular_values"]) == 4
 
 
-# A two-point sweep and one calibration restart keep these reports fast.
-SMALL_REPORT = ("[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
-                "[calibration]\nrestarts = 1\n")
+# A two-point sweep keeps these reports fast.
+SMALL_REPORT = "[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
+# The cache file the multistart pattern search wrote for SMALL_REPORT with
+# one restart.
+PATTERN_SEARCH_CACHE = ".oxpix-calib-d3449efcc4a86517.json"
 
 
 def test_cli_cache_key_covers_initial_constants(tmp_path):
@@ -221,6 +225,27 @@ def test_cli_cache_key_covers_initial_constants(tmp_path):
         cfg.write_text(SMALL_REPORT + extra)
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(list(tmp_path.glob(".oxpix-calib-*.json"))) == 2
+
+
+def test_cli_cache_key_covers_the_fit_method(tmp_path, monkeypatch):
+    # A cache another fit method wrote is a miss, never read.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_REPORT)
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    (cache,) = tmp_path.glob(".oxpix-calib-*.json")
+    report = (tmp_path / "r.json").read_bytes()
+    planted = json.loads(cache.read_text())
+    planted["residuals"] = {name: 0.5 for name in planted["residuals"]}
+    old = tmp_path / PATTERN_SEARCH_CACHE
+    old.write_text(json.dumps(planted))
+    cache.unlink()
+    monkeypatch.setattr(cli, "FIT_METHOD", "another method")
+    assert main(argv) == 0
+    (other,) = set(tmp_path.glob(".oxpix-calib-*.json")) - {old}
+    assert other.name not in (cache.name, old.name)
+    assert (tmp_path / "r.json").read_bytes() == report
+    assert json.loads(old.read_text()) == planted
 
 
 def test_cli_truncated_cache_is_a_miss(tmp_path, capsys):
@@ -262,29 +287,25 @@ def test_cli_non_finite_cached_constant_is_a_miss(tmp_path, capsys, section,
     assert out.read_bytes() == first
 
 
-# Two restarts, so the fit gets a pool of its own under two workers.
-POOLED_REPORT = SMALL_REPORT.replace("restarts = 1", "restarts = 2")
-
-
 def test_cli_warm_report_builds_no_fit_pool(tmp_path, monkeypatch,
                                             recorded_pools):
+    # No command builds a pool for the fit: a cold report builds the one
+    # sweep pool only, a job per point (a dark and two lit points for each
+    # of the four topologies), as a warm one does.
     built, jobs = recorded_pools
     monkeypatch.setenv("HPS_THREADS", "2")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(POOLED_REPORT)
+    cfg.write_text(SMALL_REPORT)
     argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
-    # Cold: one fit pool, a job per restart, then one sweep pool, a job per
-    # point: a dark and two lit points for each of the four topologies.
-    assert main(argv) == 0
-    assert [kwargs["max_workers"] for kwargs in built] == [2, 2]
-    starts, points = jobs[:2], jobs[2:]
-    assert all(type(start) is list for start in starts)
-    assert len(points) == 4 * 3
-    # Warm: the fit comes from the cache, so only the sweep pool is built.
-    del built[:], jobs[:]
-    assert main(argv) == 0
-    assert [kwargs["max_workers"] for kwargs in built] == [2]
-    assert jobs == points
+    for run in ("cold", "warm"):
+        del built[:], jobs[:]
+        assert main(argv) == 0
+        assert [kwargs["max_workers"] for kwargs in built] == [2], run
+        assert len(jobs) == 4 * 3
+    del built[:]
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path / "p.json")]) == 0
+    assert built == []
 
 
 def test_cli_bad_worker_count_warns_once_per_command(tmp_path, monkeypatch,
@@ -305,14 +326,13 @@ def test_cli_bad_worker_count_warns_once_per_command(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,module,name", [
-    ("report", experiments, "_run_point"),
-    ("calibrate", calibration, "_pattern_search")])
+    ("report", experiments, "_run_point")])
 def test_cli_dead_worker_exits_two_without_traceback(
         tmp_path, capsys, monkeypatch, die_in_workers, command, module, name):
     die_in_workers(module, name)
     monkeypatch.setenv("HPS_THREADS", "2")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(POOLED_REPORT)
+    cfg.write_text(SMALL_REPORT)
     out = tmp_path / "out.json"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -324,7 +344,6 @@ def test_cli_dead_worker_exits_two_without_traceback(
 @pytest.mark.parametrize("command,text,message", [
     ("simulate", "[solver]\nreset_noise = true\nnoise_seed = -1\n",
      "line 3: noise_seed"),
-    ("calibrate", "[calibration]\nseed = -1\n", "line 2: seed"),
 ])
 def test_cli_negative_seed_exits_one_without_traceback(tmp_path, capsys,
                                                        command, text,
@@ -387,7 +406,7 @@ def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
     keys = [(section, key) for section, defaults in config._SCHEMA.items()
             for key, default in defaults.items()
             if not isinstance(default, (str, bool))]
-    assert len(keys) == 52
+    assert len(keys) == 50
     cfg = tmp_path / "run.cfg"
     argv = ["simulate", "--config", str(cfg), "--iexp", "1nA",
             "--out", str(tmp_path / "trace.csv")]
@@ -406,10 +425,12 @@ def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
 
 
 def test_cli_calibrate_negative_seed_option_exits_one(tmp_path, capsys):
+    # The fit takes no seed, so ``calibrate`` has no --seed option.
     assert main(["calibrate", "--seed", "-1",
                  "--out", str(tmp_path / "p.json")]) == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "seed must be >= 0" in err
+    assert "Traceback" not in err
+    assert "unrecognized arguments: --seed -1" in err
 
 
 def test_cli_missing_config_file_exits_one(tmp_path, capsys):

@@ -182,8 +182,7 @@ def test_non_boolean_word_rejected_with_line():
 
 @pytest.mark.parametrize("section,key", [
     ("sweep", "points_per_decade"), ("solver", "max_trace_points"),
-    ("solver", "noise_seed"), ("calibration", "seed"),
-    ("calibration", "restarts"),
+    ("solver", "noise_seed"),
 ])
 def test_non_integral_integer_key_rejected_with_line(section, key):
     with pytest.raises(ConfigError, match=f"line 2: {key} = '1.5' is not an"):
@@ -195,13 +194,16 @@ def test_integral_float_text_accepted_for_integer_key():
         .points_per_decade == 12
 
 
-def test_zero_restarts_rejected_with_line():
-    with pytest.raises(ConfigError, match="line 2: restarts .* must be >= 1"):
-        parse_config("[calibration]\nrestarts = 0\n")
+@pytest.mark.parametrize("key", ["seed", "restarts"])
+def test_fit_search_keys_are_unknown(key):
+    # The fit has no random starts, so [calibration] takes no seed or
+    # restart count.
+    with pytest.raises(ConfigError,
+                       match=f"line 2: unknown key '{key}' in \\[calibration"):
+        parse_config(f"[calibration]\n{key} = 1\n")
 
 
-@pytest.mark.parametrize("section,key", [("solver", "noise_seed"),
-                                         ("calibration", "seed")])
+@pytest.mark.parametrize("section,key", [("solver", "noise_seed")])
 def test_negative_seed_rejected_with_line(section, key):
     with pytest.raises(ConfigError, match=f"line 2: {key} .* must be >= 0"):
         parse_config(f"[{section}]\n{key} = -1\n")
@@ -215,8 +217,8 @@ def test_non_finite_quantity_rejected_with_line(text):
 
 def test_first_faulty_line_is_reported():
     # Sections are parsed in file order, whatever their order in the schema.
-    with pytest.raises(ConfigError, match="line 2: restarts"):
-        parse_config("[calibration]\nrestarts = 0\n"
+    with pytest.raises(ConfigError, match="line 2: r_set"):
+        parse_config("[calibration]\nr_set = 0\n"
                      "[photodiode]\nc_pd = 10banana\n")
 
 
