@@ -206,8 +206,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     ``x0``, and a held field keeps its initial value.  A step that does not
     lower the largest log residual is halved, up to ``_HALVINGS`` times.
     The fit stops when no such step lowers it, or when it falls below the
-    read-back's level.  It has no
-    random part and runs in-process.
+    read-back's level.  It has no random part and runs in-process.
     ``seed`` and ``restarts`` are ignored: the fit has no random starts, and
     they stay accepted for callers that still pass them.
     Raises CalibrationError when a log residual at the initial guess, or

@@ -4,9 +4,9 @@ Discrete happenings are recorded as events: filament switching transitions
 (threshold crossings of the gap across fractions of its span, stamped where
 the step's interpolant crosses the threshold), abrupt VPD falls (a drop of
 half the available swing within a sliding window), full well saturation
-and the ground clamp.  ``detect`` finds the first two in the states of a
-finished transient, on the interpolants of the accepted steps between them;
-the stepper records the last two itself.
+and the ground clamp.  ``detect`` finds the first two in the ``(t, vpd,
+i_ox, gap)`` states of a finished transient, on the interpolants of the
+accepted steps between them; the stepper records the last two itself.
 
 The interpolant is the DOPRI5 continuous extension (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.6): order 4, built from a step's own seven
@@ -19,8 +19,6 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .pixel import PixelConfig
 
@@ -79,18 +77,13 @@ class Event:
     detail: str = ""
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of ``mask``, or 0 if there is none."""
-    i = int(np.argmax(mask))
-    return i if mask[i] else 0
-
-
-def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
-                   steps: list[tuple], gap_min: float, span: float) -> float:
+def _crossing_time(states: list[tuple], frac: list[float], i: int,
+                   level: float, steps: list[tuple], gap_min: float,
+                   span: float) -> float:
     """Time the gap fraction passed ``level`` between states ``i - 1`` and
     ``i``, bisected on the gap interpolant ``(t0, h, g0, g1, k1, k3..k7)``
     that opens the record of the accepted step holding state ``i``."""
-    t_prev, t_i = float(t[i - 1]), float(t[i])
+    t_prev, t_i = states[i - 1][0], states[i][0]
     step = steps[bisect.bisect_left(steps, t_i, key=lambda s: s[0]) - 1]
     t0, h = step[0], step[1]
     rising = frac[i] > frac[i - 1]
@@ -105,13 +98,12 @@ def _crossing_time(t: np.ndarray, frac: np.ndarray, i: int, level: float,
     return t0 + hi * h
 
 
-def detect(t: np.ndarray, vpd: np.ndarray, gap: np.ndarray,
-           steps: list[tuple], config: PixelConfig, vstart: float,
-           known: tuple[Event, ...] = ()) -> list[Event]:
+def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
+           vstart: float, known: tuple[Event, ...] = ()) -> list[Event]:
     """The switching and abrupt-fall events of a transient's states ``(t,
-    vpd, gap)``, in time order from state 0, with ``steps`` the records of
-    the accepted steps between them (``solver._Run``) and ``known`` the
-    events found in a prefix of the states (the shared reset phase).
+    vpd, i_ox, gap)``, in time order from state 0, with ``steps`` the
+    accepted steps' records between them (``solver._Run``) and ``known``
+    the events found in a prefix of the states (the shared reset phase).
 
     The gap reaches 90 % of its span at its first state there after state
     0, a SetToReset if an earlier state lay below 10 %, else a
@@ -127,29 +119,33 @@ def detect(t: np.ndarray, vpd: np.ndarray, gap: np.ndarray,
     if config.is_hybrid():
         p = config.oxram
         gap_min, span = p.gap_min, p.gap_max - p.gap_min
-        frac = (gap - gap_min) / span
+        frac = [(s[3] - gap_min) / span for s in states]
 
         def crossing(kind: EventKind, i: int, level: float) -> Event:
             return next((e for e in known if e.kind is kind), None) \
-                or Event(kind, _crossing_time(t, frac, i, level, steps,
+                or Event(kind, _crossing_time(states, frac, i, level, steps,
                                               gap_min, span),
-                         f"gap={float(gap[i]):.4f}nm")
-        i = _first(frac >= GAP_HI_FRAC)
+                         f"gap={states[i][3]:.4f}nm")
+        i = next((i for i, f in enumerate(frac) if f >= GAP_HI_FRAC), 0)
         if i:
-            kind = EventKind.SET_TO_RESET if frac[:i].min() < GAP_LO_FRAC \
+            kind = EventKind.SET_TO_RESET if min(frac[:i]) < GAP_LO_FRAC \
                 else EventKind.SOFT_TO_HARD_RESET
             events.append(crossing(kind, i, GAP_HI_FRAC))
-        i = _first(frac <= GAP_LO_FRAC)
-        if i and frac[:i].max() > GAP_HI_FRAC:
+        i = next((i for i, f in enumerate(frac) if f <= GAP_LO_FRAC), 0)
+        if i and max(frac[:i]) > GAP_HI_FRAC:
             events.append(crossing(EventKind.RESET_TO_SET, i, GAP_LO_FRAC))
-    # Only a state that far below the running maximum can qualify.
     drop = ABRUPT_FRAC * (vstart - VPD_FLOOR)
-    for i in np.flatnonzero(np.maximum.accumulate(vpd) - vpd > drop):
-        t_i, v_i = float(t[i]), float(vpd[i])
+    top = -math.inf  # the running maximum of VPD
+    for i, (t_i, v_i, _, _) in enumerate(states):
+        top = max(top, v_i)
+        # Only a state that far below the running maximum can qualify.
+        if not top - v_i > drop:
+            continue
         # A state exactly one window back stays: grid points one window
         # apart differ by a rounding error from ``ABRUPT_WINDOW``.
         t_out = t_i - ABRUPT_WINDOW - 1e-18 * max(1.0, t_i)
-        vmax = float(vpd[np.searchsorted(t, t_out):i + 1].max())
+        first = bisect.bisect_left(states, t_out, key=lambda s: s[0])
+        vmax = max(s[1] for s in states[first:i + 1])
         t_start = t_i - ABRUPT_WINDOW
         k = bisect.bisect_right(steps, t_start, key=lambda s: s[0]) - 1
         if k >= 0 and t_start <= steps[k][0] + steps[k][20]:

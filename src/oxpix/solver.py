@@ -83,8 +83,9 @@ so the stepper's internal-node start points and work counts are untouched.
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
 ``events.detect`` finds the switching and abrupt-fall events in the reset
-phase's samples followed by the exposure's states, on the step records
-between them.
+phase's samples followed by the exposure's states, the ``(t, vpd, i_ox,
+gap)`` tuples themselves, on the step records between them.  A sweep
+point thus builds no array.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -200,7 +201,7 @@ class TransientTrace:
     # The samples; with ``_build`` given, the first read of any builds all.
     t: Optional[np.ndarray]
     vpd: Optional[np.ndarray]
-    _i_ox: Optional[np.ndarray] = field(repr=False)
+    i_ox: Optional[np.ndarray]  # branch current [A]
     gap: Optional[np.ndarray]
     events: list[Event]
     final_vpd: float
@@ -213,21 +214,16 @@ class TransientTrace:
 
     def __post_init__(self):
         if self._build is not None:
-            del self.t, self.vpd, self._i_ox, self.gap
+            del self.t, self.vpd, self.i_ox, self.gap
 
     def __getattr__(self, name: str):
         # Called only for an attribute not set: a sample array not built.
         build = self.__dict__.get("_build")
-        if build is None or name not in ("t", "vpd", "_i_ox", "gap"):
+        if build is None or name not in ("t", "vpd", "i_ox", "gap"):
             raise AttributeError(name)
         self._build = None
-        self.t, self.vpd, self._i_ox, self.gap = build()
+        self.t, self.vpd, self.i_ox, self.gap = build()
         return getattr(self, name)
-
-    @property
-    def i_ox(self) -> np.ndarray:
-        """Branch current at every sample [A]."""
-        return self._i_ox
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -475,7 +471,8 @@ class _Run:
                               + h * E5 * K5 + h * E6 * K6 + h * E7 * K7)
                 err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
                     + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
-                if not (math.isfinite(v_new) and math.isfinite(g_new)):
+                if not (math.isfinite(v_new) and math.isfinite(g_new)
+                        and math.isfinite(k1i) and math.isfinite(k7i)):
                     raise SolverError(
                         f"non-finite state at t={t:.6e}s",
                         detail={"t": t, "vpd": v, "gap": g})
@@ -660,8 +657,7 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     boundaries = _schedule(config, None)
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
     run.samples = _samples(run)
-    t, vpd, _, gap = np.asarray(run.samples).T
-    run.detected = tuple(detect(t, vpd, gap, run.steps, config, run.v0))
+    run.detected = tuple(detect(run.samples, run.steps, config, run.v0))
     return run
 
 
@@ -742,10 +738,9 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         run.states.append((t_end, run.v, 0.0, run.g))
 
     stats = run.tally()
-    t, vpd, _, gap = np.asarray(run.samples + run.states).T
     # At equal times the stepper's events come first.
-    events = sorted(run.events + detect(t, vpd, gap, run.steps, config,
-                                        run.v0, run.detected),
+    events = sorted(run.events + detect(run.samples + run.states, run.steps,
+                                        config, run.v0, run.detected),
                     key=lambda e: e.t_event)
     trace = TransientTrace(
         None, None, None, None, events=events, final_vpd=run.v,

@@ -90,7 +90,7 @@ def test_trace_csv_keeps_every_event_of_a_shared_row(tmp_path):
               Event(EventKind.VPD_FLOOR_CLAMP, 2e-6)]
     trace = TransientTrace(
         t=np.array([0.0, 1e-6, 2e-6]), vpd=np.array([1.0, 0.5, 0.0]),
-        _i_ox=np.zeros(3), gap=np.zeros(3), events=events, final_vpd=0.0,
+        i_ox=np.zeros(3), gap=np.zeros(3), events=events, final_vpd=0.0,
         final_gap=0.0)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
@@ -149,17 +149,19 @@ def test_cli_unknown_topology_exits_one_without_output(tmp_path, capsys):
 
 def test_cli_solver_failure_exits_two_without_output(tmp_path, capsys):
     # Steps pinned at 10 ns cannot follow case iii's switching after the
-    # reset release.
+    # reset release; a filament current of 1e300 A makes the pinned reset
+    # phase's branch current infinite.
     cfg = tmp_path / "stiff.cfg"
-    cfg.write_text("[pixel]\ntopology = case_iii\n"
-                   "[solver]\nmax_step = 10ns\nmin_step = 10ns\n")
-    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == [cfg]
+    for failing in ("[solver]\nmax_step = 10ns\nmin_step = 10ns\n",
+                    "[oxram]\ni0_cf = 1e300\n"):
+        cfg.write_text("[pixel]\ntopology = case_iii\n" + failing)
+        code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_sweep_writes_table(tmp_path):
@@ -402,25 +404,32 @@ def test_cli_anchor_not_above_zero_exits_one_before_fitting(
 
 def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
     # No config value may reach the user as a traceback: set each numeric
-    # key to -1 and then to 0 in a case i run with reset noise.
+    # key to -1 and then to 0 in a case i run with reset noise, and each
+    # device constant to 1e300 on every topology.
     keys = [(section, key) for section, defaults in config._SCHEMA.items()
             for key, default in defaults.items()
             if not isinstance(default, (str, bool))]
     assert len(keys) == 50
+    runs = {(section, key, value): "[pixel]\ntopology = case_i\n[solver]\n"
+            f"reset_noise = true\n[{section}]\n{key} = {value}\n"
+            for value in ("-1", "0") for section, key in keys}
+    runs.update({(section, key, topology): f"[pixel]\ntopology = {topology}\n"
+                 f"[{section}]\n{key} = 1e300\n"
+                 for topology in config._TOPOLOGIES
+                 for section in ("oxram", "selector")
+                 for key in config._SCHEMA[section]})
     cfg = tmp_path / "run.cfg"
     argv = ["simulate", "--config", str(cfg), "--iexp", "1nA",
             "--out", str(tmp_path / "trace.csv")]
     codes = {}
-    for value in ("-1", "0"):
-        for section, key in keys:
-            cfg.write_text("[pixel]\ntopology = case_i\n[solver]\n"
-                           f"reset_noise = true\n[{section}]\n{key} = {value}\n")
-            codes[section, key, value] = code = main(argv)
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), (section, key, value)
-            assert "Traceback" not in err
-            assert code == 0 or (err.startswith("error: ")
-                                 and err.count("\n") == 1)
+    for run, text in runs.items():
+        cfg.write_text(text)
+        codes[run] = code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), run
+        assert "Traceback" not in err
+        assert code == 0 or (err.startswith("error: ")
+                             and err.count("\n") == 1)
     assert codes["photodiode", "reset_noise_electrons", "-1"] == 1
 
 

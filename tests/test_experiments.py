@@ -1,6 +1,7 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ def test_sweep_records_point_failures(calibrated):
                      options=SolverOptions(max_step=1e-8, min_step=1e-8))
     result = run_sweep(spec)
     assert any(r.error for r in result.rows)
+    # An infinite branch current in the shared reset phase fails every row.
+    huge = replace(cfg, oxram=replace(cfg.oxram, i0_cf=1e300))
+    result = run_sweep(replace(spec, config=huge, options=SolverOptions()))
+    assert all(r.error.startswith("non-finite state") for r in result.rows)
+
+
+@pytest.mark.parametrize("topology", [t.value for t in Topology])
+def test_sweep_point_calls_no_numpy(topology, monkeypatch):
+    # A sweep keeps the final VPD and the events; neither needs an array.
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} called on the sweep path")
+
+    monkeypatch.setattr(solver, "np", NoNumpy())
+    solver._reset_phase.cache_clear()
+    cfg = default_config(Topology(topology))
+    for i_exp in (0.0, 1e-12, 1e-9, 1e-8):
+        row = experiments._run_point(cfg, SolverOptions(), i_exp)
+        assert row.error is None
 
 
 def synthetic_result(swings, vrst=1.42, dark_swing=0.0):

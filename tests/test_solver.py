@@ -700,9 +700,9 @@ def test_abrupt_fall_window_keeps_the_previous_grid_sample():
     cfg = default_config(Topology.BARE_3T)
     w = events.ABRUPT_WINDOW
     k = next(k for k in range(2, 100) if k * w - w > (k - 1) * w)
-    t = np.array([0.0, (k - 1) * w, k * w])
-    (fall,) = events.detect(t, np.array([1.0, 1.0, 0.4]), np.zeros(3), [],
-                            cfg, 1.0)
+    states = [(0.0, 1.0, 0.0, 0.0), ((k - 1) * w, 1.0, 0.0, 0.0),
+              (k * w, 0.4, 0.0, 0.0)]
+    (fall,) = events.detect(states, [], cfg, 1.0)
     assert fall.kind is EventKind.ABRUPT_FALL
     assert fall.t_event == k * w
 
@@ -724,8 +724,8 @@ def _detect_on_lines(fracs: list[float]):
     for k in range(1, len(fracs)):
         slope = (gap[k] - gap[k - 1]) / _H
         steps.append((t[k - 1], _H, gap[k - 1], gap[k]) + (slope,) * 6)
-    found = events.detect(np.asarray(t), np.ones(len(fracs)),
-                          np.asarray(gap), steps, cfg, 1.0)
+    states = [(t_k, 1.0, 0.0, g_k) for t_k, g_k in zip(t, gap)]
+    found = events.detect(states, steps, cfg, 1.0)
 
     def crossing(k: int, level: float) -> float:
         return t[k - 1] \
