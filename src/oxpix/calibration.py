@@ -27,9 +27,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .devices import (
     VREAD,
@@ -44,6 +42,10 @@ from .devices import (
 from .defaults import R_SET_LEVELS
 from .errors import CalibrationError, require_finite
 from .pixel import solve_branch_current
+
+# numpy is imported where arrays are built: a warm report never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _log = logging.getLogger("oxpix")
 
@@ -176,7 +178,7 @@ def _point(coords, oxram: OxRamParams,
 
 
 def _log_residuals(coords, anchors: CalibrationAnchors, oxram: OxRamParams,
-                  selector: MosfetParams) -> tuple[np.ndarray, list] | None:
+                  selector: MosfetParams) -> tuple[list, list] | None:
     """Log residual ``log(model / anchor)`` and model value of each anchor
     at ``coords``, or None where the point cannot be built or a log
     residual is not finite."""
@@ -189,7 +191,7 @@ def _log_residuals(coords, anchors: CalibrationAnchors, oxram: OxRamParams,
         return None
     if not all(map(math.isfinite, logs)):
         return None
-    return np.array(logs), models
+    return logs, models
 
 
 def calibrate(anchors: Optional[CalibrationAnchors] = None,
@@ -212,6 +214,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     Raises CalibrationError when a log residual at the initial guess, or
     the objective at the fit, is not finite.
     """
+    import numpy as np
     t0 = time.perf_counter()
     anchors = anchors or CalibrationAnchors()
     oxram = initial_oxram or OxRamParams()
@@ -226,7 +229,8 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     def at(x: np.ndarray) -> tuple[np.ndarray, list] | None:
         nonlocal evaluations
         evaluations += 1
-        return _log_residuals(x.tolist(), anchors, oxram, selector)
+        fit = _log_residuals(x.tolist(), anchors, oxram, selector)
+        return None if fit is None else (np.array(fit[0]), fit[1])
 
     def jacobian(x: np.ndarray) -> np.ndarray | None:
         columns = []

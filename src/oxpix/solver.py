@@ -108,9 +108,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError, require_finite
@@ -119,6 +117,10 @@ from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventKind, dense,
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
+
+# numpy is imported where arrays are built: a warm report never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4) tableau.  The stage-7 row is ``_B5`` (FSAL).
 _A = (
@@ -274,6 +276,7 @@ class _Run:
         self.photo_active = True
         v0 = config.pd.vrst
         if opt.reset_noise:
+            import numpy as np
             rng = np.random.default_rng(opt.noise_seed)
             v0 += float(rng.normal(0.0, config.pd.reset_noise_sigma))
         self.v0 = v0
@@ -755,6 +758,7 @@ def _downsample(samples: list[tuple], events: list[Event],
                 max_points: int) -> np.ndarray:
     """The samples as the rows ``t, vpd, i_ox, gap``; past ``max_points``
     of them, every k-th sample plus all event-adjacent ones."""
+    import numpy as np
     samples = np.asarray(samples).T
     n = samples.shape[1]
     if n <= max_points:
@@ -779,6 +783,7 @@ def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:
     trace; the photocurrent is piecewise constant so its integral is exact,
     cut off at the full-well or floor-clamp event.
     """
+    import numpy as np
     pd = config.pd
     c_total = pd.c_pd + (config.oxram.c_pox if config.is_hybrid() else 0.0)
     t = trace.t

@@ -7,13 +7,15 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError, OxpixError
 from .experiments import DrReport
 from .solver import TransientTrace
+
+# numpy is imported where arrays are built: a warm report never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = "t_s,vpd_V,i_ox_A,gap_nm,event"
 REPORT_SCHEMA = 1
@@ -57,6 +59,7 @@ def write_trace_csv(trace: TransientTrace, path: str) -> None:
     sample at or after the event time (or the last sample) is this one,
     joined by ``;``, otherwise it is empty.
     """
+    import numpy as np
     labels = [[] for _ in trace.t]
     for event in trace.events:
         idx = int(np.searchsorted(trace.t, event.t_event, side="left"))
@@ -79,6 +82,7 @@ class TraceFile:
 
 
 def read_trace_csv(path: str) -> TraceFile:
+    import numpy as np
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")

@@ -4,6 +4,9 @@ import json
 import logging
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +311,39 @@ def test_cli_warm_report_builds_no_fit_pool(tmp_path, monkeypatch,
     assert main(["calibrate", "--config", str(cfg),
                  "--out", str(tmp_path / "p.json")]) == 0
     assert built == []
+
+
+# Imports the CLI, runs it on the arguments after ``-c`` if there are any,
+# and prints whether numpy was loaded.
+_NUMPY_PROBE = ("import sys\nfrom oxpix.cli import main\n"
+                "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                "print('numpy' in sys.modules)\nraise SystemExit(code)\n")
+
+
+def _numpy_loaded(*args: str, threads: str = "1") -> bool:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "HPS_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = done.stdout.splitlines()[-1]
+    assert loaded in ("True", "False"), done.stdout
+    return loaded == "True"
+
+
+def test_warm_report_imports_no_numpy(tmp_path):
+    # numpy is loaded only where arrays are built: the fit of a cold report
+    # needs it, the import and a warm report of either worker count do not.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_REPORT)
+    assert not _numpy_loaded()
+    cold = tmp_path / "cold.json"
+    assert _numpy_loaded("report", "--config", str(cfg), "--out", str(cold))
+    for threads in ("1", "2"):
+        warm = tmp_path / f"warm{threads}.json"
+        assert not _numpy_loaded("report", "--config", str(cfg),
+                                 "--out", str(warm), threads=threads)
+        assert warm.read_bytes() == cold.read_bytes()
 
 
 def test_cli_bad_worker_count_warns_once_per_command(tmp_path, monkeypatch,

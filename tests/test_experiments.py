@@ -1,6 +1,7 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_sweep_point_calls_no_numpy(topology, monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"numpy.{name} called on the sweep path")
 
-    monkeypatch.setattr(solver, "np", NoNumpy())
+    monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
     solver._reset_phase.cache_clear()
     cfg = default_config(Topology(topology))
     for i_exp in (0.0, 1e-12, 1e-9, 1e-8):
