@@ -70,12 +70,14 @@ ODEs I*, II.6; order 4, from the step's own seven stages), for VPD in the
 Lawson frame.  The first read of ``TransientTrace.t``, ``vpd``, ``i_ox`` or
 ``gap`` builds the samples from them; a sweep, which keeps the final VPD
 and the events, never does.  Inside a step they are the points of the
-output grid ``k * ABRUPT_WINDOW`` (``SolverStats.sample_evals``) and, where
-the current used ``load > 1`` of its 15 % allowance, the ``ceil(load) -
-1`` inner ends of equal parts of the step, or of more on a Lawson step, so
-that the current falls by at most 15 % a part
-(``SolverStats.fill_samples``): as dense as the trapezoidal charge balance
-needs.  The stepper counts both, so the stats do not depend on a read.
+output grid ``k * ABRUPT_WINDOW`` and, where the current used ``load > 1``
+of its 15 % allowance, the ``ceil(load) - 1`` inner ends of equal parts of
+the step, or of more on a Lawson step, so that the current falls by at most
+15 % a part: as dense as the trapezoidal charge balance needs.  The stepper
+keeps only each step's part count; ``_samples`` alone places the grid and
+part samples, and a part end within the stepper's time resolution of a grid
+point is that grid point.  The stats count no sample, so they do not depend
+on a read.
 Samples are clipped as an accepted state is; their currents come from the
 segment's sample kernel, called in time order on its own op-hint record,
 so the stepper's internal-node start points and work counts are untouched.
@@ -179,7 +181,7 @@ class SolverOptions:
 class SolverStats:
     """Work done by one transient: accepted steps, rejected attempts by
     cause, right-hand-side evaluations, internal-node solves and their Newton
-    evaluations, the samples inside steps, and the step-size range.
+    evaluations, and the step-size range.
     The shared reset phase counts in every transient that starts from it.
     The wall time is a measurement, not work: stats compare without it."""
 
@@ -191,8 +193,6 @@ class SolverStats:
     rhs_evals: int = 0
     kcl_solves: int = 0         # internal-node solves (hybrid pixels)
     newton_evals: int = 0       # device-kernel evaluations of the KCL solves
-    sample_evals: int = 0       # output-grid samples inside steps
-    fill_samples: int = 0       # samples splitting a fast-current step
     h_min: float = math.inf     # smallest accepted step [s]
     h_max: float = 0.0          # largest accepted step [s]
     wall_s: float = field(default=0.0, compare=False)  # ``integrate`` [s]
@@ -231,16 +231,6 @@ class TransientTrace:
         return [e for e in self.events if e.kind is kind]
 
 
-def _grid_from(x: float, k: int) -> int:
-    """The first output-grid index from ``k`` on whose point is not below
-    ``x``: the float quotient, at most one too high, less one, then raised
-    on the products themselves."""
-    n = max(k, math.ceil(x / ABRUPT_WINDOW) - 1)
-    while n * ABRUPT_WINDOW < x:
-        n += 1
-    return n
-
-
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     """Phase boundaries the stepper must land on exactly: reset release,
     gate-waveform switch times, full-well time, end of exposure."""
@@ -259,14 +249,14 @@ def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
 class _Run:
     """One transient in progress: the last accepted point, the next step
     size, the first stage of the next step, the states so far, a record per
-    accepted step, the next output-grid index, the stepper's events, the
-    op-hint records of the stepper's and the samples' internal-node solves,
-    the right-hand side of the running schedule segment and the stats.  A
-    record holds the full step's gap interpolant ``(t0, h, g0, g1, k1g,
-    k3g..k7g)``, its VPD one ``(lam, v_star, w0, w1, K1, K3..K7)`` in the
-    Lawson frame, ``h_end`` (shorter if cut at the floor), ``pieces``,
-    ``eps``, its first grid index, sample kernel and end state's index.  A
-    new run is the start of the reset phase, first stage and state taken."""
+    accepted step, the stepper's events, the op-hint records of the
+    stepper's and the samples' internal-node solves, the right-hand side of
+    the running schedule segment and the stats.  A record holds the full
+    step's gap interpolant ``(t0, h, g0, g1, k1g, k3g..k7g)``, its VPD one
+    ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
+    (shorter if cut at the floor), ``pieces``, ``eps``, its sample kernel
+    and end state's index.  A new run is the start of the reset phase,
+    first stage and state taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -293,7 +283,6 @@ class _Run:
         self.samples, self.detected = [], ()
         self.op_hint = [None, 0.0, 0.0, 0]
         self.sample_hint = [None, 0.0, 0.0, 0]
-        self.k_grid = 1
         self.vg = 0.0
         # Clamp tolerance: relative to the reset level; below this the node
         # is dead and the integration error estimate is pure cancellation
@@ -336,8 +325,8 @@ class _Run:
 
     def _segment(self, t: float) -> None:
         """Bind the right-hand side of the schedule segment starting at
-        ``t``, once for the stepper and once for the grid samples, and
-        evaluate the segment's first stage."""
+        ``t``, once for the stepper and once for the samples inside steps,
+        and evaluate the segment's first stage."""
         config = self.config
         self.kernel = segment_kernel(config, self.stimulus, t,
                                      self.photo_active, self.op_hint)
@@ -405,8 +394,6 @@ class _Run:
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
         rhs = self.kernel
-        window = ABRUPT_WINDOW
-        k_grid = self.k_grid
         knee_margin = self._knee_margin
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
@@ -575,26 +562,15 @@ class _Run:
             t = t_old + h_end
             g = min(max(g_end, gap_min), gap_max) if hybrid else g_end
             self.est_err_v += abs(err_v)
-            # Count the samples ``_samples`` takes inside the step: grid
-            # points and part ends, less those within ``eps`` of the grid.
+            # Parts a trace splits the step into, so the current falls by at
+            # most 15 % a part; on a floored step ``i_load`` is the current
+            # before the clamp, which no state holds.
             pieces = max(1, math.ceil(i_load),
                          math.ceil(lam * h / math.log(0.85)))
-            k_old, fills = k_grid, pieces - 1
-            if k_grid * window < t:
-                k_grid = _grid_from(t, k_old)
-                stats.sample_evals += max(0, _grid_from(t - eps, k_old) - (
-                    _grid_from(math.nextafter(t_old + eps, math.inf), k_old)))
-                for j in range(1, pieces):
-                    t_fill = t_old + h_end * j / pieces
-                    k = round(t_fill / window)
-                    if k_old <= k < k_grid and k * window <= t_fill + eps \
-                            and t_fill - k * window <= eps:
-                        fills -= 1
-            stats.fill_samples += fills
             self.steps.append((
                 t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
                 v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, pieces, eps,
-                k_old, self.sample_kernel, len(self.states)))
+                self.sample_kernel, len(self.states)))
 
             if t > trst and v <= VPD_FLOOR + floor_tol:
                 v = VPD_FLOOR
@@ -621,7 +597,6 @@ class _Run:
             k1v, k1g, k1i = k7v, k7g, k7i
             m1 = m7
         self.t, self.v, self.g, self.h = t, v, g, h
-        self.k_grid = k_grid
         self.k1, self.m1 = (k1v, k1g, k1i), m1
 
     def run(self, boundaries: list[float], first: int, stop: int) -> None:
@@ -673,14 +648,17 @@ def _samples(run: _Run) -> list[tuple]:
     if hybrid:
         gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
     samples = list(run.samples)
+    # The next output-grid point.  Those before the first step (a fork
+    # starts at the reset release) lie before its start and are passed over.
+    k_grid = 1
+    t_grid = ABRUPT_WINDOW
     n = 0
     for step in run.steps:
         t_old, h, g_old = step[:3]
-        h_end, pieces, eps, k_grid, kernel, end = step[20:]
+        h_end, pieces, eps, kernel, end = step[20:]
         samples += run.states[n:end]
         n = end
         t = run.states[end][0]
-        t_grid = k_grid * ABRUPT_WINDOW
         j = 1
         while True:
             t_fill = t_old + h_end * j / pieces if j < pieces else t

@@ -15,7 +15,7 @@ from oxpix import cli, config, experiments
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
-from oxpix.errors import OxpixError
+from oxpix.errors import InvalidInputError, OxpixError
 from oxpix.experiments import SweepRow
 from oxpix.pixel import GateWaveform, Stimulus, Topology
 from oxpix.events import Event
@@ -65,6 +65,14 @@ def test_trace_csv_header_and_empty_events(tmp_path, bare_trace):
                for line in lines[1:])
     back = read_trace_csv(str(path))
     assert back.events == []
+    path.write_text("t,vpd\n")
+    with pytest.raises(OxpixError, match="unexpected header"):
+        read_trace_csv(str(path))
+    path.write_text("\n".join(lines[:2] + ["1e-6,1.0,0.0,0.0"]) + "\n")
+    with pytest.raises(OxpixError, match=":3: expected 5 columns"):
+        read_trace_csv(str(path))
+    with pytest.raises(OxpixError, match="cannot read trace"):
+        read_trace_csv(str(tmp_path / "missing.csv"))
 
 
 def test_trace_csv_single_set_to_reset_cell(tmp_path, calibrated):
@@ -117,14 +125,22 @@ def test_cli_simulate_matches_oracle(tmp_path):
 def test_cli_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "error" in capsys.readouterr().err
+    # argparse leaves through the same exit, with 0 for a help request.
+    assert main(["--help"]) == 0
+    assert "simulate" in capsys.readouterr().out
 
 
-def test_cli_validation_error_exits_one(tmp_path):
+def test_cli_validation_error_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[photodiode]\nc_pd = 10banana\n")
-    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 1
+    for text, message in [
+            ("[photodiode]\nc_pd = 10banana\n", "c_pd"),
+            ("[window]\nmin_detect = 1V\n", "need min_detect < max_swing"),
+            ("[solver]\nmin_step = 1e-4\n", "require min_step <= max_step")]:
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
@@ -136,6 +152,8 @@ def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "max_trace_points" in err
     assert "Traceback" not in err
+    with pytest.raises(InvalidInputError, match="max_trace_points"):
+        SolverOptions(max_trace_points=0)
 
 
 def test_cli_unknown_topology_exits_one_without_output(tmp_path, capsys):

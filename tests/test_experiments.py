@@ -25,7 +25,7 @@ from oxpix.experiments import (
     table1_report,
 )
 from oxpix.pixel import Topology
-from oxpix.solver import SolverOptions
+from oxpix.solver import EventKind, SolverOptions
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,7 @@ def test_sweep_point_computes_no_sample_current(monkeypatch, calibrated):
     cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     opt = SolverOptions()
-    reset = solver._reset_phase(cfg, opt).stats  # filled before counting
+    reset = solver._reset_phase(cfg, opt)  # filled before counting
     calls = []
     make_kernel = solver.segment_kernel
 
@@ -250,17 +250,24 @@ def test_sweep_point_computes_no_sample_current(monkeypatch, calibrated):
     monkeypatch.setenv("HPS_THREADS", "1")
     run_sweep(SweepSpec(cfg, i_min=1e-12, i_max=1e-9, points_per_decade=1,
                         options=opt))
-    assert len(calls) == sum(tr.stats.rhs_evals - reset.rhs_evals
+    assert len(calls) == sum(tr.stats.rhs_evals - reset.stats.rhs_evals
                              for tr in traces)
+    n_reset = len(reset.samples)
     for trace in traces:
-        deferred = trace.stats.sample_evals + trace.stats.fill_samples \
-            - reset.sample_evals - reset.fill_samples
-        assert deferred > 0
         del calls[:]
         first = trace.i_ox
-        assert len(calls) == deferred
+        # The exposure's rows less its states: the step ends, the first
+        # sample of each segment (one ulp past its boundary) and the end
+        # sample after a floor clamp.  Those are the samples inside steps.
+        t = trace.t[n_reset - 1:]
+        entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
+        floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+        tail = 1 if floor and floor[0].t_event < cfg.pd.t_end else 0
+        inside = len(t) - 1 - (trace.stats.accepted - reset.stats.accepted) \
+            - entered - tail
+        assert len(calls) == inside > 0
         assert np.array_equal(trace.i_ox, first)
-        assert len(calls) == deferred
+        assert len(calls) == inside
 
 
 def test_sweep_builds_no_samples(monkeypatch, calibrated):

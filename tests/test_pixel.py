@@ -1,5 +1,7 @@
 """Circuit assembly tests: node equations, operating point, programming."""
 
+from dataclasses import replace
+
 import pytest
 
 from oxpix.defaults import default_config, vg_for_current
@@ -142,6 +144,16 @@ def test_build_vg_waveform_constant():
 
 
 def test_build_vg_waveform_rejects_gaps():
+    ramp = [(0.0, 4e-6, 1.0), (4e-6, 10e-6, 2.0)]
+    wf = build_vg_waveform(1.0, ramp, t_total=10e-6)
+    assert wf.segments == tuple(ramp)
+    assert wf.level_at(5e-6) == 2.0
+    with pytest.raises(InvalidInputError, match="ends at"):
+        build_vg_waveform(1.0, ramp[:1], t_total=10e-6)
+    with pytest.raises(InvalidInputError, match="at least one segment"):
+        GateWaveform(())
+    with pytest.raises(InvalidInputError, match="start at t = 0"):
+        GateWaveform(((1e-6, 10e-6, 1.0),))
     with pytest.raises(InvalidInputError):
         build_vg_waveform(1.0, [(0.0, 3e-6, 1.0), (4e-6, 10e-6, 2.0)],
                           t_total=10e-6)
@@ -189,6 +201,12 @@ def test_selector_off_hybrid_equals_bare_pointwise():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         PixelConfig(topology=Topology.HYBRID_CASE_I)  # missing oxram
+    hybrid = default_config(Topology.HYBRID_CASE_I)
+    with pytest.raises(InvalidInputError, match="gate waveform"):
+        replace(hybrid, vg_waveform=None)
+    with pytest.raises(InvalidInputError, match="before the schedule end"):
+        replace(hybrid, vg_waveform=GateWaveform(
+            ((0.0, hybrid.pd.t_end / 2, 1.0),)))
     p = OxRamParams()
     with pytest.raises(InvalidInputError):
         PixelConfig(topology=Topology.HYBRID_CASE_III, oxram=p,

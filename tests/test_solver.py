@@ -192,7 +192,7 @@ _HONESTY_BOUND = 3.0
 _TOLERANCES = (1e-5, 1e-6, 1e-8)
 
 
-@pytest.mark.parametrize("topo", [Topology.HYBRID_CASE_I,
+@pytest.mark.parametrize("topo", [Topology.BARE_3T, Topology.HYBRID_CASE_I,
                                   Topology.HYBRID_CASE_II])
 def test_error_estimate_is_honest_and_falls_with_tolerance(calibrated, topo):
     cfg = default_config(topo, oxram=calibrated.oxram,
@@ -256,7 +256,8 @@ def test_solver_error_carries_the_stats_so_far(calibrated):
     assert stats.accepted == round(exc.detail["t"] / 1e-8) > 0
     assert stats.h_max == 1e-8
     assert stats.rhs_evals >= 6 * stats.accepted
-    assert 0 < stats.kcl_solves <= stats.rhs_evals + stats.sample_evals
+    # Every right-hand side of a hybrid pixel solves the internal node.
+    assert 0 < stats.kcl_solves == stats.rhs_evals
     assert stats.wall_s > 0.0
 
 
@@ -356,14 +357,14 @@ def test_stats_six_rhs_evaluations_per_step():
 
 @pytest.mark.parametrize("topo", list(Topology))
 def test_stats_are_the_same_for_a_read_and_an_unread_trace(calibrated, topo):
-    # The stepper counts the samples inside its steps as it goes; building
-    # them on a read adds nothing to the stats.
+    # The stats count the stepper's work only; building the samples inside
+    # its steps on a read adds nothing to them.
     cfg = default_config(topo, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     unread = integrate(cfg, Stimulus(1e-9), SolverOptions())
     read = integrate(cfg, Stimulus(1e-9), SolverOptions())
     before = replace(read.stats)
-    assert len(read.t) > read.stats.sample_evals > 0
+    assert len(read.t) > read.stats.accepted
     assert read.stats == before == unread.stats
 
 
@@ -670,10 +671,22 @@ def test_continuous_extension_is_exact_on_a_quartic():
 
 @pytest.mark.parametrize("topo", list(Topology))
 @pytest.mark.parametrize("i_exp", [0.0, 1e-12, 1e-9])
-def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
+def test_trace_holds_the_output_grid(monkeypatch, calibrated, topo, i_exp):
     cfg = default_config(topo, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     opt = SolverOptions()
+    # The accepted states (t = 0, step ends, the first sample of each
+    # segment, the end sample after a floor clamp) of the reset phase and
+    # of the exposure, taken from the runs the samples are built from.
+    states = []
+    build = solver._samples
+
+    def keep_states(run):
+        states.extend(s[0] for s in run.states)
+        return build(run)
+
+    monkeypatch.setattr(solver, "_samples", keep_states)
+    solver._reset_phase.cache_clear()  # so its samples are built here too
     trace = integrate(cfg, Stimulus(i_exp), opt)
     t, window = trace.t, events.ABRUPT_WINDOW
     floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
@@ -681,16 +694,52 @@ def test_trace_holds_the_output_grid(calibrated, topo, i_exp):
     dense = t[t <= t_stop]
     assert dense[-1] == t_stop
     assert float(np.max(np.diff(dense))) <= window * (1.0 + 1e-9)
-    # Every other sample is t = 0, a step end, the first sample of a
-    # segment (one ulp past its boundary), the end sample after the floor
-    # clamp or a sample splitting a step whose current moved fast.
-    entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
-    tail = 1 if floor and t_stop < cfg.pd.t_end else 0
-    stats = trace.stats
-    assert len(t) == 1 + stats.accepted + entered + tail + stats.sample_evals \
-        + stats.fill_samples
-    on_grid = int(np.sum(t == np.round(t / window) * window))
-    assert stats.sample_evals <= on_grid
+    rows = t.tolist()
+    assert set(states) <= set(rows)
+    # Each grid point inside the run is a row exactly once, unless a state
+    # lies within the stepper's time resolution of it: that state stands
+    # for it.
+    eps = 1e-18 * max(1.0, cfg.pd.t_end)
+    k = 1
+    while k * window < t_stop:
+        t_grid = k * window
+        if not any(abs(s - t_grid) <= eps for s in states):
+            assert rows.count(t_grid) == 1, k
+        k += 1
+
+
+def test_part_end_on_a_grid_point_is_that_grid_point(monkeypatch):
+    # With max_step two windows long, the bare pixel's exposure steps run
+    # from grid point to grid point, all but the last two windows long.
+    # Split in two parts, such a step's part end falls within the time
+    # resolution of the grid point between: the trace keeps that one
+    # sample, so it does not change.
+    cfg = default_config(Topology.BARE_3T)
+    runs = []
+    build = solver._samples
+
+    def keep_run(run):
+        runs.append(run)
+        return build(run)
+
+    monkeypatch.setattr(solver, "_samples", keep_run)
+    integrate(cfg, Stimulus(1e-10), SolverOptions(max_step=2e-7)).t
+    run = runs[-1]
+    samples = build(run)
+    window = events.ABRUPT_WINDOW
+    two = [step for step in run.steps if step[20] > 1.5 * window]
+    assert len(two) == len(run.steps) - 1
+    for step in two:
+        t_old, h_end, pieces, eps = step[0], *step[20:23]
+        assert pieces == 1
+        t_grid = round(t_old / window + 1) * window
+        assert abs(t_old + h_end / 2 - t_grid) <= eps
+    run.steps = [step[:21] + (2,) + step[22:] if step in two else step
+                 for step in run.steps]
+    split = build(run)
+    t = [s[0] for s in split]
+    assert all(a < b for a, b in zip(t, t[1:]))
+    assert split == samples
 
 
 def test_abrupt_fall_window_keeps_the_previous_grid_sample():
