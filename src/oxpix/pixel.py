@@ -240,6 +240,9 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
     >= 0 inside the bracket, the gap is clamped into ``[0, L]``), so of the
     clips of ``devices`` only the one above 600 remains; the two gap-factor
     ``exp`` arguments are <= 0, which ``devices`` never clips.
+
+    The gap-only factors are kept between calls and taken afresh only when
+    the clamped gap changes: through an exposure it mostly sits at a bound.
     """
     warm = hint is not None
     if warm and len(hint) < 4:
@@ -257,8 +260,12 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
     be_at_pd = orientation is Orientation.BE_AT_PD
     cap, big = _EXP_ARG_MAX, _SINH_CLIP
     exp, sinh, cosh, isfinite = math.exp, math.sinh, math.cosh, math.isfinite
+    # Gap-only factors of the device law at the clamped gap ``memo_gap``.
+    memo_gap = math.nan
+    k_cf = k_ox = s = kb = ks = 0.0
 
     def kernel(vpd: float, gap: float) -> tuple[float, float, float]:
+        nonlocal memo_gap, k_cf, k_ox, s, kb, ks
         if gap < gap_min:
             gap = gap_min
         if gap > gap_max:
@@ -272,16 +279,22 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
             # and none of the drop sits across the device.
             solved = False
         else:
-            k_cf = i0_cf * exp(neg_a * (length - gap))
-            k_ox = i0_ox * exp(neg_c * gap)
-            s = d * gap / gap_max
+            if gap != memo_gap:
+                memo_gap = gap
+                k_cf = i0_cf * exp(neg_a * (length - gap))
+                k_ox = i0_ox * exp(neg_c * gap)
+                s = d * gap / gap_max
+                kb = k_cf * b
+                ks = k_ox * s
             # Bracket probe: a device that passes nothing even with the
-            # full drop leaves no branch current.
+            # full drop leaves no branch current.  sinh(x) >= x for x > 0,
+            # so a positive linear term settles it without the sinh.
             v = vpd - vs
             bv = b * v
             sv = s * v
-            solved = not (k_cf * (big if bv > cap else sinh(bv))
-                          + k_ox * (big if sv > cap else sinh(sv)) <= 0.0)
+            solved = k_cf * bv > 0.0 or k_ox * sv > 0.0 or not (
+                k_cf * (big if bv > cap else sinh(bv))
+                + k_ox * (big if sv > cap else sinh(sv)) <= 0.0)
         if solved:
             lo, hi = vs, vpd
             v_m = 0.5 * (lo + hi)
@@ -289,8 +302,7 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 v_pred = hint[0] + (vpd - hint[1]) * hint[2]
                 if lo < v_pred < hi:
                     v_m = v_pred
-            kb = k_cf * b
-            ks = k_ox * s
+            collapse = 4e-16 * max(1.0, abs(vpd))
             for n in range(1, 301):
                 v = vpd - v_m
                 bv = b * v
@@ -321,8 +333,7 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 # bracket has collapsed to the voltage resolution of double
                 # precision (steep device curves can pin the crossing within
                 # a few ulp).
-                if abs(f) <= _OP_POINT_REL_TOL * scale \
-                        or (hi - lo) <= 4e-16 * max(1.0, abs(vpd)):
+                if abs(f) <= _OP_POINT_REL_TOL * scale or hi - lo <= collapse:
                     if warm:
                         hint[0] = v_m
                         hint[1] = vpd

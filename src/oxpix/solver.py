@@ -109,7 +109,7 @@ import bisect
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .devices import ELEMENTARY_CHARGE
@@ -315,7 +315,7 @@ class _Run:
         for name, value in vars(self).items():
             setattr(run, name, value)
         run.stimulus, run.t_fwc = stimulus, t_fwc
-        run.stats = replace(self.stats)
+        run.stats = SolverStats(**vars(self.stats))
         run.events = list(self.events)
         run.steps, run.states = [], []
         run.op_hint = list(self.op_hint)
@@ -394,7 +394,8 @@ class _Run:
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
         rhs = self.kernel
-        knee_margin = self._knee_margin
+        # ``_knee_margin`` inlined: the kernel updates ``op_hint`` in place.
+        op_hint, vg, vth = self.op_hint, self.vg, config.selector.vth
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
@@ -424,7 +425,10 @@ class _Run:
                         "required step underflow: stiffness at "
                         f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
                                                "h": h})
-                e2, e3, e4, e5, e7 = [math.exp(lam * h * c) for c in _C]
+                if lam:
+                    e2, e3, e4, e5, e7 = [math.exp(lam * h * c) for c in _C]
+                else:
+                    e2 = e3 = e4 = e5 = e7 = 1.0
                 W2 = w + h * A21 * K1
                 k2v, k2g, _ = rhs(v_star + e2 * W2, g + h * A21 * k1g)
                 K2 = k2v / e2 - lam * W2
@@ -456,7 +460,7 @@ class _Run:
                 k7v, k7g, k7i = rhs(v_new, g_new)
                 K7 = k7v / e7 - lam * W7
                 stats.rhs_evals += 6
-                m7 = knee_margin()
+                m7 = op_hint[0] - vg + vth if hybrid else 1.0
                 err_v = e7 * (h * E1 * K1 + h * E3 * K3 + h * E4 * K4
                               + h * E5 * K5 + h * E6 * K6 + h * E7 * K7)
                 err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
