@@ -61,7 +61,7 @@ ANCHOR_I_RESET = "i_reset_peak"
 
 # Names the fit method in the calibration cache key, so a cache written by
 # another method is a miss.
-FIT_METHOD = "min-norm-gauss-newton"
+FIT_METHOD = "min-norm-gauss-newton, kcl-last-step"
 
 # Fitted degrees of freedom, all strictly positive, fitted in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",

@@ -4,7 +4,9 @@ The hybrid discharge path is photodiode node -> OxRAM -> internal node ->
 selector NMOS -> Vs.  The internal node carries no charge, so its voltage
 is found per evaluation from KCL: the device current (decreasing in the
 node voltage) must equal the selector current (increasing in it).  Both
-branches are monotone, so the operating point is a bracketed 1-D root.
+branches are monotone, so the operating point is a bracketed 1-D root,
+found by Newton's method; a step from a mismatch within 1e-8 relative is
+the last one, taken without an evaluation to confirm it.
 
 The right-hand side is evaluated through ``segment_kernel``: one closure per
 schedule segment of the solver, with every constant of that segment (the
@@ -48,6 +50,13 @@ VG_RAIL = 3.3  # V, selector gate rail: the ceiling of every gate level
 
 # Relative current tolerance of the internal-node KCL solve.
 _OP_POINT_REL_TOL = 1e-12
+# Relative KCL mismatch from which the next Newton step is the last, taken
+# without an evaluation to confirm it: its own error is about the square of
+# this.  It is not taken where rounding the node voltage to a double (half
+# an ulp, 2^-53 relative) could move the current by more than half the
+# tolerance: ``slope * |v_m| <= _LAST_STEP_SLOPE * current``.
+_LAST_STEP_REL_TOL = 1e-8
+_LAST_STEP_SLOPE = 0.5 * _OP_POINT_REL_TOL * 2.0 ** 53
 
 
 class Topology(enum.Enum):
@@ -166,6 +175,9 @@ def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
     to Vs.  The device current falls and the selector current rises with the
     internal node voltage, so the KCL mismatch is monotone on [vs, vpd];
     a bracketed Newton iteration converges to 1e-12 relative in current.
+    Its last step, from a mismatch within 1e-8 relative, lands inside that
+    tolerance without an evaluation to confirm it; the branch current is
+    then the selector's, taken along its slope to the new node voltage.
     This is the KCL solve of a pinned segment kernel (see ``segment_kernel``).
 
     ``hint`` is the caller's op-hint record, a list updated in place after
@@ -243,6 +255,9 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
 
     The gap-only factors are kept between calls and taken afresh only when
     the clamped gap changes: through an exposure it mostly sits at a bound.
+    The bracket probe takes the ``sinh`` only where the linear terms
+    ``k * x``, which bound ``k * sinh(x)`` from below, are both 0.  The
+    Newton loop ends on a step it does not evaluate (``_LAST_STEP_REL_TOL``).
     """
     warm = hint is not None
     if warm and len(hint) < 4:
@@ -333,15 +348,9 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 # bracket has collapsed to the voltage resolution of double
                 # precision (steep device curves can pin the crossing within
                 # a few ulp).
-                if abs(f) <= _OP_POINT_REL_TOL * scale or hi - lo <= collapse:
-                    if warm:
-                        hint[0] = v_m
-                        hint[1] = vpd
-                        hint[2] = di_dev / slope_sum if slope_sum > 0.0 \
-                            else 0.0
-                        hint[3] += n
+                af = abs(f)
+                if af <= _OP_POINT_REL_TOL * scale or hi - lo <= collapse:
                     i_ox = 0.5 * (i_dev + i_sel)
-                    v_dev = vpd - v_m
                     break
                 if f > 0.0:
                     lo = v_m
@@ -353,11 +362,24 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 v_next = v_m + step
                 if not (lo < v_next < hi) or step == 0.0:
                     v_next = 0.5 * (lo + hi)
+                elif af <= _LAST_STEP_REL_TOL * scale and slope_sum \
+                        * abs(v_next) <= _LAST_STEP_SLOPE * scale:
+                    # The last step: the selector current is taken along
+                    # its slope to the new node voltage.
+                    v_m = v_next
+                    i_ox = i_sel + di_sel * step
+                    break
                 v_m = v_next
             else:
                 raise SolverError(
                     "internal-node operating point did not converge",
                     detail={"vpd": vpd, "vg": vg, "bracket": (lo, hi)})
+            if warm:
+                hint[0] = v_m
+                hint[1] = vpd
+                hint[2] = di_dev / slope_sum if slope_sum > 0.0 else 0.0
+                hint[3] += n
+            v_dev = vpd - v_m
         elif warm:
             hint[0] = vpd
             hint[1] = vpd

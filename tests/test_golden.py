@@ -34,16 +34,16 @@ from oxpix.tracefile import write_report_json
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
-    "case_i": "90ac50cf11a626ff64b2f563ee1fbe82c9a93bbd52fb10b338b72ce5d2df8d9f",
-    "case_ii": "2b048e94dc7f4eef35980715b9178924a886bd66c1299a2754e0b4fa3c1872e5",
-    "case_iii": "853c9933d307106327b6a141ad1db0ad8a0bb54404d4e01be92423e585152e5f",
+    "case_i": "04ac1317bac1e5e1b8f8763d2a90ae50b4fe23d2b2c824ac1ab815a18caba214",
+    "case_ii": "a0ab9a348ec7a598b16eb082c949f7d09d0c55e1605c4887dbd57c9cdc3368bd",
+    "case_iii": "3335a3b9fa21c5eb567d6b2fa2ecddf3ece2dc847d7f3626c5be5a2e90b826cb",
 }
 
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
 GOLDEN_SWEEP = {
     "bare3t": "8ba86c0d6d4e080d2a6f4b052fc43f6b49600feb58dd758ed9db4618489b3a76",
-    "case_i": "715886795de571b17db695acf8d1a21f293993d370f7928091c5ee4564ce5b1d",
-    "case_ii": "93ea5e125c802b2d1cefbbd9c1344e2f15c2fe842119278bf465d99b3bf15fab",
+    "case_i": "a7dae087749785ce3293d6dea2eacf67b1315642caba03e0cf38cd5d449bd4b4",
+    "case_ii": "b694d0969d00394640c5f3e2f1822e7e231f662c2a092955e41a9a2df7f27387",
     "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
 }
 
@@ -51,29 +51,29 @@ GOLDEN_SWEEP = {
 # one point per decade) of each topology with default constants: 28
 # transients, 31 events.
 GOLDEN_EVENTS = \
-    "ddd166a5c03e525806fb59a15ed5a38c1d9637e2ec6a400b12c541d81635eda0"
+    "51ef48a6d796986a65a03e0ee60473e2f8c2a2ac1e73ec9f28b10a5f7caa0a4e"
 
 # ``oxpix calibrate`` on the default config, and ``oxpix report`` on
 # ``SMALL_REPORT`` (as in ``tests/test_cli_io.py``: a two-point sweep) with
 # the cache it fills.
 SMALL_REPORT = "[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
 GOLDEN_FIT = {
-    "calibrate": "f1b0919900c96d65e8db22c7022366e7d6c53ceb8d271edff36752639277f48e",
-    "report": "c766ddab08b9afd540ebf2b4e910dcde07228b200195e6f48caa0483df6c95c2",
-    "cache": "f1b0919900c96d65e8db22c7022366e7d6c53ceb8d271edff36752639277f48e",
-    "cache_name": ".oxpix-calib-5dd91ec77a4dfc1a.json",
+    "calibrate": "9423798f89739addb67201033da924508bff373f2ced6a0fa11cc0f15893bd25",
+    "report": "ef75eecaf952f3c4f992dbaffb4bf0b6959755e5975035c60b2982daefcf3c23",
+    "cache": "9423798f89739addb67201033da924508bff373f2ced6a0fa11cc0f15893bd25",
+    "cache_name": ".oxpix-calib-0953cc1183817316.json",
 }
 
 # ``cli._result_payload`` (every field but ``evaluations``) of the default
 # fit, whatever ``seed`` and ``restarts`` it is given: the fit ignores them.
 GOLDEN_FIT_PAYLOAD = \
-    "3da4fdd3ee0ea7ddbbb6bbcc133494c3a579d0ab67ddb2e2700f0423d603181a"
+    "f6b2b674e1f3f545a9c37e8c20646cc69f5608e52998f0e1e0b1a39f98274b4d"
 
 # ``oxpix report`` on the default config: the default fit and
 # the 100 fA .. 10 nA grid at 12 points per decade, which the session
 # ``calibrated`` and ``reports`` fixtures compute.
 GOLDEN_REPORT = \
-    "a2525ec9b156c9d2906ebd46f291c602303966dade83b4a2725a47e2476c3ade"
+    "b7ca894c47948f8aee155767365b893b692fb574a73679a7bbd00ecfc5c85d03"
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.

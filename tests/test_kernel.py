@@ -6,13 +6,17 @@ gap velocity in one closure.  The block between the ``--- oracle ---``
 markers is a verbatim copy of the composition that closure replaced
 (``assemble_derivative`` -> ``solve_branch_current`` -> the device and
 selector kernels -> ``gap_velocity``), with ``OxRamState`` extended by its
-former ``clamped`` method.  Every evaluation must agree with it bit for bit:
+former ``clamped`` method, and with two later changes to the Newton loop:
+the kernel's last-step rule (a mismatch within ``_LAST_STEP_REL_TOL`` takes
+the Newton step and returns without a new evaluation), and a log of each
+solve's exit in ``EXITS``.  Every evaluation must agree with it bit for bit:
 values, raised errors and the op-hint record.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 from typing import Optional
 
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oxpix import devices, pixel
+from oxpix import devices, pixel, solver
 from oxpix.defaults import default_config
 from oxpix.devices import (
     ELEMENTARY_CHARGE,
@@ -37,6 +41,13 @@ from oxpix.solver import _schedule
 
 _EXP_ARG_MAX = 600.0
 _OP_POINT_REL_TOL = 1e-12
+_LAST_STEP_REL_TOL = 1e-8
+_LAST_STEP_SLOPE = 0.5 * _OP_POINT_REL_TOL * 2.0 ** 53
+
+# One ``(kind, vpd, vg, vs, gap, oxram, selector, v_m)`` per solve that ran
+# the Newton loop, at the clamped gap; ``kind`` is "converged", "collapsed"
+# or "last step".
+EXITS: list[tuple] = []
 
 
 class OxRamState(devices.OxRamState):
@@ -190,6 +201,9 @@ def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
         # device curves can pin the crossing within a few ulp).
         if abs(f) <= _OP_POINT_REL_TOL * scale \
                 or (hi - lo) <= 4e-16 * max(1.0, abs(vpd)):
+            kind = "converged" if abs(f) <= _OP_POINT_REL_TOL * scale \
+                else "collapsed"
+            EXITS.append((kind, vpd, vg, vs, gap, oxram, selector, v_m))
             if hint is not None:
                 sens = di_dev / slope_sum if slope_sum > 0.0 else 0.0
                 _record(hint, v_m, vpd, sens, n)
@@ -203,6 +217,14 @@ def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
         v_next = v_m + step
         if not (lo < v_next < hi) or step == 0.0:
             v_next = 0.5 * (lo + hi)
+        elif abs(f) <= _LAST_STEP_REL_TOL * scale \
+                and slope_sum * abs(v_next) <= _LAST_STEP_SLOPE * scale:
+            # The last step, with the selector current along its slope.
+            EXITS.append(("last step", vpd, vg, vs, gap, oxram, selector,
+                          v_next))
+            if hint is not None:
+                _record(hint, v_next, vpd, di_dev / slope_sum, n)
+            return i_sel + di_sel * step, vpd - v_next
         v_m = v_next
     raise SolverError(
         "internal-node operating point did not converge",
@@ -352,8 +374,9 @@ def test_segment_kernel_equals_the_composition_it_replaced(mode):
                 "device passes nothing"} <= paths
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_solve_branch_current_equals_the_solve_it_replaced(warm):
+def _compare_solves(warm):
+    """Every solve of the grid, by the oracle and by ``pixel``, bit for
+    bit; with ``warm``, one op-hint record per device and orientation."""
     for ox in OXRAMS:
         sel = MosfetParams()
         for orientation in Orientation:
@@ -370,6 +393,69 @@ def test_solve_branch_current_equals_the_solve_it_replaced(warm):
                                               vg, vs, state, ox, sel, new_hint)
                             assert got == want, (vpd, vg, vs, gap)
                             assert _padded(new_hint) == _padded(ref_hint)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_solve_branch_current_equals_the_solve_it_replaced(warm):
+    _compare_solves(warm)
+
+
+def _mirrored_kernel(config, stimulus, t, photo_active=True, op_hint=None):
+    """``pixel.segment_kernel`` with the oracle run beside every call, from
+    a copy of the same op-hint record; both must agree bit for bit."""
+    kernel = pixel.segment_kernel(config, stimulus, t, photo_active, op_hint)
+
+    def mirrored(vpd, gap):
+        ref_hint = None if op_hint is None else list(op_hint)
+        want = assemble_derivative(vpd, gap, t, config, stimulus,
+                                   photo_active, ref_hint)
+        got = kernel(vpd, gap)
+        assert repr(got) == repr(want) and op_hint == ref_hint
+        return got
+    return mirrored
+
+
+def test_last_step_exits_meet_the_kcl_tolerance(monkeypatch):
+    # The solve's grid above, and one default case i and case iii transient
+    # with the oracle beside the stepper, log every exit of the Newton loop.
+    EXITS.clear()
+    _compare_solves(True)
+    monkeypatch.setattr(solver, "segment_kernel", _mirrored_kernel)
+    solver._reset_phase.cache_clear()
+    for topology in (Topology.HYBRID_CASE_I, Topology.HYBRID_CASE_III):
+        solver.integrate(default_config(topology), Stimulus(1e-9))
+    solver._reset_phase.cache_clear()
+    kinds = Counter(kind for kind, *_ in EXITS)
+    assert kinds["last step"] and kinds["converged"] and kinds["collapsed"]
+    # The true KCL mismatch at every last step, from the device and selector
+    # laws of ``devices`` (the device law does not read the orientation).
+    worst = 0.0
+    for kind, vpd, vg, vs, gap, ox, sel, v_m in EXITS:
+        if kind == "last step":
+            i_dev = devices.device_current(
+                devices.OxRamState(gap, Orientation.BE_AT_PD), vpd - v_m, ox)
+            i_sel = devices.selector_current(vg - vs, v_m - vs, sel)
+            worst = max(worst, abs(i_dev - i_sel) / max(i_dev, i_sel))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("topology",
+                         [Topology.HYBRID_CASE_I, Topology.HYBRID_CASE_III])
+@pytest.mark.parametrize("warm", [False, True])
+def test_kernel_gap_factors_follow_the_gap(topology, warm):
+    # One kernel called at gaps A, B, A and the upper bound equals a fresh
+    # kernel per call, values and op-hint record.
+    config = default_config(topology)
+    stim, t = Stimulus(1e-9), 2 * config.pd.trst
+    kept = [None] if warm else None
+    fresh = [None] if warm else None
+    kernel = pixel.segment_kernel(config, stim, t, True, kept)
+    for gap in (3.0, 6.0, 3.0, config.oxram.gap_max):
+        for vpd in (0.9, 1.2):
+            got = kernel(vpd, gap)
+            want = pixel.segment_kernel(config, stim, t, True, fresh)(vpd, gap)
+            assert repr(got) == repr(want) and got[2] > 0.0
+            assert kept == fresh
 
 
 def _segment_cases():
