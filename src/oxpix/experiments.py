@@ -1,12 +1,13 @@
 """Exposure sweeps, readable-window extraction and dynamic-range reports.
 
-A sweep runs one transient per log-spaced exposure current.  Readability of
-a point applies three rules: the output swing must not exceed the readout
-range, the run must not contain an abrupt collapse, and the swing must rise
-above the detection floor.  The floor is the larger of the absolute
-``min_detect`` threshold and the pixel's own dark response plus a noise
-margin; the second term is what limits hybrid pixels, whose dark frame
-already carries the switching signature.
+A sweep runs one transient per log-spaced exposure current; a report's
+sweeps are one job list, forked over processes by ``_fan_out``.
+Readability of a point applies three rules: the output swing must not
+exceed the readout range, the run must not contain an abrupt collapse, and
+the swing must rise above the detection floor.  The floor is the larger of
+the absolute ``min_detect`` threshold and the pixel's own dark response
+plus a noise margin; the second term is what limits hybrid pixels, whose
+dark frame already carries the switching signature.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,7 +97,7 @@ class SweepResult:
     vrst: float
 
 
-_CHUNK = 8  # jobs per pool round trip, which costs about 1 ms
+_CHUNK = 8  # fewest jobs per process: a fork and its pipe cost about 1 ms
 
 
 def _run_point(config: PixelConfig, options: SolverOptions,
@@ -113,37 +112,67 @@ def _run_point(config: PixelConfig, options: SolverOptions,
         events=tuple(e.kind.value for e in trace.events))
 
 
-def _init_worker(setups: tuple) -> None:
-    """Keep a pool's sweep setups in each of its workers, once."""
-    global _worker_setups
-    _worker_setups = setups
+def _fan_out(run, jobs: list, processes: int) -> list:
+    """``run`` of every job, in job order.  Process ``w`` of ``processes``
+    runs ``jobs[w::processes]``: this one runs share 0, and each child it
+    forks runs one other and sends it back through a pipe as one pickle.  A
+    dead child raises OxpixError, a child's exception is raised here, and no
+    child outlives the call.  Forking is safe: oxpix starts no threads."""
+    import pickle
+    import signal
 
-
-def _sweep_job(job: tuple[int, float]) -> SweepRow:
-    k, i_exp = job
-    return _run_point(*_worker_setups[k], i_exp)
+    results = [None] * len(jobs)
+    children = {}  # pid -> the read end of the child's pipe
+    try:
+        for w in range(1, processes):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # ends by os._exit: no exit handler, no stdio flush
+                try:
+                    try:
+                        share = [run(job) for job in jobs[w::processes]]
+                    except Exception as exc:
+                        share = exc
+                    with open(out, "wb") as pipe:
+                        pickle.dump(share, pipe)
+                    os._exit(0)  # a short pickle comes with a failure status
+                finally:
+                    os._exit(1)
+            os.close(out)
+            children[pid] = open(fd, "rb")
+        results[::processes] = [run(job) for job in jobs[::processes]]
+        for w, pid in enumerate(list(children), 1):
+            data = children[pid].read()  # to EOF first: the child may block
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code:
+                raise OxpixError("a worker process died: " + (
+                    f"exit status {code}" if code > 0
+                    else f"killed by {signal.Signals(-code).name}"))
+            share = pickle.loads(data)
+            if isinstance(share, Exception):
+                raise share
+            results[w::processes] = share
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     """Every point of every sweep, each dark point a job with ``i_exp = 0``,
-    run serially or on one pool of at most ``workers`` processes: one per
-    chunk of jobs at most, since the pool starts all of them at once.  Each
-    worker gets the sweep setups once, through the pool initializer.  A
-    worker that dies raises OxpixError."""
-    setups = tuple((spec.config, spec.options) for spec in specs)
+    on at most ``workers`` processes with this one, and one per ``_CHUNK``
+    jobs at most; serial where ``os.fork`` is missing.  Every job is
+    deterministic, so the rows are the same for any process count."""
+    setups = [(spec.config, spec.options) for spec in specs]
     jobs = [(k, i) for k, spec in enumerate(specs)
             for i in (0.0, *spec.currents())]
-    workers = min(workers, math.ceil(len(jobs) / _CHUNK))
-    if workers <= 1:
-        rows = [_run_point(*setups[k], i_exp) for k, i_exp in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_init_worker,
-                                     initargs=(setups,)) as pool:
-                rows = list(pool.map(_sweep_job, jobs, chunksize=_CHUNK))
-        except BrokenProcessPool as exc:
-            raise OxpixError(f"a worker process died: {exc}") from None
+    processes = min(workers, math.ceil(len(jobs) / _CHUNK)) \
+        if hasattr(os, "fork") else 1
+    rows = _fan_out(lambda job: _run_point(*setups[job[0]], job[1]), jobs,
+                    processes)
     results = []  # rows come back in job order: dark first, then ascending
     for k, spec in enumerate(specs):
         dark, *points = [row for (j, _), row in zip(jobs, rows) if j == k]
@@ -157,7 +186,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Rows come back sorted ascending in exposure regardless of execution
     order; per-point solver failures are recorded on the row and do not
-    abort the sweep.  ``HPS_THREADS`` caps worker processes (1 = serial).
+    abort the sweep.  ``HPS_THREADS`` caps the processes, this one included.
     """
     return _run_sweeps([spec], _worker_count())[0]
 

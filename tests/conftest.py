@@ -1,5 +1,5 @@
 """Shared fixtures: one calibration and one report table for the session,
-a record of the worker pools a test builds, and pool workers that die."""
+a record of the sweep fan-outs a test runs, and worker processes that die."""
 
 import os
 import time
@@ -32,30 +32,33 @@ def reports(calibrated, window):
 
 
 @pytest.fixture
-def recorded_pools(monkeypatch):
-    """Lists of the keyword arguments of each worker pool built and of the
-    jobs mapped onto them, filled as the pools are used."""
-    built, jobs = [], []
+def recorded_fan_outs(monkeypatch):
+    """A list of the process count and the jobs of each sweep fan-out run,
+    and a list of the pids of every process forked, filled as they are."""
+    fan_outs, forks = [], []
+    fork, fan_out = os.fork, experiments._fan_out
 
-    class RecordingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            # A test starts a few real processes at most.
-            assert kwargs["max_workers"] <= 4
-            super().__init__(*args, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def map(self, fn, job_list, **kwargs):
-            jobs.extend(job_list)
-            return super().map(fn, job_list, **kwargs)
+    def recorded(run, jobs, processes):
+        # A test starts a few real processes at most.
+        assert processes <= 4
+        fan_outs.append((processes, list(jobs)))
+        return fan_out(run, jobs, processes)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    return built, jobs
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(experiments, "_fan_out", recorded)
+    return fan_outs, forks
 
 
 @pytest.fixture
 def die_in_workers(monkeypatch):
     """Patches ``module.name`` to end at once any process but this one, as a
-    pool worker that dies would."""
+    worker process that dies would."""
     parent = os.getpid()
 
     def patch(module, name):

@@ -296,10 +296,10 @@ def _logged_fit(monkeypatch, caplog, workers, **kwargs):
 
 
 def test_fit_identical_for_any_worker_count(monkeypatch, caplog,
-                                            recorded_pools):
+                                            recorded_fan_outs):
     # Nor for any seed or restart count: the fit has no random part, and
     # it runs in-process.
-    built, _ = recorded_pools
+    _, forks = recorded_fan_outs
     fits = set()
     for workers, kwargs in (("1", {}), ("2", {"seed": 5, "restarts": 3}),
                             ("3", {"seed": 11, "restarts": 1}),
@@ -307,7 +307,7 @@ def test_fit_identical_for_any_worker_count(monkeypatch, caplog,
         result, line = _logged_fit(monkeypatch, caplog, workers, **kwargs)
         fits.add((pickle.dumps(result), line.rsplit(", ", 1)[0]))
     assert len(fits) == 1
-    assert built == []
+    assert forks == []
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -311,56 +311,61 @@ def test_cli_non_finite_cached_constant_is_a_miss(tmp_path, capsys, section,
 
 
 def test_cli_warm_report_builds_no_fit_pool(tmp_path, monkeypatch,
-                                            recorded_pools):
-    # No command builds a pool for the fit: a cold report builds the one
-    # sweep pool only, a job per point (a dark and two lit points for each
-    # of the four topologies), as a warm one does.
-    built, jobs = recorded_pools
+                                            recorded_fan_outs):
+    # No command starts a process for the fit: a cold report forks for the
+    # one sweep fan-out only, over a job per point (a dark and two lit points
+    # for each of the four topologies), as a warm one does.
+    fan_outs, forks = recorded_fan_outs
     monkeypatch.setenv("HPS_THREADS", "2")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_REPORT)
     argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
     for run in ("cold", "warm"):
-        del built[:], jobs[:]
+        del fan_outs[:], forks[:]
         assert main(argv) == 0
-        assert [kwargs["max_workers"] for kwargs in built] == [2], run
-        assert len(jobs) == 4 * 3
-    del built[:]
+        assert [processes for processes, _ in fan_outs] == [2], run
+        assert len(fan_outs[0][1]) == 4 * 3
+        assert len(forks) == 1, run
+    del fan_outs[:], forks[:]
     assert main(["calibrate", "--config", str(cfg),
                  "--out", str(tmp_path / "p.json")]) == 0
-    assert built == []
+    assert fan_outs == [] and forks == []
 
 
 # Imports the CLI, runs it on the arguments after ``-c`` if there are any,
-# and prints whether numpy was loaded.
-_NUMPY_PROBE = ("import sys\nfrom oxpix.cli import main\n"
-                "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-                "print('numpy' in sys.modules)\nraise SystemExit(code)\n")
+# and prints which of numpy and the process pool modules were loaded.
+_MODULES_PROBE = ("import sys\nfrom oxpix.cli import main\n"
+                  "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                  "print('loaded:', *sorted({'numpy', 'concurrent.futures', "
+                  "'multiprocessing'} & set(sys.modules)))\n"
+                  "raise SystemExit(code)\n")
 
 
-def _numpy_loaded(*args: str, threads: str = "1") -> bool:
+def _modules_loaded(*args: str, threads: str = "1") -> set[str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "HPS_THREADS": threads, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *args],
                           env=env, capture_output=True, text=True, check=True)
-    loaded = done.stdout.splitlines()[-1]
-    assert loaded in ("True", "False"), done.stdout
-    return loaded == "True"
+    loaded = done.stdout.splitlines()[-1].split()
+    assert loaded[0] == "loaded:", done.stdout
+    return set(loaded[1:])
 
 
 def test_warm_report_imports_no_numpy(tmp_path):
     # numpy is loaded only where arrays are built: the fit of a cold report
     # needs it, the import and a warm report of either worker count do not.
+    # Nor do they load a process pool's modules: the sweeps fork directly.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_REPORT)
-    assert not _numpy_loaded()
+    assert _modules_loaded() == set()
     cold = tmp_path / "cold.json"
-    assert _numpy_loaded("report", "--config", str(cfg), "--out", str(cold))
+    assert "numpy" in _modules_loaded("report", "--config", str(cfg),
+                                      "--out", str(cold))
     for threads in ("1", "2"):
         warm = tmp_path / f"warm{threads}.json"
-        assert not _numpy_loaded("report", "--config", str(cfg),
-                                 "--out", str(warm), threads=threads)
+        assert not _modules_loaded("report", "--config", str(cfg),
+                                   "--out", str(warm), threads=threads)
         assert warm.read_bytes() == cold.read_bytes()
 
 

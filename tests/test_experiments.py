@@ -1,6 +1,8 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
+import os
+import signal
 import sys
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ import pytest
 
 from oxpix import experiments, solver
 from oxpix.defaults import default_config
-from oxpix.errors import InvalidInputError
+from oxpix.errors import InvalidInputError, OxpixError
 from oxpix.experiments import (
     ReadableWindow,
     SweepResult,
@@ -304,7 +306,7 @@ def test_sweep_builds_no_samples(monkeypatch, calibrated):
     assert len(builds) == 1
 
 
-# Five exposures per topology: three pool chunks for a report.
+# Five exposures per topology: 24 jobs, three processes at most.
 SMALL_GRID = {"i_min": 1e-12, "i_max": 1e-10, "points_per_decade": 2}
 
 
@@ -319,30 +321,107 @@ def test_report_identical_for_any_worker_count(monkeypatch, calibrated):
     assert reports["3"] == reports["1"]
 
 
-@pytest.mark.parametrize("workers,pools", [("1", 0), ("2", 1)])
+@pytest.mark.parametrize("workers,children", [("1", 0), ("2", 1)])
 def test_report_builds_at_most_one_pool(monkeypatch, calibrated, workers,
-                                        pools, recorded_pools):
-    built, jobs = recorded_pools
+                                        children, recorded_fan_outs):
+    fan_outs, forks = recorded_fan_outs
     monkeypatch.setenv("HPS_THREADS", workers)
     table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
-    assert len(built) == pools
-    # A job is a sweep index and an exposure; the configs go to each worker
-    # once, through the pool initializer.
-    assert len(jobs) == 4 * 6 * pools
+    # A serial report forks nothing; a 2-worker one fans out once and forks
+    # one child.  A job is a sweep index and an exposure.
+    assert len(forks) == children
+    ((processes, jobs),) = fan_outs
+    assert processes == int(workers)
+    assert len(jobs) == 4 * 6
     assert all(type(k) is int and type(i) is float for k, i in jobs)
 
 
 def test_pool_has_one_worker_per_job_chunk(monkeypatch, calibrated,
-                                           recorded_pools):
-    # The pool starts all its workers at once; 24 jobs make three chunks.
-    built, jobs = recorded_pools
+                                           recorded_fan_outs):
+    # At most one process per _CHUNK jobs: 24 jobs make three.
+    fan_outs, forks = recorded_fan_outs
     monkeypatch.setenv("HPS_THREADS", "64")
     pooled = table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
-    assert [kwargs["max_workers"] for kwargs in built] == [3]
-    assert len(jobs) == 24
+    assert [processes for processes, _ in fan_outs] == [3]
+    assert len(fan_outs[0][1]) == 24
+    assert len(forks) == 2
     monkeypatch.setenv("HPS_THREADS", "1")
     assert pooled == table1_report(calibrated.oxram, calibrated.selector,
                                    **SMALL_GRID)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_points(monkeypatch, fail, in_parent):
+    """Patches each sweep point to call ``fail`` first, in this process only
+    or in every other process only."""
+    parent = os.getpid()
+    run_point = experiments._run_point
+
+    def point(*args):
+        if (os.getpid() == parent) == in_parent:
+            fail()
+        return run_point(*args)
+    monkeypatch.setattr(experiments, "_run_point", point)
+
+
+def test_no_child_outlives_a_three_process_report(monkeypatch, calibrated,
+                                                  recorded_fan_outs):
+    _, forks = recorded_fan_outs
+    monkeypatch.setenv("HPS_THREADS", "3")
+    table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_dead_worker(monkeypatch, calibrated,
+                                         die_in_workers):
+    # The first child's death is raised while the second is still unreaped.
+    die_in_workers(experiments, "_run_point")
+    monkeypatch.setenv("HPS_THREADS", "3")
+    with pytest.raises(OxpixError,
+                       match="worker process died: exit status 1"):
+        table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_an_error_in_the_parents_share(monkeypatch,
+                                                         calibrated):
+    def fail():
+        raise RuntimeError("the parent's share failed")
+
+    _fail_points(monkeypatch, fail, in_parent=True)
+    monkeypatch.setenv("HPS_THREADS", "3")
+    with pytest.raises(RuntimeError, match="the parent's share failed"):
+        table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    _assert_no_child_left()
+
+
+def _raise_value_error():
+    raise ValueError("no such exposure")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fail,error,message", [
+    (_raise_value_error, ValueError, "^no such exposure$"),
+    (_kill_self, OxpixError, "^a worker process died: killed by SIGKILL$"),
+])
+def test_child_failure_reaches_the_parent(monkeypatch, calibrated, fail,
+                                          error, message):
+    # A child's own exception keeps its type and message, as it would have
+    # in this process; a child killed by a signal is a dead worker.
+    _fail_points(monkeypatch, fail, in_parent=False)
+    monkeypatch.setenv("HPS_THREADS", "2")
+    with pytest.raises(error, match=message) as raised:
+        table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    assert type(raised.value) is error
+    _assert_no_child_left()
 
 
 def test_serial_report_integrates_each_reset_phase_once(monkeypatch,
