@@ -138,8 +138,8 @@ def _fan_out(run, jobs: list, processes: int) -> list:
                     os._exit(0)  # a short pickle comes with a failure status
                 finally:
                     os._exit(1)
-            os.close(out)
             children[pid] = open(fd, "rb")
+            os.close(out)  # before the next fork, so EOF comes at its exit
         results[::processes] = [run(job) for job in jobs[::processes]]
         for w, pid in enumerate(list(children), 1):
             data = children[pid].read()  # to EOF first: the child may block
