@@ -98,23 +98,42 @@ def _crossing_time(states: list[tuple], frac: list[float], i: int,
     return t0 + hi * h
 
 
+def summarize(states: list[tuple], events: list[Event],
+              config: PixelConfig) -> tuple:
+    """What ``detect`` needs of ``states`` with their ``events`` to scan only
+    the states after them: the events, the largest VPD, the extreme gap
+    fractions and the states within two ``ABRUPT_WINDOW`` of the last."""
+    fracs = [math.inf, -math.inf]
+    if config.is_hybrid():
+        p = config.oxram
+        fracs = [(s[3] - p.gap_min) / (p.gap_max - p.gap_min) for s in states]
+    t_out = states[-1][0] - 2.0 * ABRUPT_WINDOW
+    return (tuple(events), max(s[1] for s in states), min(fracs), max(fracs),
+            states[bisect.bisect_left(states, t_out, key=lambda s: s[0]):])
+
+
 def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
-           vstart: float, known: tuple[Event, ...] = ()) -> list[Event]:
+           vstart: float, prefix: tuple | None = None) -> list[Event]:
     """The switching and abrupt-fall events of a transient's states ``(t,
     vpd, i_ox, gap)``, in time order from state 0, with ``steps`` the
-    accepted steps' records between them (``solver._Run``) and ``known``
-    the events found in a prefix of the states (the shared reset phase).
+    accepted steps' records between them (``solver._Run``).  ``prefix``, a
+    ``summarize`` of the states before these (the shared reset phase),
+    stands for them: the events come out as from a scan of all the states.
 
-    The gap reaches 90 % of its span at its first state there after state
-    0, a SetToReset if an earlier state lay below 10 %, else a
-    SoftToHardReset; it falls to 10 % at its first state there after state
-    0, a ResetToSet if an earlier state lay above 90 %.  Each is stamped at
-    its crossing time, or is the event of ``known`` if in the prefix.  An
-    abrupt fall is the first state that lies more than ``ABRUPT_FRAC`` of
-    the swing above the floor below the largest VPD of the window
-    ``ABRUPT_WINDOW`` back: of its states and of the interpolant at its
-    start, so a fall within one long step is seen.
+    The gap reaches 90 % of its span at its first state after state 0, a
+    SetToReset if an earlier state lay below 10 %, else a SoftToHardReset;
+    it falls to 10 % at its first state after state 0, a ResetToSet if an
+    earlier state lay above 90 %.  Each is stamped at its crossing time, or
+    is the prefix's event if the prefix reached the level.  An abrupt fall
+    is the first state that lies more than ``ABRUPT_FRAC`` of the swing
+    above the floor below the largest VPD of the window ``ABRUPT_WINDOW``
+    back: of its states and of the interpolant at its start, so a fall
+    within one long step is seen; a fall in the prefix is the prefix's.
     """
+    known, top, lo, hi, tail = prefix or ((), -math.inf, math.inf, -math.inf,
+                                          [])
+    n = len(tail)
+    states = tail + states
     events = []
     if config.is_hybrid():
         p = config.oxram
@@ -122,22 +141,28 @@ def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
         frac = [(s[3] - gap_min) / span for s in states]
 
         def crossing(kind: EventKind, i: int, level: float) -> Event:
-            return next((e for e in known if e.kind is kind), None) \
-                or Event(kind, _crossing_time(states, frac, i, level, steps,
+            return Event(kind, _crossing_time(states, frac, i, level, steps,
                                               gap_min, span),
                          f"gap={states[i][3]:.4f}nm")
-        i = next((i for i, f in enumerate(frac) if f >= GAP_HI_FRAC), 0)
-        if i:
-            kind = EventKind.SET_TO_RESET if min(frac[:i]) < GAP_LO_FRAC \
+        if hi >= GAP_HI_FRAC:
+            events += [e for e in known if e.kind in (
+                EventKind.SET_TO_RESET, EventKind.SOFT_TO_HARD_RESET)]
+        elif i := next((i for i, f in enumerate(frac) if f >= GAP_HI_FRAC),
+                       0):
+            kind = EventKind.SET_TO_RESET if min(lo, *frac[:i]) < GAP_LO_FRAC \
                 else EventKind.SOFT_TO_HARD_RESET
             events.append(crossing(kind, i, GAP_HI_FRAC))
-        i = next((i for i, f in enumerate(frac) if f <= GAP_LO_FRAC), 0)
-        if i and max(frac[:i]) > GAP_HI_FRAC:
+        if lo <= GAP_LO_FRAC:
+            events += [e for e in known if e.kind is EventKind.RESET_TO_SET]
+        elif (i := next((i for i, f in enumerate(frac) if f <= GAP_LO_FRAC),
+                        0)) and max(hi, *frac[:i]) > GAP_HI_FRAC:
             events.append(crossing(EventKind.RESET_TO_SET, i, GAP_LO_FRAC))
+    fell = [e for e in known if e.kind is EventKind.ABRUPT_FALL]
+    if fell:
+        return events + fell
     drop = ABRUPT_FRAC * (vstart - VPD_FLOOR)
-    top = -math.inf  # the running maximum of VPD
-    for i, (t_i, v_i, _, _) in enumerate(states):
-        top = max(top, v_i)
+    for i, (t_i, v_i, _, _) in enumerate(states[n:], n):
+        top = max(top, v_i)  # the running maximum of VPD
         # Only a state that far below the running maximum can qualify.
         if not top - v_i > drop:
             continue

@@ -79,15 +79,17 @@ part samples, and a part end within the stepper's time resolution of a grid
 point is that grid point.  The stats count no sample, so they do not depend
 on a read.
 Samples are clipped as an accepted state is; their currents come from the
-segment's sample kernel, called in time order on its own op-hint record,
-so the stepper's internal-node start points and work counts are untouched.
+segment's sample kernel, built at its first sample and called in time order
+on its own op-hint record, so the stepper's internal-node start points and
+work counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
-``events.detect`` finds the switching and abrupt-fall events in the reset
-phase's samples followed by the exposure's states, the ``(t, vpd, i_ox,
-gap)`` tuples themselves, on the step records between them.  A sweep
-point thus builds no array.
+``events.detect`` finds the switching and abrupt-fall events in the
+exposure's states, the ``(t, vpd, i_ox, gap)`` tuples themselves, on the
+step records between them; the reset phase's samples before them enter by
+their summary (``events.summarize``), so no transient scans them again.  A
+sweep point thus builds no array.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -115,7 +117,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .devices import ELEMENTARY_CHARGE
 from .errors import InvalidInputError, SolverError, require_finite
 from .events import (ABRUPT_WINDOW, VPD_FLOOR, Event, EventKind, dense,
-                     detect, vpd_at)
+                     detect, summarize, vpd_at)
 # ``assemble_derivative`` is not called here; perfbench/tracer.py looks it
 # up by this module's name.
 from .pixel import PixelConfig, Stimulus, assemble_derivative, segment_kernel
@@ -254,8 +256,9 @@ class _Run:
     the running schedule segment and the stats.  A record holds the full
     step's gap interpolant ``(t0, h, g0, g1, k1g, k3g..k7g)``, its VPD one
     ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
-    (shorter if cut at the floor), ``pieces``, ``eps``, its sample kernel
-    and end state's index.  A new run is the start of the reset phase,
+    (shorter if cut at the floor), ``pieces``, ``eps``, its segment's start
+    and photocurrent flag, which ``_samples`` builds a sample kernel from,
+    and its end state's index.  A new run is the start of the reset phase,
     first stage and state taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
@@ -279,8 +282,9 @@ class _Run:
         self.events: list[Event] = []
         self.steps: list[tuple] = []
         self.states: list[tuple] = []  # (t, vpd, i_ox, gap)
-        # The reset phase's samples and events (set by ``_reset_phase``).
-        self.samples, self.detected = [], ()
+        # The reset phase's samples and their ``summarize`` (set by
+        # ``_reset_phase``).
+        self.samples, self.prefix = [], None
         self.op_hint = [None, 0.0, 0.0, 0]
         self.sample_hint = [None, 0.0, 0.0, 0]
         self.vg = 0.0
@@ -320,31 +324,24 @@ class _Run:
         run.steps, run.states = [], []
         run.op_hint = list(self.op_hint)
         run.sample_hint = list(self.sample_hint)
-        run.kernel = run.sample_kernel = None
+        run.kernel = None
         return run
 
     def _segment(self, t: float) -> None:
         """Bind the right-hand side of the schedule segment starting at
-        ``t``, once for the stepper and once for the samples inside steps,
-        and evaluate the segment's first stage."""
+        ``t`` and evaluate the segment's first stage."""
         config = self.config
-        self.kernel = segment_kernel(config, self.stimulus, t,
-                                     self.photo_active, self.op_hint)
-        self.sample_kernel = segment_kernel(config, self.stimulus, t,
-                                            self.photo_active,
-                                            self.sample_hint)
+        self.segment = (t, self.photo_active)
+        self.kernel = segment_kernel(config, self.stimulus, *self.segment,
+                                     self.op_hint)
         if config.is_hybrid():
             self.vg = config.vg_waveform.level_at(t)
         self.stats.rhs_evals += 1
         self.k1 = self.kernel(self.v, self.g)
-        self.m1 = self._knee_margin()
-
-    def _knee_margin(self) -> float:
-        # Selector vds - vov at the last internal-node solve: >= 0 in
-        # saturation, < 0 in triode.  The vs terms cancel.
-        if not self.config.is_hybrid():
-            return 1.0
-        return self.op_hint[0] - self.vg + self.config.selector.vth
+        # The knee margin: selector vds - vov at the last internal-node
+        # solve, >= 0 in saturation, < 0 in triode.  The vs terms cancel.
+        self.m1 = self.op_hint[0] - self.vg + config.selector.vth \
+            if config.is_hybrid() else 1.0
 
     def enter(self, t: float) -> None:
         """Start the schedule segment at boundary ``t``.
@@ -394,7 +391,8 @@ class _Run:
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
         stats = self.stats
         rhs = self.kernel
-        # ``_knee_margin`` inlined: the kernel updates ``op_hint`` in place.
+        # The knee margin as in ``_segment``: the kernel updates ``op_hint``
+        # in place.
         op_hint, vg, vth = self.op_hint, self.vg, config.selector.vth
         floor_tol = self.floor_tol
         t, v, g, h = self.t, self.v, self.g, self.h
@@ -404,9 +402,7 @@ class _Run:
         # Time resolution: the boundary is reached, and a grid point this
         # close to a step end is that step end.
         eps = 1e-18 * max(1.0, boundary)
-        while t < boundary - eps:
-            if self.floored:
-                break
+        while t < boundary - eps and not self.floored:
             remaining = boundary - t
             lam = v_star = 0.0  # the Lawson frame of the module docstring
             if rc:
@@ -574,7 +570,7 @@ class _Run:
             self.steps.append((
                 t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
                 v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, pieces, eps,
-                self.sample_kernel, len(self.states)))
+                self.segment, len(self.states)))
 
             if t > trst and v <= VPD_FLOOR + floor_tol:
                 v = VPD_FLOOR
@@ -630,23 +626,26 @@ class _Run:
 @functools.lru_cache(maxsize=4)
 def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     """Integrate every schedule segment that ends at or before the reset
-    release; build its samples and events.  The node is pinned there, so
-    nothing depends on the stimulus; the boundary refresh at ``trst``, the
-    first evaluation that sees it, belongs to the exposure phase.  The run
-    returned is shared and never stepped again: each transient goes on from
-    a ``fork`` of it."""
+    release; build its samples, and summarize them with their events for
+    each transient's ``detect`` (``events.summarize``).  The node is pinned
+    there, so nothing depends on the stimulus; the boundary refresh at
+    ``trst``, the first evaluation that sees it, belongs to the exposure
+    phase.  The run returned is shared and never stepped again: each
+    transient goes on from a ``fork`` of it."""
     run = _Run(config, opt)
     boundaries = _schedule(config, None)
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
     run.samples = _samples(run)
-    run.detected = tuple(detect(run.samples, run.steps, config, run.v0))
+    run.prefix = summarize(run.samples, detect(run.samples, run.steps, config,
+                                               run.v0), config)
     return run
 
 
 def _samples(run: _Run) -> list[tuple]:
     """The samples ``(t, vpd, i_ox, gap)`` of ``run`` in time order, which
     its sample kernels are called in: the reset phase's, then its states,
-    each step end after the samples inside its step."""
+    each step end after the samples inside its step.  A segment's sample
+    kernel, on ``run.sample_hint``, is built at its first sample."""
     config = run.config
     hybrid = config.is_hybrid()
     if hybrid:
@@ -657,9 +656,10 @@ def _samples(run: _Run) -> list[tuple]:
     k_grid = 1
     t_grid = ABRUPT_WINDOW
     n = 0
+    built = kernel = None  # the segment ``kernel`` was built for
     for step in run.steps:
         t_old, h, g_old = step[:3]
-        h_end, pieces, eps, kernel, end = step[20:]
+        h_end, pieces, eps, segment, end = step[20:]
         samples += run.states[n:end]
         n = end
         t = run.states[end][0]
@@ -685,6 +685,9 @@ def _samples(run: _Run) -> list[tuple]:
                 v = max(v, VPD_FLOOR)
             g = min(max(dense((t_s - t_old) / h, *step[1:10]), gap_min),
                     gap_max) if hybrid else g_old
+            if segment is not built:
+                built, kernel = segment, segment_kernel(
+                    config, run.stimulus, *segment, run.sample_hint)
             samples.append((t_s, v, kernel(v, g)[2], g))
     return samples + run.states[n:]
 
@@ -724,8 +727,8 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
 
     stats = run.tally()
     # At equal times the stepper's events come first.
-    events = sorted(run.events + detect(run.samples + run.states, run.steps,
-                                        config, run.v0, run.detected),
+    events = sorted(run.events + detect(run.states, run.steps, config,
+                                        run.v0, run.prefix),
                     key=lambda e: e.t_event)
     trace = TransientTrace(
         None, None, None, None, events=events, final_vpd=run.v,

@@ -3,13 +3,14 @@ CSV of each topology, a coarse ``oxpix sweep`` CSV of each topology, the
 default ``oxpix calibrate`` JSON and a small ``oxpix report`` JSON and its
 calibration cache, the events of the coarse sweep transients, the payload
 of the default fit for any seed and restart count, the default ``oxpix
-report`` JSON, the dumped default config of each topology, and the keys a
-config accepts.
+report`` JSON, the work the default report's transients do, the dumped
+default config of each topology, and the keys a config accepts.
 
 A refactor that claims to leave the numbers alone must leave these digests
 alone.  A change that moves numbers or the config format on purpose updates
-every digest it moves and says why in CHANGES.md.  Print the current digests
-and key list with ``PYTHONPATH=src python tests/test_golden.py``.
+every digest it moves and says why in CHANGES.md; a change that adds steps
+fails the work counts by name.  Print the current digests, work counts and
+key list with ``PYTHONPATH=src python tests/test_golden.py``.
 
 The digests hold for IEEE-754 doubles and a math library that rounds
 ``exp``/``sinh``/``cosh`` as the one they were recorded with; elsewhere,
@@ -23,13 +24,14 @@ from pathlib import Path
 
 import pytest
 
+from oxpix import solver
 from oxpix.calibration import calibrate
 from oxpix.cli import _result_payload, main
 from oxpix.config import dump_config, parse_config
 from oxpix.defaults import default_config
 from oxpix.experiments import SweepSpec, table1_report
 from oxpix.pixel import Stimulus, Topology
-from oxpix.solver import integrate
+from oxpix.solver import SolverOptions, integrate
 from oxpix.tracefile import write_report_json
 
 GOLDEN = {
@@ -74,6 +76,17 @@ GOLDEN_FIT_PAYLOAD = \
 # ``calibrated`` and ``reports`` fixtures compute.
 GOLDEN_REPORT = \
     "b7ca894c47948f8aee155767365b893b692fb574a73679a7bbd00ecfc5c85d03"
+
+# The work of the default report's transients per topology, as ``(accepted
+# steps, right-hand sides, Newton evaluations)`` from ``TransientTrace.stats``:
+# the shared reset phase's, then the sum over the dark point and the grid of
+# each transient's work less the reset phase's.
+GOLDEN_WORK = {
+    "bare3t": ((1, 7, 0), (137, 896, 0)),
+    "case_i": ((15, 109, 221), (1342, 8606, 19348)),
+    "case_ii": ((1, 7, 11), (188, 1202, 1202)),
+    "case_iii": ((39, 265, 773), (647, 3944, 7503)),
+}
 
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.
@@ -219,6 +232,28 @@ def test_default_cli_report_matches_golden_digest(tmp_path, monkeypatch,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT
 
 
+def report_work(fit) -> dict[str, tuple]:
+    """``GOLDEN_WORK``'s counts for the report on ``fit``."""
+    work, opt = {}, SolverOptions()
+    for topology in Topology:
+        spec = SweepSpec(default_config(topology, oxram=fit.oxram,
+                                        selector=fit.selector), options=opt)
+        reset = solver._reset_phase(spec.config, opt).tally()
+        counts = [0, 0, 0]
+        for i_exp in (0.0, *spec.currents()):
+            stats = integrate(spec.config, Stimulus(i_exp), opt).stats
+            for k, name in enumerate(("accepted", "rhs_evals",
+                                      "newton_evals")):
+                counts[k] += getattr(stats, name) - getattr(reset, name)
+        work[topology.value] = ((reset.accepted, reset.rhs_evals,
+                                 reset.newton_evals), tuple(counts))
+    return work
+
+
+def test_default_report_work_matches_golden_counts(calibrated):
+    assert report_work(calibrated) == GOLDEN_WORK
+
+
 def dump_digest(topology: str) -> str:
     """SHA-256 of the dumped config of ``topology`` ("" for no config)."""
     text = f"[pixel]\ntopology = {topology}\n" if topology else ""
@@ -253,6 +288,7 @@ if __name__ == "__main__":
         table = table1_report(fit.oxram, fit.selector)
         print(f"default report: "
               f"{report_digest(table, fit.residuals, Path(work))}")
+        print(f"work: {report_work(fit)}")
     for name in GOLDEN_DUMP:
         print(f"dump {name!r}: {dump_digest(name)}")
     print(f"keys: {accepted_keys()}")

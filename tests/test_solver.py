@@ -12,7 +12,7 @@ from oxpix.defaults import (R_RESET_LEVELS, R_SET_LEVELS, default_config,
 from oxpix.devices import ELEMENTARY_CHARGE, MosfetParams, PhotodiodeParams
 from oxpix.errors import InvalidInputError, SolverError
 from oxpix import events, pixel, solver
-from oxpix.experiments import SweepSpec
+from oxpix.experiments import SweepSpec, table1_report
 from oxpix.pixel import (VG_RAIL, GateWaveform, Stimulus, Topology,
                          assemble_derivative)
 from oxpix.solver import (
@@ -759,11 +759,11 @@ def test_abrupt_fall_window_keeps_the_previous_grid_sample():
 _H = 1e-7  # s, the spacing of the synthetic samples below
 
 
-def _detect_on_lines(fracs: list[float]):
-    """``events.detect`` on case i samples ``_H`` apart at the gap fractions
-    ``fracs``, each pair joined by one step of constant gap velocity.  The
+def _lines(fracs: list[float]):
+    """Case i states ``_H`` apart at the gap fractions ``fracs``, each pair
+    joined by one step of constant gap velocity, and the config.  The
     dense-output coefficients sum to zero, so such a step interpolates
-    linearly.  Also returns where each pair's line crosses each threshold."""
+    linearly."""
     cfg = default_config(Topology.HYBRID_CASE_I)
     p = cfg.oxram
     span = p.gap_max - p.gap_min
@@ -774,6 +774,14 @@ def _detect_on_lines(fracs: list[float]):
         slope = (gap[k] - gap[k - 1]) / _H
         steps.append((t[k - 1], _H, gap[k - 1], gap[k]) + (slope,) * 6)
     states = [(t_k, 1.0, 0.0, g_k) for t_k, g_k in zip(t, gap)]
+    return states, steps, cfg
+
+
+def _detect_on_lines(fracs: list[float]):
+    """``events.detect`` on the states and steps of ``_lines``.  Also returns
+    where each pair's line crosses each threshold."""
+    states, steps, cfg = _lines(fracs)
+    t = [s[0] for s in states]
     found = events.detect(states, steps, cfg, 1.0)
 
     def crossing(k: int, level: float) -> float:
@@ -805,6 +813,65 @@ def test_detect_switching_rules_on_linear_steps(fracs, expected):
         assert type(event.t_event) is float
         assert event.t_event == pytest.approx(crossing(k, level),
                                               rel=0.0, abs=_H * 2.0 ** -49)
+
+
+def _event_bits(found: list) -> list[tuple]:
+    return [(e.kind, e.t_event.hex(), e.detail) for e in found]
+
+
+@pytest.mark.parametrize("fracs", [
+    [0.95, 0.5, 0.97], [0.05, 0.5, 0.95], [0.5, 0.3, 0.05],
+    [0.5, 0.95, 0.5, 0.05], [0.95, 0.5, 0.05], [0.05, 0.95, 0.05],
+    [0.5, 0.6, 0.95, 0.97, 0.5, 0.3, 0.05, 0.95],
+    # The earlier extreme lies before the prefix's last two windows.
+    [0.05, 0.5, 0.5, 0.5, 0.95], [0.95, 0.5, 0.5, 0.5, 0.05],
+])
+def test_detect_after_a_summarized_prefix_equals_the_full_scan(fracs):
+    # Split after any state, the states before summarized: the same events,
+    # bit for bit, whether the prefix or the rest reaches each level.
+    states, steps, cfg = _lines(fracs)
+    full = _event_bits(events.detect(states, steps, cfg, 1.0))
+    for k in range(1, len(states)):
+        prefix = events.summarize(states[:k], events.detect(
+            states[:k], steps[:k - 1], cfg, 1.0), cfg)
+        assert _event_bits(events.detect(states[k:], steps[k - 1:], cfg, 1.0,
+                                         prefix)) == full, k
+    # The look-back of a fall reaches into the prefix, or the fall lies
+    # there.
+    w = events.ABRUPT_WINDOW
+    cfg = default_config(Topology.BARE_3T)
+    states = [(0.0, 1.0, 0.0, 0.0), (w, 1.0, 0.0, 0.0),
+              (1.5 * w, 0.9, 0.0, 0.0), (2 * w, 0.4, 0.0, 0.0),
+              (2.5 * w, 0.3, 0.0, 0.0)]
+    full = _event_bits(events.detect(states, [], cfg, 1.0))
+    assert [kind for kind, _, _ in full] == [EventKind.ABRUPT_FALL]
+    for k in range(1, len(states)):
+        prefix = events.summarize(states[:k], events.detect(
+            states[:k], [], cfg, 1.0), cfg)
+        assert _event_bits(events.detect(states[k:], [], cfg, 1.0,
+                                         prefix)) == full, k
+
+
+def test_default_report_detect_equals_the_full_scan(monkeypatch, calibrated):
+    # Each transient of the default report scans its exposure's states
+    # only, the reset phase's samples summarized; its events are, bit for
+    # bit, those of a scan of all its states on all its steps.
+    detect, scanned = events.detect, []
+
+    def both(states, steps, config, vstart, prefix=None):
+        found = detect(states, steps, config, vstart, prefix)
+        if prefix is not None:
+            reset = solver._reset_phase(config, SolverOptions())
+            assert _event_bits(found) == _event_bits(detect(
+                reset.samples + states, reset.steps + steps, config, vstart))
+            scanned.append(config.topology)
+        return found
+
+    monkeypatch.setattr(solver, "detect", both)
+    monkeypatch.setenv("HPS_THREADS", "1")
+    table = table1_report(calibrated.oxram, calibrated.selector)
+    assert len(scanned) == sum(len(rep.rows) + 1 for rep in table.values())
+    assert set(scanned) == set(Topology)
 
 
 def test_case_iii_collapse_records_one_abrupt_fall(calibrated):
