@@ -98,17 +98,13 @@ def _crossing_time(states: list[tuple], frac: list[float], i: int,
     return t0 + hi * h
 
 
-def summarize(states: list[tuple], events: list[Event],
-              config: PixelConfig) -> tuple:
+def summarize(states: list[tuple], events: list[Event]) -> tuple:
     """What ``detect`` needs of ``states`` with their ``events`` to scan only
-    the states after them: the events, the largest VPD, the extreme gap
-    fractions and the states within two ``ABRUPT_WINDOW`` of the last."""
-    fracs = [math.inf, -math.inf]
-    if config.is_hybrid():
-        p = config.oxram
-        fracs = [(s[3] - p.gap_min) / (p.gap_max - p.gap_min) for s in states]
+    the states after them: the events, the largest VPD, the smallest and
+    largest gap and the states within two ``ABRUPT_WINDOW`` of the last."""
+    gaps = [s[3] for s in states]
     t_out = states[-1][0] - 2.0 * ABRUPT_WINDOW
-    return (tuple(events), max(s[1] for s in states), min(fracs), max(fracs),
+    return (tuple(events), max(s[1] for s in states), min(gaps), max(gaps),
             states[bisect.bisect_left(states, t_out, key=lambda s: s[0]):])
 
 
@@ -139,6 +135,7 @@ def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
         p = config.oxram
         gap_min, span = p.gap_min, p.gap_max - p.gap_min
         frac = [(s[3] - gap_min) / span for s in states]
+        lo, hi = [(g - gap_min) / span for g in (lo, hi)]  # as fractions
 
         def crossing(kind: EventKind, i: int, level: float) -> Event:
             return Event(kind, _crossing_time(states, frac, i, level, steps,

@@ -98,11 +98,11 @@ including the boundary refresh at ``trst``, and kept in a four-entry memo
 keyed by the frozen ``(PixelConfig, SolverOptions)`` pair; the options
 belong to the key because they shape every step and, through
 ``reset_noise``/``noise_seed``, the start voltage.  Four entries hold a
-report's four configurations, so a pool worker, which fills its own memo
-and may get points of every topology, integrates each reset phase, builds
-its samples and finds their events once.  Every transient continues from a
-copy of the entry, and its stats include the reset-phase work, so a trace
-is the same with a cold or a warm entry.
+report's four configurations, and the sweeps fill them before they fork,
+so each reset phase is integrated, sampled and summarized once per run,
+not once per process.  Every transient continues from a copy of the entry,
+and its stats include the reset-phase work, so a trace is the same with a
+cold or a warm entry.
 """
 
 from __future__ import annotations
@@ -637,7 +637,7 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     run.run(boundaries, 0, bisect.bisect_right(boundaries, config.pd.trst))
     run.samples = _samples(run)
     run.prefix = summarize(run.samples, detect(run.samples, run.steps, config,
-                                               run.v0), config)
+                                               run.v0))
     return run
 
 

@@ -336,6 +336,27 @@ def test_report_builds_at_most_one_pool(monkeypatch, calibrated, workers,
     assert all(type(k) is int and type(i) is float for k, i in jobs)
 
 
+def test_reset_phases_are_filled_before_the_fork(monkeypatch, calibrated,
+                                                recorded_fan_outs):
+    # A cold report integrates each reset phase once, before it forks, so
+    # no process integrates one again.
+    fan_outs, forks = recorded_fan_outs
+    entered, fan_out = [], experiments._fan_out
+
+    def at_entry(run, jobs, processes):
+        entered.append(solver._reset_phase.cache_info())
+        return fan_out(run, jobs, processes)
+
+    monkeypatch.setattr(experiments, "_fan_out", at_entry)
+    monkeypatch.setenv("HPS_THREADS", "2")
+    solver._reset_phase.cache_clear()
+    table1_report(calibrated.oxram, calibrated.selector, **SMALL_GRID)
+    assert [(info.misses, info.currsize) for info in entered] == [(4, 4)]
+    assert [processes for processes, _ in fan_outs] == [2]
+    assert len(forks) == 1
+    assert solver._reset_phase.cache_info().misses == 4
+
+
 def test_pool_has_one_worker_per_job_chunk(monkeypatch, calibrated,
                                            recorded_fan_outs):
     # At most one process per _CHUNK jobs: 24 jobs make three.

@@ -833,7 +833,7 @@ def test_detect_after_a_summarized_prefix_equals_the_full_scan(fracs):
     full = _event_bits(events.detect(states, steps, cfg, 1.0))
     for k in range(1, len(states)):
         prefix = events.summarize(states[:k], events.detect(
-            states[:k], steps[:k - 1], cfg, 1.0), cfg)
+            states[:k], steps[:k - 1], cfg, 1.0))
         assert _event_bits(events.detect(states[k:], steps[k - 1:], cfg, 1.0,
                                          prefix)) == full, k
     # The look-back of a fall reaches into the prefix, or the fall lies
@@ -847,7 +847,7 @@ def test_detect_after_a_summarized_prefix_equals_the_full_scan(fracs):
     assert [kind for kind, _, _ in full] == [EventKind.ABRUPT_FALL]
     for k in range(1, len(states)):
         prefix = events.summarize(states[:k], events.detect(
-            states[:k], [], cfg, 1.0), cfg)
+            states[:k], [], cfg, 1.0))
         assert _event_bits(events.detect(states[k:], [], cfg, 1.0,
                                          prefix)) == full, k
 
