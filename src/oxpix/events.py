@@ -154,9 +154,8 @@ def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
         elif (i := next((i for i, f in enumerate(frac) if f <= GAP_LO_FRAC),
                         0)) and max(hi, *frac[:i]) > GAP_HI_FRAC:
             events.append(crossing(EventKind.RESET_TO_SET, i, GAP_LO_FRAC))
-    fell = [e for e in known if e.kind is EventKind.ABRUPT_FALL]
-    if fell:
-        return events + fell
+    if any(e.kind is EventKind.ABRUPT_FALL for e in known):
+        return events + [known[-1]]  # a fall is found last
     drop = ABRUPT_FRAC * (vstart - VPD_FLOOR)
     for i, (t_i, v_i, _, _) in enumerate(states[n:], n):
         top = max(top, v_i)  # the running maximum of VPD

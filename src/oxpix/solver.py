@@ -28,11 +28,12 @@ no step straddles a kink:
 - a step that crosses the selector's saturation/triode knee, where the
   branch current turns from flat to steep within about a millivolt, is
   shrunk onto it by the secant rule on the margin ``vds - vov`` of the
-  internal-node solve, and the next step restarts small.  While the margin
-  falls toward the knee, the next step is capped at 99 % of the time the
-  last step predicts to it, so the steps close in on the knee from the
-  saturation side; a long step past it would sample deep triode, where the
-  internal-node solve starts far from its answer.
+  internal-node solve, and the next step restarts at 7 ns at most.  While
+  the margin falls toward the knee, the next step is capped at 99.9 % of
+  the time the last step predicts to it, so the steps close in on the knee
+  from the saturation side; a long step past it would sample deep triode,
+  where the internal-node solve starts far from its answer.  A new gate
+  level starts that solve from its bracket, not from the last one's node.
 
 The VPD floor (ground) is the stepper's alone: the right-hand side is
 continuous through it.  A Lawson step (below) lands at ``floor_tol / 2`` in
@@ -77,19 +78,17 @@ the step, or of more on a Lawson step, so that the current falls by at most
 keeps only each step's part count; ``_samples`` alone places the grid and
 part samples, and a part end within the stepper's time resolution of a grid
 point is that grid point.  The stats count no sample, so they do not depend
-on a read.
-Samples are clipped as an accepted state is; their currents come from the
-segment's sample kernel, built at its first sample and called in time order
-on its own op-hint record, so the stepper's internal-node start points and
-work counts are untouched.
+on a read.  Samples are clipped as an accepted state is; their currents
+come from the segment's sample kernel, built at its first sample and called
+in time order on its own op-hint record, so the stepper's internal-node
+start points and work counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
 ``events.detect`` finds the switching and abrupt-fall events in the
-exposure's states, the ``(t, vpd, i_ox, gap)`` tuples themselves, on the
-step records between them; the reset phase's samples before them enter by
-their summary (``events.summarize``), so no transient scans them again.  A
-sweep point thus builds no array.
+exposure's ``(t, vpd, i_ox, gap)`` state tuples, on the step records
+between them, with the reset phase's samples summarized
+(``events.summarize``), so no transient scans them again or builds an array.
 
 The reset phase is shared.  Up to the reset release the node is pinned and
 no evaluation sees the stimulus, so every exposure of one configuration
@@ -147,12 +146,14 @@ B1, _, B3, B4, B5, B6, _ = _B5
 _C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)  # stage times 2-5 and 7, in steps
 E1, _, E3, E4, E5, E6, E7 = _E
 
-# Step size the stepper restarts from after crossing the selector knee.
-_KNEE_RESTART = 1e-9  # s
-# Share of the predicted time to the knee a step may take while the
-# selector margin falls toward it: nearly all, so the steps close in on the
-# knee from the saturation side without crossing it.
-_KNEE_AIM = 0.99
+# Largest step after crossing the selector knee, and the share of the
+# predicted time to the knee a step may take while the selector margin falls
+# toward it: nearly all, to close in from the saturation side.  The default
+# report's case i exposures take 7,496 right-hand sides, 8,606 at 0.99 and 1
+# ns, on a plateau (0.999-0.9999, 6-10 ns: 7,460-7,604); 0.9985 fails the
+# error estimate's tolerance test, and 11 ns takes 7,634.
+_KNEE_RESTART = 7e-9  # s
+_KNEE_AIM = 0.999
 # Time constants a Lawson step may span; its dense output errs as (lam h)^5.
 _LAWSON_REACH = 2.0
 
@@ -256,10 +257,9 @@ class _Run:
     the running schedule segment and the stats.  A record holds the full
     step's gap interpolant ``(t0, h, g0, g1, k1g, k3g..k7g)``, its VPD one
     ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
-    (shorter if cut at the floor), ``pieces``, ``eps``, its segment's start
-    and photocurrent flag, which ``_samples`` builds a sample kernel from,
-    and its end state's index.  A new run is the start of the reset phase,
-    first stage and state taken."""
+    (shorter if cut at the floor), ``pieces``, ``eps``, its segment (start,
+    photocurrent on) and end state's index.  A new run is the start of the
+    reset phase, first stage and state taken."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -331,11 +331,12 @@ class _Run:
         """Bind the right-hand side of the schedule segment starting at
         ``t`` and evaluate the segment's first stage."""
         config = self.config
+        vg = config.vg_waveform.level_at(t) if config.is_hybrid() else 0.0
+        if vg != self.vg:  # the last node voltage is no guess at a new one
+            self.vg, self.op_hint[0] = vg, None
         self.segment = (t, self.photo_active)
         self.kernel = segment_kernel(config, self.stimulus, *self.segment,
                                      self.op_hint)
-        if config.is_hybrid():
-            self.vg = config.vg_waveform.level_at(t)
         self.stats.rhs_evals += 1
         self.k1 = self.kernel(self.v, self.g)
         # The knee margin: selector vds - vov at the last internal-node

@@ -36,7 +36,7 @@ from oxpix.tracefile import write_report_json
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
-    "case_i": "04ac1317bac1e5e1b8f8763d2a90ae50b4fe23d2b2c824ac1ab815a18caba214",
+    "case_i": "ced0ceef557054dc92289b49ca733373aaa33c912a0ed650a822b332b0c44ace",
     "case_ii": "a0ab9a348ec7a598b16eb082c949f7d09d0c55e1605c4887dbd57c9cdc3368bd",
     "case_iii": "3335a3b9fa21c5eb567d6b2fa2ecddf3ece2dc847d7f3626c5be5a2e90b826cb",
 }
@@ -44,7 +44,7 @@ GOLDEN = {
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.
 GOLDEN_SWEEP = {
     "bare3t": "8ba86c0d6d4e080d2a6f4b052fc43f6b49600feb58dd758ed9db4618489b3a76",
-    "case_i": "a7dae087749785ce3293d6dea2eacf67b1315642caba03e0cf38cd5d449bd4b4",
+    "case_i": "251743720b6f0ed80c6ff2ab19bc38263d2047753093b49362c92af683f85c01",
     "case_ii": "b694d0969d00394640c5f3e2f1822e7e231f662c2a092955e41a9a2df7f27387",
     "case_iii": "aacb083212e862cf9d096a46bd99c22c50933cc815cd4ba26d9338e4ee7e7611",
 }
@@ -75,7 +75,7 @@ GOLDEN_FIT_PAYLOAD = \
 # the 100 fA .. 10 nA grid at 12 points per decade, which the session
 # ``calibrated`` and ``reports`` fixtures compute.
 GOLDEN_REPORT = \
-    "b7ca894c47948f8aee155767365b893b692fb574a73679a7bbd00ecfc5c85d03"
+    "cdf7ef2efa2f5722113dc9c8f9ace434bc56a283c3bfe2521d83444dd201f09f"
 
 # The work of the default report's transients per topology, as ``(accepted
 # steps, right-hand sides, Newton evaluations)`` from ``TransientTrace.stats``:
@@ -83,7 +83,7 @@ GOLDEN_REPORT = \
 # each transient's work less the reset phase's.
 GOLDEN_WORK = {
     "bare3t": ((1, 7, 0), (137, 896, 0)),
-    "case_i": ((15, 109, 221), (1342, 8606, 19348)),
+    "case_i": ((15, 109, 221), (1193, 7496, 17016)),
     "case_ii": ((1, 7, 11), (188, 1202, 1202)),
     "case_iii": ((39, 265, 773), (647, 3944, 7503)),
 }

@@ -602,6 +602,12 @@ def test_stats_count_newton_evaluations_and_step_range(calibrated):
                          selector=calibrated.selector)
     stats = integrate(cfg, Stimulus(1e-12), SolverOptions()).stats
     assert 0 < stats.newton_evals <= 2.5 * stats.rhs_evals
+    # One transient's ratio jumps with its step pattern; the same bound
+    # holds over the totals of the whole default sweep.
+    sweep = [integrate(cfg, Stimulus(i_exp), SolverOptions()).stats
+             for i_exp in (0.0, *SweepSpec(cfg).currents())]
+    assert 0 < sum(s.newton_evals for s in sweep) \
+        <= 2.5 * sum(s.rhs_evals for s in sweep)
     assert 0.0 < stats.h_min <= stats.h_max <= SolverOptions().max_step
     bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
                      SolverOptions()).stats
