@@ -126,8 +126,8 @@ def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
     back: of its states and of the interpolant at its start, so a fall
     within one long step is seen; a fall in the prefix is the prefix's.
     """
-    known, top, lo, hi, tail = prefix or ((), -math.inf, math.inf, -math.inf,
-                                          [])
+    known, top, gap_lo, gap_hi, tail = prefix or (
+        (), -math.inf, math.inf, -math.inf, [])
     n = len(tail)
     states = tail + states
     events = []
@@ -135,7 +135,7 @@ def detect(states: list[tuple], steps: list[tuple], config: PixelConfig,
         p = config.oxram
         gap_min, span = p.gap_min, p.gap_max - p.gap_min
         frac = [(s[3] - gap_min) / span for s in states]
-        lo, hi = [(g - gap_min) / span for g in (lo, hi)]  # as fractions
+        lo, hi = (gap_lo - gap_min) / span, (gap_hi - gap_min) / span
 
         def crossing(kind: EventKind, i: int, level: float) -> Event:
             return Event(kind, _crossing_time(states, frac, i, level, steps,

@@ -12,7 +12,6 @@ dark frame already carries the switching signature.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import os
@@ -166,12 +165,13 @@ def _run_sweeps(specs: list[SweepSpec], workers: int) -> list[SweepResult]:
     """Every point of every sweep, each dark point a job with ``i_exp = 0``,
     on at most ``workers`` processes with this one, and one per ``_CHUNK``
     jobs at most; serial where ``os.fork`` is missing.  Every job is
-    deterministic, so the rows are the same for any process count.  The
-    reset phases are integrated first, here, so a forked process has them."""
+    deterministic, so the rows are the same for any process count."""
     setups = [(spec.config, spec.options) for spec in specs]
-    for setup in setups:  # a failure is left to the rows
-        with contextlib.suppress(OxpixError):
+    for setup in setups:  # before the fork, so that no process repeats one
+        try:
             _reset_phase(*setup)
+        except OxpixError:
+            pass  # left to the rows, which record it
     jobs = [(k, i) for k, spec in enumerate(specs)
             for i in (0.0, *spec.currents())]
     processes = min(workers, math.ceil(len(jobs) / _CHUNK)) \
