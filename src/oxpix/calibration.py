@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .devices import (
+    READ_BACK_REL_TOL,
     VREAD,
     MosfetParams,
     Orientation,
@@ -82,9 +83,9 @@ _BOX_DECADES = {
 }
 # Half-step of the central-difference Jacobian, in natural log.
 _JACOBIAN_STEP = 1e-4
-# The SET read-back stops its bisection within 1e-3 of its target, so its
-# log residual moves in steps: the fit stops once every log residual is
-# below this level, about where those steps leave it.
+# The SET read-back stops its bisection within ``READ_BACK_REL_TOL`` of its
+# target, so its log residual moves in steps: the fit stops once every log
+# residual is below this level, about where those steps leave it.
 _STOP = 2e-5
 # Halvings of a step that does not lower the largest log residual, before
 # the fit stops.
@@ -136,7 +137,8 @@ def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
     if quantity == ANCHOR_R_SET:
         # Read-back of the target SET level; unreachable targets report the
         # nearest reachable bound so the residual stays finite.
-        gap, r, r_lo, r_hi = _read_back(target, VREAD, oxram, 1e-3)
+        gap, r, r_lo, r_hi = _read_back(target, VREAD, oxram,
+                                        READ_BACK_REL_TOL)
         if gap is not None:
             return r
         return r_lo if r_lo > target else r_hi

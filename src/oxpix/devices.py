@@ -229,6 +229,8 @@ def gap_velocity(state: OxRamState, v_device: float, params: OxRamParams) -> flo
 # Resistance read voltage [V] of every read-back: pre-programming targets,
 # default configurations and the calibration anchors.
 VREAD = 0.1
+# Relative distance from its target at which a read-back's bisection stops.
+READ_BACK_REL_TOL = 1e-3
 
 
 def read_resistance(state: OxRamState, vread: float, params: OxRamParams) -> float:
@@ -289,7 +291,7 @@ def _read_back(r_target: float, vread: float, p: OxRamParams,
 
 def state_from_resistance(r_target: float, vread: float, params: OxRamParams,
                           orientation: Orientation = Orientation.BE_AT_PD,
-                          rel_tol: float = 1e-3) -> OxRamState:
+                          rel_tol: float = READ_BACK_REL_TOL) -> OxRamState:
     """Invert read_resistance by bisection on gap_x.
 
     Read resistance is strictly increasing in gap_x, so a target inside

@@ -48,20 +48,19 @@ the first step after the reset release follows the same rule where a branch
 current flows.  The branch current may change by at most 15 % per step; the
 next step is sized from the share of that allowance the last one used.  This
 limiter is for accuracy: without it, the worst final VPD of the default case
-i sweep lies 2.7e-5 V from a fine reference (``rel_tol=1e-9,
-abs_tol_v=1e-12, max_step=1e-8``), against 3.9e-8 V with it; past 60 % of
-it, the growth of the used share per second shrinks the next step too.  It
-is waived while the conductance ``G = i / VPD`` changes by less than 5 % per
-step (both ends above ground, after the reset release): the node then
-discharges as an RC circuit, ``v' = lam (v - v_star)``, ``lam = -G / C``,
-``v_star = -i_photo / G``, and the next step, sized by the 5 % allowance, is
-a Lawson step (Hochbruck & Ostermann, *Exponential integrators*, Acta
-Numerica 2010) of at most ``_LAWSON_REACH`` time constants, whose VPD stages
-run on ``w = e^(-lam t) (v - v_star)``, where the RC part stands still.
-Case iii's collapse to the floor is such a discharge.
-``max_step`` defaults to 10 us, beyond the default exposure, so on the
-defaults only the error controller, the limiter and the landings above
-size the steps.
+i sweep lies 2.7e-5 V from a fine reference (``rel_tol=1e-9, max_step=1e-8``),
+against 3.9e-8 V with it; past 60 % of it, the growth of the used share per
+second shrinks the next step too.  It is waived while the conductance ``G =
+i / VPD`` changes by less than 5 % per step (both ends above ground, after
+the reset release): the node then discharges as an RC circuit, ``v' = lam (v
+- v_star)``, ``lam = -G / C``, ``v_star = -i_photo / G``, and the next step,
+sized by the 5 % allowance, is a Lawson step (Hochbruck & Ostermann,
+*Exponential integrators*, Acta Numerica 2010) of at most ``_LAWSON_REACH``
+time constants, whose VPD stages run on ``w = e^(-lam t) (v - v_star)``,
+where the RC part stands still.  Case iii's collapse to the floor is such a
+discharge.  ``max_step`` defaults to 10 us, beyond the default exposure, so
+on the defaults only the error controller, the limiter and the landings
+above size the steps.
 
 The recorded trace does not depend on the steps being short.  The stepper
 keeps the accepted states (start, step ends, each segment's first sample
@@ -156,13 +155,18 @@ _KNEE_RESTART = 7e-9  # s
 _KNEE_AIM = 0.999
 # Time constants a Lawson step may span; its dense output errs as (lam h)^5.
 _LAWSON_REACH = 2.0
+# Largest relative change per step of the branch current, and of the branch
+# conductance where an RC discharge waives the current's.
+_CURRENT_ALLOWANCE = 0.15
+_CONDUCTANCE_ALLOWANCE = 0.05
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``rel_tol`` is the one accuracy setting: the absolute tolerances
+    follow from it, 1 mV and 1 nm per unit."""
+
     rel_tol: float = 1e-6
-    abs_tol_v: float = 1e-9        # V
-    abs_tol_gap: float = 1e-6      # nm
     max_step: float = 1e-5         # s; beyond the default exposure
     min_step: float = 1e-12        # s
     max_trace_points: int = 400_000
@@ -170,14 +174,21 @@ class SolverOptions:
     noise_seed: int = 0
 
     def __post_init__(self):
-        require_finite(self, positive=("rel_tol", "abs_tol_v", "abs_tol_gap",
-                                       "max_step", "min_step"))
+        require_finite(self, positive=("rel_tol", "max_step", "min_step"))
         if not self.min_step <= self.max_step:
             raise InvalidInputError("require min_step <= max_step")
         if self.max_trace_points < 1:
             raise InvalidInputError("max_trace_points must be >= 1")
         if self.noise_seed < 0:
             raise InvalidInputError("noise_seed must be >= 0")
+
+    @property
+    def abs_tol_v(self) -> float:  # V
+        return 1e-3 * self.rel_tol
+
+    @property
+    def abs_tol_gap(self) -> float:  # nm
+        return self.rel_tol
 
 
 @dataclass
@@ -259,7 +270,7 @@ class _Run:
     ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
     (shorter if cut at the floor), ``pieces``, ``eps``, its segment (start,
     photocurrent on) and end state's index.  A new run is the start of the
-    reset phase, first stage and state taken."""
+    reset phase, before its first stage."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -293,9 +304,6 @@ class _Run:
         # noise.  The knee landing uses the same tolerance on the selector
         # margin.
         self.floor_tol = max(opt.abs_tol_v, opt.rel_tol * abs(self.v0))
-        self._segment(0.0)
-        self.states.append((0.0, self.v, self.k1[2], self.g))
-        self._start_step()
 
     def _start_step(self) -> None:
         """Size the next step as a first one: a hundredth of the time the
@@ -349,7 +357,8 @@ class _Run:
 
         The drive may step at a boundary, so the next step starts from a
         fresh first stage.  Its branch current is recorded one ulp later, so
-        the trapezoidal trace integral sees both sides of the jump.
+        the trapezoidal trace integral sees both sides of the jump; at
+        ``t = 0`` the first state holds it.
         """
         self.t = t
         if self.t_fwc is not None and self.photo_active and math.isclose(
@@ -359,14 +368,15 @@ class _Run:
                 EventKind.FWC_SATURATION, t,
                 f"well full after {self.config.pd.fwc_electrons:.0f} e-"))
         self._segment(t)
-        self.states.append((math.nextafter(t, math.inf), self.v, self.k1[2],
-                            self.g))
-        if t == self.config.pd.trst and self.k1[2] != 0.0:
-            # The last step was sized with the node pinned, which says
-            # nothing about the first step of the exposure.  Without a
-            # branch current the exposure starts as a ramp of constant
-            # slope, on which every step is exact, so the carried step
-            # stays and a selector-off hybrid steps as the bare pixel does.
+        self.states.append((math.nextafter(t, math.inf) if t else t, self.v,
+                            self.k1[2], self.g))
+        if not t or t == self.config.pd.trst and self.k1[2] != 0.0:
+            # A first step.  At the reset release the last step was sized
+            # with the node pinned, which says nothing about the first step
+            # of the exposure.  Without a branch current the exposure starts
+            # as a ramp of constant slope, on which every step is exact, so
+            # the carried step stays and a selector-off hybrid steps as the
+            # bare pixel does.
             self._start_step()
 
     def step_to(self, boundary: float) -> None:
@@ -396,6 +406,7 @@ class _Run:
         # in place.
         op_hint, vg, vth = self.op_hint, self.vg, config.selector.vth
         floor_tol = self.floor_tol
+        rel_tol, abs_v, abs_g = opt.rel_tol, opt.abs_tol_v, opt.abs_tol_gap
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
         rc = False  # the last accepted step discharged as an RC circuit
@@ -467,8 +478,8 @@ class _Run:
                     raise SolverError(
                         f"non-finite state at t={t:.6e}s",
                         detail={"t": t, "vpd": v, "gap": g})
-                tol_v = opt.abs_tol_v + opt.rel_tol * max(abs(v), abs(v_new))
-                tol_g = opt.abs_tol_gap + opt.rel_tol * max(abs(g), abs(g_new))
+                tol_v = abs_v + rel_tol * max(abs(v), abs(v_new))
+                tol_g = abs_g + rel_tol * max(abs(g), abs(g_new))
                 # A step over a kink of the right-hand side has no honest
                 # error estimate, so it lands on a gap bound or the knee
                 # before the error test.
@@ -534,14 +545,16 @@ class _Run:
                 i_load = load = 0.0
                 rc = False
                 if i_scale > 1e-12 and h > 4.0 * opt.min_step:
-                    i_load = load = abs(i_end - k1i) / (0.15 * i_scale)
+                    i_load = load = abs(i_end - k1i) / (
+                        _CURRENT_ALLOWANCE * i_scale)
                     if t >= trst and v > 0.0 and v_new > 0.0:
                         cond1, cond7 = k1i / v, i_end / v_new
                         d_cond = abs(cond7 - cond1)
                         cond_scale = max(abs(cond1), abs(cond7))
-                        rc = d_cond < 0.05 * cond_scale
+                        allowed = _CONDUCTANCE_ALLOWANCE * cond_scale
+                        rc = d_cond < allowed
                         if rc:
-                            load = min(load, d_cond / (0.05 * cond_scale))
+                            load = min(load, d_cond / allowed)
                 if load > 1.0:
                     stats.rejected_current += 1
                     h = max(h * 0.9 / load, opt.min_step)
@@ -564,10 +577,10 @@ class _Run:
             g = min(max(g_end, gap_min), gap_max) if hybrid else g_end
             self.est_err_v += abs(err_v)
             # Parts a trace splits the step into, so the current falls by at
-            # most 15 % a part; on a floored step ``i_load`` is the current
-            # before the clamp, which no state holds.
-            pieces = max(1, math.ceil(i_load),
-                         math.ceil(lam * h / math.log(0.85)))
+            # most its allowance a part; on a floored step ``i_load`` is the
+            # current before the clamp, which no state holds.
+            pieces = max(1, math.ceil(i_load), math.ceil(
+                lam * h / math.log(1.0 - _CURRENT_ALLOWANCE)))
             self.steps.append((
                 t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
                 v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, pieces, eps,
@@ -603,14 +616,21 @@ class _Run:
     def run(self, boundaries: list[float], first: int, stop: int) -> None:
         """Segments ``first`` .. ``stop - 1`` of the schedule; segment ``k``
         ends at ``boundaries[k]`` and starts at the boundary before it.  A
-        ``SolverError`` leaves with the stats so far as its ``stats``."""
+        ``SolverError`` leaves with the stats so far as its ``stats``, and so
+        does a diverged stage, which the kernel's finiteness check reports as
+        an ``InvalidInputError``; the error names the segment's start."""
         try:
             for k in range(first, stop):
                 if self.floored:
                     break
-                if k > 0:
-                    self.enter(boundaries[k - 1])
+                self.enter(boundaries[k - 1] if k else 0.0)
                 self.step_to(boundaries[k])
+        except InvalidInputError as exc:
+            error = SolverError(
+                f"diverged after t={self.t:.6e}s: {exc}",
+                detail={"t": self.t, "vpd": self.v, "gap": self.g})
+            error.stats = self.tally()
+            raise error from exc
         except SolverError as exc:
             exc.stats = self.tally()
             raise
@@ -718,8 +738,6 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
         run.run(boundaries, bisect.bisect_right(boundaries, pd.trst),
                 len(boundaries))
     except SolverError as exc:
-        if exc.stats is None:  # the first evaluation failed
-            exc.stats = SolverStats()
         exc.stats.wall_s = time.perf_counter() - t0
         raise
 

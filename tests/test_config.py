@@ -203,6 +203,14 @@ def test_fit_search_keys_are_unknown(key):
         parse_config(f"[calibration]\n{key} = 1\n")
 
 
+@pytest.mark.parametrize("key", ["abs_tol_v", "abs_tol_gap"])
+def test_absolute_tolerance_keys_are_unknown(key):
+    # Both absolute tolerances follow from rel_tol.
+    with pytest.raises(ConfigError,
+                       match=f"line 2: unknown key '{key}' in \\[solver"):
+        parse_config(f"[solver]\n{key} = 1e-9\n")
+
+
 @pytest.mark.parametrize("section,key", [("solver", "noise_seed")])
 def test_negative_seed_rejected_with_line(section, key):
     with pytest.raises(ConfigError, match=f"line 2: {key} .* must be >= 0"):

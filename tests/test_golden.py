@@ -91,11 +91,11 @@ GOLDEN_WORK = {
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.
 GOLDEN_DUMP = {
-    "": "c29a579735cb8f798a9673f91cf058299838fa2a3507cd9bf30b9c15df2ed2f2",
-    "bare3t": "c29a579735cb8f798a9673f91cf058299838fa2a3507cd9bf30b9c15df2ed2f2",
-    "case_i": "5992b55147026e0e21723055417e0655136dc97365e31e519c91a2a0ac74cc2d",
-    "case_ii": "b274eb195ef385fb004a61483d05b33afd099353461193e6211cf3eadfbf8888",
-    "case_iii": "dba3b7a5705dcabe05a629810286e13128ce409bd5e1ea0a476bc0063ef1a8f7",
+    "": "b123229e4b21798fc144ca247d7fa03e3c3133a81c02ff24f4aa9154922966e6",
+    "bare3t": "b123229e4b21798fc144ca247d7fa03e3c3133a81c02ff24f4aa9154922966e6",
+    "case_i": "a784a226ab480a481052eae8314000a2c81f6a81472183aaa2076db8db626168",
+    "case_ii": "c979924f95a5eaaf28a631158b78a8411d76b2f5685164555b4e1ca738462237",
+    "case_iii": "68480c95084a4668cf48736212ac787250b79b894520356c74a0ab3c4bcdb875",
 }
 
 # Every key a config accepts, as ``section.key``.
@@ -113,11 +113,11 @@ GOLDEN_KEYS = [
     "photodiode.vrst", "pixel.init_resistance", "pixel.topology",
     "pixel.vg_level", "pixel.vg_prog_level", "pixel.vg_prog_until",
     "pixel.vrst", "pixel.vs_level", "selector.kprime", "selector.lambda",
-    "selector.vth", "solver.abs_tol_gap", "solver.abs_tol_v",
-    "solver.max_step", "solver.max_trace_points", "solver.min_step",
-    "solver.noise_seed", "solver.rel_tol", "solver.reset_noise", "sweep.i_max",
-    "sweep.i_min", "sweep.points_per_decade", "window.max_swing",
-    "window.min_detect", "window.sense_margin",
+    "selector.vth", "solver.max_step", "solver.max_trace_points",
+    "solver.min_step", "solver.noise_seed", "solver.rel_tol",
+    "solver.reset_noise", "sweep.i_max", "sweep.i_min",
+    "sweep.points_per_decade", "window.max_swing", "window.min_detect",
+    "window.sense_margin",
 ]
 
 

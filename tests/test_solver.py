@@ -184,10 +184,11 @@ def test_tolerance_convergence(calibrated):
     assert abs(coarse.final_vpd - fine.final_vpd) <= budget
 
 
-# Worst error / max(est_error_v, abs_tol_v) allowed at the end of a transient.
-# The final error carries the propagated local errors, whose summed estimates
-# do not bound it, so the bound is measured: at most 1.81 with the current
-# limiter (case i at 147 pA, rel_tol 1e-6), 15.4 at 38.3 pA without it.
+# Worst error / max(est_error_v, abs_tol_v) allowed at the end of a transient,
+# abs_tol_v being 1e-3 * rel_tol.  The final error carries the propagated
+# local errors, whose summed estimates do not bound it, so the bound is
+# measured: at most 1.823 with the current limiter (case i at 1 pA, rel_tol
+# 1e-6), 15.4 at 38.3 pA without it.
 _HONESTY_BOUND = 3.0
 _TOLERANCES = (1e-5, 1e-6, 1e-8)
 
@@ -197,16 +198,16 @@ _TOLERANCES = (1e-5, 1e-6, 1e-8)
 def test_error_estimate_is_honest_and_falls_with_tolerance(calibrated, topo):
     cfg = default_config(topo, oxram=calibrated.oxram,
                          selector=calibrated.selector)
-    fine = SolverOptions(rel_tol=1e-9, abs_tol_v=1e-12, max_step=1e-8,
-                         min_step=1e-16)
+    fine = SolverOptions(rel_tol=1e-9, max_step=1e-8, min_step=1e-16)
     currents = SweepSpec(cfg).currents()
-    floor = 1e-3 * _TOLERANCES[-1]  # abs_tol_v at the tightest tolerance
+    # VPD's absolute tolerance at the tightest relative one.
+    floor = SolverOptions(rel_tol=_TOLERANCES[-1]).abs_tol_v
     for k in (12, 31, 38, 55):  # 1 pA, 38.3 pA, 147 pA and 3.83 nA
         stimulus = Stimulus(currents[k])
         reference = integrate(cfg, stimulus, fine).final_vpd
         errors = []
         for rel_tol in _TOLERANCES:
-            options = SolverOptions(rel_tol=rel_tol, abs_tol_v=1e-3 * rel_tol)
+            options = SolverOptions(rel_tol=rel_tol)
             trace = integrate(cfg, stimulus, options)
             error = abs(trace.final_vpd - reference)
             ratio = error / max(trace.est_error_v, options.abs_tol_v)
@@ -259,6 +260,21 @@ def test_solver_error_carries_the_stats_so_far(calibrated):
     # Every right-hand side of a hybrid pixel solves the internal node.
     assert 0 < stats.kcl_solves == stats.rhs_evals
     assert stats.wall_s > 0.0
+
+
+def test_solver_error_on_the_first_evaluation_carries_its_stats(monkeypatch):
+    # A reset phase the memo does not hold fails on its first right-hand
+    # side; the error counts that evaluation.
+    def failing(*args):
+        def kernel(vpd, gap):
+            raise SolverError("first evaluation fails")
+        return kernel
+    monkeypatch.setattr(solver, "segment_kernel", failing)
+    cfg = default_config(Topology.BARE_3T, pd=PhotodiodeParams(texp=3e-6))
+    with pytest.raises(SolverError) as err:
+        integrate(cfg, Stimulus(1e-12), SolverOptions())
+    assert err.value.stats.rhs_evals == 1
+    assert err.value.stats.accepted == 0
 
 
 def test_trace_downsampling_keeps_events():
@@ -408,8 +424,7 @@ def test_case_i_final_vpd_matches_fine_reference(calibrated, k):
     cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     i_exp = SweepSpec(cfg).currents()[k]
-    fine = SolverOptions(rel_tol=1e-9, abs_tol_v=1e-12, max_step=1e-8,
-                         min_step=1e-16)
+    fine = SolverOptions(rel_tol=1e-9, max_step=1e-8, min_step=1e-16)
     default = integrate(cfg, Stimulus(i_exp), SolverOptions()).final_vpd
     assert abs(default - integrate(cfg, Stimulus(i_exp), fine).final_vpd) \
         <= 1e-7
@@ -457,10 +472,10 @@ def test_steps_land_on_the_lower_gap_bound():
 
 
 def test_steps_land_on_the_vpd_floor():
-    # A loose voltage tolerance lets the error test pass long steps of case
-    # iii's collapse; the last one still ends on the floor.
+    # A loose tolerance lets the error test pass long steps of case iii's
+    # collapse; the last one still ends on the floor.
     cfg = default_config(Topology.HYBRID_CASE_III)
-    trace = integrate(cfg, Stimulus(10e-9), SolverOptions(abs_tol_v=1e-6))
+    trace = integrate(cfg, Stimulus(10e-9), SolverOptions(rel_tol=1e-3))
     (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
     (at_floor,) = np.flatnonzero(trace.t == floor.t_event)
     assert trace.vpd[at_floor] == 0.0
@@ -528,8 +543,8 @@ def test_lawson_steps_are_exact_on_an_rc_node(monkeypatch):
 
 
 @pytest.mark.parametrize("options", [
-    SolverOptions(rel_tol=1e-7), SolverOptions(rel_tol=1e-8, abs_tol_v=1e-11),
-    SolverOptions(rel_tol=1e-9, abs_tol_v=1e-12)])
+    SolverOptions(rel_tol=1e-7), SolverOptions(rel_tol=1e-8),
+    SolverOptions(rel_tol=1e-9)])
 def test_case_iii_sweeps_at_tight_tolerances(options):
     # Case iii's collapse ends on the floor within a microvolt of it; the
     # steps there must not underflow at a tight tolerance.
