@@ -87,7 +87,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
 # Anchor values and tolerances: each residual divides by both.
 _POSITIVE_KEYS = frozenset(_anchor_keys(CalibrationAnchors()))
 # Integer keys and their smallest allowed value.
-_INT_KEYS = {"points_per_decade": 1, "max_trace_points": 1, "noise_seed": 0}
+_INT_KEYS = {"points_per_decade": 1, "noise_seed": 0}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True,
                "0": False, "false": False, "no": False}
 

@@ -26,7 +26,7 @@ from .pixel import PixelConfig
 GAP_LO_FRAC = 0.10
 GAP_HI_FRAC = 0.90
 # An abrupt fall drops ABRUPT_FRAC of the swing available above the VPD
-# floor within ABRUPT_WINDOW, which is also the output grid's spacing.
+# floor within ABRUPT_WINDOW, which is also the output grid's finest spacing.
 ABRUPT_WINDOW = 100e-9  # s
 ABRUPT_FRAC = 0.50
 VPD_FLOOR = 0.0         # V, the ground clamp

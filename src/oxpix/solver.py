@@ -70,17 +70,21 @@ ODEs I*, II.6; order 4, from the step's own seven stages), for VPD in the
 Lawson frame.  The first read of ``TransientTrace.t``, ``vpd``, ``i_ox`` or
 ``gap`` builds the samples from them; a sweep, which keeps the final VPD
 and the events, never does.  Inside a step they are the points of the
-output grid ``k * ABRUPT_WINDOW`` and, where the current used ``load > 1``
+output grid ``k * spacing`` and, where the current used ``load > 1``
 of its 15 % allowance, the ``ceil(load) - 1`` inner ends of equal parts of
 the step, or of more on a Lawson step, so that the current falls by at most
 15 % a part: as dense as the trapezoidal charge balance needs.  The stepper
 keeps only each step's part count; ``_samples`` alone places the grid and
 part samples, and a part end within the stepper's time resolution of a grid
-point is that grid point.  The stats count no sample, so they do not depend
-on a read.  Samples are clipped as an accepted state is; their currents
-come from the segment's sample kernel, built at its first sample and called
-in time order on its own op-hint record, so the stepper's internal-node
-start points and work counts are untouched.
+point is that grid point.  ``spacing`` is ``ABRUPT_WINDOW`` times
+``ceil(t_end / (_GRID_POINTS * ABRUPT_WINDOW))``, at least once: at most
+``_GRID_POINTS`` grid points on the schedule, and ``ABRUPT_WINDOW`` itself
+up to 40 ms, so a long exposure builds only the rows its trace keeps.  The
+stats count no sample, so they do not depend on a read.  Samples are
+clipped as an accepted state is; their currents come from the segment's
+sample kernel, built at its first sample and called in time order on its
+own op-hint record, so the stepper's internal-node start points and work
+counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
@@ -159,6 +163,8 @@ _LAWSON_REACH = 2.0
 # conductance where an RC discharge waives the current's.
 _CURRENT_ALLOWANCE = 0.15
 _CONDUCTANCE_ALLOWANCE = 0.05
+# Most output-grid points on a schedule; see ``_samples``.
+_GRID_POINTS = 400_000
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,6 @@ class SolverOptions:
     rel_tol: float = 1e-6
     max_step: float = 1e-5         # s; beyond the default exposure
     min_step: float = 1e-12        # s
-    max_trace_points: int = 400_000
     reset_noise: bool = False
     noise_seed: int = 0
 
@@ -177,8 +182,6 @@ class SolverOptions:
         require_finite(self, positive=("rel_tol", "max_step", "min_step"))
         if not self.min_step <= self.max_step:
             raise InvalidInputError("require min_step <= max_step")
-        if self.max_trace_points < 1:
-            raise InvalidInputError("max_trace_points must be >= 1")
         if self.noise_seed < 0:
             raise InvalidInputError("noise_seed must be >= 0")
 
@@ -672,10 +675,12 @@ def _samples(run: _Run) -> list[tuple]:
     if hybrid:
         gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
     samples = list(run.samples)
+    spacing = ABRUPT_WINDOW * max(1, math.ceil(
+        config.pd.t_end / (_GRID_POINTS * ABRUPT_WINDOW)))
     # The next output-grid point.  Those before the first step (a fork
     # starts at the reset release) lie before its start and are passed over.
     k_grid = 1
-    t_grid = ABRUPT_WINDOW
+    t_grid = spacing
     n = 0
     built = kernel = None  # the segment ``kernel`` was built for
     for step in run.steps:
@@ -690,7 +695,7 @@ def _samples(run: _Run) -> list[tuple]:
             if t_grid < t and t_grid <= t_fill + eps:
                 t_s = t_grid
                 k_grid += 1
-                t_grid = k_grid * ABRUPT_WINDOW
+                t_grid = k_grid * spacing
                 if j < pieces and t_fill - t_s <= eps:
                     j += 1
                 if not t_old + eps < t_s < t - eps:
@@ -744,6 +749,10 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     if run.floored and run.t < t_end:
         run.states.append((t_end, run.v, 0.0, run.g))
 
+    def build() -> np.ndarray:  # the rows ``t, vpd, i_ox, gap``
+        import numpy as np
+        return np.asarray(_samples(run)).T
+
     stats = run.tally()
     # At equal times the stepper's events come first.
     events = sorted(run.events + detect(run.states, run.steps, config,
@@ -752,31 +761,9 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     trace = TransientTrace(
         None, None, None, None, events=events, final_vpd=run.v,
         final_gap=run.g, est_error_v=run.est_err_v, i_exp=stimulus.i_exp,
-        vstart=run.v0, stats=stats, _build=lambda: _downsample(
-            _samples(run), events, opt.max_trace_points))
+        vstart=run.v0, stats=stats, _build=build)
     stats.wall_s = time.perf_counter() - t0
     return trace
-
-
-def _downsample(samples: list[tuple], events: list[Event],
-                max_points: int) -> np.ndarray:
-    """The samples as the rows ``t, vpd, i_ox, gap``; past ``max_points``
-    of them, every k-th sample plus all event-adjacent ones."""
-    import numpy as np
-    samples = np.asarray(samples).T
-    n = samples.shape[1]
-    if n <= max_points:
-        return samples
-    k = max(1, n // max_points + 1)
-    keep = np.zeros(n, dtype=bool)
-    keep[::k] = True
-    keep[0] = keep[-1] = True
-    for e in events:
-        idx = int(np.searchsorted(samples[0], e.t_event))
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < n:
-                keep[j] = True
-    return samples[:, keep]
 
 
 def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:

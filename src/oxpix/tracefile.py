@@ -96,12 +96,19 @@ def read_trace_csv(path: str) -> TraceFile:
                 if len(parts) != 5:
                     raise ConfigError(f"{path}:{no}: expected 5 columns")
                 for col, text in zip(cols, parts[:4]):
-                    col.append(float(text))
+                    try:
+                        col.append(float(text))
+                    except ValueError:
+                        raise ConfigError(f"{path}:{no}: cannot parse number"
+                                          f" {text!r}") from None
                 if parts[4]:
                     events += [(cols[0][-1], kind)
                                for kind in parts[4].split(";")]
     except OSError as exc:
         raise OxpixError(f"cannot read trace from {path!r}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read trace from {path!r}: not UTF-8 text"
+                          ) from None
     return TraceFile(*(np.asarray(c) for c in cols), events=events)
 
 

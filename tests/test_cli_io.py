@@ -15,7 +15,7 @@ from oxpix import cli, config, experiments
 from oxpix.cli import main
 from oxpix.defaults import default_config, VRST_ELEVATED
 from oxpix.devices import PhotodiodeParams
-from oxpix.errors import InvalidInputError, OxpixError
+from oxpix.errors import OxpixError
 from oxpix.experiments import SweepRow
 from oxpix.pixel import GateWaveform, Stimulus, Topology
 from oxpix.events import Event
@@ -70,6 +70,12 @@ def test_trace_csv_header_and_empty_events(tmp_path, bare_trace):
         read_trace_csv(str(path))
     path.write_text("\n".join(lines[:2] + ["1e-6,1.0,0.0,0.0"]) + "\n")
     with pytest.raises(OxpixError, match=":3: expected 5 columns"):
+        read_trace_csv(str(path))
+    path.write_text("\n".join(lines[:2] + ["abc,1,2,3,"]) + "\n")
+    with pytest.raises(OxpixError, match=":3: cannot parse number 'abc'"):
+        read_trace_csv(str(path))
+    path.write_bytes(path.read_bytes().replace(b"abc", b"\xff"))
+    with pytest.raises(OxpixError, match="trace from .*: not UTF-8 text"):
         read_trace_csv(str(path))
     with pytest.raises(OxpixError, match="cannot read trace"):
         read_trace_csv(str(tmp_path / "missing.csv"))
@@ -141,19 +147,6 @@ def test_cli_validation_error_exits_one(tmp_path, capsys):
                      "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert message in capsys.readouterr().err
-
-
-def test_cli_zero_trace_points_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[solver]\nmax_trace_points = 0\n")
-    code = main(["simulate", "--config", str(cfg), "--iexp", "1nA",
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "max_trace_points" in err
-    assert "Traceback" not in err
-    with pytest.raises(InvalidInputError, match="max_trace_points"):
-        SolverOptions(max_trace_points=0)
 
 
 def test_cli_unknown_topology_exits_one_without_output(tmp_path, capsys):
@@ -468,7 +461,7 @@ def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
     keys = [(section, key) for section, defaults in config._SCHEMA.items()
             for key, default in defaults.items()
             if not isinstance(default, (str, bool))]
-    assert len(keys) == 48
+    assert len(keys) == 47
     runs = {(section, key, value): "[pixel]\ntopology = case_i\n[solver]\n"
             f"reset_noise = true\n[{section}]\n{key} = {value}\n"
             for value in ("-1", "0") for section, key in keys}

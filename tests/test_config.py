@@ -181,8 +181,7 @@ def test_non_boolean_word_rejected_with_line():
 
 
 @pytest.mark.parametrize("section,key", [
-    ("sweep", "points_per_decade"), ("solver", "max_trace_points"),
-    ("solver", "noise_seed"),
+    ("sweep", "points_per_decade"), ("solver", "noise_seed"),
 ])
 def test_non_integral_integer_key_rejected_with_line(section, key):
     with pytest.raises(ConfigError, match=f"line 2: {key} = '1.5' is not an"):
@@ -203,9 +202,11 @@ def test_fit_search_keys_are_unknown(key):
         parse_config(f"[calibration]\n{key} = 1\n")
 
 
-@pytest.mark.parametrize("key", ["abs_tol_v", "abs_tol_gap"])
-def test_absolute_tolerance_keys_are_unknown(key):
-    # Both absolute tolerances follow from rel_tol.
+@pytest.mark.parametrize("key", ["abs_tol_v", "abs_tol_gap",
+                                 "max_trace_points"])
+def test_removed_solver_keys_are_unknown(key):
+    # Both absolute tolerances follow from rel_tol, and the output grid's
+    # spacing from the schedule.
     with pytest.raises(ConfigError,
                        match=f"line 2: unknown key '{key}' in \\[solver"):
         parse_config(f"[solver]\n{key} = 1e-9\n")

@@ -91,11 +91,11 @@ GOLDEN_WORK = {
 # ``dump_config(parse_config(text))`` for the empty config ("") and for
 # ``[pixel] topology = <name>``.
 GOLDEN_DUMP = {
-    "": "b123229e4b21798fc144ca247d7fa03e3c3133a81c02ff24f4aa9154922966e6",
-    "bare3t": "b123229e4b21798fc144ca247d7fa03e3c3133a81c02ff24f4aa9154922966e6",
-    "case_i": "a784a226ab480a481052eae8314000a2c81f6a81472183aaa2076db8db626168",
-    "case_ii": "c979924f95a5eaaf28a631158b78a8411d76b2f5685164555b4e1ca738462237",
-    "case_iii": "68480c95084a4668cf48736212ac787250b79b894520356c74a0ab3c4bcdb875",
+    "": "e62cc031587e3bd6d16866b870350b1f741166454103362c00c34f79c701ac5f",
+    "bare3t": "e62cc031587e3bd6d16866b870350b1f741166454103362c00c34f79c701ac5f",
+    "case_i": "f3c53a953013c98e011dcabf8912e15086b1c03e98ae3488c6c8b72532700c59",
+    "case_ii": "b63acdba510ff1b63d14034794e0e1c0db45ef022287fd4f090cc98b8ea0f3e5",
+    "case_iii": "f68004781ba9d50817d1e7c5823c92f51db3e982e6b4a2f9a6e8db0a54157b8d",
 }
 
 # Every key a config accepts, as ``section.key``.
@@ -113,9 +113,9 @@ GOLDEN_KEYS = [
     "photodiode.vrst", "pixel.init_resistance", "pixel.topology",
     "pixel.vg_level", "pixel.vg_prog_level", "pixel.vg_prog_until",
     "pixel.vrst", "pixel.vs_level", "selector.kprime", "selector.lambda",
-    "selector.vth", "solver.max_step", "solver.max_trace_points",
-    "solver.min_step", "solver.noise_seed", "solver.rel_tol",
-    "solver.reset_noise", "sweep.i_max", "sweep.i_min",
+    "selector.vth", "solver.max_step", "solver.min_step",
+    "solver.noise_seed", "solver.rel_tol", "solver.reset_noise",
+    "sweep.i_max", "sweep.i_min",
     "sweep.points_per_decade", "window.max_swing", "window.min_detect",
     "window.sense_margin",
 ]

@@ -277,13 +277,39 @@ def test_solver_error_on_the_first_evaluation_carries_its_stats(monkeypatch):
     assert err.value.stats.accepted == 0
 
 
-def test_trace_downsampling_keeps_events():
+@pytest.mark.parametrize("points,finest", [(20, False), (101, True)])
+def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
+                                                   finest):
+    # The grid spacing is ABRUPT_WINDOW times the ceiling of the schedule
+    # over ``points`` windows: 600 ns for 20 points on the 10 us schedule
+    # (the quotient rounds above 5), 100 ns for 101.  Only grid rows go: the
+    # step ends and part samples, and so the row each event labels, stay,
+    # and so do the stepper's results.
     cfg = default_config(Topology.HYBRID_CASE_III)
-    opts = SolverOptions(max_trace_points=64)
-    trace = integrate(cfg, Stimulus(1e-11), opts)
-    assert len(trace.t) <= 3 * 64  # every k-th plus event-adjacent samples
-    assert trace.events_of(EventKind.ABRUPT_FALL)
-    assert np.all(np.diff(trace.t) > 0)
+    fine = integrate(cfg, Stimulus(1e-11), SolverOptions())
+    monkeypatch.setattr(solver, "_GRID_POINTS", points)
+    solver._reset_phase.cache_clear()  # its samples lie on the grid too
+    coarse = integrate(cfg, Stimulus(1e-11), SolverOptions())
+    solver._reset_phase.cache_clear()
+    w = events.ABRUPT_WINDOW
+    spacing = w * math.ceil(cfg.pd.t_end / (points * w))
+    grid = {k * spacing for k in range(1, points + 1)}
+
+    def rows(trace):
+        return list(zip(trace.t, trace.vpd, trace.i_ox, trace.gap))
+
+    def labelled(trace):
+        return [rows(trace)[min(np.searchsorted(trace.t, e.t_event),
+                                len(trace.t) - 1)] for e in trace.events]
+
+    assert (rows(coarse) == rows(fine)) is finest
+    assert sum(t in grid for t in coarse.t) <= points
+    assert {r for r in rows(coarse) if r[0] not in grid} <= set(rows(fine))
+    assert labelled(coarse) == labelled(fine)
+    assert coarse.events_of(EventKind.ABRUPT_FALL)
+    assert (coarse.final_vpd, coarse.events, coarse.stats) \
+        == (fine.final_vpd, fine.events, fine.stats)
+    assert np.all(np.diff(coarse.t) > 0)
 
 
 def test_trace_time_strictly_increasing_and_first_sample():
@@ -366,9 +392,6 @@ def test_stats_six_rhs_evaluations_per_step():
     assert stats.accepted > 0
     # Plus one evaluation at t = 0 and one after the reset release.
     assert stats.rhs_evals <= 6 * stats.accepted + 2
-    thinned = integrate(cfg, Stimulus(1e-9), SolverOptions(max_trace_points=16))
-    assert len(thinned.t) < len(trace.t)
-    assert thinned.stats == stats
 
 
 @pytest.mark.parametrize("topo", list(Topology))
