@@ -14,7 +14,9 @@ reset pin, the gate level, the photocurrent, the device constants) bound
 when it is built.  Its body is the KCL solve, the device and selector laws
 and the gap velocity written out in the operation order of the validated
 models in ``devices``, so each evaluation costs no attribute lookups, no
-object construction and no calls below it but ``math``.  It is sound because
+object construction and no calls below it but ``math``: ``min``, ``max`` and
+``abs`` are conditional expressions there, as in the solver's step loop,
+since each builtin call builds an argument tuple.  It is sound because
 the schedule cuts at every time those constants change (reset release,
 gate-waveform edges, full well).  ``assemble_derivative`` and
 ``solve_branch_current`` are thin wrappers over the same kernel.
@@ -317,15 +319,21 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 v_pred = hint[0] + (vpd - hint[1]) * hint[2]
                 if lo < v_pred < hi:
                     v_m = v_pred
-            collapse = 4e-16 * max(1.0, abs(vpd))
+            # ``4e-16 * max(1.0, abs(vpd))``.
+            collapse = 4e-16 * (vpd if vpd > 1.0 else -vpd if vpd < -1.0
+                                else 1.0)
             for n in range(1, 301):
                 v = vpd - v_m
                 bv = b * v
                 sv = s * v
-                i_dev = k_cf * (big if bv > cap else sinh(bv)) \
-                    + k_ox * (big if sv > cap else sinh(sv))
-                di_dev = kb * (big if bv > cap else cosh(bv)) \
-                    + ks * (big if sv > cap else cosh(sv))
+                if bv > cap or sv > cap:
+                    i_dev = k_cf * (big if bv > cap else sinh(bv)) \
+                        + k_ox * (big if sv > cap else sinh(sv))
+                    di_dev = kb * (big if bv > cap else cosh(bv)) \
+                        + ks * (big if sv > cap else cosh(sv))
+                else:
+                    i_dev = k_cf * sinh(bv) + k_ox * sinh(sv)
+                    di_dev = kb * cosh(bv) + ks * cosh(sv)
                 vds = v_m - vs
                 if vds <= 0.0:
                     i_sel = di_sel = 0.0
@@ -348,7 +356,7 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 # bracket has collapsed to the voltage resolution of double
                 # precision (steep device curves can pin the crossing within
                 # a few ulp).
-                af = abs(f)
+                af = f if f >= 0.0 else -f
                 if af <= _OP_POINT_REL_TOL * scale or hi - lo <= collapse:
                     i_ox = 0.5 * (i_dev + i_sel)
                     break
@@ -362,8 +370,9 @@ def _hybrid_kernel(oxram: OxRamParams, selector: MosfetParams,
                 v_next = v_m + step
                 if not (lo < v_next < hi) or step == 0.0:
                     v_next = 0.5 * (lo + hi)
-                elif af <= _LAST_STEP_REL_TOL * scale and slope_sum \
-                        * abs(v_next) <= _LAST_STEP_SLOPE * scale:
+                elif af <= _LAST_STEP_REL_TOL * scale and slope_sum * (
+                        v_next if v_next >= 0.0 else -v_next) \
+                        <= _LAST_STEP_SLOPE * scale:
                     # The last step: the selector current is taken along
                     # its slope to the new node voltage.
                     v_m = v_next

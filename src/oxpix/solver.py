@@ -15,7 +15,11 @@ gap)`` alone.  The six stages and the fifth-order and error sums are written
 out over the tableau, without the terms whose coefficient is zero; the
 seventh stage is taken at the fifth-order end point, which is its input.
 The kernel clamps the gap itself, so stage inputs go in unclipped; an
-accepted state is clipped to the gap bounds.
+accepted state is clipped to the gap bounds.  The step loop is the sweep's
+hot path: it writes ``min``, ``max`` and ``abs`` as conditional expressions
+with the builtins' exact results, since on CPython 3.11 each builtin call
+builds an argument tuple and an attempt made about fifteen, and it keeps the
+stats in locals.
 
 The error estimate is only honest where the right-hand side is smooth, so
 no step straddles a kink:
@@ -74,17 +78,18 @@ output grid ``k * spacing`` and, where the current used ``load > 1``
 of its 15 % allowance, the ``ceil(load) - 1`` inner ends of equal parts of
 the step, or of more on a Lawson step, so that the current falls by at most
 15 % a part: as dense as the trapezoidal charge balance needs.  The stepper
-keeps only each step's part count; ``_samples`` alone places the grid and
-part samples, and a part end within the stepper's time resolution of a grid
-point is that grid point.  ``spacing`` is ``ABRUPT_WINDOW`` times
-``ceil(t_end / (_GRID_POINTS * ABRUPT_WINDOW))``, at least once: at most
-``_GRID_POINTS`` grid points on the schedule, and ``ABRUPT_WINDOW`` itself
-up to 40 ms, so a long exposure builds only the rows its trace keeps.  The
-stats count no sample, so they do not depend on a read.  Samples are
-clipped as an accepted state is; their currents come from the segment's
-sample kernel, built at its first sample and called in time order on its
-own op-hint record, so the stepper's internal-node start points and work
-counts are untouched.
+keeps only each step's ``load`` (at least 1) in its record, not the part
+count: a sweep never reads it.  ``_samples`` alone turns it into parts and
+places the grid and part samples, and a part end within the stepper's time
+resolution of a grid point is that grid point.  ``spacing`` is the least
+whole multiple of ``ABRUPT_WINDOW`` that puts at most ``_GRID_POINTS`` grid
+points before the schedule's end: ``ABRUPT_WINDOW`` itself up to 40 ms, so
+a long exposure builds only the rows its trace keeps.  The stats count no
+sample, so they do not depend on a read.  Samples are clipped as an
+accepted state is; their currents come from the segment's sample kernel,
+built at its first sample and called in time order on its own op-hint
+record, so the stepper's internal-node start points and work counts are
+untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
@@ -146,7 +151,7 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
  (A61, A62, A63, A64, A65)) = _A[1:]
 B1, _, B3, B4, B5, B6, _ = _B5
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)  # stage times 2-5 and 7, in steps
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9  # stage times 2-5, in steps
 E1, _, E3, E4, E5, E6, E7 = _E
 
 # Largest step after crossing the selector knee, and the share of the
@@ -170,7 +175,9 @@ _GRID_POINTS = 400_000
 @dataclass(frozen=True)
 class SolverOptions:
     """``rel_tol`` is the one accuracy setting: the absolute tolerances
-    follow from it, 1 mV and 1 nm per unit."""
+    follow from it, 1 mV and 1 nm per unit.  It is at least the spacing of
+    doubles at 1 (``sys.float_info.epsilon``): no double step can be held to
+    less, and far smaller values overflow the error norm."""
 
     rel_tol: float = 1e-6
     max_step: float = 1e-5         # s; beyond the default exposure
@@ -180,6 +187,10 @@ class SolverOptions:
 
     def __post_init__(self):
         require_finite(self, positive=("rel_tol", "max_step", "min_step"))
+        if self.rel_tol < math.ulp(1.0):
+            raise InvalidInputError(
+                f"rel_tol must be >= {math.ulp(1.0)} (the double precision "
+                f"epsilon), got {self.rel_tol}")
         if not self.min_step <= self.max_step:
             raise InvalidInputError("require min_step <= max_step")
         if self.noise_seed < 0:
@@ -271,9 +282,10 @@ class _Run:
     the running schedule segment and the stats.  A record holds the full
     step's gap interpolant ``(t0, h, g0, g1, k1g, k3g..k7g)``, its VPD one
     ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
-    (shorter if cut at the floor), ``pieces``, ``eps``, its segment (start,
-    photocurrent on) and end state's index.  A new run is the start of the
-    reset phase, before its first stage."""
+    (shorter if cut at the floor), the current's ``load`` (at least 1, see
+    ``_samples``), ``eps``, its segment (start, photocurrent on) and end
+    state's index.  A new run is the start of the reset phase, before its
+    first stage."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -395,6 +407,11 @@ class _Run:
         The seventh stage is taken at the step end ``(v_new, g_new)``, its
         input.  Each accepted step leaves its record in ``steps`` and its
         end point in the states; no sample inside it is taken here.
+
+        ``max(a, b)`` is written ``b if b > a else a``, and ``min`` and
+        ``max`` of more arguments as folds in argument order.  The stats and
+        ``est_err_v`` are locals, stored once on the way out, also out of a
+        raise.
         """
         config = self.config
         opt = self.opt
@@ -403,216 +420,279 @@ class _Run:
         if hybrid:
             gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
         i_photo = self.stimulus.i_exp if self.photo_active else 0.0
-        stats = self.stats
         rhs = self.kernel
+        exp, isfinite, sqrt = math.exp, math.isfinite, math.sqrt
+        states = self.states
+        add_step, add_state = self.steps.append, states.append
+        segment = self.segment
         # The knee margin as in ``_segment``: the kernel updates ``op_hint``
         # in place.
         op_hint, vg, vth = self.op_hint, self.vg, config.selector.vth
         floor_tol = self.floor_tol
         rel_tol, abs_v, abs_g = opt.rel_tol, opt.abs_tol_v, opt.abs_tol_gap
+        min_step, max_step = opt.min_step, opt.max_step
+        min_step2, min_step4 = 2.0 * min_step, 4.0 * min_step
+        min_step_tol = min_step * (1.0 + 1e-9)
+        stats = self.stats
+        accepted, rhs_evals = stats.accepted, stats.rhs_evals
+        rej_error, rej_knee = stats.rejected_error, stats.rejected_knee
+        rej_bound, rej_current = stats.rejected_bound, stats.rejected_current
+        h_min, h_max = stats.h_min, stats.h_max
+        est_err_v = self.est_err_v
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
+        floored = self.floored
         rc = False  # the last accepted step discharged as an RC circuit
         rate = 0.0
         # Time resolution: the boundary is reached, and a grid point this
         # close to a step end is that step end.
         eps = 1e-18 * max(1.0, boundary)
-        while t < boundary - eps and not self.floored:
-            remaining = boundary - t
-            lam = v_star = 0.0  # the Lawson frame of the module docstring
-            if rc:
-                v_star = -i_photo * v / k1i
-                lam = k1v / (v - v_star)
-                h = min(h, _LAWSON_REACH / -lam, math.log(
-                    (v - v_star) / (0.5 * floor_tol - v_star)) / -lam)
-            h = min(max(h, opt.min_step), remaining, opt.max_step)
-            w = v - v_star
-            K1 = k1v - lam * w
-            attempts = 0
-            while True:
-                attempts += 1
-                if attempts > 120:
-                    raise SolverError(
-                        "required step underflow: stiffness at "
-                        f"t={t:.6e}s", detail={"t": t, "vpd": v, "gap": g,
-                                               "h": h})
-                if lam:
-                    e2, e3, e4, e5, e7 = [math.exp(lam * h * c) for c in _C]
-                else:
-                    e2 = e3 = e4 = e5 = e7 = 1.0
-                W2 = w + h * A21 * K1
-                k2v, k2g, _ = rhs(v_star + e2 * W2, g + h * A21 * k1g)
-                K2 = k2v / e2 - lam * W2
-                W3 = w + h * A31 * K1 + h * A32 * K2
-                k3v, k3g, _ = rhs(v_star + e3 * W3,
-                                  g + h * A31 * k1g + h * A32 * k2g)
-                K3 = k3v / e3 - lam * W3
-                W4 = w + h * A41 * K1 + h * A42 * K2 + h * A43 * K3
-                k4v, k4g, _ = rhs(v_star + e4 * W4, g + h * A41 * k1g
-                                  + h * A42 * k2g + h * A43 * k3g)
-                K4 = k4v / e4 - lam * W4
-                W5 = w + h * A51 * K1 + h * A52 * K2 + h * A53 * K3 \
-                    + h * A54 * K4
-                k5v, k5g, _ = rhs(v_star + e5 * W5, g + h * A51 * k1g
-                                  + h * A52 * k2g + h * A53 * k3g
-                                  + h * A54 * k4g)
-                K5 = k5v / e5 - lam * W5
-                W6 = w + h * A61 * K1 + h * A62 * K2 + h * A63 * K3 \
-                    + h * A64 * K4 + h * A65 * K5
-                k6v, k6g, _ = rhs(v_star + e7 * W6, g + h * A61 * k1g
-                                  + h * A62 * k2g + h * A63 * k3g
-                                  + h * A64 * k4g + h * A65 * k5g)
-                K6 = k6v / e7 - lam * W6
-                W7 = w + h * B1 * K1 + h * B3 * K3 + h * B4 * K4 \
-                    + h * B5 * K5 + h * B6 * K6
-                v_new = v_star + e7 * W7
-                g_new = g + h * B1 * k1g + h * B3 * k3g + h * B4 * k4g \
-                    + h * B5 * k5g + h * B6 * k6g
-                k7v, k7g, k7i = rhs(v_new, g_new)
-                K7 = k7v / e7 - lam * W7
-                stats.rhs_evals += 6
-                m7 = op_hint[0] - vg + vth if hybrid else 1.0
-                err_v = e7 * (h * E1 * K1 + h * E3 * K3 + h * E4 * K4
-                              + h * E5 * K5 + h * E6 * K6 + h * E7 * K7)
-                err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
-                    + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
-                if not (math.isfinite(v_new) and math.isfinite(g_new)
-                        and math.isfinite(k1i) and math.isfinite(k7i)):
-                    raise SolverError(
-                        f"non-finite state at t={t:.6e}s",
-                        detail={"t": t, "vpd": v, "gap": g})
-                tol_v = abs_v + rel_tol * max(abs(v), abs(v_new))
-                tol_g = abs_g + rel_tol * max(abs(g), abs(g_new))
-                # A step over a kink of the right-hand side has no honest
-                # error estimate, so it lands on a gap bound or the knee
-                # before the error test.
-                # Gap-bound crossing: the gap velocity drops to zero at a
-                # bound.  Stages past the bound see no velocity, which
-                # flattens the secant; the first stage's velocity predicts
-                # the landing better.
-                if hybrid and h > 2.0 * opt.min_step:
-                    if g_new > gap_max + tol_g and g < gap_max - tol_g:
-                        bound = gap_max
-                    elif g_new < gap_min - tol_g and g > gap_min + tol_g:
-                        bound = gap_min
-                    else:
-                        bound = None
-                    if bound is not None:
-                        stats.rejected_bound += 1
-                        h_land = h * (bound - g) / (g_new - g)
-                        if (bound - g) * k1g > 0.0:
-                            h_land = min(h_land, (bound - g) / k1g)
-                        h = max(min(h_land, 0.98 * h), opt.min_step)
-                        continue
-                # Knee crossing: the same secant landing on the selector
-                # margin, so no step straddles the kink in the branch current.
-                # A step that starts on the knee may leave it; a step that
-                # ends on it or crosses it restarts the next one small.
-                knee = abs(m7) <= floor_tol
-                if not knee and (m1 >= 0.0) != (m7 >= 0.0) \
-                        and abs(m1) > floor_tol:
-                    knee = True
-                    if h > 2.0 * opt.min_step:
-                        stats.rejected_knee += 1
-                        shrink = m1 / (m1 - m7)
-                        h = max(h * min(max(shrink, 0.02), 0.98),
-                                opt.min_step)
-                        continue
-                # A step that runs the gap into one of its bounds lands there
-                # exactly via the clip; the gap error estimate is then
-                # polluted by the clamp kink and is ignored.
-                hits_bound = hybrid and (g_new <= gap_min or g_new >= gap_max)
-                if hits_bound:
-                    err = abs(err_v) / tol_v
-                else:
-                    err = math.sqrt(0.5 * ((err_v / tol_v) ** 2
-                                           + (err_g / tol_g) ** 2))
-                if err > 1.0:
-                    if h <= opt.min_step * (1.0 + 1e-9):
+        try:
+            while t < boundary - eps and not floored:
+                lam = v_star = 0.0  # the Lawson frame of the module docstring
+                if rc:
+                    v_star = -i_photo * v / k1i
+                    lam = k1v / (v - v_star)
+                    h_cap = _LAWSON_REACH / -lam
+                    h = h_cap if h_cap < h else h
+                    h_cap = math.log(
+                        (v - v_star) / (0.5 * floor_tol - v_star)) / -lam
+                    h = h_cap if h_cap < h else h
+                # ``min(max(h, min_step), boundary - t, max_step)``.
+                h = min_step if min_step > h else h
+                remaining = boundary - t
+                h = remaining if remaining < h else h
+                h = max_step if max_step < h else h
+                w = v - v_star
+                K1 = k1v - lam * w
+                attempts = 0
+                while True:
+                    attempts += 1
+                    if attempts > 120:
                         raise SolverError(
                             "required step underflow: stiffness at "
                             f"t={t:.6e}s", detail={"t": t, "vpd": v,
                                                    "gap": g, "h": h})
-                    stats.rejected_error += 1
-                    h = max(h * max(0.2, 0.9 * err ** -0.2), opt.min_step)
-                    continue
-                # Current-change limiting: where the branch current turns
-                # fast, the error estimate alone passes steps that leave the
-                # final VPD off by up to 3e-5 V.  ``i_load`` is the share of
-                # the 15 % allowance this step used.  Where the branch
-                # conductance i / VPD holds within 5 %, the node discharges
-                # as an RC circuit, on which the error estimate is honest;
-                # there ``load`` is the share of that 5 % allowance.
-                i_end = k7i
-                i_scale = max(abs(i_end), abs(k1i))
-                i_load = load = 0.0
-                rc = False
-                if i_scale > 1e-12 and h > 4.0 * opt.min_step:
-                    i_load = load = abs(i_end - k1i) / (
-                        _CURRENT_ALLOWANCE * i_scale)
-                    if t >= trst and v > 0.0 and v_new > 0.0:
-                        cond1, cond7 = k1i / v, i_end / v_new
-                        d_cond = abs(cond7 - cond1)
-                        cond_scale = max(abs(cond1), abs(cond7))
-                        allowed = _CONDUCTANCE_ALLOWANCE * cond_scale
-                        rc = d_cond < allowed
-                        if rc:
-                            load = min(load, d_cond / allowed)
-                if load > 1.0:
-                    stats.rejected_current += 1
-                    h = max(h * 0.9 / load, opt.min_step)
-                    continue
-                break
+                    # Written out: a comprehension would make ``lam`` and
+                    # ``h`` cell variables of the whole loop.  Stage 7 is at
+                    # the step end.
+                    if lam:
+                        lh = lam * h
+                        e2, e3, e4 = exp(lh * C2), exp(lh * C3), exp(lh * C4)
+                        e5, e7 = exp(lh * C5), exp(lh)
+                    else:
+                        e2 = e3 = e4 = e5 = e7 = 1.0
+                    W2 = w + h * A21 * K1
+                    k2v, k2g, _ = rhs(v_star + e2 * W2, g + h * A21 * k1g)
+                    K2 = k2v / e2 - lam * W2
+                    W3 = w + h * A31 * K1 + h * A32 * K2
+                    k3v, k3g, _ = rhs(v_star + e3 * W3,
+                                      g + h * A31 * k1g + h * A32 * k2g)
+                    K3 = k3v / e3 - lam * W3
+                    W4 = w + h * A41 * K1 + h * A42 * K2 + h * A43 * K3
+                    k4v, k4g, _ = rhs(v_star + e4 * W4, g + h * A41 * k1g
+                                      + h * A42 * k2g + h * A43 * k3g)
+                    K4 = k4v / e4 - lam * W4
+                    W5 = w + h * A51 * K1 + h * A52 * K2 + h * A53 * K3 \
+                        + h * A54 * K4
+                    k5v, k5g, _ = rhs(v_star + e5 * W5, g + h * A51 * k1g
+                                      + h * A52 * k2g + h * A53 * k3g
+                                      + h * A54 * k4g)
+                    K5 = k5v / e5 - lam * W5
+                    W6 = w + h * A61 * K1 + h * A62 * K2 + h * A63 * K3 \
+                        + h * A64 * K4 + h * A65 * K5
+                    k6v, k6g, _ = rhs(v_star + e7 * W6, g + h * A61 * k1g
+                                      + h * A62 * k2g + h * A63 * k3g
+                                      + h * A64 * k4g + h * A65 * k5g)
+                    K6 = k6v / e7 - lam * W6
+                    W7 = w + h * B1 * K1 + h * B3 * K3 + h * B4 * K4 \
+                        + h * B5 * K5 + h * B6 * K6
+                    v_new = v_star + e7 * W7
+                    g_new = g + h * B1 * k1g + h * B3 * k3g + h * B4 * k4g \
+                        + h * B5 * k5g + h * B6 * k6g
+                    k7v, k7g, k7i = rhs(v_new, g_new)
+                    K7 = k7v / e7 - lam * W7
+                    rhs_evals += 6
+                    m7 = op_hint[0] - vg + vth if hybrid else 1.0
+                    err_v = e7 * (h * E1 * K1 + h * E3 * K3 + h * E4 * K4
+                                  + h * E5 * K5 + h * E6 * K6 + h * E7 * K7)
+                    err_g = h * E1 * k1g + h * E3 * k3g + h * E4 * k4g \
+                        + h * E5 * k5g + h * E6 * k6g + h * E7 * k7g
+                    if not (isfinite(v_new) and isfinite(g_new)
+                            and isfinite(k1i) and isfinite(k7i)):
+                        raise SolverError(
+                            f"non-finite state at t={t:.6e}s",
+                            detail={"t": t, "vpd": v, "gap": g})
+                    # ``max(abs(v), abs(v_new))``, and the same for the gap.
+                    a = v if v >= 0.0 else -v
+                    b = v_new if v_new >= 0.0 else -v_new
+                    tol_v = abs_v + rel_tol * (b if b > a else a)
+                    a = g if g >= 0.0 else -g
+                    b = g_new if g_new >= 0.0 else -g_new
+                    tol_g = abs_g + rel_tol * (b if b > a else a)
+                    # A step over a kink of the right-hand side has no honest
+                    # error estimate, so it lands on a gap bound or the knee
+                    # before the error test.
+                    # Gap-bound crossing: the gap velocity drops to zero at a
+                    # bound.  Stages past the bound see no velocity, which
+                    # flattens the secant; the first stage's velocity
+                    # predicts the landing better.
+                    if hybrid and h > min_step2:
+                        if g_new > gap_max + tol_g and g < gap_max - tol_g:
+                            bound = gap_max
+                        elif g_new < gap_min - tol_g and g > gap_min + tol_g:
+                            bound = gap_min
+                        else:
+                            bound = None
+                        if bound is not None:
+                            rej_bound += 1
+                            h_land = h * (bound - g) / (g_new - g)
+                            if (bound - g) * k1g > 0.0:
+                                h_cap = (bound - g) / k1g
+                                h_land = h_cap if h_cap < h_land else h_land
+                            h_cap = 0.98 * h
+                            h = h_cap if h_cap < h_land else h_land
+                            h = min_step if min_step > h else h
+                            continue
+                    # Knee crossing: the same secant landing on the selector
+                    # margin, so no step straddles the kink in the branch
+                    # current.  A step that starts on the knee may leave it;
+                    # a step that ends on it or crosses it restarts the next
+                    # one small.
+                    knee = (m7 if m7 >= 0.0 else -m7) <= floor_tol
+                    if not knee and (m1 >= 0.0) != (m7 >= 0.0) \
+                            and (m1 if m1 >= 0.0 else -m1) > floor_tol:
+                        knee = True
+                        if h > min_step2:
+                            rej_knee += 1
+                            shrink = m1 / (m1 - m7)
+                            shrink = 0.02 if 0.02 > shrink else shrink
+                            shrink = 0.98 if 0.98 < shrink else shrink
+                            h = h * shrink
+                            h = min_step if min_step > h else h
+                            continue
+                    # A step that runs the gap into one of its bounds lands
+                    # there exactly via the clip; the gap error estimate is
+                    # then polluted by the clamp kink and is ignored.
+                    if hybrid and (g_new <= gap_min or g_new >= gap_max):
+                        err = (err_v if err_v >= 0.0 else -err_v) / tol_v
+                    else:
+                        err = sqrt(0.5 * ((err_v / tol_v) ** 2
+                                          + (err_g / tol_g) ** 2))
+                    if err > 1.0:
+                        if h <= min_step_tol:
+                            raise SolverError(
+                                "required step underflow: stiffness at "
+                                f"t={t:.6e}s", detail={"t": t, "vpd": v,
+                                                       "gap": g, "h": h})
+                        rej_error += 1
+                        shrink = 0.9 * err ** -0.2
+                        h = h * (shrink if shrink > 0.2 else 0.2)
+                        h = min_step if min_step > h else h
+                        continue
+                    # Current-change limiting: where the branch current turns
+                    # fast, the error estimate alone passes steps that leave
+                    # the final VPD off by up to 3e-5 V.  ``i_load`` is the
+                    # share of the 15 % allowance this step used.  Where the
+                    # branch conductance i / VPD holds within 5 %, the node
+                    # discharges as an RC circuit, on which the error
+                    # estimate is honest; there ``load`` is the share of that
+                    # 5 % allowance.
+                    i_end = k7i
+                    a = i_end if i_end >= 0.0 else -i_end
+                    b = k1i if k1i >= 0.0 else -k1i
+                    i_scale = b if b > a else a
+                    i_load = load = 0.0
+                    rc = False
+                    if i_scale > 1e-12 and h > min_step4:
+                        i_load = load = (i_end - k1i if i_end >= k1i
+                                         else k1i - i_end) / (
+                            _CURRENT_ALLOWANCE * i_scale)
+                        if t >= trst and v > 0.0 and v_new > 0.0:
+                            cond1, cond7 = k1i / v, i_end / v_new
+                            d_cond = cond7 - cond1 if cond7 >= cond1 \
+                                else cond1 - cond7
+                            a = cond1 if cond1 >= 0.0 else -cond1
+                            b = cond7 if cond7 >= 0.0 else -cond7
+                            allowed = _CONDUCTANCE_ALLOWANCE * (
+                                b if b > a else a)
+                            rc = d_cond < allowed
+                            if rc and d_cond / allowed < load:
+                                load = d_cond / allowed
+                    if load > 1.0:
+                        rej_current += 1
+                        h = h * 0.9 / load
+                        h = min_step if min_step > h else h
+                        continue
+                    break
 
-            stats.accepted += 1
-            stats.h_min = min(stats.h_min, h)
-            stats.h_max = max(stats.h_max, h)
-            t_old, v_old, g_old = t, v, g
-            # A step that runs below the floor ends where it crosses it.
-            h_end, v, g_end = h, v_new, g_new
-            if v_new < VPD_FLOOR < v_old:
-                theta = (v_old - VPD_FLOOR) / (v_old - v_new)
-                h_end, v = theta * h, VPD_FLOOR
-                if hybrid:
-                    g_end = dense(theta, h, g_old, g_new, k1g, k3g, k4g, k5g,
+                accepted += 1
+                h_min = h if h < h_min else h_min
+                h_max = h if h > h_max else h_max
+                t_old, v_old, g_old = t, v, g
+                # A step that runs below the floor ends where it crosses it.
+                h_end, v, g = h, v_new, g_new
+                if v_new < VPD_FLOOR < v_old:
+                    theta = (v_old - VPD_FLOOR) / (v_old - v_new)
+                    h_end, v = theta * h, VPD_FLOOR
+                    if hybrid:
+                        g = dense(theta, h, g_old, g_new, k1g, k3g, k4g, k5g,
                                   k6g, k7g)
-            t = t_old + h_end
-            g = min(max(g_end, gap_min), gap_max) if hybrid else g_end
-            self.est_err_v += abs(err_v)
-            # Parts a trace splits the step into, so the current falls by at
-            # most its allowance a part; on a floored step ``i_load`` is the
-            # current before the clamp, which no state holds.
-            pieces = max(1, math.ceil(i_load), math.ceil(
-                lam * h / math.log(1.0 - _CURRENT_ALLOWANCE)))
-            self.steps.append((
-                t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
-                v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, pieces, eps,
-                self.segment, len(self.states)))
+                t = t_old + h_end
+                if hybrid:
+                    g = gap_min if gap_min > g else g
+                    g = gap_max if gap_max < g else g
+                est_err_v += err_v if err_v >= 0.0 else -err_v
+                # The trace splits the step into ``ceil(i_load)`` parts at
+                # least (``_samples``); on a floored step ``i_load`` is the
+                # current before the clamp, which no state holds.
+                add_step((
+                    t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
+                    v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end,
+                    i_load if i_load > 1.0 else 1.0, eps, segment,
+                    len(states)))
 
-            if t > trst and v <= VPD_FLOOR + floor_tol:
-                v = VPD_FLOOR
-                self.floored = True
-                self.events.append(Event(
-                    EventKind.VPD_FLOOR_CLAMP, t, f"vpd clamped at {v:.3f}V"))
-                i_end = 0.0
+                if t > trst and v <= VPD_FLOOR + floor_tol:
+                    v = VPD_FLOOR
+                    floored = self.floored = True
+                    self.events.append(Event(
+                        EventKind.VPD_FLOOR_CLAMP, t,
+                        f"vpd clamped at {v:.3f}V"))
+                    i_end = 0.0
 
-            self.states.append((t, v, i_end, g))
+                add_state((t, v, i_end, g))
 
-            h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 \
-                else h * 5.0
-            if load > 0.6:
-                # The current change, linear in h at a rate growing as it grew.
-                growth = load / h / rate if rate else 1.0
-                h_next = min(h_next, h * 0.9 / load / max(1.0, growth))
-            rate = load / h
-            if knee:
-                h_next = min(h_next, _KNEE_RESTART)
-            elif 0.0 < m7 < m1:
-                # Margin falling toward the knee: predict it as linear in h.
-                h_next = min(h_next, _KNEE_AIM * m7 * h / (m1 - m7))
-            h = h_next
-            k1v, k1g, k1i = k7v, k7g, k7i
-            m1 = m7
+                if err > 0.0:
+                    # ``h * min(5.0, max(0.2, 0.9 * err ** -0.2))``.
+                    grow = 0.9 * err ** -0.2
+                    grow = grow if grow > 0.2 else 0.2
+                    h_next = h * (grow if grow < 5.0 else 5.0)
+                else:
+                    h_next = h * 5.0
+                if load > 0.6:
+                    # The current change, linear in h at a rate growing as it
+                    # grew.
+                    growth = load / h / rate if rate else 1.0
+                    h_cap = h * 0.9 / load / (growth if growth > 1.0 else 1.0)
+                    h_next = h_cap if h_cap < h_next else h_next
+                rate = load / h
+                h_cap = h_next
+                if knee:
+                    h_cap = _KNEE_RESTART
+                elif 0.0 < m7 < m1:
+                    # Margin falling toward the knee: predict it as linear in
+                    # h.
+                    h_cap = _KNEE_AIM * m7 * h / (m1 - m7)
+                h = h_cap if h_cap < h_next else h_next
+                k1v, k1g, k1i = k7v, k7g, k7i
+                m1 = m7
+        finally:
+            stats.accepted, stats.rhs_evals = accepted, rhs_evals
+            stats.rejected_error, stats.rejected_knee = rej_error, rej_knee
+            stats.rejected_bound = rej_bound
+            stats.rejected_current = rej_current
+            stats.h_min, stats.h_max = h_min, h_max
+            self.est_err_v = est_err_v
         self.t, self.v, self.g, self.h = t, v, g, h
         self.k1, self.m1 = (k1v, k1g, k1i), m1
 
@@ -665,6 +745,20 @@ def _reset_phase(config: PixelConfig, opt: SolverOptions) -> _Run:
     return run
 
 
+def _grid_spacing(t_end: float) -> float:
+    """The least whole multiple of ``ABRUPT_WINDOW`` that puts at most
+    ``_GRID_POINTS`` output-grid points ``k * spacing`` before ``t_end``.
+    The quotient only estimates it: it is checked against the grid as
+    ``_samples`` computes it."""
+    n = _GRID_POINTS + 1  # the first grid point that must not lie before
+    m = max(1, math.ceil(t_end / (n * ABRUPT_WINDOW)))
+    if n * (ABRUPT_WINDOW * m) < t_end:
+        m += 1
+    elif m > 1 and n * (ABRUPT_WINDOW * (m - 1)) >= t_end:
+        m -= 1
+    return ABRUPT_WINDOW * m
+
+
 def _samples(run: _Run) -> list[tuple]:
     """The samples ``(t, vpd, i_ox, gap)`` of ``run`` in time order, which
     its sample kernels are called in: the reset phase's, then its states,
@@ -675,8 +769,8 @@ def _samples(run: _Run) -> list[tuple]:
     if hybrid:
         gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
     samples = list(run.samples)
-    spacing = ABRUPT_WINDOW * max(1, math.ceil(
-        config.pd.t_end / (_GRID_POINTS * ABRUPT_WINDOW)))
+    spacing = _grid_spacing(config.pd.t_end)
+    log_part = math.log(1.0 - _CURRENT_ALLOWANCE)
     # The next output-grid point.  Those before the first step (a fork
     # starts at the reset release) lie before its start and are passed over.
     k_grid = 1
@@ -685,7 +779,10 @@ def _samples(run: _Run) -> list[tuple]:
     built = kernel = None  # the segment ``kernel`` was built for
     for step in run.steps:
         t_old, h, g_old = step[:3]
-        h_end, pieces, eps, segment, end = step[20:]
+        h_end, load, eps, segment, end = step[20:]
+        # Parts of the step, so the current falls by at most its allowance
+        # a part.
+        pieces = max(math.ceil(load), math.ceil(step[10] * h / log_part))
         samples += run.states[n:end]
         n = end
         t = run.states[end][0]

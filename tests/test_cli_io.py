@@ -456,8 +456,9 @@ def test_cli_anchor_not_above_zero_exits_one_before_fitting(
 
 def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
     # No config value may reach the user as a traceback: set each numeric
-    # key to -1 and then to 0 in a case i run with reset noise, and each
-    # device constant to 1e300 on every topology.
+    # key to -1 and then to 0 in a case i run with reset noise, each device
+    # constant to 1e300 on every topology, and ``rel_tol`` far below the
+    # double precision epsilon on every topology.
     keys = [(section, key) for section, defaults in config._SCHEMA.items()
             for key, default in defaults.items()
             if not isinstance(default, (str, bool))]
@@ -470,6 +471,12 @@ def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
                  for topology in config._TOPOLOGIES
                  for section in ("oxram", "selector")
                  for key in config._SCHEMA[section]})
+    tiny_tol = {("solver", "rel_tol", value, topology):
+                f"[pixel]\ntopology = {topology}\n"
+                f"[solver]\nrel_tol = {value}\n"
+                for value in ("1e-300", "1e-200")
+                for topology in config._TOPOLOGIES}
+    runs.update(tiny_tol)
     cfg = tmp_path / "run.cfg"
     argv = ["simulate", "--config", str(cfg), "--iexp", "1nA",
             "--out", str(tmp_path / "trace.csv")]
@@ -482,6 +489,8 @@ def test_cli_simulate_exits_cleanly_for_any_numeric_value(tmp_path, capsys):
         assert "Traceback" not in err
         assert code == 0 or (err.startswith("error: ")
                              and err.count("\n") == 1)
+        if run in tiny_tol:
+            assert code == 1 and "rel_tol must be >= " in err, run
     assert codes["photodiode", "reset_noise_electrons", "-1"] == 1
     # Case iii's transient diverges: a solver failure, not an input error.
     assert codes["oxram", "i0_ox", "case_iii"] == 2

@@ -1,5 +1,6 @@
 """Transient solver tests: oracles, events, conservation, determinism."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -243,20 +244,54 @@ def test_stiffness_diagnostic_carries_state(calibrated):
     assert "t" in err.value.detail
 
 
-def test_solver_error_carries_the_stats_so_far(calibrated):
+def test_solver_error_carries_the_stats_so_far(monkeypatch, calibrated):
+    # Every right-hand side the stepper evaluates, the reset phase's
+    # included, is counted at the kernels; the sample kernels, built while
+    # the reset phase's samples are, are not the stepper's.
     cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     opts = SolverOptions(max_step=1e-8, min_step=1e-8)
+    built, calls, sampling = [], [], []
+    make_kernel, build = solver.segment_kernel, solver._samples
+
+    def counting_kernel(*args):
+        kernel = make_kernel(*args)
+        if sampling:
+            return kernel
+        built.append(None)
+
+        def counted(vpd, gap):
+            calls.append(None)
+            return kernel(vpd, gap)
+        return counted
+
+    def samples(run):
+        sampling.append(None)
+        try:
+            return build(run)
+        finally:
+            sampling.pop()
+
+    monkeypatch.setattr(solver, "segment_kernel", counting_kernel)
+    monkeypatch.setattr(solver, "_samples", samples)
+    solver._reset_phase.cache_clear()
     with pytest.raises(SolverError) as err:
         integrate(cfg, Stimulus(1e-9), opts)
+    solver._reset_phase.cache_clear()
     exc = err.value
     assert set(exc.detail) == {"t", "vpd", "gap", "h"}
     stats = exc.stats
     # The accepted steps, all of the one step size allowed, end where the
-    # failed attempt starts.
+    # failed attempt starts.  No step is shrunk below that size, so the
+    # first failed error test raises, and nothing is rejected.
     assert stats.accepted == round(exc.detail["t"] / 1e-8) > 0
     assert stats.h_max == 1e-8
-    assert stats.rhs_evals >= 6 * stats.accepted
+    assert (stats.rejected_error, stats.rejected_knee, stats.rejected_bound,
+            stats.rejected_current) == (0, 0, 0, 0)
+    # A first stage per segment entered, six per step and six for the
+    # failed attempt.
+    assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + 1) \
+        + len(built)
     # Every right-hand side of a hybrid pixel solves the internal node.
     assert 0 < stats.kcl_solves == stats.rhs_evals
     assert stats.wall_s > 0.0
@@ -280,11 +315,12 @@ def test_solver_error_on_the_first_evaluation_carries_its_stats(monkeypatch):
 @pytest.mark.parametrize("points,finest", [(20, False), (101, True)])
 def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
                                                    finest):
-    # The grid spacing is ABRUPT_WINDOW times the ceiling of the schedule
-    # over ``points`` windows: 600 ns for 20 points on the 10 us schedule
-    # (the quotient rounds above 5), 100 ns for 101.  Only grid rows go: the
-    # step ends and part samples, and so the row each event labels, stay,
-    # and so do the stepper's results.
+    # The grid spacing is the least whole multiple of ABRUPT_WINDOW that
+    # puts at most ``points`` grid points before the schedule's end: 500 ns
+    # for 20 points on the 10 us schedule (its quotient by 20 windows rounds
+    # above 5, which must not make it 600 ns), 100 ns for 101.  Only grid
+    # rows go: the step ends and part samples, and so the row each event
+    # labels, stay, and so do the stepper's results.
     cfg = default_config(Topology.HYBRID_CASE_III)
     fine = integrate(cfg, Stimulus(1e-11), SolverOptions())
     monkeypatch.setattr(solver, "_GRID_POINTS", points)
@@ -292,7 +328,11 @@ def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
     coarse = integrate(cfg, Stimulus(1e-11), SolverOptions())
     solver._reset_phase.cache_clear()
     w = events.ABRUPT_WINDOW
-    spacing = w * math.ceil(cfg.pd.t_end / (points * w))
+    multiple = next(m for m in itertools.count(1) if sum(
+        k * (w * m) < cfg.pd.t_end for k in range(1, points + 2)) <= points)
+    assert multiple == (5 if points == 20 else 1)
+    spacing = w * multiple
+    assert solver._grid_spacing(cfg.pd.t_end) == spacing
     grid = {k * spacing for k in range(1, points + 1)}
 
     def rows(trace):
