@@ -66,30 +66,30 @@ discharge.  ``max_step`` defaults to 10 us, beyond the default exposure, so
 on the defaults only the error controller, the limiter and the landings
 above size the steps.
 
+The branch charge is a quadrature component of the state, ``q' = i_ox``
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.1): each accepted step adds
+the fifth-order sum of its stage currents, and the step cut at the floor the
+continuous extension's share up to the cut.  The exposure's total,
+``TransientTrace.q_branch``, is what ``charge_balance_error`` checks, so the
+balance does not depend on how densely the trace is written.
+
 The recorded trace does not depend on the steps being short.  The stepper
 keeps the accepted states (start, step ends, each segment's first sample
 and, after a floor clamp, one at the end) and a record per accepted step
-with its DOPRI5 continuous extension (Hairer, Norsett & Wanner, *Solving
-ODEs I*, II.6; order 4, from the step's own seven stages), for VPD in the
-Lawson frame.  The first read of ``TransientTrace.t``, ``vpd``, ``i_ox`` or
-``gap`` builds the samples from them; a sweep, which keeps the final VPD
-and the events, never does.  Inside a step they are the points of the
-output grid ``k * spacing`` and, where the current used ``load > 1``
-of its 15 % allowance, the ``ceil(load) - 1`` inner ends of equal parts of
-the step, or of more on a Lawson step, so that the current falls by at most
-15 % a part: as dense as the trapezoidal charge balance needs.  The stepper
-keeps only each step's ``load`` (at least 1) in its record, not the part
-count: a sweep never reads it.  ``_samples`` alone turns it into parts and
-places the grid and part samples, and a part end within the stepper's time
-resolution of a grid point is that grid point.  ``spacing`` is the least
-whole multiple of ``ABRUPT_WINDOW`` that puts at most ``_GRID_POINTS`` grid
-points before the schedule's end: ``ABRUPT_WINDOW`` itself up to 40 ms, so
-a long exposure builds only the rows its trace keeps.  The stats count no
-sample, so they do not depend on a read.  Samples are clipped as an
-accepted state is; their currents come from the segment's sample kernel,
-built at its first sample and called in time order on its own op-hint
-record, so the stepper's internal-node start points and work counts are
-untouched.
+with its DOPRI5 continuous extension (*Solving ODEs I*, II.6; order 4, from
+the step's own seven stages), for VPD in the Lawson frame.  The first read
+of ``TransientTrace.t``, ``vpd``, ``i_ox`` or ``gap`` builds the samples
+from them; a sweep, which keeps the final VPD and the events, never does.
+Inside a step they are the points of the output grid ``k * spacing``; a
+grid point within the stepper's time resolution of a step end is that
+step end.  ``spacing`` is the least whole multiple of ``ABRUPT_WINDOW``
+that puts at most ``_GRID_POINTS`` grid points before the schedule's end:
+``ABRUPT_WINDOW`` itself up to 40 ms, so a long exposure builds only the
+rows its trace keeps.  The stats count no sample, so they do not depend on
+a read.  Samples are clipped as an accepted state is; their currents come
+from the segment's sample kernel, built at its first sample and called in
+time order on its own op-hint record, so the stepper's internal-node start
+points and work counts are untouched.
 
 Discrete happenings are recorded as events (module ``oxpix.events``).  The
 stepper records the full-well and floor events as it meets them;
@@ -239,6 +239,7 @@ class TransientTrace:
     est_error_v: float = 0.0   # accumulated |local error estimate| on VPD
     i_exp: float = 0.0
     vstart: float = 0.0
+    q_branch: float = 0.0      # branch charge since the reset release [C]
     stats: SolverStats = field(default_factory=SolverStats)
     _build: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -279,13 +280,12 @@ class _Run:
     size, the first stage of the next step, the states so far, a record per
     accepted step, the stepper's events, the op-hint records of the
     stepper's and the samples' internal-node solves, the right-hand side of
-    the running schedule segment and the stats.  A record holds the full
-    step's gap interpolant ``(t0, h, g0, g1, k1g, k3g..k7g)``, its VPD one
-    ``(lam, v_star, w0, w1, K1, K3..K7)`` in the Lawson frame, ``h_end``
-    (shorter if cut at the floor), the current's ``load`` (at least 1, see
-    ``_samples``), ``eps``, its segment (start, photocurrent on) and end
-    state's index.  A new run is the start of the reset phase, before its
-    first stage."""
+    the running schedule segment, the branch charge since the reset release
+    and the stats.  A record holds the full step's gap interpolant ``(t0, h,
+    g0, g1, k1g, k3g..k7g)``, its VPD one ``(lam, v_star, w0, w1, K1,
+    K3..K7)`` in the Lawson frame, ``h_end`` (shorter if cut at the floor),
+    ``eps``, its segment (start, photocurrent on) and end state's index.  A
+    new run is the start of the reset phase, before its first stage."""
 
     def __init__(self, config: PixelConfig, opt: SolverOptions):
         self.config = config
@@ -303,6 +303,7 @@ class _Run:
         self.v = v0
         self.g = config.oxram_init.gap_x if config.is_hybrid() else 0.0
         self.est_err_v = 0.0
+        self.q_branch = 0.0  # branch charge since the reset release [C]
         self.floored = False
         self.stats = SolverStats()
         self.events: list[Event] = []
@@ -342,6 +343,7 @@ class _Run:
         for name, value in vars(self).items():
             setattr(run, name, value)
         run.stimulus, run.t_fwc = stimulus, t_fwc
+        run.q_branch = 0.0
         run.stats = SolverStats(**vars(self.stats))
         run.events = list(self.events)
         run.steps, run.states = [], []
@@ -372,8 +374,9 @@ class _Run:
 
         The drive may step at a boundary, so the next step starts from a
         fresh first stage.  Its branch current is recorded one ulp later, so
-        the trapezoidal trace integral sees both sides of the jump; at
-        ``t = 0`` the first state holds it.
+        the trace shows both sides of a jump in the current, the last step's
+        end and the new segment's start; at ``t = 0`` the first state holds
+        it.
         """
         self.t = t
         if self.t_fwc is not None and self.photo_active and math.isclose(
@@ -438,7 +441,7 @@ class _Run:
         rej_error, rej_knee = stats.rejected_error, stats.rejected_knee
         rej_bound, rej_current = stats.rejected_bound, stats.rejected_current
         h_min, h_max = stats.h_min, stats.h_max
-        est_err_v = self.est_err_v
+        est_err_v, q_branch = self.est_err_v, self.q_branch
         t, v, g, h = self.t, self.v, self.g, self.h
         (k1v, k1g, k1i), m1 = self.k1, self.m1
         floored = self.floored
@@ -486,24 +489,24 @@ class _Run:
                     k2v, k2g, _ = rhs(v_star + e2 * W2, g + h * A21 * k1g)
                     K2 = k2v / e2 - lam * W2
                     W3 = w + h * A31 * K1 + h * A32 * K2
-                    k3v, k3g, _ = rhs(v_star + e3 * W3,
-                                      g + h * A31 * k1g + h * A32 * k2g)
+                    k3v, k3g, k3i = rhs(v_star + e3 * W3,
+                                        g + h * A31 * k1g + h * A32 * k2g)
                     K3 = k3v / e3 - lam * W3
                     W4 = w + h * A41 * K1 + h * A42 * K2 + h * A43 * K3
-                    k4v, k4g, _ = rhs(v_star + e4 * W4, g + h * A41 * k1g
-                                      + h * A42 * k2g + h * A43 * k3g)
+                    k4v, k4g, k4i = rhs(v_star + e4 * W4, g + h * A41 * k1g
+                                        + h * A42 * k2g + h * A43 * k3g)
                     K4 = k4v / e4 - lam * W4
                     W5 = w + h * A51 * K1 + h * A52 * K2 + h * A53 * K3 \
                         + h * A54 * K4
-                    k5v, k5g, _ = rhs(v_star + e5 * W5, g + h * A51 * k1g
-                                      + h * A52 * k2g + h * A53 * k3g
-                                      + h * A54 * k4g)
+                    k5v, k5g, k5i = rhs(v_star + e5 * W5, g + h * A51 * k1g
+                                        + h * A52 * k2g + h * A53 * k3g
+                                        + h * A54 * k4g)
                     K5 = k5v / e5 - lam * W5
                     W6 = w + h * A61 * K1 + h * A62 * K2 + h * A63 * K3 \
                         + h * A64 * K4 + h * A65 * K5
-                    k6v, k6g, _ = rhs(v_star + e7 * W6, g + h * A61 * k1g
-                                      + h * A62 * k2g + h * A63 * k3g
-                                      + h * A64 * k4g + h * A65 * k5g)
+                    k6v, k6g, k6i = rhs(v_star + e7 * W6, g + h * A61 * k1g
+                                        + h * A62 * k2g + h * A63 * k3g
+                                        + h * A64 * k4g + h * A65 * k5g)
                     K6 = k6v / e7 - lam * W6
                     W7 = w + h * B1 * K1 + h * B3 * K3 + h * B4 * K4 \
                         + h * B5 * K5 + h * B6 * K6
@@ -592,7 +595,7 @@ class _Run:
                         continue
                     # Current-change limiting: where the branch current turns
                     # fast, the error estimate alone passes steps that leave
-                    # the final VPD off by up to 3e-5 V.  ``i_load`` is the
+                    # the final VPD off by up to 3e-5 V.  ``load`` is the
                     # share of the 15 % allowance this step used.  Where the
                     # branch conductance i / VPD holds within 5 %, the node
                     # discharges as an RC circuit, on which the error
@@ -602,12 +605,12 @@ class _Run:
                     a = i_end if i_end >= 0.0 else -i_end
                     b = k1i if k1i >= 0.0 else -k1i
                     i_scale = b if b > a else a
-                    i_load = load = 0.0
+                    load = 0.0
                     rc = False
                     if i_scale > 1e-12 and h > min_step4:
-                        i_load = load = (i_end - k1i if i_end >= k1i
-                                         else k1i - i_end) / (
-                            _CURRENT_ALLOWANCE * i_scale)
+                        load = (i_end - k1i if i_end >= k1i
+                                else k1i - i_end) / (_CURRENT_ALLOWANCE
+                                                     * i_scale)
                         if t >= trst and v > 0.0 and v_new > 0.0:
                             cond1, cond7 = k1i / v, i_end / v_new
                             d_cond = cond7 - cond1 if cond7 >= cond1 \
@@ -630,6 +633,10 @@ class _Run:
                 h_min = h if h < h_min else h_min
                 h_max = h if h > h_max else h_max
                 t_old, v_old, g_old = t, v, g
+                # The branch charge of the step: the quadrature component
+                # ``q' = i_ox``, on the fifth-order weights.
+                dq = h * (B1 * k1i + B3 * k3i + B4 * k4i + B5 * k5i
+                          + B6 * k6i)
                 # A step that runs below the floor ends where it crosses it.
                 h_end, v, g = h, v_new, g_new
                 if v_new < VPD_FLOOR < v_old:
@@ -638,19 +645,18 @@ class _Run:
                     if hybrid:
                         g = dense(theta, h, g_old, g_new, k1g, k3g, k4g, k5g,
                                   k6g, k7g)
+                    dq = dense(theta, h, 0.0, dq, k1i, k3i, k4i, k5i, k6i,
+                               k7i)
                 t = t_old + h_end
                 if hybrid:
                     g = gap_min if gap_min > g else g
                     g = gap_max if gap_max < g else g
                 est_err_v += err_v if err_v >= 0.0 else -err_v
-                # The trace splits the step into ``ceil(i_load)`` parts at
-                # least (``_samples``); on a floored step ``i_load`` is the
-                # current before the clamp, which no state holds.
+                q_branch += dq
                 add_step((
                     t_old, h, g_old, g_new, k1g, k3g, k4g, k5g, k6g, k7g, lam,
-                    v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end,
-                    i_load if i_load > 1.0 else 1.0, eps, segment,
-                    len(states)))
+                    v_star, w, W7, K1, K3, K4, K5, K6, K7, h_end, eps,
+                    segment, len(states)))
 
                 if t > trst and v <= VPD_FLOOR + floor_tol:
                     v = VPD_FLOOR
@@ -692,7 +698,7 @@ class _Run:
             stats.rejected_bound = rej_bound
             stats.rejected_current = rej_current
             stats.h_min, stats.h_max = h_min, h_max
-            self.est_err_v = est_err_v
+            self.est_err_v, self.q_branch = est_err_v, q_branch
         self.t, self.v, self.g, self.h = t, v, g, h
         self.k1, self.m1 = (k1v, k1g, k1i), m1
 
@@ -770,7 +776,6 @@ def _samples(run: _Run) -> list[tuple]:
         gap_min, gap_max = config.oxram.gap_min, config.oxram.gap_max
     samples = list(run.samples)
     spacing = _grid_spacing(config.pd.t_end)
-    log_part = math.log(1.0 - _CURRENT_ALLOWANCE)
     # The next output-grid point.  Those before the first step (a fork
     # starts at the reset release) lie before its start and are passed over.
     k_grid = 1
@@ -779,29 +784,18 @@ def _samples(run: _Run) -> list[tuple]:
     built = kernel = None  # the segment ``kernel`` was built for
     for step in run.steps:
         t_old, h, g_old = step[:3]
-        h_end, load, eps, segment, end = step[20:]
-        # Parts of the step, so the current falls by at most its allowance
-        # a part.
-        pieces = max(math.ceil(load), math.ceil(step[10] * h / log_part))
+        eps, segment, end = step[21:]
         samples += run.states[n:end]
         n = end
         t = run.states[end][0]
-        j = 1
-        while True:
-            t_fill = t_old + h_end * j / pieces if j < pieces else t
-            if t_grid < t and t_grid <= t_fill + eps:
-                t_s = t_grid
-                k_grid += 1
-                t_grid = k_grid * spacing
-                if j < pieces and t_fill - t_s <= eps:
-                    j += 1
-                if not t_old + eps < t_s < t - eps:
-                    continue
-            elif j < pieces:
-                t_s = t_fill
-                j += 1
-            else:
-                break
+        while t_grid < t:
+            t_s = t_grid
+            k_grid += 1
+            t_grid = k_grid * spacing
+            # A grid point within the time resolution of a step end is
+            # that end's state.
+            if not t_old + eps < t_s < t - eps:
+                continue
             # Clipped as an accepted state.
             v = vpd_at(step, t_s)
             if t_s > config.pd.trst:
@@ -858,7 +852,7 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     trace = TransientTrace(
         None, None, None, None, events=events, final_vpd=run.v,
         final_gap=run.g, est_error_v=run.est_err_v, i_exp=stimulus.i_exp,
-        vstart=run.v0, stats=stats, _build=build)
+        vstart=run.v0, q_branch=run.q_branch, stats=stats, _build=build)
     stats.wall_s = time.perf_counter() - t0
     return trace
 
@@ -867,29 +861,19 @@ def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:
     """Relative mismatch between the node's charge loss and the integrated
     drain over the exposure phase.
 
-    The OxRAM branch charge is the trapezoidal integral of the recorded
-    trace; the photocurrent is piecewise constant so its integral is exact,
-    cut off at the full-well or floor-clamp event.
+    The OxRAM branch charge is the stepper's own quadrature,
+    ``TransientTrace.q_branch``; the photocurrent is piecewise constant so
+    its integral is exact, cut off at the full-well or floor-clamp event.
+    On a plain step the balance holds by construction, the node's slope
+    being ``-(i_photo + i_ox) / C`` on the same stages: it measures the
+    Lawson steps and the floor landing.
     """
-    import numpy as np
     pd = config.pd
     c_total = pd.c_pd + (config.oxram.c_pox if config.is_hybrid() else 0.0)
-    t = trace.t
-    mask = t >= pd.trst
-    tt = t[mask]
-    if len(tt) < 2:
-        return 0.0
-    i_ox = trace.i_ox[mask]
-    t_photo_end = tt[-1]
-    fwc = trace.events_of(EventKind.FWC_SATURATION)
-    if fwc:
-        t_photo_end = min(t_photo_end, fwc[0].t_event)
-    floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
-    if floor:
-        t_photo_end = min(t_photo_end, floor[0].t_event)
-    q_drain = float(np.trapezoid(i_ox, tt)) \
-        + trace.i_exp * (t_photo_end - pd.trst)
-    v_at_release = float(trace.vpd[mask][0])
-    q_node = c_total * (v_at_release - trace.final_vpd)
+    t_photo_end = min([pd.t_end] + [e.t_event for e in trace.events if e.kind
+                                    in (EventKind.FWC_SATURATION,
+                                        EventKind.VPD_FLOOR_CLAMP)])
+    q_drain = trace.q_branch + trace.i_exp * (t_photo_end - pd.trst)
+    q_node = c_total * (trace.vstart - trace.final_vpd)
     scale = max(abs(q_node), abs(q_drain), c_total * 1e-6)
     return abs(q_node - q_drain) / scale

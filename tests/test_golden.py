@@ -36,9 +36,9 @@ from oxpix.tracefile import write_report_json
 
 GOLDEN = {
     "bare3t": "ab091696512214087d3260ba6e4603e679cdaacb327a55d6b456cf055ff33abc",
-    "case_i": "ced0ceef557054dc92289b49ca733373aaa33c912a0ed650a822b332b0c44ace",
+    "case_i": "612cf340e61d41e291e682f1034b174d7d62d702b0aed26302b60732744ef521",
     "case_ii": "a0ab9a348ec7a598b16eb082c949f7d09d0c55e1605c4887dbd57c9cdc3368bd",
-    "case_iii": "3335a3b9fa21c5eb567d6b2fa2ecddf3ece2dc847d7f3626c5be5a2e90b826cb",
+    "case_iii": "ce71eca92cb061c0ca704a9bf6205fb458a5871466490eb1cf2e542267c32fe8",
 }
 
 # ``oxpix sweep`` over 100 fA .. 10 nA at one point per decade.

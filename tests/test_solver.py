@@ -319,8 +319,8 @@ def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
     # puts at most ``points`` grid points before the schedule's end: 500 ns
     # for 20 points on the 10 us schedule (its quotient by 20 windows rounds
     # above 5, which must not make it 600 ns), 100 ns for 101.  Only grid
-    # rows go: the step ends and part samples, and so the row each event
-    # labels, stay, and so do the stepper's results.
+    # rows go: the accepted states, and so the row each event labels, stay,
+    # and so do the stepper's results.
     cfg = default_config(Topology.HYBRID_CASE_III)
     fine = integrate(cfg, Stimulus(1e-11), SolverOptions())
     monkeypatch.setattr(solver, "_GRID_POINTS", points)
@@ -493,15 +493,29 @@ def test_case_i_final_vpd_matches_fine_reference(calibrated, k):
         <= 1e-7
 
 
-def test_case_iii_charge_balance_holds_through_the_collapse(calibrated):
-    # The collapse to the floor takes few steps; the samples splitting them
-    # keep the trapezoidal drain integral close to the charge lost.
-    cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
-                         selector=calibrated.selector)
+def test_charge_balance_holds_on_criterion_8_transients(calibrated):
+    # The branch charge is the stepper's own fifth-order quadrature, so the
+    # balance holds far inside criterion 8's 0.5 %, case iii's collapse to
+    # the floor included (2.4e-5 there).
     worst = max(charge_balance_error(
         integrate(cfg, Stimulus(i_exp), SolverOptions()), cfg)
+        for cfg in (default_config(topo, oxram=calibrated.oxram,
+                                   selector=calibrated.selector)
+                    for topo in Topology)
         for i_exp in (0.0, 1e-12, 1e-10, 1e-9, 5e-9))
-    assert worst <= 2.5e-3
+    assert worst <= 1e-4
+
+
+def test_case_iii_charge_balance_falls_with_the_tolerance():
+    # Case iii's worst residual over its sweep follows rel_tol: 2.4e-5 at
+    # 1e-6, 1.8e-7 at 1e-9.
+    cfg = default_config(Topology.HYBRID_CASE_III)
+
+    def worst(rel_tol):
+        return max(charge_balance_error(
+            integrate(cfg, Stimulus(i_exp), SolverOptions(rel_tol=rel_tol)),
+            cfg) for i_exp in SweepSpec(cfg).currents())
+    assert 10.0 * worst(1e-9) <= worst(1e-6)
 
 
 def _lands(cfg, i_exp: float, counter: str, options=SolverOptions()):
@@ -543,30 +557,76 @@ def test_steps_land_on_the_vpd_floor():
     (at_floor,) = np.flatnonzero(trace.t == floor.t_event)
     assert trace.vpd[at_floor] == 0.0
     assert trace.vpd.min() == 0.0
-    assert charge_balance_error(trace, cfg) <= 5e-3
+    # The charge balance holds within rel_tol (4.8e-4).
+    assert charge_balance_error(trace, cfg) <= 1e-3
+
+
+def _exposure_steps(monkeypatch, cfg, stimulus: Stimulus,
+                    opt: SolverOptions):
+    """The transient, and the records of its exposure's accepted steps,
+    taken from the run its samples are built from."""
+    runs = []
+    build = solver._samples
+
+    def keep_run(run):
+        runs.append(run)
+        return build(run)
+
+    monkeypatch.setattr(solver, "_samples", keep_run)
+    trace = integrate(cfg, stimulus, opt)
+    trace.t  # builds the samples
+    return trace, [s for s in runs[-1].steps if s[0] >= cfg.pd.trst]
+
+
+def _inside(steps) -> list[tuple]:
+    """``(t, vpd)`` at three interior points of each step, on its continuous
+    extension."""
+    return [(t, events.vpd_at(s, t)) for s in steps
+            for t in (s[0] + f * s[20] for f in (0.25, 0.5, 0.75))]
 
 
 @pytest.mark.parametrize("i_exp", [1e-12, 1e-9])
-def test_case_iii_collapse_matches_radau_oracle(calibrated, i_exp):
-    # The Lawson steps of the collapse and their samples inside, against
-    # Radau from the first sample of the exposure up to the floor.
+def test_case_iii_collapse_matches_radau_oracle(monkeypatch, calibrated,
+                                                i_exp):
+    # The Lawson steps of the collapse and their continuous extensions
+    # inside, against Radau from the first sample of the exposure up to the
+    # floor.
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     opt = SolverOptions()
-    trace = integrate(cfg, Stimulus(i_exp), opt)
+    trace, steps = _exposure_steps(monkeypatch, cfg, Stimulus(i_exp), opt)
     (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
     first = int(np.searchsorted(trace.t, cfg.pd.trst, side="right"))
-    inside = (trace.t > trace.t[first]) & (trace.t < floor.t_event)
+    t, vpd = np.array(_inside(steps)).T
+    assert t[-1] < floor.t_event
     kernel = pixel.segment_kernel(cfg, Stimulus(i_exp), cfg.pd.trst)
     sol = solve_ivp(lambda t, y: kernel(*y)[:2],
                     (trace.t[first], floor.t_event),
                     [trace.vpd[first], trace.gap[first]], method="Radau",
-                    rtol=1e-11, atol=[1e-15, 1e-12], t_eval=trace.t[inside])
+                    rtol=1e-11, atol=[1e-15, 1e-12], t_eval=t)
     assert sol.success, sol.message
     floor_tol = max(opt.abs_tol_v, opt.rel_tol * cfg.pd.vrst)
-    assert np.count_nonzero(inside) > 10
-    assert float(np.max(np.abs(sol.y[0] - trace.vpd[inside]))) <= floor_tol
+    assert len(t) > 10
+    assert float(np.max(np.abs(sol.y[0] - vpd))) <= floor_tol
+
+
+def _branch_kernel(branch):
+    """A ``segment_kernel`` for a hybrid node pinned until the reset
+    release, then drained by the photocurrent and the branch current
+    ``branch(vpd)``, with the gap standing still."""
+    def make(config, stimulus, t, photo_active, op_hint):
+        pinned = t < config.pd.trst
+        i_photo = stimulus.i_exp if photo_active else 0.0
+        c_total = config.pd.c_pd + config.oxram.c_pox
+        # The selector margin stays at vth: no knee.
+        op_hint[0] = config.vg_waveform.level_at(t)
+
+        def kernel(vpd, gap):
+            i = branch(vpd)
+            return 0.0 if pinned else -(i_photo + i) / c_total, 0.0, i
+        return kernel
+    return make
 
 
 def test_lawson_steps_are_exact_on_an_rc_node(monkeypatch):
@@ -575,34 +635,46 @@ def test_lawson_steps_are_exact_on_an_rc_node(monkeypatch):
     cfg = default_config(Topology.HYBRID_CASE_III)
     cond, c_total = 1e-5, cfg.pd.c_pd + cfg.oxram.c_pox
     i_exp, opt = 1e-9, SolverOptions()
-
-    def rc_kernel(config, stimulus, t, photo_active, op_hint):
-        pinned = t < config.pd.trst
-        # The selector margin stays at vth: no knee.
-        op_hint[0] = config.vg_waveform.level_at(t)
-
-        def kernel(vpd, gap):
-            i = cond * vpd
-            return 0.0 if pinned else -(i_exp + i) / c_total, 0.0, i
-        return kernel
-
-    monkeypatch.setattr(solver, "segment_kernel", rc_kernel)
+    monkeypatch.setattr(solver, "segment_kernel",
+                        _branch_kernel(lambda vpd: cond * vpd))
     solver._reset_phase.cache_clear()
     try:
-        trace = integrate(cfg, Stimulus(i_exp), opt)
+        trace, steps = _exposure_steps(monkeypatch, cfg, Stimulus(i_exp), opt)
         reset_steps = solver._reset_phase(cfg, opt).stats.accepted
     finally:
         solver._reset_phase.cache_clear()
     assert trace.stats.accepted - reset_steps <= 12
     (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
-    # The end of the first exposure step, one sample after its start.
-    k0 = int(np.searchsorted(trace.t, cfg.pd.trst, side="right")) + 1
-    t0, v0 = trace.t[k0], trace.vpd[k0]
+    # The end of the first exposure step.
+    t0 = steps[0][0] + steps[0][20]
+    (k0,) = np.flatnonzero(trace.t == t0)
+    v0 = trace.vpd[k0]
     lam, v_star = -cond / c_total, -i_exp / cond
-    lawson = (trace.t > t0) & (trace.t < floor.t_event)
-    exact = v_star + np.exp(lam * (trace.t[lawson] - t0)) * (v0 - v_star)
-    assert np.count_nonzero(lawson) > 10
-    np.testing.assert_allclose(trace.vpd[lawson], exact, rtol=1e-12, atol=0)
+    t, vpd = np.array(_inside(steps[1:])).T
+    assert t[-1] < floor.t_event
+    exact = v_star + np.exp(lam * (t - t0)) * (v0 - v_star)
+    assert len(t) > 10
+    np.testing.assert_allclose(vpd, exact, rtol=1e-12, atol=0)
+
+
+def test_charge_of_a_step_cut_at_the_floor_ends_at_the_cut(monkeypatch):
+    # A constant branch current drains the node as a ramp, on which every
+    # step is exact and grows fivefold, so the last one runs far below the
+    # floor and is cut at its crossing.  Its charge is its continuous
+    # extension's share up to the cut: the balance holds to rounding
+    # (8e-13; the whole step's charge would read 0.14).
+    cfg = default_config(Topology.HYBRID_CASE_III)
+    monkeypatch.setattr(solver, "segment_kernel",
+                        _branch_kernel(lambda vpd: 1e-9))
+    solver._reset_phase.cache_clear()
+    try:
+        trace, steps = _exposure_steps(monkeypatch, cfg, Stimulus(1e-9),
+                                       SolverOptions())
+    finally:
+        solver._reset_phase.cache_clear()
+    assert trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    assert steps[-1][20] < 0.9 * steps[-1][1]
+    assert charge_balance_error(trace, cfg) <= 1e-10
 
 
 @pytest.mark.parametrize("options", [
@@ -790,40 +862,6 @@ def test_trace_holds_the_output_grid(monkeypatch, calibrated, topo, i_exp):
         if not any(abs(s - t_grid) <= eps for s in states):
             assert rows.count(t_grid) == 1, k
         k += 1
-
-
-def test_part_end_on_a_grid_point_is_that_grid_point(monkeypatch):
-    # With max_step two windows long, the bare pixel's exposure steps run
-    # from grid point to grid point, all but the last two windows long.
-    # Split in two parts, such a step's part end falls within the time
-    # resolution of the grid point between: the trace keeps that one
-    # sample, so it does not change.
-    cfg = default_config(Topology.BARE_3T)
-    runs = []
-    build = solver._samples
-
-    def keep_run(run):
-        runs.append(run)
-        return build(run)
-
-    monkeypatch.setattr(solver, "_samples", keep_run)
-    integrate(cfg, Stimulus(1e-10), SolverOptions(max_step=2e-7)).t
-    run = runs[-1]
-    samples = build(run)
-    window = events.ABRUPT_WINDOW
-    two = [step for step in run.steps if step[20] > 1.5 * window]
-    assert len(two) == len(run.steps) - 1
-    for step in two:
-        t_old, h_end, pieces, eps = step[0], *step[20:23]
-        assert pieces == 1
-        t_grid = round(t_old / window + 1) * window
-        assert abs(t_old + h_end / 2 - t_grid) <= eps
-    run.steps = [step[:21] + (2,) + step[22:] if step in two else step
-                 for step in run.steps]
-    split = build(run)
-    t = [s[0] for s in split]
-    assert all(a < b for a, b in zip(t, t[1:]))
-    assert split == samples
 
 
 def test_abrupt_fall_window_keeps_the_previous_grid_sample():
