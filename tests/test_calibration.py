@@ -1,5 +1,6 @@
 """Calibration tests: anchor fitting, round-trip recovery, determinism."""
 
+import collections
 import dataclasses
 import itertools
 import logging
@@ -19,10 +20,12 @@ from oxpix.calibration import (
     CalibrationAnchors,
     _BOX_DECADES,
     _FIT_FIELDS,
+    _JACOBIAN_STEP,
     calibrate,
     predict_anchor,
 )
 from oxpix import calibration
+from oxpix.cli import _result_payload
 from oxpix.devices import (
     MosfetParams,
     OxRamParams,
@@ -166,7 +169,8 @@ def test_fit_is_unaffected_by_earlier_fits():
 def test_fit_holds_the_coordinates_no_anchor_sees(monkeypatch, caplog,
                                                   kwargs, held):
     result, line = _logged_fit(monkeypatch, caplog, "1", **kwargs)
-    assert re.search(r", held (.*), [0-9.]+ s$", line).group(1) == held
+    assert re.search(r", held (.*), [0-9.]+ s; [0-9]+ anchor predictions "
+                     r"\([a-z_ 0-9]+\)$", line).group(1) == held
     assert (" ".join(result.held) or "none") == held
 
 
@@ -196,9 +200,14 @@ def test_fit_keeps_its_search_path(calibrated, caplog):
     assert line.startswith("calibrate: 35 evaluations in 2 iterations, ")
 
 
-def _box(oxram, selector):
-    x0 = [math.log(getattr(oxram, f)) for f in _FIT_FIELDS[:-1]] \
+def _x0(oxram, selector):
+    """The logs of the fitted fields' values, the fit's initial guess."""
+    return [math.log(getattr(oxram, f)) for f in _FIT_FIELDS[:-1]] \
         + [math.log(selector.kprime)]
+
+
+def _box(oxram, selector):
+    x0 = _x0(oxram, selector)
     width = [_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS]
     return ([x - w for x, w in zip(x0, width)],
             [x + w for x, w in zip(x0, width)])
@@ -217,12 +226,10 @@ def _checked(coords, oxram, selector):
 
 def test_search_point_equals_the_checked_constructors(calibrated):
     base = (OxRamParams(), MosfetParams())
-    fitted = [math.log(getattr(calibrated.oxram, f))
-              for f in _FIT_FIELDS[:-1]] \
-        + [math.log(calibrated.selector.kprime)]
+    fitted = _x0(calibrated.oxram, calibrated.selector)
     for coords in (fitted, *_box(*base)):
         coords = tuple(coords)
-        point = calibration._point(coords, *base)
+        point = calibration._point(coords, *base, _x0(*base))
         checked = _checked(coords, *base)
         for built, want in zip(point, checked):
             assert type(built) is type(want)
@@ -249,7 +256,7 @@ def test_search_point_fails_as_the_checked_constructors(bad):
     for names in [*itertools.combinations(range(len(_FIT_FIELDS)), 1),
                   *itertools.combinations(range(len(_FIT_FIELDS)), 2)]:
         coords = tuple(log_bad if j in names else x for j, x in enumerate(x0))
-        assert _message(calibration._point, coords, *base) == \
+        assert _message(calibration._point, coords, *base, _x0(*base)) == \
             _message(_checked, coords, *base), names
 
 
@@ -265,8 +272,10 @@ def test_initial_constants_at_the_float_range_edges():
 
 
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
-    # An evaluation predicts every anchor once; the fit's residuals reuse
-    # the model values of its last accepted point.
+    # A step's point predicts every anchor, a Jacobian point only those its
+    # coordinate feeds: 3 full points and 2 x 16 Jacobian points, of which
+    # 20 move a conduction field, 8 a rupture field and 4 ``kprime``.  The
+    # fit's residuals reuse the model values of its last accepted point.
     calls = []
     predict = calibration.predict_anchor
 
@@ -278,11 +287,16 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="oxpix"):
         result = calibrate()
     anchors = CalibrationAnchors().anchors
-    assert len(calls) == len(anchors) * result.evaluations > 0
+    assert result.evaluations == 35
+    assert collections.Counter(calls) == {
+        ANCHOR_R_SET: 23, ANCHOR_R_RESET: 23, ANCHOR_T_RESET: 11,
+        ANCHOR_I_RESET: 27}
     assert calls[:len(anchors)] == [a.quantity for a in anchors]
     lines = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
     assert len(lines) == 1
     assert f": {result.evaluations} evaluations in " in lines[0]
+    assert lines[0].endswith("; 84 anchor predictions (r_set 23 r_reset 23 "
+                             "t_reset 11 i_reset_peak 27)")
 
 
 def _logged_fit(monkeypatch, caplog, workers, **kwargs):
@@ -342,26 +356,15 @@ def _scaled(oxram, selector, name, factor):
             selector)
 
 
-# The fit fields each anchor's predictor reads: the read-backs and the
-# programming peak go through the device conduction law, the rupture time
-# through the rate law.  A field an anchor does not read is a zero in its
-# row of the fit's Jacobian.
-_CONDUCTION = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d")
-_ANCHOR_INPUTS = {
-    ANCHOR_R_SET: _CONDUCTION,
-    ANCHOR_R_RESET: _CONDUCTION,
-    ANCHOR_T_RESET: ("rupture_rate_r0", "rupture_field_v1"),
-    ANCHOR_I_RESET: _CONDUCTION + ("kprime",),
-}
-
-
 @pytest.mark.parametrize("anchor", CalibrationAnchors().anchors,
                          ids=lambda a: a.quantity)
 def test_anchor_inputs_are_the_fields_its_predictor_reads(anchor):
-    # At the default constants the filament term is below the last bit of
-    # the read-backs and the programming peak; the raised prefactor makes
-    # every listed field show.
-    inputs = _ANCHOR_INPUTS[anchor.quantity]
+    # The fields that feed an anchor in ``calibration._FEEDS`` are those its
+    # predictor reads.  At the default constants the filament term is below
+    # the last bit of the read-backs and the programming peak; the raised
+    # prefactor makes every listed field show.
+    inputs = [f for f in _FIT_FIELDS
+              if anchor.quantity in calibration._FEEDS[f]]
     sel = MosfetParams()
     for ox in (OxRamParams(), OxRamParams(i0_cf=1e-16)):
         base = predict_anchor(anchor.quantity, ox, sel, anchor.value)
@@ -374,3 +377,93 @@ def test_anchor_inputs_are_the_fields_its_predictor_reads(anchor):
                     assert moved == base, name
                 elif ox.i0_cf == 1e-16:
                     assert moved != base, name
+
+
+def _jacobian_points():
+    """Points a Jacobian of the fit is taken at, as ``(oxram, selector,
+    coords)``: ``x0`` and the fitted point of the default start, and ``x0``
+    of a start whose filament term every conduction anchor sees."""
+    base = (OxRamParams(), MosfetParams())
+    fit = calibrate()
+    raised = (OxRamParams(i0_cf=OxRamParams().i0_cf * 1e6), MosfetParams())
+    return [(*base, _x0(*base)), (*base, _x0(fit.oxram, fit.selector)),
+            (*raised, _x0(*raised))]
+
+
+def _steps(coords, j):
+    """``coords`` with coordinate ``j`` moved by -+ the Jacobian step."""
+    return [[c + sign * _JACOBIAN_STEP if k == j else c
+             for k, c in enumerate(coords)] for sign in (-1.0, 1.0)]
+
+
+def test_anchors_outside_a_fields_feeds_do_not_move():
+    # A Jacobian point takes the log residual of every anchor outside its
+    # field's feeds from its base point, so those anchors must be exactly
+    # unmoved by a Jacobian step of that field.
+    anchors = CalibrationAnchors().anchors
+    for oxram, selector, coords in _jacobian_points():
+        x0 = _x0(oxram, selector)
+        base = calibration._point(coords, oxram, selector, x0)
+        for j, field in enumerate(_FIT_FIELDS):
+            for moved in _steps(coords, j):
+                point = calibration._point(moved, oxram, selector, x0)
+                for a in anchors:
+                    if a.quantity not in calibration._FEEDS[field]:
+                        assert predict_anchor(a.quantity, *point, a.value) == \
+                            predict_anchor(a.quantity, *base, a.value), \
+                            (field, a.quantity)
+
+
+def test_moved_point_equals_the_search_point():
+    # A Jacobian point is its base point with one field replaced and
+    # checked; it must be the point ``_point`` builds at its coordinates,
+    # also where a step lands on ``x0`` and keeps the field's given value.
+    default = (OxRamParams(), MosfetParams())
+    below = (*default, [c - _JACOBIAN_STEP for c in _x0(*default)])
+    landed = 0
+    for oxram, selector, coords in [*_jacobian_points(), below]:
+        x0 = _x0(oxram, selector)
+        base = calibration._point(coords, oxram, selector, x0)
+        for j, field in enumerate(_FIT_FIELDS):
+            given = selector.kprime if field == "kprime" \
+                else getattr(oxram, field)
+            for moved in _steps(coords, j):
+                landed += moved[j] == x0[j]
+                built = calibration._moved(base, field, moved[j], x0[j], given)
+                want = calibration._point(moved, oxram, selector, x0)
+                for b, w in zip(built, want):
+                    assert type(b) is type(w)
+                    assert vars(b) == vars(w), field
+            # A failing coordinate fails as it does in ``_point``.
+            for bad in (-math.inf, math.inf, math.nan):
+                at = [bad if k == j else c for k, c in enumerate(coords)]
+                assert _message(calibration._moved, base, field, bad, x0[j],
+                                given) == \
+                    _message(calibration._point, at, oxram, selector, x0)
+    assert landed == len(_FIT_FIELDS)
+
+
+_FIVE_STARTS = [
+    {}, {"initial_oxram": OxRamParams(i0_ox=OxRamParams().i0_ox * 3)},
+    {"initial_selector": MosfetParams(kprime=MosfetParams().kprime * 0.5)},
+    {"initial_oxram": OxRamParams(i0_cf=OxRamParams().i0_cf * 1e6)},
+    {"anchors": CalibrationAnchors((Anchor(ANCHOR_R_SET, 1e5, 0.20),)
+                                   + CalibrationAnchors().anchors[1:])},
+]
+
+
+@pytest.mark.parametrize("kwargs", _FIVE_STARTS, ids=[
+    "defaults", "i0_ox_x3", "kprime_x0.5", "i0_cf_x1e6", "r_set_100k"])
+def test_fit_is_unchanged_when_every_field_feeds_every_anchor(monkeypatch,
+                                                              kwargs):
+    # With every anchor in every field's feeds, each Jacobian point predicts
+    # every anchor, as a fit without the table would.
+    fit = calibrate(**kwargs)
+    every = (ANCHOR_R_SET, ANCHOR_R_RESET, ANCHOR_T_RESET, ANCHOR_I_RESET)
+    monkeypatch.setattr(calibration, "_FEEDS", dict.fromkeys(_FIT_FIELDS,
+                                                             every))
+    oracle = calibrate(**kwargs)
+    assert pickle.dumps(_result_payload(fit)) == \
+        pickle.dumps(_result_payload(oracle))
+    assert (fit.held, fit.singular_values, fit.evaluations) == \
+        (oracle.held, oracle.singular_values, oracle.evaluations)
