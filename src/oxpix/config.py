@@ -11,9 +11,9 @@ Example::
     texp = 9.5us
 
 Unknown keys are rejected with their line number; missing keys take the
-documented defaults and are listed in the provenance map.  Suffixes are
-case-sensitive; lengths are native nanometres, rates native nm/s, and
-dimensionless quantities take bare numbers.
+documented defaults.  Suffixes are case-sensitive; lengths are native
+nanometres, rates native nm/s, and dimensionless quantities take bare
+numbers.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def parse_quantity(text: str, key: str = "?", line_no: int = 0) -> float:
 
 @dataclass
 class RunSetup:
-    """Everything a batch run needs, with provenance of defaulted keys."""
+    """Everything a batch run needs; ``raw`` holds the keys the text gave."""
 
     pixel: PixelConfig
     sweep_i_min: float
@@ -129,7 +129,6 @@ class RunSetup:
     solver: SolverOptions
     window: ReadableWindow
     anchors: CalibrationAnchors
-    provenance: dict[str, str] = field(default_factory=dict)
     raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
 
@@ -195,18 +194,15 @@ def parse_config(source: str, is_path: bool = False) -> RunSetup:
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read {source!r}: not UTF-8 text") from None
     given = _read_sections(text)
-    provenance = {f"{section}.{key}": "file" if key in given[section]
-                  else "default"
-                  for section, keys in _SCHEMA.items() for key in keys}
     try:
-        return _build_setup(given, provenance)
+        return _build_setup(given)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
-def _build_setup(given: dict, provenance: dict) -> RunSetup:
+def _build_setup(given: dict) -> RunSetup:
     """Build each object from the keys given; its class supplies the rest."""
     pxv = given["pixel"]
     topo_name = pxv.get("topology", _SCHEMA["pixel"]["topology"])
@@ -255,8 +251,7 @@ def _build_setup(given: dict, provenance: dict) -> RunSetup:
         pixel=pixel, sweep_i_min=sweep["i_min"], sweep_i_max=sweep["i_max"],
         points_per_decade=sweep["points_per_decade"],
         solver=SolverOptions(**given["solver"]),
-        window=ReadableWindow(**given["window"]), anchors=anchors,
-        provenance=provenance, raw=given)
+        window=ReadableWindow(**given["window"]), anchors=anchors, raw=given)
 
 
 def _format(value: object) -> str:

@@ -139,11 +139,6 @@ class PhotodiodeParams:
         return self.trst + self.texp
 
     @property
-    def full_well_swing(self) -> float:
-        """Voltage drop corresponding to a full well [V]."""
-        return self.fwc_electrons * ELEMENTARY_CHARGE / self.c_pd
-
-    @property
     def reset_noise_sigma(self) -> float:
         """One-sigma reset noise on the initial node voltage [V]."""
         return self.reset_noise_electrons * ELEMENTARY_CHARGE / self.c_pd
@@ -167,17 +162,6 @@ def oxram_current(state: OxRamState, v_applied: float, vgap: float,
     i_ox = p.i0_ox * _safe_exp(-p.ox_decay_c * state.gap_x) \
         * _safe_sinh(p.ox_field_d * vgap)
     return i_cf + i_ox
-
-
-def gap_drop_fraction(state: OxRamState, params: OxRamParams) -> float:
-    """Linear-divider share of the device voltage across the ruptured region."""
-    return state.gap_x / params.gap_max
-
-
-def device_current(state: OxRamState, v_device: float, params: OxRamParams) -> float:
-    """Device current with the divider applied: the form used by the circuit."""
-    vgap = v_device * gap_drop_fraction(state, params)
-    return oxram_current(state, v_device, vgap, params)
 
 
 def _cosh_clip(x: float) -> float:
@@ -237,7 +221,7 @@ def read_resistance(state: OxRamState, vread: float, params: OxRamParams) -> flo
     """Quasi-static resistance V/I at the read voltage [ohm]."""
     if vread == 0.0:
         raise InvalidInputError("vread must be non-zero")
-    vgap = vread * gap_drop_fraction(state, params)
+    vgap = vread * (state.gap_x / params.gap_max)
     i = oxram_current(state, vread, vgap, params)
     return vread / i
 

@@ -167,6 +167,11 @@ class PixelConfig:
     def is_hybrid(self) -> bool:
         return self.topology is not Topology.BARE_3T
 
+    @property
+    def c_node(self) -> float:
+        """PD node capacitance [F], the OxRAM's parasitic one in parallel."""
+        return self.pd.c_pd + (self.oxram.c_pox if self.is_hybrid() else 0.0)
+
 
 def solve_branch_current(vpd: float, vg: float, vs: float, state: OxRamState,
                          oxram: OxRamParams, selector: MosfetParams,
@@ -230,9 +235,9 @@ def segment_kernel(config: PixelConfig, stimulus: Stimulus, t: float,
         return _hybrid_kernel(
             config.oxram, config.selector, config.oxram_init.orientation,
             config.vg_waveform.level_at(t), config.vs_level, pinned, i_photo,
-            pd.c_pd + config.oxram.c_pox, op_hint)
-    # The hybrid expression with no branch current and no parasitic cap.
-    dvpd = 0.0 if pinned else -(i_photo + 0.0) / (pd.c_pd + 0.0)
+            config.c_node, op_hint)
+    # The hybrid expression with no branch current.
+    dvpd = 0.0 if pinned else -(i_photo + 0.0) / config.c_node
 
     def bare(vpd: float, gap: float) -> tuple[float, float, float]:
         return dvpd, 0.0, 0.0

@@ -256,9 +256,6 @@ class TransientTrace:
         self.t, self.vpd, self.i_ox, self.gap = build()
         return getattr(self, name)
 
-    def events_of(self, kind: EventKind) -> list[Event]:
-        return [e for e in self.events if e.kind is kind]
-
 
 def _schedule(config: PixelConfig, t_fwc: Optional[float]) -> list[float]:
     """Phase boundaries the stepper must land on exactly: reset release,
@@ -348,7 +345,6 @@ class _Run:
         run.events = list(self.events)
         run.steps, run.states = [], []
         run.op_hint = list(self.op_hint)
-        run.sample_hint = list(self.sample_hint)
         run.kernel = None
         return run
 
@@ -840,8 +836,12 @@ def integrate(config: PixelConfig, stimulus: Stimulus,
     if run.floored and run.t < t_end:
         run.states.append((t_end, run.v, 0.0, run.g))
 
-    def build() -> np.ndarray:  # the rows ``t, vpd, i_ox, gap``
+    def build(hint=run.sample_hint) -> np.ndarray:
+        """The rows ``t, vpd, i_ox, gap``; each call starts from the reset
+        phase's op-hint record, so a copy of an unbuilt trace builds the
+        same samples."""
         import numpy as np
+        run.sample_hint = list(hint)
         return np.asarray(_samples(run)).T
 
     stats = run.tally()
@@ -869,7 +869,7 @@ def charge_balance_error(trace: TransientTrace, config: PixelConfig) -> float:
     Lawson steps and the floor landing.
     """
     pd = config.pd
-    c_total = pd.c_pd + (config.oxram.c_pox if config.is_hybrid() else 0.0)
+    c_total = config.c_node
     t_photo_end = min([pd.t_end] + [e.t_event for e in trace.events if e.kind
                                     in (EventKind.FWC_SATURATION,
                                         EventKind.VPD_FLOOR_CLAMP)])

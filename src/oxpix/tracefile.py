@@ -6,16 +6,11 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .errors import ConfigError, OxpixError
+from .errors import OxpixError
 from .experiments import DrReport
 from .solver import TransientTrace
-
-# numpy is imported where arrays are built: a warm report never loads it.
-if TYPE_CHECKING:
-    import numpy as np
 
 CSV_HEADER = "t_s,vpd_V,i_ox_A,gap_nm,event"
 REPORT_SCHEMA = 1
@@ -83,46 +78,6 @@ def write_trace_csv(trace: TransientTrace, path: str) -> None:
                     lines[k - start] = lines[k - start][:-1] \
                         + ";".join(kinds) + "\n"
             fh.writelines(lines)
-
-
-@dataclass
-class TraceFile:
-    t: np.ndarray
-    vpd: np.ndarray
-    i_ox: np.ndarray
-    gap: np.ndarray
-    events: list[tuple[float, str]]
-
-
-def read_trace_csv(path: str) -> TraceFile:
-    import numpy as np
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CSV_HEADER:
-                raise ConfigError(
-                    f"{path}: unexpected header {header!r}")
-            cols = ([], [], [], [])
-            events = []
-            for no, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 5:
-                    raise ConfigError(f"{path}:{no}: expected 5 columns")
-                for col, text in zip(cols, parts[:4]):
-                    try:
-                        col.append(float(text))
-                    except ValueError:
-                        raise ConfigError(f"{path}:{no}: cannot parse number"
-                                          f" {text!r}") from None
-                if parts[4]:
-                    events += [(cols[0][-1], kind)
-                               for kind in parts[4].split(";")]
-    except OSError as exc:
-        raise OxpixError(f"cannot read trace from {path!r}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read trace from {path!r}: not UTF-8 text"
-                          ) from None
-    return TraceFile(*(np.asarray(c) for c in cols), events=events)
 
 
 def report_row(report: DrReport, residuals: Optional[dict] = None) -> dict:

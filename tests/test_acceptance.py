@@ -219,7 +219,7 @@ def test_criterion_7_rset_spread(calibrated):
                              selector=calibrated.selector,
                              init_resistance=level)
         trace = integrate(cfg, Stimulus(1e-9), SolverOptions())
-        assert not trace.events_of(EventKind.ABRUPT_FALL)
+        assert not any(e.kind is EventKind.ABRUPT_FALL for e in trace.events)
         finals[level] = trace.final_vpd
     spread = (max(finals.values()) - min(finals.values())) * 1e3
     report_line(7, "check", f"R_SET spread {spread:.1f} mV at 1 nA "
@@ -275,6 +275,9 @@ def test_criterion_7_rreset_difference(calibrated):
 
 
 def test_criterion_8_charge_conservation(calibrated):
+    # On a plain step the balance holds by construction: the branch charge
+    # is the stepper's quadrature of the same stages that set the node's
+    # slope.  So the error measures the Lawson steps and the floor landing.
     worst = 0.0
     for topo in (Topology.BARE_3T, Topology.HYBRID_CASE_I,
                  Topology.HYBRID_CASE_II, Topology.HYBRID_CASE_III):

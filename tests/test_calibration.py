@@ -271,6 +271,40 @@ def test_initial_constants_at_the_float_range_edges():
         calibrate(initial_oxram=OxRamParams(i0_ox=1e308))
 
 
+def _counted_calibrate(monkeypatch, **kwargs):
+    """``calibrate(**kwargs)``'s CalibrationError and its evaluation count:
+    each evaluation builds one point, by ``_point`` or ``_moved``."""
+    calls = []
+    for name in ("_point", "_moved"):
+        def counted(*args, built=getattr(calibration, name)):
+            calls.append(args)
+            return built(*args)
+        monkeypatch.setattr(calibration, name, counted)
+    with pytest.raises(CalibrationError) as err:
+        calibrate(**kwargs)
+    return str(err.value), len(calls)
+
+
+def test_fit_stops_at_a_jacobian_point_it_cannot_evaluate(monkeypatch):
+    # A log step of 1e-4 above 1.7976e308, ``kprime``'s upper Jacobian
+    # point overflows ``math.exp``: the Jacobian is abandoned after the
+    # initial guess and the 16 points of the eight columns, and the fit
+    # stops at the initial guess, where the objective overflows.
+    message, evaluations = _counted_calibrate(
+        monkeypatch, initial_selector=MosfetParams(kprime=1.7976e308))
+    assert message == "objective non-finite at the fit"
+    assert evaluations == 17
+
+
+def test_fit_rejects_an_initial_guess_it_cannot_evaluate(monkeypatch):
+    # A rupture rate that underflows to 0 divides the rupture time by zero.
+    message, evaluations = _counted_calibrate(
+        monkeypatch, initial_oxram=OxRamParams(rupture_rate_r0=1e-300,
+                                               rupture_field_v1=1e300))
+    assert message == "log residuals non-finite at the initial guess"
+    assert evaluations == 1
+
+
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
     # A step's point predicts every anchor, a Jacobian point only those its
     # coordinate feeds: 3 full points and 2 x 16 Jacobian points, of which

@@ -22,11 +22,16 @@ from oxpix.events import Event
 from oxpix.solver import EventKind, SolverOptions, TransientTrace, integrate
 from oxpix.tracefile import (
     CSV_HEADER,
-    read_trace_csv,
     write_json,
     write_sweep_csv,
     write_trace_csv,
 )
+
+
+def load_trace_columns(path):
+    """The ``t, vpd, i_ox, gap`` columns of a trace CSV."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(4),
+                      unpack=True)
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +43,11 @@ def bare_trace():
 def test_trace_csv_round_trip_bitwise(tmp_path, bare_trace):
     path = tmp_path / "trace.csv"
     write_trace_csv(bare_trace, str(path))
-    back = read_trace_csv(str(path))
-    assert np.array_equal(back.t, bare_trace.t)
-    assert np.array_equal(back.vpd, bare_trace.vpd)
-    assert np.array_equal(back.i_ox, bare_trace.i_ox)
-    assert np.array_equal(back.gap, bare_trace.gap)
+    t, vpd, i_ox, gap = load_trace_columns(path)
+    assert np.array_equal(t, bare_trace.t)
+    assert np.array_equal(vpd, bare_trace.vpd)
+    assert np.array_equal(i_ox, bare_trace.i_ox)
+    assert np.array_equal(gap, bare_trace.gap)
 
 
 def test_trace_csv_byte_identical_across_runs(tmp_path):
@@ -61,24 +66,8 @@ def test_trace_csv_header_and_empty_events(tmp_path, bare_trace):
     write_trace_csv(bare_trace, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert all(line.endswith(",") or line.endswith(",FwcSaturation")
-               for line in lines[1:])
-    back = read_trace_csv(str(path))
-    assert back.events == []
-    path.write_text("t,vpd\n")
-    with pytest.raises(OxpixError, match="unexpected header"):
-        read_trace_csv(str(path))
-    path.write_text("\n".join(lines[:2] + ["1e-6,1.0,0.0,0.0"]) + "\n")
-    with pytest.raises(OxpixError, match=":3: expected 5 columns"):
-        read_trace_csv(str(path))
-    path.write_text("\n".join(lines[:2] + ["abc,1,2,3,"]) + "\n")
-    with pytest.raises(OxpixError, match=":3: cannot parse number 'abc'"):
-        read_trace_csv(str(path))
-    path.write_bytes(path.read_bytes().replace(b"abc", b"\xff"))
-    with pytest.raises(OxpixError, match="trace from .*: not UTF-8 text"):
-        read_trace_csv(str(path))
-    with pytest.raises(OxpixError, match="cannot read trace"):
-        read_trace_csv(str(tmp_path / "missing.csv"))
+    # No event: every row ends with an empty event cell.
+    assert all(line.endswith(",") for line in lines[1:])
 
 
 def test_trace_csv_single_set_to_reset_cell(tmp_path, calibrated):
@@ -90,7 +79,7 @@ def test_trace_csv_single_set_to_reset_cell(tmp_path, calibrated):
                          oxram=calibrated.oxram, selector=calibrated.selector,
                          vg_waveform=wf, init_resistance=8e3)
     trace = integrate(cfg, Stimulus(1e-12), SolverOptions())
-    assert trace.events_of(EventKind.SET_TO_RESET)
+    assert any(e.kind is EventKind.SET_TO_RESET for e in trace.events)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     cells = [line.split(",")[4] for line in
@@ -115,17 +104,14 @@ def test_trace_csv_keeps_every_event_of_a_shared_row(tmp_path):
              path.read_text().splitlines()[1:]]
     assert cells == ["", "ResetToSet;FwcSaturation",
                      "AbruptFall;VpdFloorClamp"]
-    assert read_trace_csv(str(path)).events == [
-        (1e-6, "ResetToSet"), (1e-6, "FwcSaturation"),
-        (2e-6, "AbruptFall"), (2e-6, "VpdFloorClamp")]
 
 
 def test_cli_simulate_matches_oracle(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["simulate", "--iexp", "1nA", "--out", str(out)])
     assert code == 0
-    back = read_trace_csv(str(out))
-    assert back.vpd[-1] == pytest.approx(0.47, abs=1e-4)
+    vpd = load_trace_columns(out)[1]
+    assert vpd[-1] == pytest.approx(0.47, abs=1e-4)
 
 
 def test_cli_unknown_subcommand_exits_one(capsys):
@@ -214,6 +200,17 @@ def test_cli_report_schema_and_cache(tmp_path, monkeypatch):
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == first
     assert caches[0].stat().st_mtime_ns == mtime
+
+
+def test_cli_calibrate_failure_exits_two_without_output(tmp_path, capsys):
+    # The fit's Jacobian point overflows and its objective is not finite.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[selector]\nkprime = 1.7976e308\n")
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path / "p.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: objective non-finite at the fit\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_calibrate_writes_params(tmp_path):

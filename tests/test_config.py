@@ -1,10 +1,11 @@
-"""Configuration parsing, defaults, provenance and round-trip."""
+"""Configuration parsing, defaults and round-trip."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oxpix.config import RunSetup, dump_config, parse_config, parse_quantity
+from oxpix.config import (_SCHEMA, RunSetup, dump_config, parse_config,
+                          parse_quantity)
 from oxpix.errors import ConfigError
 from oxpix.pixel import Topology
 from oxpix.solver import SolverOptions
@@ -18,7 +19,7 @@ def test_empty_config_gives_documented_defaults():
     assert pd.c_pd == pytest.approx(10e-15)
     assert pd.texp == pytest.approx(9.5e-6)
     assert pd.trst == pytest.approx(0.5e-6)
-    assert setup.provenance["photodiode.vrst"] == "default"
+    assert "vrst" not in setup.raw["photodiode"]
 
 
 def test_case_ii_elevated_reset_accepted():
@@ -29,7 +30,7 @@ topology = case_ii
 vrst = 2.2V
 """)
     assert setup.pixel.pd.vrst == 2.2
-    assert setup.provenance["photodiode.vrst"] == "file"
+    assert setup.raw["photodiode"]["vrst"] == 2.2
 
 
 def test_case_ii_default_reset_is_elevated():
@@ -232,7 +233,8 @@ def test_first_faulty_line_is_reported():
 
 
 # Every key a config accepts, as (section, key).
-_KEYS = [tuple(name.split(".")) for name in sorted(parse_config("").provenance)]
+_KEYS = sorted((section, key) for section, keys in _SCHEMA.items()
+               for key in keys)
 _VALUES = st.one_of(
     st.builds("{}{}".format,
               st.one_of(st.floats(), st.integers(-3, 10 ** 20)),

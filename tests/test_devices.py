@@ -1,17 +1,18 @@
 """Device model unit tests: conduction, switching rates, read-out."""
 
+import math
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oxpix import devices
 from oxpix.devices import (
     MosfetParams,
     Orientation,
     OxRamParams,
     OxRamState,
     PhotodiodeParams,
-    device_current,
     device_current_and_slope,
     gap_velocity,
     oxram_current,
@@ -57,6 +58,23 @@ def test_non_finite_input_rejected(params):
         oxram_current(state, float("nan"), 0.0, params)
     with pytest.raises(InvalidInputError):
         oxram_current(state, 0.1, float("inf"), params)
+    for gap in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="non-finite gap_x"):
+            oxram_current(OxRamState(gap), 0.1, 0.0, params)
+    with pytest.raises(InvalidInputError, match="non-finite v_device"):
+        gap_velocity(state, math.nan, params)
+    for vgs, vds in ((math.nan, 0.1), (1.0, -math.inf)):
+        with pytest.raises(InvalidInputError, match="non-finite bias"):
+            selector_current(vgs, vds, MosfetParams())
+
+
+def test_sinh_clips_at_both_signs():
+    # Beyond the largest argument evaluated, the clip keeps sinh odd.
+    top = devices._EXP_ARG_MAX
+    assert devices._safe_sinh(top) == math.sinh(top)
+    for x in (top * (1 + 1e-15), 1e4, math.inf):
+        assert devices._safe_sinh(x) == devices._SINH_CLIP
+        assert devices._safe_sinh(-x) == -devices._SINH_CLIP
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,19 +276,17 @@ def test_non_finite_or_negative_field_rejected(cls, name, value):
         _BUILD.get(cls, cls)(**{name: value})
 
 
-def test_full_well_swing():
-    pd = PhotodiodeParams()
-    assert pd.full_well_swing == pytest.approx(62_500 * 1.602176634e-19 / 1e-14)
-
-
 @pytest.mark.parametrize("gap", [0.6, 4.0, 9.4])
 def test_device_current_and_slope_is_the_device_law(params, gap):
-    # The same current as the validated model, and its slope.
+    # The same current as the validated model with the divider applied,
+    # and its slope.
+    def current(v):
+        return oxram_current(OxRamState(gap), v, v * (gap / params.gap_max),
+                             params)
+
     for v in (0.05, 0.4, 1.2):
         i, di = device_current_and_slope(gap, v, params)
-        assert i == pytest.approx(
-            device_current(OxRamState(gap), v, params), rel=1e-13)
+        assert i == pytest.approx(current(v), rel=1e-13)
         dv = 1e-7 * v
-        fd = (device_current(OxRamState(gap), v + dv, params)
-              - device_current(OxRamState(gap), v - dv, params)) / (2 * dv)
+        fd = (current(v + dv) - current(v - dv)) / (2 * dv)
         assert di == pytest.approx(fd, rel=1e-6)

@@ -1,6 +1,7 @@
 """Sweep harness, window extraction, DR and gain-factor tests."""
 
 import logging
+import math
 import os
 import signal
 import sys
@@ -21,6 +22,7 @@ from oxpix.experiments import (
     gain_factor,
     gain_factor_curve,
     operating_dr,
+    point_readable,
     readable_window_bounds,
     run_sweep,
     summarize_sweep,
@@ -163,6 +165,37 @@ def test_window_interpolation_refines_edges():
     assert result.rows[2].i_exp < hi < result.rows[3].i_exp
 
 
+def test_failed_rows_and_a_failed_dark_reference_are_not_readable():
+    win = ReadableWindow(min_detect=0.05, max_swing=0.85, sense_margin=1e-3)
+    row = SweepRow(1e-10, 1.0, 0.42, ())
+    assert point_readable(row, win, 0.0)
+    assert not point_readable(replace(row, error="step size underflow"),
+                              win, 0.0)
+    for dark_swing in (math.nan, math.inf):
+        assert not point_readable(row, win, dark_swing)
+    with pytest.raises(InvalidInputError, match="empty sweep table"):
+        readable_window_bounds(SweepResult([], 1.42, 0.0, 1.42), win)
+
+
+def test_gain_factor_curve_skips_rows_it_cannot_compare():
+    # Kept: only 1e-11 A.  Skipped: a baseline row still at the reset level
+    # (1e-12 A), a failed baseline row (1e-10 A), a failed hybrid row
+    # (1e-9 A) and a hybrid row with no baseline row (1e-8 A).
+    vrst, failed = 1.42, dict(final_vpd=math.nan, swing=math.nan,
+                              error="failed")
+    baseline = SweepResult([
+        SweepRow(1e-12, vrst, 0.0, ()), SweepRow(1e-11, 1.3, 0.12, ()),
+        SweepRow(1e-10, events=(), **failed), SweepRow(1e-9, 0.5, 0.92, ())],
+        dark_final_vpd=vrst, dark_swing=0.0, vrst=vrst)
+    hybrid = SweepResult([
+        SweepRow(1e-12, 1.41, 0.01, ()), SweepRow(1e-11, 1.4, 0.02, ()),
+        SweepRow(1e-10, 1.3, 0.12, ()), SweepRow(1e-9, events=(), **failed),
+        SweepRow(1e-8, 1.0, 0.42, ())],
+        dark_final_vpd=vrst, dark_swing=0.0, vrst=vrst)
+    assert gain_factor_curve(baseline, hybrid) == [
+        (1e-11, gain_factor(vrst, 1.3, 1.4))]
+
+
 def test_case_iii_has_no_readable_points(small_sweeps, window):
     assert readable_window_bounds(small_sweeps["case_iii"], window) is None
 
@@ -263,7 +296,8 @@ def test_sweep_point_computes_no_sample_current(monkeypatch, calibrated):
         # sample after a floor clamp.  Those are the samples inside steps.
         t = trace.t[n_reset - 1:]
         entered = int(np.sum(t[1:] == np.nextafter(t[:-1], np.inf)))
-        floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+        floor = [e for e in trace.events
+                 if e.kind is EventKind.VPD_FLOOR_CLAMP]
         tail = 1 if floor and floor[0].t_event < cfg.pd.t_end else 0
         inside = len(t) - 1 - (trace.stats.accepted - reset.stats.accepted) \
             - entered - tail

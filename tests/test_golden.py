@@ -27,7 +27,7 @@ import pytest
 from oxpix import solver
 from oxpix.calibration import calibrate
 from oxpix.cli import _result_payload, main
-from oxpix.config import dump_config, parse_config
+from oxpix.config import _SCHEMA, dump_config, parse_config
 from oxpix.defaults import default_config
 from oxpix.experiments import SweepSpec, table1_report
 from oxpix.pixel import Stimulus, Topology
@@ -262,7 +262,8 @@ def dump_digest(topology: str) -> str:
 
 
 def accepted_keys() -> list[str]:
-    return sorted(parse_config("").provenance)
+    return sorted(f"{section}.{key}"
+                  for section, keys in _SCHEMA.items() for key in keys)
 
 
 @pytest.mark.parametrize("topology", sorted(GOLDEN_DUMP))

@@ -432,8 +432,10 @@ def test_last_step_exits_meet_the_kcl_tolerance(monkeypatch):
     worst = 0.0
     for kind, vpd, vg, vs, gap, ox, sel, v_m in EXITS:
         if kind == "last step":
-            i_dev = devices.device_current(
-                devices.OxRamState(gap, Orientation.BE_AT_PD), vpd - v_m, ox)
+            v_dev = vpd - v_m
+            i_dev = devices.oxram_current(
+                devices.OxRamState(gap, Orientation.BE_AT_PD), v_dev,
+                v_dev * (gap / ox.gap_max), ox)
             i_sel = devices.selector_current(vg - vs, v_m - vs, sel)
             worst = max(worst, abs(i_dev - i_sel) / max(i_dev, i_sel))
     assert worst <= 1e-12

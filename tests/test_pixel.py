@@ -11,7 +11,7 @@ from oxpix.devices import (
     OxRamParams,
     OxRamState,
     PhotodiodeParams,
-    device_current,
+    oxram_current,
     selector_current,
     state_from_resistance,
 )
@@ -75,7 +75,8 @@ def test_kcl_at_operating_point():
                             (8e3, 3.3, 1.42), (60e9, 3.3, 1.0)]:
         state = state_from_resistance(min(r_init, 59e9), 0.1, p)
         i, v_dev = solve_branch_current(vpd, vg, 0.0, state, p, m)
-        i_dev = device_current(state, v_dev, p)
+        i_dev = oxram_current(
+            state, v_dev, v_dev * (state.gap_x / p.gap_max), p)
         i_sel = selector_current(vg, vpd - v_dev, m)
         scale = max(abs(i_dev), abs(i_sel), 1e-30)
         assert abs(i_dev - i_sel) <= 1e-9 * scale

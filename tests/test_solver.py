@@ -1,5 +1,6 @@
 """Transient solver tests: oracles, events, conservation, determinism."""
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -22,6 +23,11 @@ from oxpix.solver import (
     charge_balance_error,
     integrate,
 )
+
+
+def events_of(trace, kind: EventKind) -> list:
+    """The events of ``trace`` of one kind, in time order."""
+    return [e for e in trace.events if e.kind is kind]
 
 
 def closed_form_vpd(pd: PhotodiodeParams, i_exp: float, t: float) -> float:
@@ -63,7 +69,7 @@ def test_bare_run_ends_at_its_floor_crossing(i_exp):
     pd = PhotodiodeParams(fwc_electrons=1e6)
     cfg = default_config(Topology.BARE_3T, pd=pd)
     trace = integrate(cfg, Stimulus(i_exp), SolverOptions())
-    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    (floor,) = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     assert floor.t_event == pytest.approx(pd.trst + pd.vrst * pd.c_pd / i_exp,
                                           rel=1e-12)
     ref = np.array([closed_form_vpd(pd, i_exp, t) for t in trace.t])
@@ -106,7 +112,7 @@ def test_case_i_set_to_reset_coincides_with_current_peak(calibrated):
     cfg = default_config(Topology.HYBRID_CASE_I, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     trace = integrate(cfg, Stimulus(1e-12), SolverOptions())
-    events = trace.events_of(EventKind.SET_TO_RESET)
+    events = events_of(trace, EventKind.SET_TO_RESET)
     assert len(events) == 1
     t_peak = float(trace.t[int(np.argmax(trace.i_ox))])
     assert abs(t_peak - events[0].t_event) <= 100e-9
@@ -124,8 +130,8 @@ def test_case_iii_reset_to_set_then_abrupt_fall(calibrated):
     cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     trace = integrate(cfg, Stimulus(1e-12), SolverOptions())
-    r2s = trace.events_of(EventKind.RESET_TO_SET)
-    fall = trace.events_of(EventKind.ABRUPT_FALL)
+    r2s = events_of(trace, EventKind.RESET_TO_SET)
+    fall = events_of(trace, EventKind.ABRUPT_FALL)
     assert len(r2s) == 1 and len(fall) == 1
     assert r2s[0].t_event < fall[0].t_event
 
@@ -133,9 +139,10 @@ def test_case_iii_reset_to_set_then_abrupt_fall(calibrated):
 def test_fwc_saturation_event_and_level():
     cfg = default_config(Topology.BARE_3T)
     trace = integrate(cfg, Stimulus(2.5e-9), SolverOptions())
-    assert trace.events_of(EventKind.FWC_SATURATION)
+    assert events_of(trace, EventKind.FWC_SATURATION)
     swing = cfg.pd.vrst - trace.final_vpd
-    assert swing == pytest.approx(cfg.pd.full_well_swing, rel=1e-6)
+    full_well_swing = cfg.pd.fwc_electrons * ELEMENTARY_CHARGE / cfg.pd.c_pd
+    assert swing == pytest.approx(full_well_swing, rel=1e-6)
 
 
 @pytest.mark.parametrize("topo,i_exp", [
@@ -312,15 +319,39 @@ def test_solver_error_on_the_first_evaluation_carries_its_stats(monkeypatch):
     assert err.value.stats.accepted == 0
 
 
+@pytest.mark.parametrize("points,t_end,correction", [
+    (20, 1.659e-4, +1), (20, 1.47e-5, -1),
+    (None, 3.0800077, +1), (None, 0.44000110000000003, -1)])
+def test_grid_spacing_corrects_its_estimate(monkeypatch, points, t_end,
+                                            correction):
+    # The quotient's ceiling is one window short of the spacing, or one
+    # over it, at these ends (None: the real ``_GRID_POINTS``).  The
+    # spacing is still the least multiple of the window that puts at most
+    # ``points`` grid points ``k * spacing`` before the end.
+    if points is None:
+        points = solver._GRID_POINTS
+    else:
+        monkeypatch.setattr(solver, "_GRID_POINTS", points)
+    w = events.ABRUPT_WINDOW
+
+    def before_end(spacing):
+        return int(np.count_nonzero(
+            np.arange(1, points + 2) * spacing < t_end))
+
+    multiple = round(solver._grid_spacing(t_end) / w)
+    assert solver._grid_spacing(t_end) == w * multiple
+    assert multiple == math.ceil(t_end / ((points + 1) * w)) + correction
+    assert before_end(w * multiple) <= points < before_end(w * (multiple - 1))
+
+
 @pytest.mark.parametrize("points,finest", [(20, False), (101, True)])
 def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
                                                    finest):
     # The grid spacing is the least whole multiple of ABRUPT_WINDOW that
     # puts at most ``points`` grid points before the schedule's end: 500 ns
-    # for 20 points on the 10 us schedule (its quotient by 20 windows rounds
-    # above 5, which must not make it 600 ns), 100 ns for 101.  Only grid
-    # rows go: the accepted states, and so the row each event labels, stay,
-    # and so do the stepper's results.
+    # for 20 points on the 10 us schedule, 100 ns for 101.  Only grid rows
+    # go: the accepted states, and so the row each event labels, stay, and
+    # so do the stepper's results.
     cfg = default_config(Topology.HYBRID_CASE_III)
     fine = integrate(cfg, Stimulus(1e-11), SolverOptions())
     monkeypatch.setattr(solver, "_GRID_POINTS", points)
@@ -346,7 +377,7 @@ def test_output_grid_has_at_most_grid_points_rows(monkeypatch, points,
     assert sum(t in grid for t in coarse.t) <= points
     assert {r for r in rows(coarse) if r[0] not in grid} <= set(rows(fine))
     assert labelled(coarse) == labelled(fine)
-    assert coarse.events_of(EventKind.ABRUPT_FALL)
+    assert events_of(coarse, EventKind.ABRUPT_FALL)
     assert (coarse.final_vpd, coarse.events, coarse.stats) \
         == (fine.final_vpd, fine.events, fine.stats)
     assert np.all(np.diff(coarse.t) > 0)
@@ -420,8 +451,8 @@ def test_switching_event_time_independent_of_step_cap(calibrated, topo, kind):
                          selector=calibrated.selector)
     coarse = integrate(cfg, Stimulus(1e-12), SolverOptions())
     fine = integrate(cfg, Stimulus(1e-12), SolverOptions(max_step=1e-9))
-    (a,) = coarse.events_of(kind)
-    (b,) = fine.events_of(kind)
+    (a,) = events_of(coarse, kind)
+    (b,) = events_of(fine, kind)
     assert abs(a.t_event - b.t_event) <= 2e-9
 
 
@@ -445,6 +476,21 @@ def test_stats_are_the_same_for_a_read_and_an_unread_trace(calibrated, topo):
     before = replace(read.stats)
     assert len(read.t) > read.stats.accepted
     assert read.stats == before == unread.stats
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_unbuilt_trace_lacks_unknown_names_and_copies(topo):
+    # Only the four sample arrays are built on a read; any other missing
+    # name raises AttributeError, so ``hasattr`` is false and ``copy``,
+    # which looks up ``__setstate__`` on an empty instance, works.  A copy
+    # made before the read builds the same samples.
+    trace = integrate(default_config(topo), Stimulus(1e-9), SolverOptions())
+    with pytest.raises(AttributeError, match="^no_such_name$"):
+        trace.no_such_name
+    assert not hasattr(trace, "no_such_name")
+    copied = copy.copy(trace)
+    for name in ("t", "vpd", "i_ox", "gap"):
+        assert np.array_equal(getattr(copied, name), getattr(trace, name))
 
 
 @pytest.mark.parametrize("i_exp", [75e-9, 80e-9, 100e-9])
@@ -553,7 +599,7 @@ def test_steps_land_on_the_vpd_floor():
     # collapse; the last one still ends on the floor.
     cfg = default_config(Topology.HYBRID_CASE_III)
     trace = integrate(cfg, Stimulus(10e-9), SolverOptions(rel_tol=1e-3))
-    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    (floor,) = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     (at_floor,) = np.flatnonzero(trace.t == floor.t_event)
     assert trace.vpd[at_floor] == 0.0
     assert trace.vpd.min() == 0.0
@@ -596,7 +642,7 @@ def test_case_iii_collapse_matches_radau_oracle(monkeypatch, calibrated,
                          selector=calibrated.selector)
     opt = SolverOptions()
     trace, steps = _exposure_steps(monkeypatch, cfg, Stimulus(i_exp), opt)
-    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    (floor,) = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     first = int(np.searchsorted(trace.t, cfg.pd.trst, side="right"))
     t, vpd = np.array(_inside(steps)).T
     assert t[-1] < floor.t_event
@@ -644,7 +690,7 @@ def test_lawson_steps_are_exact_on_an_rc_node(monkeypatch):
     finally:
         solver._reset_phase.cache_clear()
     assert trace.stats.accepted - reset_steps <= 12
-    (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    (floor,) = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     # The end of the first exposure step.
     t0 = steps[0][0] + steps[0][20]
     (k0,) = np.flatnonzero(trace.t == t0)
@@ -672,7 +718,7 @@ def test_charge_of_a_step_cut_at_the_floor_ends_at_the_cut(monkeypatch):
                                        SolverOptions())
     finally:
         solver._reset_phase.cache_clear()
-    assert trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    assert events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     assert steps[-1][20] < 0.9 * steps[-1][1]
     assert charge_balance_error(trace, cfg) <= 1e-10
 
@@ -686,7 +732,7 @@ def test_case_iii_sweeps_at_tight_tolerances(options):
     cfg = default_config(Topology.HYBRID_CASE_III)
     for i_exp in SweepSpec(cfg).currents():
         trace = integrate(cfg, Stimulus(i_exp), options)
-        (floor,) = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+        (floor,) = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
         assert trace.vpd[trace.t == floor.t_event].tolist() == [0.0]
         assert trace.vpd.min() == 0.0
         assert charge_balance_error(trace, cfg) <= 2.5e-3
@@ -799,7 +845,7 @@ def test_stats_count_kcl_solves(monkeypatch):
     for vpd in (0.0, -1e-6):
         kernel(vpd, collapse.final_gap)
         assert hint[1] == vpd
-    assert collapse.events_of(EventKind.VPD_FLOOR_CLAMP) and floor_calls
+    assert events_of(collapse, EventKind.VPD_FLOOR_CLAMP) and floor_calls
     assert collapse.stats.kcl_solves == collapse.stats.rhs_evals
     assert not unsolved
     bare = integrate(default_config(Topology.BARE_3T), Stimulus(1e-12),
@@ -845,7 +891,7 @@ def test_trace_holds_the_output_grid(monkeypatch, calibrated, topo, i_exp):
     solver._reset_phase.cache_clear()  # so its samples are built here too
     trace = integrate(cfg, Stimulus(i_exp), opt)
     t, window = trace.t, events.ABRUPT_WINDOW
-    floor = trace.events_of(EventKind.VPD_FLOOR_CLAMP)
+    floor = events_of(trace, EventKind.VPD_FLOOR_CLAMP)
     t_stop = floor[0].t_event if floor else cfg.pd.t_end
     dense = t[t <= t_stop]
     assert dense[-1] == t_stop
@@ -1000,8 +1046,8 @@ def test_case_iii_collapse_records_one_abrupt_fall(calibrated):
     cfg = default_config(Topology.HYBRID_CASE_III, oxram=calibrated.oxram,
                          selector=calibrated.selector)
     trace = integrate(cfg, Stimulus(1e-8), SolverOptions())
-    (r2s,) = trace.events_of(EventKind.RESET_TO_SET)
-    (fall,) = trace.events_of(EventKind.ABRUPT_FALL)
+    (r2s,) = events_of(trace, EventKind.RESET_TO_SET)
+    (fall,) = events_of(trace, EventKind.ABRUPT_FALL)
     assert r2s.t_event < fall.t_event
 
 
