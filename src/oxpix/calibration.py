@@ -36,7 +36,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .devices import (
     READ_BACK_REL_TOL,
@@ -52,10 +52,6 @@ from .devices import (
 from .defaults import R_SET_LEVELS
 from .errors import CalibrationError, require_finite
 from .pixel import solve_branch_current
-
-# numpy is imported where arrays are built: a warm report never loads it.
-if TYPE_CHECKING:
-    import numpy as np
 
 _log = logging.getLogger("oxpix")
 
@@ -138,20 +134,30 @@ class CalibrationResult:
 
 
 def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
-                   target: float = R_SET_LEVELS[0]) -> float:
+                   target: float = R_SET_LEVELS[0],
+                   record: Optional[dict] = None) -> float:
     """Model value of one reference quantity for a candidate parameter set.
 
     ``target`` is the anchor's own value; only the SET read-back uses it.
+    ``record``, a dict per parameter point, shares work: the SET read-back
+    resumes from its ``"bracket"`` and leaves there its own, its R(gap_max)
+    under ``"r_max"`` and its reads under ``"reads"``; the RESET read-back
+    takes ``"r_max"``, the bits of its own ``read_resistance`` call.
     """
     if quantity == ANCHOR_R_SET:
         # Read-back of the target SET level; unreachable targets report the
         # nearest reachable bound so the residual stays finite.
-        gap, r, r_lo, r_hi = _read_back(target, VREAD, oxram,
-                                        READ_BACK_REL_TOL)
+        record = {} if record is None else record
+        gap, r, r_lo, r_hi, record["bracket"], reads = _read_back(
+            target, VREAD, oxram, READ_BACK_REL_TOL, record.get("bracket"))
+        record["r_max"] = r_hi
+        record["reads"] = record.get("reads", 0) + reads
         if gap is not None:
             return r
         return r_lo if r_lo > target else r_hi
     if quantity == ANCHOR_R_RESET:
+        if record and "r_max" in record:
+            return record["r_max"]
         return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
     if quantity == ANCHOR_T_RESET:
         rate = gap_velocity(OxRamState(oxram.gap_min), V_RESET_DRIVE, oxram)
@@ -238,23 +244,27 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     A Jacobian point predicts only the anchors its coordinate feeds
     (``_FEEDS``; ``test_anchors_outside_a_fields_feeds_do_not_move`` guards
     it), so the default fit makes 84 anchor predictions in its 35 points,
-    not 140; the INFO line gives them, in total and per anchor.
+    not 140; the INFO line gives them, in total and per anchor.  A point's
+    SET read-back hands its bracket to those of its Jacobian points and the
+    next step's trials (``devices._read_back``) and its R(gap_max) to the
+    RESET anchor: the default fit's SET read-backs read R 162 times, not
+    338, and the INFO line ends with that count.
     ``seed`` and ``restarts`` are ignored: the fit has no random starts, and
     they stay accepted for callers that still pass them.
     Raises CalibrationError when a log residual at the initial guess, or
     the objective at the fit, is not finite.
     """
-    import numpy as np
+    import numpy as np  # here, not at the top: a warm report never loads it
     t0 = time.perf_counter()
     anchors = anchors or CalibrationAnchors()
     oxram = initial_oxram or OxRamParams()
     selector = initial_selector or MosfetParams()
 
     given = [getattr(oxram, f) for f in _FIT_FIELDS[:-1]] + [selector.kprime]
-    logs0 = [math.log(v) for v in given]
-    x0 = np.array(logs0)
-    width = np.array([_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS])
-    lo, hi = x0 - width, x0 + width
+    x0 = [math.log(v) for v in given]
+    width = [_BOX_DECADES[f] * math.log(10.0) for f in _FIT_FIELDS]
+    lo = [c - w for c, w in zip(x0, width)]
+    hi = [c + w for c, w in zip(x0, width)]
     targets = [(a.quantity, a.value) for a in anchors.anchors]
     every = range(len(targets))
     # The anchors each coordinate's Jacobian points predict.
@@ -262,82 +272,87 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
              for f in _FIT_FIELDS]
     predictions = dict.fromkeys((q for q, _ in targets), 0)
     blank = [math.nan] * len(targets)
-    evaluations = 0
+    evaluations = reads = 0
 
-    def predicted(point, which, logs,
-                  models) -> tuple[list, list, tuple] | None:
-        """``(logs, models, point)``, each anchor's log residual and model
-        value, with the anchors at ``which`` predicted at ``point``; None
-        where a log residual is not finite."""
-        logs, models = logs.copy(), models.copy()
+    def predicted(point, which, logs, models,
+                  bracket) -> tuple[list, list, tuple, tuple] | None:
+        """``(logs, models, point, bracket)``, each anchor's log residual
+        and model value, with the anchors at ``which`` predicted at
+        ``point``, its SET read-backs resumed from ``bracket``, and the
+        bracket they leave; None where a log residual is not finite."""
+        nonlocal reads
+        logs, models, record = logs.copy(), models.copy(), {"bracket": bracket}
         for i in which:
             quantity, value = targets[i]
             predictions[quantity] += 1
-            models[i] = predict_anchor(quantity, *point, value)
+            models[i] = predict_anchor(quantity, *point, value, record)
+        reads += record.get("reads", 0)
         for i in which:
             logs[i] = math.log(models[i] / targets[i][1])
-        return (logs, models, point) if all(map(math.isfinite, logs)) else None
+        if all(map(math.isfinite, logs)):
+            return logs, models, point, record["bracket"]
+        return None
 
-    def at(x: np.ndarray) -> tuple[list, list, tuple] | None:
+    def at(x: list, bracket) -> tuple[list, list, tuple, tuple] | None:
         """``predicted`` of every anchor at ``x``; None also where the point
         or a log residual cannot be computed."""
         nonlocal evaluations
         evaluations += 1
         try:
-            point = _point(x.tolist(), oxram, selector, logs0)
-            return predicted(point, every, blank, blank)
+            point = _point(x, oxram, selector, x0)
+            return predicted(point, every, blank, blank, bracket)
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
 
     def at_moved(fit: tuple, j: int,
-                 c: float) -> tuple[list, list, tuple] | None:
+                 c: float) -> tuple[list, list, tuple, tuple] | None:
         """``at`` of ``fit``'s point with coordinate ``j`` at ``c``, which
         only the anchors that coordinate feeds can tell from ``fit``."""
         nonlocal evaluations
         evaluations += 1
         try:
-            point = _moved(fit[2], _FIT_FIELDS[j], c, logs0[j], given[j])
-            return predicted(point, feeds[j], fit[0], fit[1])
+            point = _moved(fit[2], _FIT_FIELDS[j], c, x0[j], given[j])
+            return predicted(point, feeds[j], fit[0], fit[1], fit[3])
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
 
-    def jacobian(x: np.ndarray, fit: tuple) -> np.ndarray | None:
+    def jacobian(x: list, fit: tuple) -> list[list] | None:
         columns = []
-        for j, c in enumerate(x.tolist()):
+        for j, c in enumerate(x):
             up = at_moved(fit, j, c + _JACOBIAN_STEP)
             down = at_moved(fit, j, c - _JACOBIAN_STEP)
             if up is None or down is None:
                 return None
             columns.append([(u - d) / (2.0 * _JACOBIAN_STEP)
                             for u, d in zip(up[0], down[0])])
-        return np.array(columns).T
+        return columns
 
-    fit = at(x0)
+    fit = at(x0, None)
     if fit is None:
         raise CalibrationError("log residuals non-finite at the initial guess")
-    x, largest = x0, np.abs(fit[0]).max()
-    iterations, singular, held = 0, np.zeros(0), ()
+    x, largest = x0, max(map(abs, fit[0]))
+    iterations, singular, held = 0, (), ()
     while iterations < _MAX_ITERATIONS and largest >= _STOP:
-        jac = jacobian(x, fit)
-        if jac is None:
+        columns = jacobian(x, fit)
+        if columns is None:
             break
-        seen = np.any(jac != 0.0, axis=0)
+        seen = [any(column) for column in columns]
         held = tuple(f for f, s in zip(_FIT_FIELDS, seen) if not s)
-        jac = jac[:, seen]
-        singular = np.linalg.svd(jac, compute_uv=False)
-        trial = x0.copy()
-        trial[seen] = np.clip(
-            x0[seen] + np.linalg.pinv(jac) @ (jac @ (x - x0)[seen] - fit[0]),
-            lo[seen], hi[seen])
+        jac = np.array(columns).T[:, seen]
+        singular = tuple(np.linalg.svd(jac, compute_uv=False).tolist())
+        dx = np.array([c - c0 for c, c0, s in zip(x, x0, seen) if s])
+        step = iter((np.linalg.pinv(jac) @ (jac @ dx - fit[0])).tolist())
+        trial = [min(max(c0 + next(step), a), b) if s else c0
+                 for c0, a, b, s in zip(x0, lo, hi, seen)]
         iterations += 1
         for _ in range(_HALVINGS + 1):
-            moved = at(trial)
-            if moved is not None and np.abs(moved[0]).max() < largest:
+            moved = at(trial, fit[3])
+            if moved is not None and max(map(abs, moved[0])) < largest:
                 break
-            trial = x + 0.5 * (trial - x)
+            trial = [c + 0.5 * (t - c) for c, t in zip(x, trial)]
         else:
             break
-        x, fit, largest = trial, moved, np.abs(moved[0]).max()
+        x, fit, largest = trial, moved, max(map(abs, moved[0]))
 
     residuals = {}
     converged = True
@@ -356,17 +371,18 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     detail = ""
     if len(anchors.anchors) < 2:
         detail = "under-determined: single anchor leaves the fit unconstrained"
-    _log.info("calibrate: %d evaluations in %d iterations, largest log "
-              "residual %.2g, singular values %s, held %s, %.3f s; %d anchor "
-              "predictions (%s)",
-              evaluations, iterations, largest,
-              " ".join(f"{s:.3g}" for s in singular) or "none",
-              " ".join(held) or "none", time.perf_counter() - t0,
-              sum(predictions.values()),
-              " ".join(f"{q} {n}" for q, n in predictions.items()))
+    if _log.isEnabledFor(logging.INFO):
+        _log.info("calibrate: %d evaluations in %d iterations, largest log "
+                  "residual %.2g, singular values %s, held %s, %.3f s; %d "
+                  "anchor predictions (%s); %d SET read-back resistance reads",
+                  evaluations, iterations, largest,
+                  " ".join(f"{s:.3g}" for s in singular) or "none",
+                  " ".join(held) or "none", time.perf_counter() - t0,
+                  sum(predictions.values()),
+                  " ".join(f"{q} {n}" for q, n in predictions.items()), reads)
     ox_fit, sel_fit = fit[2]
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,
         converged=converged, objective=objective,
-        singular_values=tuple(singular.tolist()), held=held, detail=detail,
+        singular_values=singular, held=held, detail=detail,
         evaluations=evaluations)

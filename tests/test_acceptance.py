@@ -309,6 +309,37 @@ def test_criterion_8_monotone_final_vpd(reports):
                             "full-well clamp (baseline, case i, case ii)")
 
 
+def test_criterion_8_final_vpd_past_full_well(reports):
+    # Above ``fwc * q / texp`` (1.054 nA) the photocurrent stops at
+    # ``t_fwc`` while the branch drain shrinks with exposure: the hybrids'
+    # final VPD drops below the 1 nA row and then never falls, the bare
+    # pixel stands at its clamp and case iii at the floor.
+    table, _ = reports
+    pd = PhotodiodeParams()
+    i_fwc = pd.fwc_electrons * ELEMENTARY_CHARGE / pd.texp
+    past = {}
+    for label in ("baseline", "case_i", "case_ii", "case_iii"):
+        rows = [r for r in table[label].rows if not r.error]
+        past[label] = [r.final_vpd for r in rows if r.i_exp > i_fwc]
+        assert len(past[label]) == 12, label
+    (at_1na,) = [r for r in table["case_i"].rows if r.i_exp == 1e-9]
+    assert at_1na.final_vpd == pytest.approx(0.40505, abs=5e-6)
+    for label, first, last in (("case_i", 0.36244, 0.40483),
+                               ("case_ii", 1.10063, 1.10136)):
+        vpd = past[label]
+        assert all(a <= b for a, b in zip(vpd, vpd[1:])), label
+        assert vpd[0] == pytest.approx(first, abs=5e-6), label
+        assert vpd[-1] == pytest.approx(last, abs=5e-6), label
+    assert max(past["baseline"]) - min(past["baseline"]) <= 5e-16
+    assert past["baseline"][0] == pytest.approx(0.41864, abs=5e-6)
+    assert past["case_iii"] == [0.0] * 12
+    report_line(8, "check", "past full well: case i non-decreasing "
+                            f"{past['case_i'][0]:.5f} -> {past['case_i'][-1]:.5f}"
+                            f" V, case ii {past['case_ii'][0]:.5f} -> "
+                            f"{past['case_ii'][-1]:.5f} V, bare flat at "
+                            f"{past['baseline'][0]:.5f} V, case iii at 0 V")
+
+
 def test_criterion_8_sinh_oddness(calibrated):
     from oxpix.devices import OxRamState, oxram_current
     p = calibrated.oxram

@@ -170,7 +170,8 @@ def test_fit_holds_the_coordinates_no_anchor_sees(monkeypatch, caplog,
                                                   kwargs, held):
     result, line = _logged_fit(monkeypatch, caplog, "1", **kwargs)
     assert re.search(r", held (.*), [0-9.]+ s; [0-9]+ anchor predictions "
-                     r"\([a-z_ 0-9]+\)$", line).group(1) == held
+                     r"\([a-z_ 0-9]+\); [0-9]+ SET read-back resistance "
+                     r"reads$", line).group(1) == held
     assert (" ".join(result.held) or "none") == held
 
 
@@ -310,6 +311,7 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     # coordinate feeds: 3 full points and 2 x 16 Jacobian points, of which
     # 20 move a conduction field, 8 a rupture field and 4 ``kprime``.  The
     # fit's residuals reuse the model values of its last accepted point.
+    # The SET read-backs make 162 resistance reads, 338 without resuming.
     calls = []
     predict = calibration.predict_anchor
 
@@ -330,7 +332,8 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     assert len(lines) == 1
     assert f": {result.evaluations} evaluations in " in lines[0]
     assert lines[0].endswith("; 84 anchor predictions (r_set 23 r_reset 23 "
-                             "t_reset 11 i_reset_peak 27)")
+                             "t_reset 11 i_reset_peak 27); 162 SET read-back "
+                             "resistance reads")
 
 
 def _logged_fit(monkeypatch, caplog, workers, **kwargs):
@@ -501,3 +504,41 @@ def test_fit_is_unchanged_when_every_field_feeds_every_anchor(monkeypatch,
         pickle.dumps(_result_payload(oracle))
     assert (fit.held, fit.singular_values, fit.evaluations) == \
         (oracle.held, oracle.singular_values, oracle.evaluations)
+
+
+_RESUME_STARTS = {
+    "defaults": {},
+    "i0_ox_x1.8": {"initial_oxram": OxRamParams(i0_ox=OxRamParams().i0_ox
+                                                * 1.8)},
+    "kprime_2e-4": {"initial_selector": MosfetParams(kprime=2e-4)},
+    "r_set_twice": {"anchors": CalibrationAnchors(
+        CalibrationAnchors().anchors[:1] + CalibrationAnchors().anchors)},
+    "reversed": {"anchors": CalibrationAnchors(
+        CalibrationAnchors().anchors[::-1])},
+    **{f"ox_decay_c_{c}": {"initial_oxram": OxRamParams(ox_decay_c=c)}
+       for c in (0.5, 1.0, 1.6)},
+}
+
+
+def _fit_or_error(**kwargs):
+    try:
+        fit = calibrate(**kwargs)
+    except CalibrationError as exc:
+        return str(exc)
+    return (pickle.dumps(_result_payload(fit)), fit.evaluations, fit.held)
+
+
+@pytest.mark.parametrize("kwargs", _RESUME_STARTS.values(),
+                         ids=_RESUME_STARTS)
+def test_fit_is_unchanged_without_resume_or_shared_read(monkeypatch, kwargs):
+    # Without the per-point record each SET read-back bisects the full
+    # range and each RESET read-back reads R(gap_max) itself: the fit must
+    # not tell.  From ox_decay_c 1.6 the closed-form check refuses the
+    # resume at 10 of the 36 read-backs offered one, where R need not be
+    # increasing; from 0.5 and 1.0 the SET target is out of reach.
+    fit = _fit_or_error(**kwargs)
+    predict = calibration.predict_anchor
+    monkeypatch.setattr(calibration, "predict_anchor",
+                        lambda quantity, oxram, selector, target, record:
+                        predict(quantity, oxram, selector, target))
+    assert fit == _fit_or_error(**kwargs)
