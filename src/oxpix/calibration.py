@@ -5,20 +5,23 @@ resistances, the time a constant reset-polarity drive takes to open the gap
 fully, and the peak current of a selector-limited programming transient.
 The first three have closed forms; the programming peak is one
 operating-point solve (the transient sits at its compliance plateau while
-the gap barely moves, so the trace maximum is the plateau current).
+the gap barely moves, so the trace maximum is the plateau current).  The
+SET anchor is a reachability bound: any level in [R(gap_min), R(gap_max)]
+can be preprogrammed (``devices.state_from_resistance``), so its model is
+the level itself, and a level out of reach reads as the nearest bound.
 
 So the fit is a root-find of one equation per anchor, ``log(model /
-anchor) = 0``, in eight log-parameters, smooth but for the SET read-back's
-bisection steps.  It is solved by Gauss-Newton steps from the initial guess
-``x0``, each the minimum-norm solution of the linearized equations measured
-from ``x0`` and clipped to a box around it: the anchors fix only as many
-combinations of the parameters as there are anchors, and the rest stay at
-``x0``.  A coordinate no anchor moves at all (with the default constants
-``i0_cf`` and ``cf_field_b``: the filament term lies below the last bit of
-every anchor) has a Jacobian column of exact zeros and is *held*: it
-keeps its initial value bit for bit.  A point is the checked initial
-constants with only the eight fitted values replaced and checked
-(``_point``).
+anchor) = 0``, in eight log-parameters, smooth but for the SET anchor's
+kinks at the range ends.  It is solved by Gauss-Newton steps from the
+initial guess ``x0``, each the minimum-norm solution of the linearized
+equations measured from ``x0`` and clipped to a box around it: the anchors
+fix only as many combinations of the parameters as there are anchors, and
+the rest stay at ``x0``.  A coordinate no anchor moves at all (with the
+default constants ``i0_cf`` and ``cf_field_b``: the filament term lies
+below the last bit of every anchor) has a Jacobian column of exact zeros
+and is *held*: it keeps its initial value bit for bit.  A point is the
+checked initial constants with only the eight fitted values replaced and
+checked (``_point``).
 
 A Jacobian point moves one coordinate of the current point, so it is built
 from that point with only the one field replaced and checked (``_moved``),
@@ -27,7 +30,7 @@ beside ``predict_anchor``, lists them, and
 ``test_anchors_outside_a_fields_feeds_do_not_move`` guards the list.  The
 other anchors keep the current point's log residuals, so their Jacobian
 entries are the exact zeros a full prediction gives.  The default fit
-evaluates 35 points and makes 84 anchor predictions, not 4 x 35 = 140.
+evaluates 18 points and makes 44 anchor predictions, not 4 x 18 = 72.
 """
 
 from __future__ import annotations
@@ -39,18 +42,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .devices import (
-    READ_BACK_REL_TOL,
     VREAD,
     MosfetParams,
     Orientation,
     OxRamParams,
     OxRamState,
-    _read_back,
     gap_velocity,
     read_resistance,
 )
 from .defaults import R_SET_LEVELS
-from .errors import CalibrationError, require_finite
+from .errors import CalibrationError, InvalidInputError, require_finite
 from .pixel import solve_branch_current
 
 _log = logging.getLogger("oxpix")
@@ -67,7 +68,7 @@ ANCHOR_I_RESET = "i_reset_peak"
 
 # Names the fit method in the calibration cache key, so a cache written by
 # another method is a miss.
-FIT_METHOD = "min-norm-gauss-newton, kcl-last-step"
+FIT_METHOD = "min-norm-gauss-newton, kcl-last-step, clipped-set-anchor"
 
 # Fitted degrees of freedom, all strictly positive, fitted in log space.
 _FIT_FIELDS = ("i0_cf", "cf_field_b", "i0_ox", "ox_decay_c", "ox_field_d",
@@ -88,9 +89,10 @@ _BOX_DECADES = {
 }
 # Half-step of the central-difference Jacobian, in natural log.
 _JACOBIAN_STEP = 1e-4
-# The SET read-back stops its bisection within ``READ_BACK_REL_TOL`` of its
-# target, so its log residual moves in steps: the fit stops once every log
-# residual is below this level, about where those steps leave it.
+# The fit stops once every log residual is below this level.  Past it a step
+# buys nothing the report shows: fitting the default anchors on to 5e-15
+# takes 52 evaluations, not 18, and moves the fitted constants by 1.6e-6
+# relative at most and the case i DR by 2e-6 dB.
 _STOP = 2e-5
 # Halvings of a step that does not lower the largest log residual, before
 # the fit stops.
@@ -134,30 +136,21 @@ class CalibrationResult:
 
 
 def predict_anchor(quantity: str, oxram: OxRamParams, selector: MosfetParams,
-                   target: float = R_SET_LEVELS[0],
-                   record: Optional[dict] = None) -> float:
+                   target: float = R_SET_LEVELS[0]) -> float:
     """Model value of one reference quantity for a candidate parameter set.
 
-    ``target`` is the anchor's own value; only the SET read-back uses it.
-    ``record``, a dict per parameter point, shares work: the SET read-back
-    resumes from its ``"bracket"`` and leaves there its own, its R(gap_max)
-    under ``"r_max"`` and its reads under ``"reads"``; the RESET read-back
-    takes ``"r_max"``, the bits of its own ``read_resistance`` call.
+    ``target`` is the anchor's own value; only the SET anchor uses it.
     """
     if quantity == ANCHOR_R_SET:
-        # Read-back of the target SET level; unreachable targets report the
-        # nearest reachable bound so the residual stays finite.
-        record = {} if record is None else record
-        gap, r, r_lo, r_hi, record["bracket"], reads = _read_back(
-            target, VREAD, oxram, READ_BACK_REL_TOL, record.get("bracket"))
-        record["r_max"] = r_hi
-        record["reads"] = record.get("reads", 0) + reads
-        if gap is not None:
-            return r
-        return r_lo if r_lo > target else r_hi
+        # A reachable SET level is its own model; one out of reach reports
+        # the nearest bound, so the residual stays finite.
+        if not (math.isfinite(target) and target > 0.0):
+            raise InvalidInputError(
+                f"r_target must be finite and > 0, got {target}")
+        r_lo = read_resistance(OxRamState(oxram.gap_min), VREAD, oxram)
+        r_hi = read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
+        return min(max(target, r_lo), r_hi)
     if quantity == ANCHOR_R_RESET:
-        if record and "r_max" in record:
-            return record["r_max"]
         return read_resistance(OxRamState(oxram.gap_max), VREAD, oxram)
     if quantity == ANCHOR_T_RESET:
         rate = gap_velocity(OxRamState(oxram.gap_min), V_RESET_DRIVE, oxram)
@@ -239,16 +232,14 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     of ``J`` that are not all zero; the other coordinates are held at
     ``x0``, and a held field keeps its initial value.  A step that does not
     lower the largest log residual is halved, up to ``_HALVINGS`` times.
-    The fit stops when no such step lowers it, or when it falls below the
-    read-back's level.  It has no random part and runs in-process.
+    The fit stops when no such step lowers it, or when it falls below
+    ``_STOP``.  It has no random part and runs in-process.
     A Jacobian point predicts only the anchors its coordinate feeds
     (``_FEEDS``; ``test_anchors_outside_a_fields_feeds_do_not_move`` guards
-    it), so the default fit makes 84 anchor predictions in its 35 points,
-    not 140; the INFO line gives them, in total and per anchor.  A point's
-    SET read-back hands its bracket to those of its Jacobian points and the
-    next step's trials (``devices._read_back``) and its R(gap_max) to the
-    RESET anchor: the default fit's SET read-backs read R 162 times, not
-    338, and the INFO line ends with that count.
+    it), so the default fit makes 44 anchor predictions in its 18 points,
+    not 72; the INFO line gives them, in total and per anchor.  A reachable
+    SET level is met exactly, so its Jacobian row is zero and the default
+    fit's SET residual is 0.0.
     ``seed`` and ``restarts`` are ignored: the fit has no random starts, and
     they stay accepted for callers that still pass them.
     Raises CalibrationError when a log residual at the initial guess, or
@@ -272,47 +263,44 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
              for f in _FIT_FIELDS]
     predictions = dict.fromkeys((q for q, _ in targets), 0)
     blank = [math.nan] * len(targets)
-    evaluations = reads = 0
+    evaluations = 0
 
-    def predicted(point, which, logs, models,
-                  bracket) -> tuple[list, list, tuple, tuple] | None:
-        """``(logs, models, point, bracket)``, each anchor's log residual
-        and model value, with the anchors at ``which`` predicted at
-        ``point``, its SET read-backs resumed from ``bracket``, and the
-        bracket they leave; None where a log residual is not finite."""
-        nonlocal reads
-        logs, models, record = logs.copy(), models.copy(), {"bracket": bracket}
+    def predicted(point, which, logs,
+                  models) -> tuple[list, list, tuple] | None:
+        """``(logs, models, point)``, each anchor's log residual and model
+        value, with the anchors at ``which`` predicted at ``point``; None
+        where a log residual is not finite."""
+        logs, models = logs.copy(), models.copy()
         for i in which:
             quantity, value = targets[i]
             predictions[quantity] += 1
-            models[i] = predict_anchor(quantity, *point, value, record)
-        reads += record.get("reads", 0)
+            models[i] = predict_anchor(quantity, *point, value)
         for i in which:
             logs[i] = math.log(models[i] / targets[i][1])
         if all(map(math.isfinite, logs)):
-            return logs, models, point, record["bracket"]
+            return logs, models, point
         return None
 
-    def at(x: list, bracket) -> tuple[list, list, tuple, tuple] | None:
+    def at(x: list) -> tuple[list, list, tuple] | None:
         """``predicted`` of every anchor at ``x``; None also where the point
         or a log residual cannot be computed."""
         nonlocal evaluations
         evaluations += 1
         try:
             point = _point(x, oxram, selector, x0)
-            return predicted(point, every, blank, blank, bracket)
+            return predicted(point, every, blank, blank)
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
 
     def at_moved(fit: tuple, j: int,
-                 c: float) -> tuple[list, list, tuple, tuple] | None:
+                 c: float) -> tuple[list, list, tuple] | None:
         """``at`` of ``fit``'s point with coordinate ``j`` at ``c``, which
         only the anchors that coordinate feeds can tell from ``fit``."""
         nonlocal evaluations
         evaluations += 1
         try:
             point = _moved(fit[2], _FIT_FIELDS[j], c, x0[j], given[j])
-            return predicted(point, feeds[j], fit[0], fit[1], fit[3])
+            return predicted(point, feeds[j], fit[0], fit[1])
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
 
@@ -327,7 +315,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
                             for u, d in zip(up[0], down[0])])
         return columns
 
-    fit = at(x0, None)
+    fit = at(x0)
     if fit is None:
         raise CalibrationError("log residuals non-finite at the initial guess")
     x, largest = x0, max(map(abs, fit[0]))
@@ -346,7 +334,7 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
                  for c0, a, b, s in zip(x0, lo, hi, seen)]
         iterations += 1
         for _ in range(_HALVINGS + 1):
-            moved = at(trial, fit[3])
+            moved = at(trial)
             if moved is not None and max(map(abs, moved[0])) < largest:
                 break
             trial = [c + 0.5 * (t - c) for c, t in zip(x, trial)]
@@ -374,12 +362,12 @@ def calibrate(anchors: Optional[CalibrationAnchors] = None,
     if _log.isEnabledFor(logging.INFO):
         _log.info("calibrate: %d evaluations in %d iterations, largest log "
                   "residual %.2g, singular values %s, held %s, %.3f s; %d "
-                  "anchor predictions (%s); %d SET read-back resistance reads",
+                  "anchor predictions (%s)",
                   evaluations, iterations, largest,
                   " ".join(f"{s:.3g}" for s in singular) or "none",
                   " ".join(held) or "none", time.perf_counter() - t0,
                   sum(predictions.values()),
-                  " ".join(f"{q} {n}" for q, n in predictions.items()), reads)
+                  " ".join(f"{q} {n}" for q, n in predictions.items()))
     ox_fit, sel_fit = fit[2]
     return CalibrationResult(
         oxram=ox_fit, selector=sel_fit, residuals=residuals,

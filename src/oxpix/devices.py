@@ -226,94 +226,6 @@ def read_resistance(state: OxRamState, vread: float, params: OxRamParams) -> flo
     return vread / i
 
 
-# Halvings above its last bracket at which a read-back hands one back.
-_RESUME_SLACK = 3
-
-
-def _resistance_increasing(vread: float, p: OxRamParams) -> bool:
-    """Whether R(gap) at ``vread`` is strictly increasing on ``[gap_min,
-    gap_max]``: the filament current grows at ``a I_cf(gap) <= a
-    I_cf(gap_max)`` and, with ``k = d vread / gap_max``, the oxide current
-    falls at ``i0_ox e^(-c gap) cosh(k gap) (c tanh(k gap) - k) >= i0_ox
-    e^(-c gap_max) (c tanh(k gap_min) - k)``, in exact arithmetic."""
-    a, c, k = p.cf_decay_a, p.ox_decay_c, p.ox_field_d * vread / p.gap_max
-    fall = c * math.tanh(k * p.gap_min) - k
-    rise = a * p.i0_cf * math.exp(-a * (p.oxide_thickness_L - p.gap_max)) \
-        * _safe_sinh(p.cf_field_b * vread)
-    return vread > 0.0 and fall > 0.0 and \
-        rise < p.i0_ox * math.exp(-c * p.gap_max) * fall
-
-
-def _read_back(r_target: float, vread: float, p: OxRamParams,
-               rel_tol: float, bracket: tuple | None = None) -> tuple:
-    """Bisection on gap_x for the read resistance ``r_target``.
-
-    Validates ``r_target`` and ``vread``, then returns ``(gap, R(gap),
-    R(gap_min), R(gap_max), bracket, reads)``; ``gap`` is None when the
-    target lies outside ``[R(gap_min), R(gap_max)]``.  ``R`` evaluates the
-    expression of ``read_resistance`` in the same order, with the
-    gap-independent factors computed once, so every value here equals a
-    ``read_resistance`` call; ``reads`` counts them.
-
-    It resumes from ``bracket``, a ``(lo, hi, halvings)`` handed back by a
-    read-back with the same ``gap_min`` and ``gap_max``, where R is
-    increasing (``_resistance_increasing``) and lies more than ``rel_tol *
-    r_target`` from the target at ``lo`` and ``hi`` (a range end needs no
-    check): every skipped midpoint would have compared the same way and
-    failed the stop test, so the result has the full bisection's bits, its
-    200-halving budget counted from the full range.  It hands back its
-    bracket ``_RESUME_SLACK`` halvings above the last one it reached.
-    """
-    if not (math.isfinite(r_target) and r_target > 0.0):
-        raise InvalidInputError(f"r_target must be finite and > 0, got {r_target}")
-    if vread == 0.0:
-        raise InvalidInputError("vread must be non-zero")
-    if not math.isfinite(vread):
-        raise InvalidInputError(f"non-finite voltage: vread={vread}")
-    k_cf, a, length = p.i0_cf, p.cf_decay_a, p.oxide_thickness_L
-    i0_ox, c, d, gap_max = p.i0_ox, p.ox_decay_c, p.ox_field_d, p.gap_max
-    s_cf = _safe_sinh(p.cf_field_b * vread)
-    exp, sinh, arg_max, clip = math.exp, math.sinh, _EXP_ARG_MAX, _SINH_CLIP
-
-    def resistance(gap: float) -> float:
-        # ``_safe_sinh`` written out, clip for clip.  The ``exp`` arguments
-        # are <= 0 for a gap in [0, L], where ``_safe_exp`` does not clip.
-        i_cf = k_cf * exp(-a * (length - gap)) * s_cf
-        e_ox = exp(-c * gap)
-        x = d * (vread * (gap / gap_max))
-        s_ox = clip if x > arg_max else -clip if x < -arg_max else sinh(x)
-        return vread / (i_cf + i0_ox * e_ox * s_ox)
-
-    lo, hi, start = p.gap_min, gap_max, 0
-    r_lo, r_hi = resistance(lo), resistance(hi)
-    reads, tol = 2, rel_tol * r_target
-    if not (r_lo <= r_target <= r_hi):
-        return None, math.nan, r_lo, r_hi, None, reads
-    if bracket is not None and _resistance_increasing(vread, p):
-        b_lo, b_hi, _ = bracket
-        below = b_lo == lo or r_target - resistance(b_lo) > tol
-        above = b_hi == hi or resistance(b_hi) - r_target > tol
-        reads += (b_lo != lo) + (b_hi != hi)
-        if below and above:
-            lo, hi, start = bracket
-    trail = []
-    for halvings in range(start, 200):
-        trail.append((lo, hi, halvings))
-        mid = 0.5 * (lo + hi)
-        r_mid = resistance(mid)
-        if r_mid < r_target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(r_mid - r_target) <= tol:
-            break
-    else:
-        mid = 0.5 * (lo + hi)
-        r_mid, reads = resistance(mid), reads + 1
-    return (mid, r_mid, r_lo, r_hi,
-            trail[max(len(trail) - _RESUME_SLACK, 0)], reads + len(trail))
-
-
 def state_from_resistance(r_target: float, vread: float, params: OxRamParams,
                           orientation: Orientation = Orientation.BE_AT_PD,
                           rel_tol: float = READ_BACK_REL_TOL) -> OxRamState:
@@ -323,12 +235,26 @@ def state_from_resistance(r_target: float, vread: float, params: OxRamParams,
     [R(gap_min), R(gap_max)] brackets uniquely.  Matches within 0.1 %
     relative by default (contract allows 1 %).
     """
-    gap, _, r_lo, r_hi, _, _ = _read_back(r_target, vread, params, rel_tol)
-    if gap is None:
+    if not (math.isfinite(r_target) and r_target > 0.0):
+        raise InvalidInputError(
+            f"r_target must be finite and > 0, got {r_target}")
+    lo, hi = params.gap_min, params.gap_max
+    r_lo = read_resistance(OxRamState(lo), vread, params)
+    r_hi = read_resistance(OxRamState(hi), vread, params)
+    if not (r_lo <= r_target <= r_hi):
         raise OutOfRangeError(
             f"target {r_target:.6g} ohm at vread={vread:.3g} V is outside the "
             f"reachable range [{r_lo:.6g}, {r_hi:.6g}] ohm")
-    return OxRamState(gap, orientation)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r_mid = read_resistance(OxRamState(mid), vread, params)
+        if r_mid < r_target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(r_mid - r_target) <= rel_tol * r_target:
+            return OxRamState(mid, orientation)
+    return OxRamState(0.5 * (lo + hi), orientation)
 
 
 def selector_current(vgs: float, vds: float, params: MosfetParams) -> float:

@@ -31,9 +31,8 @@ from oxpix.devices import (
     OxRamParams,
     OxRamState,
     read_resistance,
-    state_from_resistance,
 )
-from oxpix.errors import CalibrationError, InvalidInputError, OutOfRangeError
+from oxpix.errors import CalibrationError, InvalidInputError
 
 
 def test_default_anchors_converge(calibrated):
@@ -42,6 +41,8 @@ def test_default_anchors_converge(calibrated):
     assert calibrated.converged
     for quantity, tol in tolerances.items():
         assert abs(calibrated.residuals[quantity]) <= tol
+    # The SET level is reachable, so it is met exactly.
+    assert calibrated.residuals[ANCHOR_R_SET] == 0.0
 
 
 def _synthetic_anchors() -> CalibrationAnchors:
@@ -97,27 +98,23 @@ def test_unknown_anchor_quantity_rejected():
         predict_anchor("bogus", OxRamParams(), MosfetParams())
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.25e6])
+def test_set_anchor_rejects_a_bad_target(target):
+    with pytest.raises(InvalidInputError, match="r_target must be finite"):
+        predict_anchor(ANCHOR_R_SET, OxRamParams(), MosfetParams(), target)
+
+
 def test_r_set_anchor_uses_its_own_target():
     anchors = CalibrationAnchors(
         (Anchor(ANCHOR_R_SET, 2e6, 0.20),) + CalibrationAnchors().anchors[1:])
     result = calibrate(anchors)
     assert result.converged
-    assert abs(result.residuals[ANCHOR_R_SET]) <= 0.01
-
-
-def _r_set_by_composition(target, p):
-    """SET read-back as a bisection followed by a second read."""
-    try:
-        state = state_from_resistance(target, VREAD, p)
-    except OutOfRangeError:
-        lo = read_resistance(OxRamState(p.gap_min), VREAD, p)
-        if lo > target:
-            return lo
-        return read_resistance(OxRamState(p.gap_max), VREAD, p)
-    return read_resistance(state, VREAD, p)
+    assert result.residuals[ANCHOR_R_SET] == 0.0
 
 
 def test_read_back_predictors_are_exact():
+    # A reachable SET level is the model's own value; one out of reach
+    # reads as the nearest of R(gap_min) and R(gap_max).
     sel = MosfetParams()
     base = OxRamParams()
     for p in (base, dataclasses.replace(base, i0_ox=base.i0_ox * 1.8),
@@ -128,9 +125,23 @@ def test_read_back_predictors_are_exact():
         r_max = read_resistance(OxRamState(p.gap_max), VREAD, p)
         for target in (0.5 * r_min, r_min, 1.25e6, 5e6, 1e9, r_max,
                        2.0 * r_max):
-            assert predict_anchor(ANCHOR_R_SET, p, sel, target) == \
-                _r_set_by_composition(target, p)
+            clipped = r_min if target < r_min else \
+                r_max if target > r_max else target
+            assert predict_anchor(ANCHOR_R_SET, p, sel, target) == clipped
         assert predict_anchor(ANCHOR_R_RESET, p, sel) == r_max
+
+
+def test_fit_to_a_set_level_out_of_reach_reports_the_bound():
+    # 2 kOhm lies below R(gap_min), about 4.0 kOhm at the defaults, so the
+    # SET anchor steers the fit, and its residual is that of R(gap_min) at
+    # the fitted constants.
+    anchors = CalibrationAnchors(
+        (Anchor(ANCHOR_R_SET, 2e3, 0.20),) + CalibrationAnchors().anchors[1:])
+    result = calibrate(anchors)
+    p = result.oxram
+    r_min = read_resistance(OxRamState(p.gap_min), VREAD, p)
+    assert r_min > 2e3
+    assert result.residuals[ANCHOR_R_SET] == (r_min - 2e3) / 2e3
 
 
 def _objective_at(result, anchors):
@@ -170,8 +181,7 @@ def test_fit_holds_the_coordinates_no_anchor_sees(monkeypatch, caplog,
                                                   kwargs, held):
     result, line = _logged_fit(monkeypatch, caplog, "1", **kwargs)
     assert re.search(r", held (.*), [0-9.]+ s; [0-9]+ anchor predictions "
-                     r"\([a-z_ 0-9]+\); [0-9]+ SET read-back resistance "
-                     r"reads$", line).group(1) == held
+                     r"\([a-z_ 0-9]+\)$", line).group(1) == held
     assert (" ".join(result.held) or "none") == held
 
 
@@ -197,8 +207,8 @@ def test_fit_keeps_its_search_path(calibrated, caplog):
     with caplog.at_level(logging.INFO, logger="oxpix"):
         result = calibrate()
     (line,) = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
-    assert result.evaluations == calibrated.evaluations == 35
-    assert line.startswith("calibrate: 35 evaluations in 2 iterations, ")
+    assert result.evaluations == calibrated.evaluations == 18
+    assert line.startswith("calibrate: 18 evaluations in 1 iterations, ")
 
 
 def _x0(oxram, selector):
@@ -264,8 +274,8 @@ def test_search_point_fails_as_the_checked_constructors(bad):
 def test_initial_constants_at_the_float_range_edges():
     tiny = calibrate(initial_oxram=OxRamParams(i0_cf=5e-324))
     assert tiny.converged
-    assert tiny.objective == 6.410932569941547e-09
-    assert tiny.evaluations == 35
+    assert tiny.objective == 2.4895684924856486e-11
+    assert tiny.evaluations == 18
     # The log residuals are finite there (709 at most), the objective not.
     with pytest.raises(CalibrationError,
                        match="^objective non-finite at the fit$"):
@@ -308,10 +318,9 @@ def test_fit_rejects_an_initial_guess_it_cannot_evaluate(monkeypatch):
 
 def test_fit_reports_its_evaluations(monkeypatch, caplog):
     # A step's point predicts every anchor, a Jacobian point only those its
-    # coordinate feeds: 3 full points and 2 x 16 Jacobian points, of which
-    # 20 move a conduction field, 8 a rupture field and 4 ``kprime``.  The
+    # coordinate feeds: 2 full points and 16 Jacobian points, of which 10
+    # move a conduction field, 4 a rupture field and 2 ``kprime``.  The
     # fit's residuals reuse the model values of its last accepted point.
-    # The SET read-backs make 162 resistance reads, 338 without resuming.
     calls = []
     predict = calibration.predict_anchor
 
@@ -323,17 +332,16 @@ def test_fit_reports_its_evaluations(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="oxpix"):
         result = calibrate()
     anchors = CalibrationAnchors().anchors
-    assert result.evaluations == 35
+    assert result.evaluations == 18
     assert collections.Counter(calls) == {
-        ANCHOR_R_SET: 23, ANCHOR_R_RESET: 23, ANCHOR_T_RESET: 11,
-        ANCHOR_I_RESET: 27}
+        ANCHOR_R_SET: 12, ANCHOR_R_RESET: 12, ANCHOR_T_RESET: 6,
+        ANCHOR_I_RESET: 14}
     assert calls[:len(anchors)] == [a.quantity for a in anchors]
     lines = [r.getMessage() for r in caplog.records if r.name == "oxpix"]
     assert len(lines) == 1
     assert f": {result.evaluations} evaluations in " in lines[0]
-    assert lines[0].endswith("; 84 anchor predictions (r_set 23 r_reset 23 "
-                             "t_reset 11 i_reset_peak 27); 162 SET read-back "
-                             "resistance reads")
+    assert lines[0].endswith("; 44 anchor predictions (r_set 12 r_reset 12 "
+                             "t_reset 6 i_reset_peak 14)")
 
 
 def _logged_fit(monkeypatch, caplog, workers, **kwargs):
@@ -378,9 +386,11 @@ def test_fit_takes_at_most_200_evaluations(kwargs):
 
 
 def test_fit_halves_a_step_that_does_not_lower_the_residual():
-    # From 10 % above the default ox_field_d the second full step overshoots:
-    # without its halvings the fit stops there, with r_set 9e-4 off.  Halved,
-    # the steps go on to about the read-back's level.
+    # From 10 % above the default ox_field_d the fit ends within 1e-4 of
+    # every anchor.  Its two full steps each lower the largest residual, so
+    # no step is halved here: no converging start is known that takes a
+    # halved step, and the halvings only end a fit whose steps stop lowering
+    # the residual.
     result = calibrate(initial_oxram=OxRamParams(ox_field_d=1.76))
     assert max(map(abs, result.residuals.values())) < 1e-4
 
@@ -399,21 +409,26 @@ def test_anchor_inputs_are_the_fields_its_predictor_reads(anchor):
     # The fields that feed an anchor in ``calibration._FEEDS`` are those its
     # predictor reads.  At the default constants the filament term is below
     # the last bit of the read-backs and the programming peak; the raised
-    # prefactor makes every listed field show.
+    # prefactor makes every listed field show.  A reachable SET level is its
+    # own model and reads no field, so the SET anchor's listed fields are
+    # shown at levels out of reach on either side.
     inputs = [f for f in _FIT_FIELDS
               if anchor.quantity in calibration._FEEDS[f]]
+    shown_at = (1.0, 1e15) if anchor.quantity == ANCHOR_R_SET \
+        else (anchor.value,)
     sel = MosfetParams()
     for ox in (OxRamParams(), OxRamParams(i0_cf=1e-16)):
-        base = predict_anchor(anchor.quantity, ox, sel, anchor.value)
-        for name in _FIT_FIELDS:
-            for factor in (0.9, 1.1):
-                moved = predict_anchor(anchor.quantity,
-                                       *_scaled(ox, sel, name, factor),
-                                       anchor.value)
-                if name not in inputs:
-                    assert moved == base, name
-                elif ox.i0_cf == 1e-16:
-                    assert moved != base, name
+        for target in dict.fromkeys((anchor.value, *shown_at)):
+            base = predict_anchor(anchor.quantity, ox, sel, target)
+            for name in _FIT_FIELDS:
+                for factor in (0.9, 1.1):
+                    moved = predict_anchor(anchor.quantity,
+                                           *_scaled(ox, sel, name, factor),
+                                           target)
+                    if name not in inputs:
+                        assert moved == base, name
+                    elif ox.i0_cf == 1e-16 and target in shown_at:
+                        assert moved != base, (name, target)
 
 
 def _jacobian_points():
@@ -506,39 +521,29 @@ def test_fit_is_unchanged_when_every_field_feeds_every_anchor(monkeypatch,
         (oracle.held, oracle.singular_values, oracle.evaluations)
 
 
-_RESUME_STARTS = {
-    "defaults": {},
-    "i0_ox_x1.8": {"initial_oxram": OxRamParams(i0_ox=OxRamParams().i0_ox
-                                                * 1.8)},
-    "kprime_2e-4": {"initial_selector": MosfetParams(kprime=2e-4)},
-    "r_set_twice": {"anchors": CalibrationAnchors(
+# Each start's ``(converged, evaluations)``; every start holds ``i0_cf`` and
+# ``cf_field_b``.
+_PATHS = {
+    "defaults": ({}, (True, 18)),
+    "i0_ox_x1.8": ({"initial_oxram": OxRamParams(i0_ox=OxRamParams().i0_ox
+                                                 * 1.8)}, (True, 35)),
+    "kprime_2e-4": ({"initial_selector": MosfetParams(kprime=2e-4)},
+                    (True, 35)),
+    "r_set_twice": ({"anchors": CalibrationAnchors(
         CalibrationAnchors().anchors[:1] + CalibrationAnchors().anchors)},
-    "reversed": {"anchors": CalibrationAnchors(
-        CalibrationAnchors().anchors[::-1])},
-    **{f"ox_decay_c_{c}": {"initial_oxram": OxRamParams(ox_decay_c=c)}
-       for c in (0.5, 1.0, 1.6)},
+        (True, 18)),
+    "reversed": ({"anchors": CalibrationAnchors(
+        CalibrationAnchors().anchors[::-1])}, (True, 18)),
+    **{f"ox_decay_c_{c}": ({"initial_oxram": OxRamParams(ox_decay_c=c)},
+                           (False, n))
+       for c, n in ((0.5, 21), (1.0, 21), (1.6, 38))},
 }
 
 
-def _fit_or_error(**kwargs):
-    try:
-        fit = calibrate(**kwargs)
-    except CalibrationError as exc:
-        return str(exc)
-    return (pickle.dumps(_result_payload(fit)), fit.evaluations, fit.held)
-
-
-@pytest.mark.parametrize("kwargs", _RESUME_STARTS.values(),
-                         ids=_RESUME_STARTS)
-def test_fit_is_unchanged_without_resume_or_shared_read(monkeypatch, kwargs):
-    # Without the per-point record each SET read-back bisects the full
-    # range and each RESET read-back reads R(gap_max) itself: the fit must
-    # not tell.  From ox_decay_c 1.6 the closed-form check refuses the
-    # resume at 10 of the 36 read-backs offered one, where R need not be
-    # increasing; from 0.5 and 1.0 the SET target is out of reach.
-    fit = _fit_or_error(**kwargs)
-    predict = calibration.predict_anchor
-    monkeypatch.setattr(calibration, "predict_anchor",
-                        lambda quantity, oxram, selector, target, record:
-                        predict(quantity, oxram, selector, target))
-    assert fit == _fit_or_error(**kwargs)
+@pytest.mark.parametrize("kwargs,path", _PATHS.values(), ids=_PATHS)
+def test_fit_keeps_its_path_from_each_start(kwargs, path):
+    # From ox_decay_c 0.5 and 1.0 the SET target is out of reach; from 1.6
+    # it is reached, but the RESET anchor is not.
+    fit = calibrate(**kwargs)
+    assert (fit.converged, fit.evaluations, fit.held) == \
+        (*path, ("i0_cf", "cf_field_b"))

@@ -226,9 +226,11 @@ def test_cli_calibrate_writes_params(tmp_path):
 
 # A two-point sweep keeps these reports fast.
 SMALL_REPORT = "[sweep]\ni_min = 1nA\ni_max = 2nA\npoints_per_decade = 1\n"
-# The cache file the multistart pattern search wrote for SMALL_REPORT with
-# one restart.
+# The cache files earlier fit methods wrote for SMALL_REPORT: the multistart
+# pattern search with one restart, and the Gauss-Newton fit whose SET anchor
+# was the bisected read-back.
 PATTERN_SEARCH_CACHE = ".oxpix-calib-d3449efcc4a86517.json"
+READ_BACK_CACHE = ".oxpix-calib-0953cc1183817316.json"
 
 
 def test_cli_cache_key_covers_initial_constants(tmp_path):
@@ -250,15 +252,21 @@ def test_cli_cache_key_covers_the_fit_method(tmp_path, monkeypatch):
     report = (tmp_path / "r.json").read_bytes()
     planted = json.loads(cache.read_text())
     planted["residuals"] = {name: 0.5 for name in planted["residuals"]}
-    old = tmp_path / PATTERN_SEARCH_CACHE
-    old.write_text(json.dumps(planted))
+    cache.unlink()
+    old = {tmp_path / PATTERN_SEARCH_CACHE, tmp_path / READ_BACK_CACHE}
+    for path in old:
+        path.write_text(json.dumps(planted))
+    assert main(argv) == 0
+    assert (tmp_path / "r.json").read_bytes() == report
+    assert set(tmp_path.glob(".oxpix-calib-*.json")) == old | {cache}
     cache.unlink()
     monkeypatch.setattr(cli, "FIT_METHOD", "another method")
     assert main(argv) == 0
-    (other,) = set(tmp_path.glob(".oxpix-calib-*.json")) - {old}
-    assert other.name not in (cache.name, old.name)
+    (other,) = set(tmp_path.glob(".oxpix-calib-*.json")) - old
+    assert other.name != cache.name
     assert (tmp_path / "r.json").read_bytes() == report
-    assert json.loads(old.read_text()) == planted
+    for path in old:
+        assert json.loads(path.read_text()) == planted
 
 
 def test_cli_truncated_cache_is_a_miss(tmp_path, capsys):

@@ -144,14 +144,13 @@ def _conduction_box_ends(p):
 
 
 def test_read_resistance_monotone_in_gap(params):
-    # The premise of a read-back's resume, on the 4097-point dyadic grid,
-    # and the closed-form check that stands for it.
+    # The premise of ``state_from_resistance``'s bisection, on the
+    # 4097-point dyadic grid, at the defaults and across the fit box.
     for p in _conduction_box_ends(params):
         gaps = [p.gap_min + k * (p.gap_max - p.gap_min) / 4096
                 for k in range(4097)]
         rs = [read_resistance(OxRamState(g), 0.1, p) for g in gaps]
         assert all(a < b for a, b in zip(rs, rs[1:])), p
-        assert devices._resistance_increasing(0.1, p), p
 
 
 def test_state_from_resistance_round_trip(params):
@@ -207,70 +206,6 @@ def test_state_from_resistance_equals_plain_bisection(params, rel_tol):
             state = state_from_resistance(target, 0.1, p, rel_tol=rel_tol)
             assert state.gap_x == _bisect_with_read_resistance(
                 target, 0.1, p, rel_tol)
-
-
-def _resumed(target, p, bracket, rel_tol=1e-3):
-    """The resistance reads of a read-back resumed from ``bracket``, after
-    checking its gap and R against the plain bisection."""
-    gap, r, _, _, _, reads = devices._read_back(target, 0.1, p, rel_tol,
-                                                bracket)
-    assert gap == _bisect_with_read_resistance(target, 0.1, p, rel_tol)
-    assert r == read_resistance(OxRamState(gap), 0.1, p)
-    return reads
-
-
-def _neighbours(p, scale):
-    """``p`` with each conduction field moved by the factor ``1 + scale``
-    either way."""
-    for field in _CONDUCTION:
-        for factor in (1.0 + scale, 1.0 - scale):
-            yield replace(p, **{field: getattr(p, field) * factor})
-
-
-def test_read_back_resumes_to_the_plain_bisection(params):
-    # A bracket from a read-back at a neighbouring point lets the read-back
-    # skip the halvings above it, and the gap and R are the full
-    # bisection's bits.  A bracket that fails its check costs its two reads
-    # and falls back to the full range.
-    for target in (1.25e6, 5e6, 1e9):
-        *_, bracket, cold = devices._read_back(target, 0.1, params, 1e-3)
-        for p in _neighbours(params, 1e-4):
-            assert _resumed(target, p, bracket) < cold
-        for p in _neighbours(params, 0.02):
-            _resumed(target, p, bracket)
-    *_, bracket, _ = devices._read_back(1e9, 0.1, params, 1e-3)
-    *_, cold = devices._read_back(1.25e6, 0.1, params, 1e-3)
-    assert _resumed(1.25e6, params, bracket) == cold + 2
-
-
-def test_read_back_resumes_at_the_range_ends_and_without_tolerance(params):
-    # rel_tol = 0 runs the full 200-halving budget, counted from the full
-    # range; a target at R(gap_min) or R(gap_max) sits on a bound.
-    r_min = read_resistance(OxRamState(params.gap_min), 0.1, params)
-    r_max = read_resistance(OxRamState(params.gap_max), 0.1, params)
-    for target in (1.25e6, r_min, r_max):
-        for rel_tol in (1e-3, 0.0):
-            *_, cold = devices._read_back(target, 0.1, params, rel_tol)
-            resumed = False
-            for q in _neighbours(params, 1e-4):
-                *_, bracket, _ = devices._read_back(target, 0.1, q, rel_tol)
-                resumed |= _resumed(target, params, bracket, rel_tol) < cold
-            assert resumed, (target, rel_tol)
-    *_, bracket, _ = devices._read_back(1.25e6, 0.1, params, 1e-3)
-    *_, cold = devices._read_back(1.25e6, 0.1, params, 0.0)
-    assert cold == 2 + 200 + 1
-    assert _resumed(1.25e6, params, bracket, 0.0) < cold
-
-
-def test_read_back_does_not_resume_where_r_may_fall(params):
-    # With ox_decay_c = 0.5 the oxide current grows with the gap up to
-    # 2 nm, so R falls there and the closed-form check must refuse.
-    p = replace(params, ox_decay_c=0.5)
-    assert not devices._resistance_increasing(0.1, p)
-    assert not devices._resistance_increasing(-0.1, params)
-    r_max = read_resistance(OxRamState(p.gap_max), 0.1, p)
-    *_, bracket, cold = devices._read_back(r_max / 3.0, 0.1, p, 1e-3)
-    assert _resumed(r_max / 3.0, p, bracket) == cold
 
 
 def test_state_from_resistance_rejects_bad_inputs(params):
